@@ -21,11 +21,8 @@ from .graph import Graph, HAS_ATTR, Node, NodeRef
 from .matcher import (
     AccessQuery,
     PolicyMatch,
-    eval_condition_expr,
-    is_satisfied,
     matching_policies,
     matching_policies_oracle,
-    policy_length,
 )
 from .policy import (
     And,
@@ -69,9 +66,7 @@ __all__ = [
     "ValidityReport",
     "combine",
     "dnf_expand",
-    "eval_condition_expr",
     "evaluate",
-    "is_satisfied",
     "load_bundled_model",
     "load_document",
     "load_model",
@@ -79,7 +74,6 @@ __all__ = [
     "matching_policies",
     "matching_policies_oracle",
     "parse_model",
-    "policy_length",
     "serialize_model",
     "validate_policy",
 ]

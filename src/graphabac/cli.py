@@ -17,8 +17,8 @@ from .combine import ALGORITHM_NAMES, CombiningAlgorithm, EvaluationResult, eval
 from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_policies
 from .dsl import LoadedModel, ModelLoadError, load_model_file, parse_model
 from .errors import AbacError
-from .matcher import AccessQuery
-from .policy import ConditionType, Decision
+from .matcher import AccessQuery, query_closures
+from .policy import ConditionType, Decision, ref_leaves
 
 EXIT_PERMIT = 0
 EXIT_DENY = 1
@@ -49,23 +49,24 @@ def _resolve_query(model: LoadedModel, subject: str, action: str, obj: str) -> A
     return AccessQuery(sub=refs[0], act=refs[1], obj=refs[2])
 
 
-def _evaluate(args, model: LoadedModel) -> EvaluationResult:
+def _evaluate(args, model: LoadedModel) -> tuple[AccessQuery, EvaluationResult]:
     q = _resolve_query(model, args.subject, args.action, args.object)
     alg = CombiningAlgorithm(args.algorithm)
-    return evaluate(model.policies, q, alg, depth=args.depth)
+    return q, evaluate(model.policies, q, alg, depth=args.depth)
 
 
 def cmd_check(args) -> int:
     model = _load(args.model)
-    result = _evaluate(args, model)
+    _, result = _evaluate(args, model)
     print(result.decision.value)
     return EXIT_PERMIT if result.decision is Decision.PERMIT else EXIT_DENY
 
 
 def cmd_explain(args) -> int:
     model = _load(args.model)
-    result = _evaluate(args, model)
+    q, result = _evaluate(args, model)
     depth = args.depth if args.depth is not None else model.graph.attr_depth
+    closures = query_closures(model.graph, q, depth)
     print(f"query: subject={args.subject} action={args.action} object={args.object}")
     print(f"algorithm: {result.algorithm.value} (attribute depth {depth})")
     if not result.matches:
@@ -79,7 +80,8 @@ def cmd_explain(args) -> int:
                 sats = sorted(
                     model.graph.node(leaf.node).name
                     for e in pol.conditions[t]
-                    for leaf in _true_leaves(model, args, e, t)
+                    for leaf in ref_leaves(e)
+                    if leaf.node in closures[t]
                 )
                 slots.append(f"{t.value}={m.length(t)} [{', '.join(sats)}]")
             print(
@@ -91,15 +93,6 @@ def cmd_explain(args) -> int:
             print(f"  {m.policy.name}")
     print(f"decision: {result.decision.value}")
     return EXIT_PERMIT if result.decision is Decision.PERMIT else EXIT_DENY
-
-
-def _true_leaves(model: LoadedModel, args, expr, t: ConditionType):
-    from .policy import ref_leaves
-
-    q = _resolve_query(model, args.subject, args.action, args.object)
-    depth = args.depth if args.depth is not None else model.graph.attr_depth
-    closure = model.graph.attribute_closure(q.primitive(t), depth)
-    return [leaf for leaf in ref_leaves(expr) if leaf.node in closure]
 
 
 def cmd_validate(args) -> int:
@@ -195,7 +188,7 @@ def _serve_one(
             "matching": [m.policy.name for m in result.matches],
             "error": None,
         }
-    except (ValueError, _CliError, AbacError) as exc:
+    except (ValueError, RecursionError, _CliError, AbacError) as exc:
         return {
             "id": req_id,
             "decision": "Deny",
@@ -223,8 +216,15 @@ def _add_common(parser: argparse.ArgumentParser, with_query: bool) -> None:
         default=CombiningAlgorithm.DENY_OVERRIDES.value,
     )
     parser.add_argument(
-        "--depth", type=int, default=None, help="override the attribute depth bound"
+        "--depth", type=_depth, default=None, help="override the attribute depth bound"
     )
+
+
+def _depth(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {depth}")
+    return depth
 
 
 def build_parser() -> argparse.ArgumentParser:

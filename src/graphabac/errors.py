@@ -71,10 +71,6 @@ class NegationNotExpandableError(PolicyError):
     """DNF expansion does not distribute NOT; rewrite it by hand first."""
 
 
-class NotMatchingError(AbacError):
-    """Length requested for a policy that does not match the query."""
-
-
 class UnsupportedAlgorithmError(AbacError):
     """No complete Cypher statement exists for this combining algorithm."""
 

@@ -1,18 +1,20 @@
 """Policy matching over the frozen graph.
 
-Two interchangeable implementations are provided:
+``matching_policies`` is the production path.  ``query_closures`` runs
+one bounded BFS per query primitive, then ``match_single`` checks each
+policy's three slots against those shared closures: a simple slot
+survives iff every required reference is inside the closure (the
+satisfied count equals the required count); a compound slot evaluates
+its expressions over the same closure.  Every front end that needs
+closures gets them from ``query_closures``.
 
-* ``matching_policies`` — the production path: three bounded BFS closures
-  per query (one per query primitive), then a count-based gate per policy
-  slot (a policy survives a slot iff every required reference is inside
-  the closure, i.e. satisfied-count equals required-count).
-* ``matching_policies_oracle`` — a deliberately independent check that
-  evaluates every required condition by exhaustive simple-path
-  enumeration.  It exists to cross-validate the production path and is
-  O(paths); keep it to small graphs.
+``matching_policies_oracle`` is a deliberately independent check that
+evaluates every required condition by exhaustive simple-path
+enumeration.  It exists to cross-validate the production path and is
+O(paths); keep it to small graphs.
 
-Both report, per match, the minimal path length from each query primitive
-to the policy (closure hops plus the condition edge).
+Both report, per match, the minimal path length from each query
+primitive to the policy (closure hops plus the condition edge).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotFrozenError, NotMatchingError
+from .errors import NotFrozenError
 from .graph import Graph, HAS_ATTR, NodeRef
 from .policy import (
     And,
@@ -70,17 +72,12 @@ class PolicyMatch:
 
 # -- closure-based evaluation (production path) -----------------------
 
-
-def is_satisfied(graph: Graph, x: NodeRef, c: NodeRef, depth: int) -> bool:
-    """True iff ``c`` is reachable from ``x`` via 0..depth HAS_ATTR hops."""
-    return c in graph.attribute_closure(x, depth)
+Closures = dict[ConditionType, dict[NodeRef, int]]
 
 
-def eval_condition_expr(
-    graph: Graph, x: NodeRef, expr: ConditionExpr, depth: int
-) -> bool:
-    closure = graph.attribute_closure(x, depth)
-    return _eval_with_closure(closure, expr)
+def query_closures(graph: Graph, q: AccessQuery, depth: int) -> Closures:
+    """Minimal hop counts from each query primitive, keyed by slot type."""
+    return {t: graph.attribute_closure(q.primitive(t), depth) for t in ConditionType}
 
 
 def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:
@@ -125,69 +122,35 @@ def _slot_length(
 
 
 def match_single(
-    graph: Graph, policy: Policy, q: AccessQuery, depth: int
+    policy: Policy, closures: Closures, depth: int
 ) -> Optional[PolicyMatch]:
-    if not policy.is_valid_shape():
-        return None
-    lengths: dict[ConditionType, int] = {}
+    """Match one stored policy against the closures of one query.
+
+    ``policy`` must have a non-empty slot of every type, which
+    ``PolicyStore.create_policy`` guarantees.
+    """
+    lengths = []
     for t in ConditionType:
-        closure = graph.attribute_closure(q.primitive(t), depth)
-        length = _slot_length(policy.conditions[t], closure, depth)
+        length = _slot_length(policy.conditions[t], closures[t], depth)
         if length is None:
             return None
-        lengths[t] = length
-    return PolicyMatch(
-        policy=policy,
-        len_sub=lengths[ConditionType.SUB_CON],
-        len_act=lengths[ConditionType.ACT_CON],
-        len_obj=lengths[ConditionType.OBJ_CON],
-    )
+        lengths.append(length)
+    return PolicyMatch(policy, *lengths)
 
 
 def matching_policies(
     store: PolicyStore, q: AccessQuery, depth: Optional[int] = None
 ) -> list[PolicyMatch]:
-    """All valid policies matching ``q``, ordered by insertion sequence."""
+    """All policies matching ``q``, ordered by insertion sequence."""
     graph = store.graph
     if not graph.frozen:
         raise NotFrozenError("freeze the graph before matching")
     if depth is None:
         depth = graph.attr_depth
-    closures = {
-        t: graph.attribute_closure(q.primitive(t), depth) for t in ConditionType
-    }
-    out: list[PolicyMatch] = []
-    for policy in store.policies():
-        if not policy.is_valid_shape():
-            continue
-        lengths: dict[ConditionType, int] = {}
-        for t in ConditionType:
-            length = _slot_length(policy.conditions[t], closures[t], depth)
-            if length is None:
-                break
-            lengths[t] = length
-        else:
-            out.append(
-                PolicyMatch(
-                    policy=policy,
-                    len_sub=lengths[ConditionType.SUB_CON],
-                    len_act=lengths[ConditionType.ACT_CON],
-                    len_obj=lengths[ConditionType.OBJ_CON],
-                )
-            )
-    return out
-
-
-def policy_length(
-    store: PolicyStore, q: AccessQuery, policy_name: str, depth: Optional[int] = None
-) -> int:
-    graph = store.graph
-    if depth is None:
-        depth = graph.attr_depth
-    match = match_single(graph, store.get(policy_name), q, depth)
-    if match is None:
-        raise NotMatchingError(f"policy {policy_name!r} does not match {q}")
-    return match.total_len
+    closures = query_closures(graph, q, depth)
+    return [
+        m for p in store.policies() if (m := match_single(p, closures, depth)) is not None
+    ]
 
 
 # -- path-enumeration oracle ------------------------------------------

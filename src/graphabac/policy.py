@@ -81,10 +81,6 @@ def ref_leaves(expr: ConditionExpr) -> Iterator[Ref]:
         raise TypeError(f"unknown expression node {expr!r}")
 
 
-def is_simple_expr(expr: ConditionExpr) -> bool:
-    return isinstance(expr, Ref)
-
-
 @dataclass
 class Policy:
     name: str
@@ -92,11 +88,6 @@ class Policy:
     score: int
     seq: int
     conditions: Mapping[ConditionType, frozenset[ConditionExpr]]
-
-    def is_simple(self) -> bool:
-        return all(
-            is_simple_expr(e) for exprs in self.conditions.values() for e in exprs
-        )
 
     def is_valid_shape(self) -> bool:
         return all(self.conditions.get(t) for t in ConditionType)
@@ -166,7 +157,8 @@ class PolicyStore:
             raise UnknownPolicyError(f"no policy named {name!r}") from None
 
     def policies(self) -> list[Policy]:
-        return sorted(self._policies.values(), key=lambda p: p.seq)
+        """Stored policies in ``seq`` order, which is insertion order."""
+        return list(self._policies.values())
 
     def __len__(self) -> int:
         return len(self._policies)

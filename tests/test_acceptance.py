@@ -32,7 +32,7 @@ from graphabac import (
 )
 from graphabac.cypher import emit_cypher_data, emit_cypher_decision_query
 from graphabac.errors import MissingConditionTypeError
-from graphabac.matcher import match_single
+from graphabac.matcher import match_single, query_closures
 from graphabac.randmodel import RandomModelConfig, random_model, random_notfree_expr, random_query
 
 from randdocs import MALFORMED_CORPUS, random_document
@@ -266,9 +266,10 @@ def test_6_dnf_expansion():
         parts = dnf_expand(pol)
         for _ in range(3):
             q = AccessQuery(*(rng.choice(nodes) for _ in range(3)))
-            whole = match_single(rg, pol, q, rg.attr_depth) is not None
+            closures = query_closures(rg, q, rg.attr_depth)
+            whole = match_single(pol, closures, rg.attr_depth) is not None
             split = any(
-                match_single(rg, p, q, rg.attr_depth) is not None for p in parts
+                match_single(p, closures, rg.attr_depth) is not None for p in parts
             )
             if whole != split:
                 mismatches += 1

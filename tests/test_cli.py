@@ -59,6 +59,14 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_negative_depth_is_usage_error(self, model_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", model_path, "John", "Write", "MR_1234", "--depth", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--depth" in captured.err
+        assert captured.out == ""
+
     def test_subprocess_entry_point(self, model_path):
         code, out, _ = run_cli(["check", model_path, "John", "Write", "MR_1234"])
         assert (code, out.strip()) == (0, "Permit")
@@ -213,6 +221,24 @@ class TestServe:
         )
         assert resp["decision"] == "Permit"
         assert set(resp) == {"id", "decision", "matching", "error"}
+
+    def test_deeply_nested_json_fails_closed(self):
+        lines = [
+            "[" * 100_000,
+            self.request(id="ok", subject="John", action="Write", object="MR_1234"),
+        ]
+        first, second = self.serve(lines)
+        assert first["decision"] == "Deny"
+        assert first["error"]
+        assert second["id"] == "ok"
+        assert second["decision"] == "Permit"
+
+    def test_negative_depth_rejected_at_startup(self, model_path):
+        stdin = self.request(id="1", subject="John", action="Write", object="MR_1234")
+        code, out, err = run_cli(["serve", model_path, "--depth", "-1"], stdin=stdin)
+        assert code == 2
+        assert out == ""
+        assert "--depth" in err
 
     def test_subprocess_round_trip(self, model_path):
         stdin = "\n".join(

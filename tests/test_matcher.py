@@ -11,16 +11,14 @@ from graphabac import (
     HAS_ATTR,
     Not,
     Or,
+    Policy,
     PolicyStore,
     Ref,
-    eval_condition_expr,
-    is_satisfied,
     matching_policies,
     matching_policies_oracle,
-    policy_length,
 )
-from graphabac.errors import NotFrozenError, NotMatchingError
-from graphabac.matcher import match_single, match_single_oracle
+from graphabac.errors import NotFrozenError
+from graphabac.matcher import match_single, match_single_oracle, query_closures
 from graphabac.randmodel import RandomModelConfig, random_model, random_query
 
 SUB = ConditionType.SUB_CON
@@ -28,19 +26,28 @@ ACT = ConditionType.ACT_CON
 OBJ = ConditionType.OBJ_CON
 
 
+def satisfies(g, x, expr, depth):
+    """True iff the slot ``{expr}`` holds for primitive ``x``, checked through
+    ``match_single`` with ``x`` in every slot of the query."""
+    closures = query_closures(g, AccessQuery(x, x, x), depth)
+    slots = {t: frozenset({expr}) for t in ConditionType}
+    pol = Policy("probe", Decision.PERMIT, 0, 0, slots)
+    return match_single(pol, closures, depth) is not None
+
+
 class TestIsSatisfied:
     def test_attribute_via_edge(self, healthcare):
         g = healthcare.graph
-        assert is_satisfied(g, g.find_node("Sue"), g.find_node("Doctor"), 5)
+        assert satisfies(g, g.find_node("Sue"), Ref(g.find_node("Doctor")), 5)
 
     def test_self_always_satisfied(self, healthcare):
         g = healthcare.graph
         read = g.find_node("Read")
-        assert is_satisfied(g, read, read, 5)
+        assert satisfies(g, read, Ref(read), 5)
 
     def test_unreachable(self, healthcare):
         g = healthcare.graph
-        assert not is_satisfied(g, g.find_node("Sue"), g.find_node("Hospital Staff"), 5)
+        assert not satisfies(g, g.find_node("Sue"), Ref(g.find_node("Hospital Staff")), 5)
 
 
 class TestEvalConditionExpr:
@@ -48,12 +55,12 @@ class TestEvalConditionExpr:
         g = healthcare.graph
         sue = g.find_node("Sue")
         staff = g.find_node("Hospital Staff")
-        assert eval_condition_expr(g, sue, Not(Ref(staff)), 5)
+        assert satisfies(g, sue, Not(Ref(staff)), 5)
 
     def test_not_of_self_is_false(self, healthcare):
         g = healthcare.graph
         sue = g.find_node("Sue")
-        assert not eval_condition_expr(g, sue, Not(Ref(sue)), 5)
+        assert not satisfies(g, sue, Not(Ref(sue)), 5)
 
     def test_or_of_and(self, healthcare):
         g = Graph()
@@ -65,8 +72,8 @@ class TestEvalConditionExpr:
         g.add_edge(s, HAS_ATTR, employee)
         g.freeze()
         expr = Or((Ref(manager), And((Ref(senior), Ref(employee)))))
-        assert eval_condition_expr(g, s, expr, 5)
-        assert not eval_condition_expr(g, s, Ref(manager), 5)
+        assert satisfies(g, s, expr, 5)
+        assert not satisfies(g, s, Ref(manager), 5)
 
 
 class TestMatchingPolicies:
@@ -103,6 +110,11 @@ class TestMatchingPolicies:
         assert [m.policy.name for m in matches] == ["B", "A"]
 
 
+def policy_length(store, q, name):
+    closures = query_closures(store.graph, q, store.graph.attr_depth)
+    return match_single(store.get(name), closures, store.graph.attr_depth).total_len
+
+
 class TestPolicyLength:
     def test_policy2_length_seven(self, healthcare, query):
         q = query("John", "Write", "MR_1234")
@@ -126,10 +138,6 @@ class TestPolicyLength:
             {SUB: {Ref(q.sub)}, ACT: {Ref(q.act)}, OBJ: {Ref(q.obj)}},
         )
         assert policy_length(store, q, "Self") == 3
-
-    def test_not_matching_raises(self, healthcare, query):
-        with pytest.raises(NotMatchingError):
-            policy_length(healthcare.policies, query("Sue", "Write", "MR_1234"), "Policy2")
 
 
 class TestOracle:
@@ -159,6 +167,45 @@ class TestOracle:
                 assert matching_policies(model.policies, q) == matching_policies_oracle(
                     model.policies, q
                 )
+
+    def test_random_compound_slots(self):
+        # Slots mix Ref, Not, And and Or, including negation-only slots, so
+        # the compound branch of the closure matcher is checked against the
+        # path-enumeration oracle, not just the count gate.
+        rng = random.Random(2024)
+        for _ in range(40):
+            n = rng.randint(4, 7)
+            g = Graph()
+            nodes = [g.add_node(f"n{i}") for i in range(n)]
+            for _ in range(rng.randint(0, 2 * n)):
+                i, j = sorted(rng.sample(range(n), 2))
+                g.add_edge(nodes[i], HAS_ATTR, nodes[j])
+            g.freeze()
+            store = PolicyStore(g)
+            for k in range(5):
+                store.create_policy(
+                    f"p{k}",
+                    rng.choice((Decision.PERMIT, Decision.DENY)),
+                    {t: _random_slot(rng, nodes) for t in ConditionType},
+                )
+            for _ in range(8):
+                q = AccessQuery(*(rng.choice(nodes) for _ in range(3)))
+                assert matching_policies(store, q) == matching_policies_oracle(store, q)
+
+
+def _random_expr(rng, nodes, max_depth=2):
+    if max_depth == 0 or rng.random() < 0.4:
+        return Ref(rng.choice(nodes))
+    kind = rng.choice((Not, And, Or))
+    if kind is Not:
+        return Not(_random_expr(rng, nodes, max_depth - 1))
+    return kind(tuple(_random_expr(rng, nodes, max_depth - 1) for _ in range(2)))
+
+
+def _random_slot(rng, nodes):
+    if rng.random() < 0.2:
+        return {Not(Ref(rng.choice(nodes))) for _ in range(rng.randint(1, 2))}
+    return {_random_expr(rng, nodes) for _ in range(rng.randint(1, 3))}
 
 
 class TestProperties:
@@ -269,6 +316,7 @@ class TestCompoundMatching:
         pol = store.get("ActiveEmployees")
         for s in (s1, s2):
             q = AccessQuery(s, browse, portal)
-            assert match_single(g, pol, q, g.attr_depth) == match_single_oracle(
+            closures = query_closures(g, q, g.attr_depth)
+            assert match_single(pol, closures, g.attr_depth) == match_single_oracle(
                 g, pol, q, g.attr_depth
             )

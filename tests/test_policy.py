@@ -165,7 +165,7 @@ class TestDnfExpand:
         assert subs == [frozenset({"Manager"}), frozenset({"Employee", "Senior"})]
         for p in expanded:
             assert p.decision is Decision.PERMIT
-            assert p.is_simple()
+            assert all(isinstance(e, Ref) for exprs in p.conditions.values() for e in exprs)
             assert p.name.startswith("Reports#")
 
     def test_simple_policy_is_identity(self, healthcare):
