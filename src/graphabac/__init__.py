@@ -34,9 +34,7 @@ from .policy import (
     Policy,
     PolicyStore,
     Ref,
-    ValidityReport,
     dnf_expand,
-    validate_policy,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +61,6 @@ __all__ = [
     "PolicyMatch",
     "PolicyStore",
     "Ref",
-    "ValidityReport",
     "combine",
     "dnf_expand",
     "evaluate",
@@ -75,5 +72,4 @@ __all__ = [
     "matching_policies_oracle",
     "parse_model",
     "serialize_model",
-    "validate_policy",
 ]

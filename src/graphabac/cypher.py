@@ -12,12 +12,6 @@ from .dsl import AndExpr, ModelDocument, NameRef, NotExpr, OrExpr, PolicyDecl
 from .errors import UnsupportedAlgorithmError, UnsupportedExportError
 from .policy import ConditionType
 
-_CONDITION_REL = {
-    ConditionType.SUB_CON: "SUB_CON",
-    ConditionType.ACT_CON: "ACT_CON",
-    ConditionType.OBJ_CON: "OBJ_CON",
-}
-
 _SLOT_VAR = {
     ConditionType.SUB_CON: "sub",
     ConditionType.ACT_CON: "act",
@@ -78,7 +72,7 @@ def emit_cypher_policies(doc: ModelDocument) -> str:
             for i, name in enumerate(_simple_slot_names(pd, t), start=1):
                 alias = f"{var}{i}"
                 match_parts.append(f"({alias} {{name:{quote(name)}}})")
-                merges.append(f"merge (pol)<-[:{_CONDITION_REL[t]}]- ({alias})")
+                merges.append(f"merge (pol)<-[:{t.name}]- ({alias})")
         props = [f"name:{quote(pd.name)}", f"decision:{quote(pd.decision.value)}"]
         if pd.score is not None:
             props.append(f"score:{pd.score}")

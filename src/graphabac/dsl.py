@@ -29,7 +29,6 @@ from .errors import (
     AbacError,
     AttributeCycleError,
     DuplicateNameError,
-    DuplicatePolicyError,
     EmptyNameError,
     SelfLoopError,
 )
@@ -55,11 +54,9 @@ KEYWORDS = frozenset(
     }
 )
 
-_SLOT_KEYWORDS = {
-    "subject": ConditionType.SUB_CON,
-    "action": ConditionType.ACT_CON,
-    "object": ConditionType.OBJ_CON,
-}
+# Slot keyword -> type, derived from ConditionType so the parser pays one
+# dict lookup per slot instead of an enum call.
+_SLOT_TYPES = {t.value: t for t in ConditionType}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -398,8 +395,7 @@ class _Parser:
         self.expect_punct("{")
         slots: dict[ConditionType, list[ExprDecl]] = {}
         while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
-            slot_tok = self.expect_keyword(*_SLOT_KEYWORDS)
-            ctype = _SLOT_KEYWORDS[slot_tok.value]
+            ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES).value]
             self.expect_punct(":")
             exprs = slots.setdefault(ctype, [])
             exprs.append(self.parse_expr())
@@ -512,16 +508,6 @@ def load_document(doc: ModelDocument) -> LoadedModel:
 
 def _load_policy(graph: Graph, store: PolicyStore, pd: PolicyDecl) -> list[ModelError]:
     errors: list[ModelError] = []
-    missing = [t for t in ConditionType if not pd.slots.get(t)]
-    if missing:
-        names = ", ".join(t.name for t in missing)
-        errors.append(
-            ModelError(
-                pd.line, pd.col,
-                f"policy {pd.name!r} is invalid: no condition of type {names}",
-                "policy",
-            )
-        )
     conditions: dict[ConditionType, set[ConditionExpr]] = {}
     for t, decls in pd.slots.items():
         resolved: set[ConditionExpr] = set()
@@ -534,7 +520,7 @@ def _load_policy(graph: Graph, store: PolicyStore, pd: PolicyDecl) -> list[Model
         return errors
     try:
         store.create_policy(pd.name, pd.decision, conditions, pd.score)
-    except (DuplicatePolicyError, AbacError) as exc:
+    except AbacError as exc:
         errors.append(ModelError(pd.line, pd.col, str(exc), "policy"))
     return errors
 
@@ -570,8 +556,15 @@ def load_model(text: str) -> LoadedModel:
 
 
 def load_model_file(path) -> LoadedModel:
-    with open(path, encoding="utf-8") as fh:
-        return load_model(fh.read())
+    """Read and load a UTF-8 model file.  Undecodable bytes raise
+    ModelLoadError like any other malformed input; OSError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        message = f"model file is not UTF-8 text: {exc}"
+        raise ModelLoadError([ModelError(0, 0, message)]) from None
+    return load_model(text)
 
 
 # -- serialization ----------------------------------------------------
@@ -629,12 +622,12 @@ def serialize_model(doc: ModelDocument) -> str:
         if pd.score is not None:
             head += f" score {pd.score}"
         lines.append(head + " {")
-        for keyword, ctype in _SLOT_KEYWORDS.items():
+        for ctype in ConditionType:
             decls = pd.slots.get(ctype)
             if not decls:
                 continue
             rendered = sorted(set(format_expr(d) for d in decls))
-            lines.append(f"    {keyword}: " + "; ".join(rendered) + ";")
+            lines.append(f"    {ctype.value}: " + "; ".join(rendered) + ";")
         lines.append("}")
     if not lines:
         return ""

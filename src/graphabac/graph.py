@@ -50,9 +50,8 @@ class Graph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._by_name: dict[str, NodeRef] = {}
-        # ref -> rel_type -> set of target refs (and the reverse index)
+        # ref -> rel_type -> set of target refs
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
-        self._in: dict[NodeRef, dict[str, set[NodeRef]]] = {}
         self._frozen = False
         self._attr_depth: Optional[int] = None
 
@@ -87,7 +86,6 @@ class Graph:
         if rel_type == HAS_ATTR and src == dst:
             raise SelfLoopError(f"HAS_ATTR self-loop on {self._nodes[src].name!r}")
         self._out.setdefault(src, {}).setdefault(rel_type, set()).add(dst)
-        self._in.setdefault(dst, {}).setdefault(rel_type, set()).add(src)
 
     def freeze(self, attr_depth: Optional[int] = None) -> None:
         """Finish the build phase.

@@ -4,6 +4,10 @@ A policy carries a Permit/Deny decision, an optional score, an insertion
 sequence number, and one non-empty set of condition expressions per
 condition type (subject / action / object).  The expressions in one slot
 are conjunctive; disjunction lives only inside ``Or`` trees.
+
+``PolicyStore.create_policy`` is the validity gate: it is the only code
+that rejects a policy with an empty slot or a condition that does not name
+an attribute or primitive node, so every stored policy is well-formed.
 """
 
 from __future__ import annotations
@@ -93,32 +97,6 @@ class Policy:
         return all(self.conditions.get(t) for t in ConditionType)
 
 
-@dataclass
-class ValidityReport:
-    valid: bool
-    missing_types: frozenset[ConditionType] = frozenset()
-    dangling_refs: frozenset[str] = frozenset()
-
-
-def validate_policy(graph: Graph, policy: Policy) -> ValidityReport:
-    """Check the non-empty-slot rule and that every Ref targets a real,
-    non-Policy node."""
-    missing = frozenset(t for t in ConditionType if not policy.conditions.get(t))
-    dangling: set[str] = set()
-    for exprs in policy.conditions.values():
-        for expr in exprs:
-            for leaf in ref_leaves(expr):
-                if not 0 <= leaf.node < graph.node_count():
-                    dangling.add(f"node#{leaf.node}")
-                elif graph.node(leaf.node).has_label(POLICY_LABEL):
-                    dangling.add(graph.node(leaf.node).name)
-    return ValidityReport(
-        valid=not missing and not dangling,
-        missing_types=missing,
-        dangling_refs=frozenset(dangling),
-    )
-
-
 class PolicyStore:
     """Ordered store of valid policies built over a graph."""
 
@@ -137,18 +115,27 @@ class PolicyStore:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
         frozen = {t: frozenset(conditions.get(t, ())) for t in ConditionType}
-        candidate = Policy(name, decision, score or 0, self._next_seq, frozen)
-        report = validate_policy(self.graph, candidate)
-        if report.missing_types:
-            raise MissingConditionTypeError(name, report.missing_types)
-        if report.dangling_refs:
-            names = ", ".join(sorted(report.dangling_refs))
+        policy = Policy(name, decision, score or 0, self._next_seq, frozen)
+        missing = [t for t in ConditionType if not frozen[t]]
+        if missing:
+            raise MissingConditionTypeError(name, missing)
+        graph = self.graph
+        dangling: set[str] = set()
+        for exprs in frozen.values():
+            for expr in exprs:
+                for leaf in ref_leaves(expr):
+                    if not 0 <= leaf.node < graph.node_count():
+                        dangling.add(f"node#{leaf.node}")
+                    elif graph.node(leaf.node).has_label(POLICY_LABEL):
+                        dangling.add(graph.node(leaf.node).name)
+        if dangling:
+            names = ", ".join(sorted(dangling))
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
-        self._policies[name] = candidate
+        self._policies[name] = policy
         self._next_seq += 1
-        return candidate
+        return policy
 
     def get(self, name: str) -> Policy:
         try:
@@ -162,12 +149,6 @@ class PolicyStore:
 
     def __len__(self) -> int:
         return len(self._policies)
-
-    def validate(self, name: str) -> ValidityReport:
-        return validate_policy(self.graph, self.get(name))
-
-    def required_conditions(self, name: str, t: ConditionType) -> frozenset[ConditionExpr]:
-        return self.get(name).conditions.get(t, frozenset())
 
 
 def _expr_key(expr: ConditionExpr) -> str:
@@ -198,25 +179,20 @@ def dnf_expand(policy: Policy) -> list[Policy]:
     output count is the product of per-slot term counts.  Names get a
     ``#index`` suffix; decision, score, and seq are copied.
     """
-    per_slot: list[tuple[ConditionType, list[tuple[Ref, ...]]]] = []
+    slots: list[list[frozenset[Ref]]] = []
     for t in ConditionType:
-        exprs = sorted(policy.conditions.get(t, ()), key=_expr_key)
-        slot_terms: list[tuple[Ref, ...]] = [()]
-        for expr in exprs:
-            slot_terms = [a + b for a in slot_terms for b in _dnf_terms(expr)]
-        per_slot.append((t, slot_terms))
-    out: list[Policy] = []
-    for i, combo in enumerate(itertools.product(*(terms for _, terms in per_slot))):
-        conditions = {
-            t: frozenset(term) for (t, _), term in zip(per_slot, combo)
-        }
-        out.append(
-            Policy(
-                name=f"{policy.name}#{i}",
-                decision=policy.decision,
-                score=policy.score,
-                seq=policy.seq,
-                conditions=conditions,
-            )
+        terms: list[tuple[Ref, ...]] = [()]
+        for expr in sorted(policy.conditions.get(t, ()), key=_expr_key):
+            terms = [a + b for a in terms for b in _dnf_terms(expr)]
+        slots.append([frozenset(term) for term in terms])
+    types = tuple(ConditionType)
+    return [
+        Policy(
+            f"{policy.name}#{i}",
+            policy.decision,
+            policy.score,
+            policy.seq,
+            dict(zip(types, combo)),
         )
-    return out
+        for i, combo in enumerate(itertools.product(*slots))
+    ]

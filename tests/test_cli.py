@@ -50,6 +50,14 @@ class TestCheck:
         bad.write_text("node x :\n", encoding="utf-8")
         assert main(["check", str(bad), "a", "b", "c"]) == 2
 
+    def test_non_utf8_model_is_load_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.abac"
+        bad.write_bytes(b"node \xff\xfe : Attribute\n")
+        assert main(["check", str(bad), "a", "b", "c"]) == 2
+        captured = capsys.readouterr()
+        assert "UTF-8" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_algorithm_flag(self, model_path, capsys):
         code = main(
             [
@@ -105,6 +113,7 @@ class TestValidate:
         code = main(["validate", model_path])
         assert code == 0
         out = capsys.readouterr().out
+        assert "Policy2: valid" in out
         assert "3 policies valid; attribute depth 2" in out
 
     def test_invalid_policy_exit_one(self, tmp_path, capsys):
@@ -133,6 +142,26 @@ class TestValidate:
         path = tmp_path / "m.abac"
         path.write_text("node : broken\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
+
+    def test_non_utf8_model_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.abac"
+        path.write_bytes(b"node \xff\xfe : Attribute\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{path}:0:0: model file is not UTF-8 text")
+        assert captured.out == ""
+
+    def test_condition_on_policy_node_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "m.abac"
+        path.write_text(
+            "node a : Attribute\nnode Other : Policy\n"
+            "policy P permit { subject: Other; action: a; object: a; }\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "'P'" in captured.err and "Other" in captured.err
+        assert captured.out == ""
 
 
 class TestExportCypher:

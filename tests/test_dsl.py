@@ -76,8 +76,9 @@ class TestParseModel:
         assert not doc.errors
         with pytest.raises(ModelLoadError) as exc:
             load_model(text)
-        message = str(exc.value)
-        assert "ACT_CON" in message and "OBJ_CON" in message
+        (err,) = exc.value.errors
+        assert (err.line, err.col, err.kind) == (2, 1, "policy")
+        assert "ACT_CON" in err.message and "OBJ_CON" in err.message
 
     def test_syntax_error_has_position(self):
         doc = parse_model("node x :\nnode y : Label\n")
@@ -104,7 +105,7 @@ class TestParseModel:
             "}\n"
         )
         model = load_model(text)
-        exprs = model.policies.required_conditions("P", SUB)
+        exprs = model.policies.get("P").conditions[SUB]
         assert len(exprs) == 2
 
     def test_mixed_and_or_rejected(self):

@@ -15,7 +15,6 @@ from graphabac import (
     PolicyStore,
     Ref,
     dnf_expand,
-    validate_policy,
 )
 from graphabac.errors import (
     DanglingConditionRefError,
@@ -39,11 +38,10 @@ class TestCreatePolicy:
         store = healthcare.policies
         pol = store.get("Policy2")
         assert pol.decision is Decision.PERMIT
-        assert store.required_conditions("Policy2", SUB) == {
+        assert pol.conditions[SUB] == {
             ref_to(healthcare.graph, "Doctor"),
             ref_to(healthcare.graph, "Hospital Staff"),
         }
-        assert store.validate("Policy2").valid
 
     def test_empty_slot_rejected(self, healthcare):
         store = PolicyStore(healthcare.graph)
@@ -61,7 +59,7 @@ class TestCreatePolicy:
 
     def test_primitive_condition_allowed(self, healthcare):
         # Policy3 conditions the action on the Read primitive itself.
-        assert healthcare.policies.required_conditions("Policy3", ACT) == {
+        assert healthcare.policies.get("Policy3").conditions[ACT] == {
             ref_to(healthcare.graph, "Read")
         }
 
@@ -92,35 +90,30 @@ class TestCreatePolicy:
 
 
 class TestValidatePolicy:
-    def test_stored_policies_valid(self, healthcare):
-        for pol in healthcare.policies.policies():
-            assert healthcare.policies.validate(pol.name).valid
-
     def test_missing_types_reported(self, healthcare):
-        pol = Policy(
-            "p", Decision.PERMIT, 0, 0,
-            {SUB: frozenset({ref_to(healthcare.graph, "Doctor")})},
-        )
-        report = validate_policy(healthcare.graph, pol)
-        assert not report.valid
-        assert report.missing_types == {ACT, OBJ}
+        store = PolicyStore(healthcare.graph)
+        with pytest.raises(MissingConditionTypeError) as exc:
+            store.create_policy(
+                "p", Decision.PERMIT, {SUB: {ref_to(healthcare.graph, "Doctor")}}
+            )
+        assert exc.value.missing == {ACT, OBJ}
 
     def test_dangling_ref_reported(self, healthcare):
-        pol = Policy(
-            "p", Decision.PERMIT, 0, 0,
-            {
-                SUB: frozenset({Ref(12345)}),
-                ACT: frozenset({ref_to(healthcare.graph, "Read")}),
-                OBJ: frozenset({ref_to(healthcare.graph, "Hospital Records")}),
-            },
-        )
-        report = validate_policy(healthcare.graph, pol)
-        assert not report.valid
-        assert report.dangling_refs == {"node#12345"}
+        store = PolicyStore(healthcare.graph)
+        with pytest.raises(DanglingConditionRefError, match="node#12345"):
+            store.create_policy(
+                "p",
+                Decision.PERMIT,
+                {
+                    SUB: {Ref(12345)},
+                    ACT: {ref_to(healthcare.graph, "Read")},
+                    OBJ: {ref_to(healthcare.graph, "Hospital Records")},
+                },
+            )
 
     def test_unknown_policy(self, healthcare):
         with pytest.raises(UnknownPolicyError):
-            healthcare.policies.validate("Ghost")
+            healthcare.policies.get("Ghost")
 
 
 def reporting_graph():
