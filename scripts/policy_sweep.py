@@ -1,0 +1,138 @@
+"""Sweep `evaluate` time over the number of stored policies.
+
+Builds one random model per policy count with `graphabac.randmodel`, on the
+graph shape of the desk-scale acceptance test (2000 primitives and 8000
+attributes in 5 layers, edge factor 3.2: 10k nodes, ~30k HAS_ATTR edges,
+attribute depth 5).  The seed fixes the graph, so every size shares it and
+only the policies differ.  Queries are timed through `evaluate`
+(deny-overrides), and the median and p90 per size are written as JSON with
+the seed, the scale and the machine.
+
+Uniform random queries almost never satisfy all three slots of a policy, so
+every second query is built to match one: a stored policy is drawn and each
+slot gets a primitive whose closure holds all of that slot's conditions.
+The uniform half is the same at every size; the matching half is drawn from
+each size's own policies.
+
+    PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
+    PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
+
+The default sizes take about 25 s and peak at about 210 MB RSS on a 2-vCPU
+VM with CPython 3.11, most of it building the 100k-policy model.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import random
+import resource
+import statistics
+import sys
+import time
+
+from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
+from graphabac.matcher import AccessQuery
+from graphabac.randmodel import RandomModel, RandomModelConfig, random_model, random_query
+
+GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
+
+
+def hit_query(
+    rng: random.Random, model: RandomModel, reached_by: dict[int, set[int]]
+) -> AccessQuery:
+    """A query that matches at least one stored policy."""
+    policies = model.policies.policies()
+    for _ in range(10_000):
+        slots = rng.choice(policies).conditions.values()
+        options = [
+            set.intersection(*(reached_by.get(e.node, set()) for e in exprs))
+            for exprs in slots
+        ]
+        if all(options):
+            return AccessQuery(*(rng.choice(sorted(o)) for o in options))
+    raise ValueError("no stored policy found that some query can match")
+
+
+def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
+    t0 = time.perf_counter()
+    model = random_model(
+        random.Random(seed), RandomModelConfig(n_policies=n_policies, **GRAPH_SHAPE)
+    )
+    build_s = time.perf_counter() - t0
+    g = model.graph
+    reached_by: dict[int, set[int]] = {}
+    for p in model.primitives:
+        for n in g.attribute_closure(p, g.attr_depth):
+            reached_by.setdefault(n, set()).add(p)
+    qrng = random.Random(seed + 1)
+    queries = [
+        hit_query(qrng, model, reached_by) if i % 2 else random_query(qrng, model)
+        for i in range(n_queries)
+    ]
+    store, alg = model.policies, CombiningAlgorithm.DENY_OVERRIDES
+    for q in queries[:warmup]:
+        evaluate(store, q, alg)
+    timings, matches = [], 0
+    gc.collect()
+    for q in queries:
+        t = time.perf_counter_ns()
+        result = evaluate(store, q, alg)
+        timings.append(time.perf_counter_ns() - t)
+        matches += len(result.matches)
+    ms = sorted(ns / 1e6 for ns in timings)
+    return {
+        "policies": len(store),
+        "nodes": g.node_count(),
+        "has_attr_edges": g.edge_count(HAS_ATTR),
+        "attr_depth": g.attr_depth,
+        "queries": len(queries),
+        "evaluate_ms_p50": round(statistics.median(ms), 4),
+        "evaluate_ms_p90": round(ms[int(0.9 * len(ms))], 4),
+        "matches_per_query": round(matches / len(queries), 3),
+        "build_s": round(build_s, 2),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000, 100000])
+    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--queries", type=int, default=500)
+    ap.add_argument("--warmup", type=int, default=50)
+    ap.add_argument("--out", default="BENCH_policy_sweep.json", help="path, or - for stdout")
+    args = ap.parse_args(argv)
+
+    rows = []
+    for n in args.sizes:
+        row = measure(n, args.seed, args.queries, args.warmup)
+        print(f"{n:>7} policies: evaluate p50 {row['evaluate_ms_p50']:.3f} ms", file=sys.stderr)
+        rows.append(row)
+    first, last = rows[0], rows[-1]
+    report = {
+        "script": "scripts/policy_sweep.py",
+        "seed": args.seed,
+        "graph_shape": GRAPH_SHAPE,
+        "algorithm": CombiningAlgorithm.DENY_OVERRIDES.value,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "nproc": os.cpu_count(),
+        "sizes": rows,
+        "policy_ratio": last["policies"] / first["policies"],
+        "p50_ratio": round(last["evaluate_ms_p50"] / first["evaluate_ms_p50"], 2),
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,24 @@
 """Policy matching over the frozen graph.
 
-``matching_policies`` is the production path.  ``query_closures`` runs
-one bounded BFS per query primitive, then ``match_single`` checks each
-policy's three slots against those shared closures: a simple slot
-survives iff every required reference is inside the closure (the
-satisfied count equals the required count); a compound slot evaluates
-its expressions over the same closure.  Every front end that needs
-closures gets them from ``query_closures``.
+``matching_policies`` is the production path, and it runs the paper's
+three-stage Cypher decision statement (``cypher.emit_cypher_decision_query``)
+in memory:
+
+1. ``query_closures`` runs one bounded BFS per query primitive: the
+   ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.
+2. ``PolicyStore.candidates`` looks up each closure node in the store's
+   condition index, which gives the policies with that node as a condition
+   in that slot: the ``(sc)-[:SUB_CON]->(pol)`` step of each stage.  One
+   counter tallies the hits per policy over all three slots.
+3. A simple policy is a candidate iff its tally equals its ref count,
+   which holds iff ``sat_cons = req_cons`` holds in every stage.  Policies
+   with compound slots are always candidates.
+
+Only the candidates reach ``match_single``, which checks the three slots
+against the shared closures and supplies the path lengths: a simple slot
+survives iff every required reference is inside the closure; a compound
+slot evaluates its expressions over the same closure.  Every front end
+that needs closures gets them from ``query_closures``.
 
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
@@ -74,10 +86,14 @@ class PolicyMatch:
 
 Closures = dict[ConditionType, dict[NodeRef, int]]
 
+# Iterating the enum class runs a Python-level generator; the hot paths
+# iterate this tuple instead.
+_SLOTS = tuple(ConditionType)
+
 
 def query_closures(graph: Graph, q: AccessQuery, depth: int) -> Closures:
     """Minimal hop counts from each query primitive, keyed by slot type."""
-    return {t: graph.attribute_closure(q.primitive(t), depth) for t in ConditionType}
+    return {t: graph.attribute_closure(q.primitive(t), depth) for t in _SLOTS}
 
 
 def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:
@@ -130,7 +146,7 @@ def match_single(
     ``PolicyStore.create_policy`` guarantees.
     """
     lengths = []
-    for t in ConditionType:
+    for t in _SLOTS:
         length = _slot_length(policy.conditions[t], closures[t], depth)
         if length is None:
             return None
@@ -141,15 +157,21 @@ def match_single(
 def matching_policies(
     store: PolicyStore, q: AccessQuery, depth: Optional[int] = None
 ) -> list[PolicyMatch]:
-    """All policies matching ``q``, ordered by insertion sequence."""
+    """All policies matching ``q``, ordered by insertion sequence.
+
+    Only the store's candidates for the query's closures are walked.
+    """
     graph = store.graph
     if not graph.frozen:
         raise NotFrozenError("freeze the graph before matching")
     if depth is None:
         depth = graph.attr_depth
     closures = query_closures(graph, q, depth)
+    policies = store.policies()
     return [
-        m for p in store.policies() if (m := match_single(p, closures, depth)) is not None
+        m
+        for s in store.candidates(closures)
+        if (m := match_single(policies[s], closures, depth)) is not None
     ]
 
 

@@ -8,12 +8,29 @@ are conjunctive; disjunction lives only inside ``Or`` trees.
 ``PolicyStore.create_policy`` is the validity gate: it is the only code
 that rejects a policy with an empty slot or a condition that does not name
 an attribute or primitive node, so every stored policy is well-formed.
+
+The store also keeps the policy side of the paper's decision statement as
+an inverted index, which ``PolicyStore.candidates`` reads.  In the graph,
+each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge to every
+policy it conditions, and each Cypher stage follows those edges from the
+closure nodes to the policies and keeps a policy when
+``sat_cons = req_cons``.  Here the edges are ``_postings[t][node]`` (the
+seqs of the simple policies with ``Ref(node)`` in slot ``t``) and
+``_required[seq]`` is the policy's ref count over all three slots.  No
+slot can be hit more often than it has conditions, so the three-slot total
+reaches ``_required[seq]`` exactly when every stage's
+``sat_cons = req_cons`` holds.  Policies with a ``Not``/``And``/``Or``
+expression cannot be decided by counting; their seqs are kept on
+``_residual``.  The index is filled by ``create_policy`` after every check
+has passed, so a rejected policy leaves no trace in it.  It does not
+depend on the traversal depth, which bounds the closures alone.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -31,6 +48,11 @@ class ConditionType(enum.Enum):
     SUB_CON = "subject"
     ACT_CON = "action"
     OBJ_CON = "object"
+
+    # Members are singletons compared by identity, so identity hashing keeps
+    # dict semantics and avoids Enum's Python-level __hash__ on every
+    # slot-keyed lookup.
+    __hash__ = object.__hash__
 
 
 class Decision(enum.Enum):
@@ -98,12 +120,18 @@ class Policy:
 
 
 class PolicyStore:
-    """Ordered store of valid policies built over a graph."""
+    """Ordered store of valid policies built over a graph, indexed by
+    condition node (see the module docstring)."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._policies: dict[str, Policy] = {}
-        self._next_seq = 0
+        self._ordered: Optional[tuple[Policy, ...]] = ()
+        self._postings: dict[ConditionType, dict[NodeRef, list[int]]] = {
+            t: {} for t in ConditionType
+        }
+        self._required: list[int] = []
+        self._residual: list[int] = []
 
     def create_policy(
         self,
@@ -115,7 +143,8 @@ class PolicyStore:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
         frozen = {t: frozenset(conditions.get(t, ())) for t in ConditionType}
-        policy = Policy(name, decision, score or 0, self._next_seq, frozen)
+        seq = len(self._policies)
+        policy = Policy(name, decision, score or 0, seq, frozen)
         missing = [t for t in ConditionType if not frozen[t]]
         if missing:
             raise MissingConditionTypeError(name, missing)
@@ -134,7 +163,16 @@ class PolicyStore:
                 f"policy {name!r} references non-condition nodes: {names}"
             )
         self._policies[name] = policy
-        self._next_seq += 1
+        self._ordered = None
+        if all(isinstance(e, Ref) for exprs in frozen.values() for e in exprs):
+            for t, exprs in frozen.items():
+                postings = self._postings[t]
+                for e in exprs:
+                    postings.setdefault(e.node, []).append(seq)
+            self._required.append(sum(len(exprs) for exprs in frozen.values()))
+        else:
+            self._required.append(0)  # has no postings, so is never counted
+            self._residual.append(seq)
         return policy
 
     def get(self, name: str) -> Policy:
@@ -143,9 +181,37 @@ class PolicyStore:
         except KeyError:
             raise UnknownPolicyError(f"no policy named {name!r}") from None
 
-    def policies(self) -> list[Policy]:
-        """Stored policies in ``seq`` order, which is insertion order."""
-        return list(self._policies.values())
+    def policies(self) -> tuple[Policy, ...]:
+        """Stored policies in ``seq`` order, so ``policies()[p.seq] is p``.
+
+        The tuple is cached and rebuilt only after an insertion.
+        """
+        if self._ordered is None:
+            self._ordered = tuple(self._policies.values())
+        return self._ordered
+
+    def candidates(
+        self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]
+    ) -> list[int]:
+        """Seqs, ascending, of the policies that can match a query whose
+        closures these are: every simple policy with each condition node in
+        its slot's closure, and every compound policy.
+
+        A simple candidate is a match; ``matcher.match_single`` still
+        supplies its path lengths.
+        """
+        # A keys-view intersection walks the smaller side, so tiny stores and
+        # large closures both stay cheap; one Counter call tallies every hit.
+        reached: list[int] = []
+        for t, closure in closures.items():
+            postings = self._postings[t]
+            for n in closure.keys() & postings.keys():
+                reached += postings[n]
+        required = self._required
+        seqs = [s for s, c in Counter(reached).items() if c == required[s]]
+        seqs += self._residual
+        seqs.sort()
+        return seqs
 
     def __len__(self) -> int:
         return len(self._policies)

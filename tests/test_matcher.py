@@ -5,6 +5,7 @@ import pytest
 from graphabac import (
     AccessQuery,
     And,
+    CombiningAlgorithm,
     ConditionType,
     Decision,
     Graph,
@@ -14,10 +15,17 @@ from graphabac import (
     Policy,
     PolicyStore,
     Ref,
+    combine,
+    evaluate,
     matching_policies,
     matching_policies_oracle,
 )
-from graphabac.errors import NotFrozenError
+from graphabac.errors import (
+    DanglingConditionRefError,
+    DuplicatePolicyError,
+    MissingConditionTypeError,
+    NotFrozenError,
+)
 from graphabac.matcher import match_single, match_single_oracle, query_closures
 from graphabac.randmodel import RandomModelConfig, random_model, random_query
 
@@ -320,3 +328,160 @@ class TestCompoundMatching:
             assert match_single(pol, closures, g.attr_depth) == match_single_oracle(
                 g, pol, q, g.attr_depth
             )
+
+
+def scan_matches(store, q, depth=None):
+    """Test-local full scan: ``match_single`` over every stored policy."""
+    if depth is None:
+        depth = store.graph.attr_depth
+    closures = query_closures(store.graph, q, depth)
+    return [m for p in store.policies() if (m := match_single(p, closures, depth))]
+
+
+class TestIndexDifferential:
+    def test_indexed_scan_and_oracle_agree(self):
+        # Random models from randmodel, grown one policy at a time with
+        # simple, compound and negation-only slots, so the incremental index
+        # is checked after every insertion, at every depth up to the graph's.
+        rng = random.Random(7305)
+        algorithms = list(CombiningAlgorithm)
+        compared = matched = 0
+        for trial in range(30):
+            cfg = RandomModelConfig(
+                n_primitives=rng.randint(3, 6),
+                n_attributes=rng.randint(4, 14),
+                n_layers=rng.randint(1, 4),
+                n_policies=rng.randint(0, 8),
+                max_conditions_per_slot=rng.randint(1, 3),
+            )
+            model = random_model(rng, cfg)
+            g, store = model.graph, model.policies
+            nodes = list(range(g.node_count()))
+            for k in range(6):
+                anchored = random_query(rng, model)
+                if rng.random() < 0.5:
+                    slots = {t: _random_slot(rng, nodes) for t in ConditionType}
+                else:
+                    slots = {}
+                    for t in ConditionType:
+                        anchor = anchored.primitive(t)
+                        reach = sorted(g.attribute_closure(anchor, g.attr_depth))
+                        picks = rng.sample(reach, rng.randint(1, min(3, len(reach))))
+                        slots[t] = {Ref(n) for n in picks}
+                store.create_policy(
+                    f"extra{k}",
+                    rng.choice((Decision.PERMIT, Decision.DENY)),
+                    slots,
+                    score=rng.randint(0, 3),
+                )
+                for q in (anchored, random_query(rng, model), random_query(rng, model)):
+                    depth = rng.choice((None, *range(g.attr_depth + 1)))
+                    indexed = matching_policies(store, q, depth)
+                    assert indexed == scan_matches(store, q, depth)
+                    assert indexed == matching_policies_oracle(store, q, depth)
+                    for alg in algorithms:
+                        result = evaluate(store, q, alg, depth)
+                        assert result == combine(q, scan_matches(store, q, depth), alg)
+                        assert result == combine(
+                            q, matching_policies_oracle(store, q, depth), alg
+                        )
+                    compared += 1
+                    matched += bool(indexed)
+        # The comparison means something only if many queries match.
+        assert compared == 540
+        assert matched > 100
+
+
+class TestIndexEdgeCases:
+    def build(self):
+        g = Graph()
+        s = g.add_node("s", ("Primitive",))
+        a1 = g.add_node("A1", ("Attribute",))
+        a2 = g.add_node("A2", ("Attribute",))
+        act = g.add_node("act", ("Primitive",))
+        obj = g.add_node("obj", ("Primitive",))
+        pol = g.add_node("PolicyNode", ("Policy",))
+        g.add_edge(s, HAS_ATTR, a1)
+        g.add_edge(a1, HAS_ATTR, a2)
+        g.add_edge(obj, HAS_ATTR, a1)
+        g.freeze()
+        return g, s, a1, a2, act, obj, pol
+
+    def test_rejected_policy_leaves_no_trace(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        store.create_policy(
+            "P0", Decision.PERMIT, {SUB: {Ref(a1)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        q = AccessQuery(s, act, obj)
+        before = matching_policies(store, q)
+        assert [m.policy.name for m in before] == ["P0"]
+        exact = {SUB: {Ref(s)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        with pytest.raises(DuplicatePolicyError):
+            store.create_policy("P0", Decision.DENY, exact)
+        assert matching_policies(store, q) == before
+        with pytest.raises(MissingConditionTypeError):
+            store.create_policy("Missing", Decision.DENY, {SUB: {Ref(s)}, ACT: {Ref(act)}})
+        assert matching_policies(store, q) == before
+        with pytest.raises(DanglingConditionRefError):
+            store.create_policy("Dangling", Decision.DENY, {**exact, OBJ: {Ref(obj), Ref(999)}})
+        assert matching_policies(store, q) == before
+        with pytest.raises(DanglingConditionRefError):
+            store.create_policy("OnPolicy", Decision.DENY, {**exact, SUB: {Ref(s), Ref(pol)}})
+        assert matching_policies(store, q) == before
+        assert len(store) == 1
+        p1 = store.create_policy("P1", Decision.DENY, exact)
+        assert p1.seq == 1
+        assert store.policies()[1] is p1
+        after = matching_policies(store, q)
+        assert [m.policy.name for m in after] == ["P0", "P1"]
+        assert after == matching_policies_oracle(store, q)
+
+    def test_one_node_in_two_slots(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        store.create_policy(
+            "Both", Decision.PERMIT, {SUB: {Ref(a1)}, ACT: {Ref(act)}, OBJ: {Ref(a1)}}
+        )
+        both = AccessQuery(s, act, obj)
+        (m,) = matching_policies(store, both)
+        assert (m.len_sub, m.len_act, m.len_obj) == (2, 1, 2)
+        assert [m] == matching_policies_oracle(store, both)
+        # The subject alone reaching A1 counts one hit of the three required.
+        sub_only = AccessQuery(s, act, act)
+        assert matching_policies(store, sub_only) == []
+        assert matching_policies_oracle(store, sub_only) == []
+
+    def test_condition_on_query_primitive(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        store.create_policy(
+            "Self", Decision.PERMIT, {SUB: {Ref(s)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        q = AccessQuery(s, act, obj)
+        (m,) = matching_policies(store, q)
+        assert (m.len_sub, m.len_act, m.len_obj) == (1, 1, 1)
+        assert [m] == matching_policies_oracle(store, q)
+        for depth in range(g.attr_depth + 1):
+            assert matching_policies(store, q, depth) == [m]
+
+    def test_depth_override_agrees_with_oracle(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        assert g.attr_depth == 2
+        store = PolicyStore(g)
+        base = {ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        store.create_policy("Hop0", Decision.PERMIT, {SUB: {Ref(s)}, **base})
+        store.create_policy("Hop1", Decision.DENY, {SUB: {Ref(a1)}, **base})
+        store.create_policy("Hop2", Decision.PERMIT, {SUB: {Ref(a2)}, **base})
+        store.create_policy("Hop1And2", Decision.DENY, {SUB: {Ref(a1), Ref(a2)}, **base})
+        store.create_policy("NotHop2", Decision.PERMIT, {SUB: {Not(Ref(a2))}, **base})
+        q = AccessQuery(s, act, obj)
+        expected = {
+            0: ["Hop0", "NotHop2"],
+            1: ["Hop0", "Hop1", "NotHop2"],
+            2: ["Hop0", "Hop1", "Hop2", "Hop1And2"],
+        }
+        for depth, names in expected.items():
+            got = matching_policies(store, q, depth)
+            assert [m.policy.name for m in got] == names, depth
+            assert got == matching_policies_oracle(store, q, depth)

@@ -88,6 +88,22 @@ class TestCreatePolicy:
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
+    def test_policies_cached_and_indexed_by_seq(self, healthcare):
+        store = PolicyStore(healthcare.graph)
+        conds = {
+            SUB: {ref_to(healthcare.graph, "Doctor")},
+            ACT: {ref_to(healthcare.graph, "Read")},
+            OBJ: {ref_to(healthcare.graph, "Hospital Records")},
+        }
+        a = store.create_policy("A", Decision.PERMIT, conds)
+        first = store.policies()
+        assert store.policies() is first
+        b = store.create_policy("B", Decision.DENY, conds)
+        with pytest.raises(DuplicatePolicyError):
+            store.create_policy("B", Decision.DENY, conds)
+        assert store.policies() == (a, b)
+        assert all(store.policies()[p.seq] is p for p in (a, b))
+
 
 class TestValidatePolicy:
     def test_missing_types_reported(self, healthcare):
