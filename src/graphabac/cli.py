@@ -66,7 +66,7 @@ def cmd_explain(args) -> int:
     model = _load(args.model)
     q, result = _evaluate(args, model)
     depth = args.depth if args.depth is not None else model.graph.attr_depth
-    closures = query_closures(model.graph, q, depth)
+    closures = query_closures(model.policies, q, depth)
     print(f"query: subject={args.subject} action={args.action} object={args.object}")
     print(f"algorithm: {result.algorithm.value} (attribute depth {depth})")
     if not result.matches:

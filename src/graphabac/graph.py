@@ -7,13 +7,29 @@ inheritance runs along outgoing ``HAS_ATTR`` edges, which must form a DAG.
 The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
 concurrently.
+
+Reachability runs over an adjacency snapshot, not over the edge sets:
+``freeze()`` compiles ``HAS_ATTR`` into one tuple of child refs per node,
+in the edge sets' iteration order, so a closure's keys come out in the
+same breadth-first discovery order as a walk over the sets would give.
+The snapshot is immutable and shared by every query.  Before ``freeze()``
+it is built on the first closure and dropped by ``add_node`` and
+``add_edge``, so closures on a graph under construction stay current.
+
+``trimmed_adjacency`` derives a copy of the snapshot that keeps only the
+nodes that can reach a given set of targets, in one pass in reverse
+topological order.  A closure over that copy gives the same hop count as
+the full snapshot to every target, because every node on a shortest path
+to a target reaches that target.  ``PolicyStore`` keeps such a copy for
+its condition nodes.  It builds the copy lazily, under a lock, and then
+only reads it, so concurrent queries on a frozen graph stay safe (see
+``policy.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AttributeCycleError,
@@ -28,6 +44,9 @@ NodeRef = int
 Scalar = Union[str, int, float, bool]
 
 HAS_ATTR = "HAS_ATTR"
+
+# Children over HAS_ATTR, indexed by node ref.
+Adjacency = Sequence[Sequence[NodeRef]]
 
 PRIMITIVE_LABEL = "Primitive"
 POLICY_LABEL = "Policy"
@@ -54,6 +73,7 @@ class Graph:
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
         self._frozen = False
         self._attr_depth: Optional[int] = None
+        self._snapshot: Optional[tuple[tuple[NodeRef, ...], ...]] = None
 
     # -- construction -------------------------------------------------
 
@@ -77,6 +97,7 @@ class Graph:
         ref = len(self._nodes)
         self._nodes.append(Node(ref, name, tuple(ordered), dict(properties or {})))
         self._by_name[name] = ref
+        self._snapshot = None
         return ref
 
     def add_edge(self, src: NodeRef, rel_type: str, dst: NodeRef) -> None:
@@ -86,12 +107,14 @@ class Graph:
         if rel_type == HAS_ATTR and src == dst:
             raise SelfLoopError(f"HAS_ATTR self-loop on {self._nodes[src].name!r}")
         self._out.setdefault(src, {}).setdefault(rel_type, set()).add(dst)
+        self._snapshot = None
 
     def freeze(self, attr_depth: Optional[int] = None) -> None:
         """Finish the build phase.
 
         ``attr_depth`` may only raise the traversal bound above the computed
-        maximum chain length; it never lowers it.
+        maximum chain length; it never lowers it.  Computing that length
+        builds the HAS_ATTR snapshot, which every later closure shares.
         """
         computed = self.attribute_depth()
         self._attr_depth = max(computed, attr_depth or 0)
@@ -145,26 +168,61 @@ class Graph:
 
     # -- reachability -------------------------------------------------
 
-    def attribute_closure(self, start: NodeRef, max_depth: int) -> dict[NodeRef, int]:
+    def attribute_adjacency(self) -> tuple[tuple[NodeRef, ...], ...]:
+        """The HAS_ATTR snapshot: the children of every node, by ref."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            empty: dict[str, set[NodeRef]] = {}
+            out = self._out
+            snapshot = self._snapshot = tuple(
+                tuple(out.get(n, empty).get(HAS_ATTR, ())) for n in range(len(self._nodes))
+            )
+        return snapshot
+
+    def attribute_closure(
+        self, start: NodeRef, max_depth: int, adjacency: Optional[Adjacency] = None
+    ) -> dict[NodeRef, int]:
         """BFS over outgoing HAS_ATTR edges, bounded by ``max_depth`` hops.
 
-        Returns minimal hop counts; always contains ``start -> 0``.
+        Returns minimal hop counts, keyed in discovery order; always
+        contains ``start -> 0``.  The walk follows ``adjacency`` when one is
+        given (a ``trimmed_adjacency`` of this graph) and the snapshot
+        otherwise.
         """
         self._check_ref(start)
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        adj = self.attribute_adjacency() if adjacency is None else adjacency
         dist = {start: 0}
-        frontier = deque([start])
-        while frontier:
-            n = frontier.popleft()
-            d = dist[n]
-            if d == max_depth:
-                continue
-            for m in self._out.get(n, {}).get(HAS_ATTR, ()):
-                if m not in dist:
-                    dist[m] = d + 1
-                    frontier.append(m)
+        frontier = [start]
+        for d in range(1, max_depth + 1):
+            found = []
+            for n in frontier:
+                for m in adj[n]:
+                    if m not in dist:
+                        dist[m] = d
+                        found.append(m)
+            if not found:
+                break
+            frontier = found
         return dist
+
+    def trimmed_adjacency(self, targets: Collection[NodeRef]) -> tuple[tuple[NodeRef, ...], ...]:
+        """The snapshot without every node that cannot reach a node of
+        ``targets`` over HAS_ATTR: such a node keeps no children and no
+        edge leads to it.  A node's children keep their snapshot order.
+        """
+        adj = self.attribute_adjacency()
+        reaches = [False] * len(adj)
+        trimmed: list[tuple[NodeRef, ...]] = [()] * len(adj)
+        for n in reversed(self._topological_order()):
+            children = adj[n]
+            kept = tuple(m for m in children if reaches[m])
+            # Sharing the snapshot's tuple when nothing was dropped keeps
+            # the copy small.
+            trimmed[n] = children if len(kept) == len(children) else kept
+            reaches[n] = bool(kept) or n in targets
+        return tuple(trimmed)
 
     def attribute_depth(self) -> int:
         """Length of the longest simple HAS_ATTR path (longest path on a DAG).
@@ -172,31 +230,35 @@ class Graph:
         Raises AttributeCycleError, naming one node on the cycle, if the
         HAS_ATTR subgraph is not acyclic.
         """
-        n = len(self._nodes)
-        indeg = [0] * n
-        for src in self._out:
-            for dst in self._out[src].get(HAS_ATTR, ()):
-                indeg[dst] += 1
-        queue = deque(r for r in range(n) if indeg[r] == 0)
-        longest = [0] * n
-        seen = 0
-        best = 0
-        while queue:
-            r = queue.popleft()
-            seen += 1
-            for dst in self._out.get(r, {}).get(HAS_ATTR, ()):
+        adj = self.attribute_adjacency()
+        longest = [0] * len(adj)
+        for r in self._topological_order():
+            for dst in adj[r]:
                 if longest[r] + 1 > longest[dst]:
                     longest[dst] = longest[r] + 1
-                    best = max(best, longest[dst])
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    queue.append(dst)
-        if seen < n:
-            culprit = next(r for r in range(n) if indeg[r] > 0)
-            raise AttributeCycleError(self._nodes[culprit].name)
-        return best
+        return max(longest, default=0)
 
     # -- internal -----------------------------------------------------
+
+    def _topological_order(self) -> list[NodeRef]:
+        """Every node, each after all of its HAS_ATTR parents (Kahn's
+        algorithm); raises AttributeCycleError, naming one node on a cycle,
+        if there is none."""
+        adj = self.attribute_adjacency()
+        indeg = [0] * len(adj)
+        for children in adj:
+            for dst in children:
+                indeg[dst] += 1
+        order = [r for r in range(len(adj)) if indeg[r] == 0]
+        for r in order:
+            for dst in adj[r]:
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    order.append(dst)
+        if len(order) < len(adj):
+            culprit = next(r for r in range(len(adj)) if indeg[r] > 0)
+            raise AttributeCycleError(self._nodes[culprit].name)
+        return order
 
     def _check_mutable(self) -> None:
         if self._frozen:

@@ -5,7 +5,12 @@ three-stage Cypher decision statement (``cypher.emit_cypher_decision_query``)
 in memory:
 
 1. ``query_closures`` runs one bounded BFS per query primitive: the
-   ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.
+   ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.  Like
+   the Cypher pattern, it only needs to reach condition nodes ``c``, so it
+   walks the store's ``condition_adjacency``: the graph with every node
+   that cannot reach a condition node left out.  Each condition node is
+   found at the same minimal hop count as in the full graph, within the
+   same depth bound; nodes that lead nowhere are never visited.
 2. ``PolicyStore.candidates`` looks up each closure node in the store's
    condition index, which gives the policies with that node as a condition
    in that slot: the ``(sc)-[:SUB_CON]->(pol)`` step of each stage.  One
@@ -18,12 +23,13 @@ Only the candidates reach ``match_single``, which checks the three slots
 against the shared closures and supplies the path lengths: a simple slot
 survives iff every required reference is inside the closure; a compound
 slot evaluates its expressions over the same closure.  Every front end
-that needs closures gets them from ``query_closures``.
+that needs closures gets them from ``query_closures``; they are exact at
+the store's condition nodes and say nothing about any other node.
 
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
-enumeration.  It exists to cross-validate the production path and is
-O(paths); keep it to small graphs.
+enumeration over the full graph.  It exists to cross-validate the
+production path and is O(paths); keep it to small graphs.
 
 Both report, per match, the minimal path length from each query
 primitive to the policy (closure hops plus the condition edge).
@@ -91,9 +97,13 @@ Closures = dict[ConditionType, dict[NodeRef, int]]
 _SLOTS = tuple(ConditionType)
 
 
-def query_closures(graph: Graph, q: AccessQuery, depth: int) -> Closures:
-    """Minimal hop counts from each query primitive, keyed by slot type."""
-    return {t: graph.attribute_closure(q.primitive(t), depth) for t in _SLOTS}
+def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:
+    """Minimal hop counts from each query primitive to every condition node
+    of ``store`` it reaches within ``depth``, keyed by slot type."""
+    graph, adjacency = store.graph, store.condition_adjacency()
+    return {
+        t: graph.attribute_closure(q.primitive(t), depth, adjacency) for t in _SLOTS
+    }
 
 
 def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:
@@ -114,17 +124,24 @@ def _slot_length(
     """Match one condition slot against a precomputed closure.
 
     Returns the slot's contribution to the policy length, or None when the
-    slot fails.  Simple slots use the count gate (satisfied == required);
-    compound slots evaluate every expression recursively.  A slot whose
-    only satisfied evidence is negative (no true Ref leaf) contributes
-    depth + 1, one more than any real path can be.
+    slot fails.  One pass over a simple slot checks that every Ref is in
+    the closure and keeps the nearest; a slot with any other expression
+    evaluates every expression recursively.  A slot whose only satisfied
+    evidence is negative (no true Ref leaf) contributes depth + 1, one more
+    than any real path can be.
     """
-    refs = [e for e in exprs if isinstance(e, Ref)]
-    if len(refs) == len(exprs):
-        sat = [e.node for e in refs if e.node in closure]
-        if len(sat) != len(refs):
+    nearest: Optional[int] = None
+    for e in exprs:
+        if not isinstance(e, Ref):
+            break
+        h = closure.get(e.node)
+        if h is None:
+            # A false Ref fails the slot, simple or compound.
             return None
-        return 1 + min(closure[n] for n in sat)
+        if nearest is None or h < nearest:
+            nearest = h
+    else:
+        return 1 + nearest
     for e in exprs:
         if not _eval_with_closure(closure, e):
             return None
@@ -166,7 +183,7 @@ def matching_policies(
         raise NotFrozenError("freeze the graph before matching")
     if depth is None:
         depth = graph.attr_depth
-    closures = query_closures(graph, q, depth)
+    closures = query_closures(store, q, depth)
     policies = store.policies()
     return [
         m

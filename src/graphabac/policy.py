@@ -24,12 +24,24 @@ expression cannot be decided by counting; their seqs are kept on
 ``_residual``.  The index is filled by ``create_policy`` after every check
 has passed, so a rejected policy leaves no trace in it.  It does not
 depend on the traversal depth, which bounds the closures alone.
+
+The same step records the store's condition nodes: every ``Ref`` leaf of
+every stored policy, including the leaves under ``Not``.  Matching reads
+the closures only at those nodes, so ``condition_adjacency`` gives the
+closures a copy of the graph's ``HAS_ATTR`` snapshot trimmed to the nodes
+that can reach one (``Graph.trimmed_adjacency``).  The copy is built on
+the first query after a new condition node arrives or the graph's
+snapshot changes, under a lock, so concurrent first queries build it once;
+every later query reads the finished, immutable copy without the lock.
+Like the graph, a store is filled single-threaded: ``create_policy`` must
+not run while another thread matches against the same store.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -132,6 +144,11 @@ class PolicyStore:
         }
         self._required: list[int] = []
         self._residual: list[int] = []
+        self._conditions: set[NodeRef] = set()
+        # (graph snapshot, its copy trimmed to self._conditions), or None
+        # after a new condition node.
+        self._trimmed: Optional[tuple[tuple, tuple]] = None
+        self._trim_lock = threading.Lock()
 
     def create_policy(
         self,
@@ -150,9 +167,11 @@ class PolicyStore:
             raise MissingConditionTypeError(name, missing)
         graph = self.graph
         dangling: set[str] = set()
+        leaves: set[NodeRef] = set()
         for exprs in frozen.values():
             for expr in exprs:
                 for leaf in ref_leaves(expr):
+                    leaves.add(leaf.node)
                     if not 0 <= leaf.node < graph.node_count():
                         dangling.add(f"node#{leaf.node}")
                     elif graph.node(leaf.node).has_label(POLICY_LABEL):
@@ -164,6 +183,9 @@ class PolicyStore:
             )
         self._policies[name] = policy
         self._ordered = None
+        if not leaves <= self._conditions:
+            self._conditions |= leaves
+            self._trimmed = None
         if all(isinstance(e, Ref) for exprs in frozen.values() for e in exprs):
             for t, exprs in frozen.items():
                 postings = self._postings[t]
@@ -189,6 +211,20 @@ class PolicyStore:
         if self._ordered is None:
             self._ordered = tuple(self._policies.values())
         return self._ordered
+
+    def condition_adjacency(self) -> tuple[tuple[NodeRef, ...], ...]:
+        """The graph's HAS_ATTR snapshot trimmed to the nodes that can reach
+        a condition node of this store; built on first use and kept until
+        a new condition node arrives or the graph's snapshot changes."""
+        base = self.graph.attribute_adjacency()
+        trimmed = self._trimmed
+        if trimmed is None or trimmed[0] is not base:
+            with self._trim_lock:
+                trimmed = self._trimmed
+                if trimmed is None or trimmed[0] is not base:
+                    trimmed = (base, self.graph.trimmed_adjacency(self._conditions))
+                    self._trimmed = trimmed
+        return trimmed[1]
 
     def candidates(
         self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]

@@ -264,9 +264,13 @@ def test_6_dnf_expansion():
             },
         )
         parts = dnf_expand(pol)
+        # A store holding the policy makes its leaves (and so every part's)
+        # the condition nodes the closures are exact at.
+        store = PolicyStore(rg)
+        store.create_policy(pol.name, pol.decision, pol.conditions)
         for _ in range(3):
             q = AccessQuery(*(rng.choice(nodes) for _ in range(3)))
-            closures = query_closures(rg, q, rg.attr_depth)
+            closures = query_closures(store, q, rg.attr_depth)
             whole = match_single(pol, closures, rg.attr_depth) is not None
             split = any(
                 match_single(p, closures, rg.attr_depth) is not None for p in parts

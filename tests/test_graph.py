@@ -110,6 +110,26 @@ class TestAttributeClosure:
         with pytest.raises(UnknownNodeError):
             Graph().attribute_closure(0, 3)
 
+    def test_keys_in_discovery_order(self):
+        # Random models are drawn from list(attribute_closure(...)), so the
+        # key order is part of what fixes seeded test data: breadth-first,
+        # each node's children in the order of its edge set (ascending refs
+        # for small ints), whatever order the edges were added in.
+        g = Graph()
+        r, a, b, c, d, e = (g.add_node(n) for n in "rabcde")
+        for src, dst in ((r, c), (r, a), (c, e), (a, d), (c, d), (a, b), (d, e)):
+            g.add_edge(src, HAS_ATTR, dst)
+        expected = {0: [r], 1: [r, a, c], 2: [r, a, c, b, d, e], 3: [r, a, c, b, d, e]}
+        for depth, order in expected.items():
+            assert list(g.attribute_closure(r, depth)) == order
+        assert g.attribute_closure(r, 3) == {r: 0, a: 1, c: 1, b: 2, d: 2, e: 2}
+        g.add_edge(b, HAS_ATTR, e)
+        f = g.add_node("f")
+        g.add_edge(e, HAS_ATTR, f)
+        g.freeze()
+        for depth, order in expected.items():
+            assert list(g.attribute_closure(r, depth)) == order + [f] * (depth == 3)
+
 
 class TestAttributeDepth:
     def test_healthcare_depth_is_two(self, healthcare):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -12,7 +14,6 @@ from graphabac import (
     HAS_ATTR,
     Not,
     Or,
-    Policy,
     PolicyStore,
     Ref,
     combine,
@@ -27,6 +28,7 @@ from graphabac.errors import (
     NotFrozenError,
 )
 from graphabac.matcher import match_single, match_single_oracle, query_closures
+from graphabac.policy import ref_leaves
 from graphabac.randmodel import RandomModelConfig, random_model, random_query
 
 SUB = ConditionType.SUB_CON
@@ -36,10 +38,11 @@ OBJ = ConditionType.OBJ_CON
 
 def satisfies(g, x, expr, depth):
     """True iff the slot ``{expr}`` holds for primitive ``x``, checked through
-    ``match_single`` with ``x`` in every slot of the query."""
-    closures = query_closures(g, AccessQuery(x, x, x), depth)
-    slots = {t: frozenset({expr}) for t in ConditionType}
-    pol = Policy("probe", Decision.PERMIT, 0, 0, slots)
+    ``match_single`` with ``x`` in every slot of the query, over the closures
+    of a store that holds only the probe policy."""
+    store = PolicyStore(g)
+    pol = store.create_policy("probe", Decision.PERMIT, {t: {expr} for t in ConditionType})
+    closures = query_closures(store, AccessQuery(x, x, x), depth)
     return match_single(pol, closures, depth) is not None
 
 
@@ -119,7 +122,7 @@ class TestMatchingPolicies:
 
 
 def policy_length(store, q, name):
-    closures = query_closures(store.graph, q, store.graph.attr_depth)
+    closures = query_closures(store, q, store.graph.attr_depth)
     return match_single(store.get(name), closures, store.graph.attr_depth).total_len
 
 
@@ -324,7 +327,7 @@ class TestCompoundMatching:
         pol = store.get("ActiveEmployees")
         for s in (s1, s2):
             q = AccessQuery(s, browse, portal)
-            closures = query_closures(g, q, g.attr_depth)
+            closures = query_closures(store, q, g.attr_depth)
             assert match_single(pol, closures, g.attr_depth) == match_single_oracle(
                 g, pol, q, g.attr_depth
             )
@@ -334,7 +337,7 @@ def scan_matches(store, q, depth=None):
     """Test-local full scan: ``match_single`` over every stored policy."""
     if depth is None:
         depth = store.graph.attr_depth
-    closures = query_closures(store.graph, q, depth)
+    closures = query_closures(store, q, depth)
     return [m for p in store.policies() if (m := match_single(p, closures, depth))]
 
 
@@ -485,3 +488,141 @@ class TestIndexEdgeCases:
             got = matching_policies(store, q, depth)
             assert [m.policy.name for m in got] == names, depth
             assert got == matching_policies_oracle(store, q, depth)
+
+
+class TestTrimmedClosures:
+    def test_exact_at_every_condition_node(self):
+        # Closures over the store's trimmed adjacency agree with full closures
+        # at every condition node, at every depth, on models whose stores
+        # mix simple, compound and negation-only slots.
+        rng = random.Random(4417)
+        compared = trimmed_away = 0
+        for trial in range(25):
+            # Few policies on many attributes, so a good share of the
+            # nodes in reach lead to no condition node and are trimmed.
+            cfg = RandomModelConfig(
+                n_primitives=rng.randint(3, 6),
+                n_attributes=rng.randint(10, 30),
+                n_layers=rng.randint(2, 5),
+                n_policies=rng.randint(0, 2),
+            )
+            model = random_model(rng, cfg)
+            g, store = model.graph, model.policies
+            nodes = list(range(g.node_count()))
+            for k in range(2):
+                slots = {t: _random_slot(rng, nodes) for t in ConditionType}
+                store.create_policy(f"extra{k}", Decision.PERMIT, slots)
+            conditions = {
+                leaf.node
+                for p in store.policies()
+                for exprs in p.conditions.values()
+                for e in exprs
+                for leaf in ref_leaves(e)
+            }
+            for depth in range(g.attr_depth + 1):
+                q = random_query(rng, model)
+                closures = query_closures(store, q, depth)
+                for t in ConditionType:
+                    full = g.attribute_closure(q.primitive(t), depth)
+                    trimmed = closures[t]
+                    assert trimmed.items() <= full.items()
+                    for c in conditions:
+                        assert trimmed.get(c) == full.get(c)
+                    compared += 1
+                    trimmed_away += len(full) - len(trimmed)
+        assert compared > 200
+        assert trimmed_away > 100
+
+    def build(self):
+        # s -> a -> sink, and nothing conditions sink until the test adds it.
+        g = Graph()
+        s = g.add_node("s", ("Primitive",))
+        a = g.add_node("a", ("Attribute",))
+        sink = g.add_node("sink", ("Attribute",))
+        act = g.add_node("act", ("Primitive",))
+        obj = g.add_node("obj", ("Primitive",))
+        pol = g.add_node("PolicyNode", ("Policy",))
+        g.add_edge(s, HAS_ATTR, a)
+        g.add_edge(a, HAS_ATTR, sink)
+        g.freeze()
+        store = PolicyStore(g)
+        store.create_policy(
+            "OnA", Decision.PERMIT, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        return g, store, s, sink, act, obj, pol
+
+    def test_new_condition_node_after_first_query(self):
+        g, store, s, sink, act, obj, pol = self.build()
+        q = AccessQuery(s, act, obj)
+        assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
+        assert sink not in query_closures(store, q, g.attr_depth)[SUB]
+        store.create_policy(
+            "OnSink", Decision.DENY, {SUB: {Ref(sink)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        got = matching_policies(store, q)
+        assert [m.policy.name for m in got] == ["OnA", "OnSink"]
+        assert got[1].len_sub == 3
+        assert got == matching_policies_oracle(store, q)
+
+    def test_rejected_policy_adds_no_condition_node(self):
+        g, store, s, sink, act, obj, pol = self.build()
+        q = AccessQuery(s, act, obj)
+        before = matching_policies(store, q)
+        adjacency = store.condition_adjacency()
+        on_sink = {SUB: {Ref(sink)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        with pytest.raises(DuplicatePolicyError):
+            store.create_policy("OnA", Decision.DENY, on_sink)
+        with pytest.raises(DanglingConditionRefError):
+            store.create_policy("Dangling", Decision.DENY, {**on_sink, OBJ: {Ref(obj), Ref(999)}})
+        with pytest.raises(DanglingConditionRefError):
+            store.create_policy("OnPolicy", Decision.DENY, {**on_sink, ACT: {Ref(act), Ref(pol)}})
+        assert store.condition_adjacency() is adjacency
+        assert not any(sink in children for children in adjacency)
+        assert matching_policies(store, q) == before
+
+    def test_follows_edges_added_before_freeze(self):
+        g = Graph()
+        s, a, z = (g.add_node(n) for n in ("s", "a", "z"))
+        g.add_edge(s, HAS_ATTR, a)
+        store = PolicyStore(g)
+        store.create_policy("OnZ", Decision.PERMIT, {t: {Ref(z)} for t in ConditionType})
+        q = AccessQuery(s, s, s)
+        assert z not in query_closures(store, q, 2)[SUB]
+        g.add_edge(a, HAS_ATTR, z)
+        assert query_closures(store, q, 2)[SUB] == {s: 0, a: 1, z: 2}
+
+    def test_concurrent_first_queries_build_one_copy(self, monkeypatch):
+        rng = random.Random(88)
+        model = random_model(rng, RandomModelConfig(n_attributes=30, n_policies=20))
+        store = model.policies
+        queries = [random_query(rng, model) for _ in range(16)]
+        expected = [matching_policies_oracle(store, q) for q in queries]
+        builds = []
+        trim = Graph.trimmed_adjacency
+
+        def counting(self, targets):
+            builds.append(1)
+            return trim(self, targets)
+
+        monkeypatch.setattr(Graph, "trimmed_adjacency", counting)
+        workers = 8
+        barrier = threading.Barrier(workers, timeout=10)
+        results = [None] * workers
+
+        def work(i):
+            barrier.wait()
+            results[i] = [matching_policies(store, q) for q in queries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * workers
+        assert len(builds) == 1
