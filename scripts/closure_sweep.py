@@ -1,6 +1,6 @@
 """Sweep attribute-closure time over attribute depth and condition-node share.
 
-Builds one random graph per attribute depth with `graphabac.randmodel`
+Builds one random graph per attribute depth with `tests/randmodel.py`
 (1000 primitives and 10000 attributes in as many layers as the depth, edge
 factor 6: 11k nodes and ~66k distinct HAS_ATTR edges, about the size of the
 graph-deep benchmark workload).  For each condition-node share it fills a
@@ -9,7 +9,7 @@ distinct attribute nodes drawn uniformly, until that share of all nodes are
 condition nodes.  Then, for the same sample of primitives, it times two
 closures in turns, start by start:
 
-- the full closure: `Graph.attribute_closure(p, depth)` over the snapshot;
+- the full closure: `Graph.attribute_closure(p, depth)` over the whole graph;
 - the trimmed closure: the same call over `PolicyStore.condition_adjacency()`,
   which is what `matcher.query_closures` walks.
 
@@ -41,7 +41,9 @@ import time
 from graphabac import HAS_ATTR, Graph
 from graphabac.graph import Adjacency
 from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
-from graphabac.randmodel import RandomModelConfig, random_model
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from randmodel import RandomModelConfig, random_model  # noqa: E402
 
 N_PRIMITIVES = 1000
 N_ATTRIBUTES = 10000

@@ -1,6 +1,6 @@
 """Sweep `evaluate` time over the number of stored policies.
 
-Builds one random model per policy count with `graphabac.randmodel`, on the
+Builds one random model per policy count with `tests/randmodel.py`, on the
 graph shape of the desk-scale acceptance test (2000 primitives and 8000
 attributes in 5 layers, edge factor 3.2: 10k nodes, ~30k HAS_ATTR edges,
 attribute depth 5).  The seed fixes the graph, so every size shares it and
@@ -35,26 +35,17 @@ import sys
 import time
 
 from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
-from graphabac.matcher import AccessQuery
-from graphabac.randmodel import RandomModel, RandomModelConfig, random_model, random_query
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from randmodel import (  # noqa: E402
+    RandomModelConfig,
+    matching_query,
+    primitives_reaching,
+    random_model,
+    random_query,
+)
 
 GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
-
-
-def hit_query(
-    rng: random.Random, model: RandomModel, reached_by: dict[int, set[int]]
-) -> AccessQuery:
-    """A query that matches at least one stored policy."""
-    policies = model.policies.policies()
-    for _ in range(10_000):
-        slots = rng.choice(policies).conditions.values()
-        options = [
-            set.intersection(*(reached_by.get(e.node, set()) for e in exprs))
-            for exprs in slots
-        ]
-        if all(options):
-            return AccessQuery(*(rng.choice(sorted(o)) for o in options))
-    raise ValueError("no stored policy found that some query can match")
 
 
 def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
@@ -64,13 +55,10 @@ def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
     )
     build_s = time.perf_counter() - t0
     g = model.graph
-    reached_by: dict[int, set[int]] = {}
-    for p in model.primitives:
-        for n in g.attribute_closure(p, g.attr_depth):
-            reached_by.setdefault(n, set()).add(p)
+    reached_by = primitives_reaching(model)
     qrng = random.Random(seed + 1)
     queries = [
-        hit_query(qrng, model, reached_by) if i % 2 else random_query(qrng, model)
+        matching_query(qrng, model, reached_by) if i % 2 else random_query(qrng, model)
         for i in range(n_queries)
     ]
     store, alg = model.policies, CombiningAlgorithm.DENY_OVERRIDES

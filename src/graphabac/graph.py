@@ -8,21 +8,20 @@ The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
 concurrently.
 
-Reachability runs over an adjacency snapshot, not over the edge sets:
-``freeze()`` compiles ``HAS_ATTR`` into one tuple of child refs per node,
-in the edge sets' iteration order, so a closure's keys come out in the
-same breadth-first discovery order as a walk over the sets would give.
-The snapshot is immutable and shared by every query.  Before ``freeze()``
-it is built on the first closure and dropped by ``add_node`` and
-``add_edge``, so closures on a graph under construction stay current.
+Each ``HAS_ATTR`` edge is stored once, in a per-node list of children
+indexed by ref.  While the graph is built a node's children are a set;
+``freeze()`` turns each set into a tuple in the set's own iteration order,
+so a closure's keys come out in the same breadth-first discovery order
+before and after freezing, and every query shares the immutable tuples.
+Other relationship types keep their own map; reachability never reads it.
 
-``trimmed_adjacency`` derives a copy of the snapshot that keeps only the
-nodes that can reach a given set of targets, in one pass in reverse
-topological order.  A closure over that copy gives the same hop count as
-the full snapshot to every target, because every node on a shortest path
-to a target reaches that target.  ``PolicyStore`` keeps such a copy for
-its condition nodes.  It builds the copy lazily, under a lock, and then
-only reads it, so concurrent queries on a frozen graph stay safe (see
+``trimmed_adjacency`` derives, from a frozen graph, a copy of the children
+that keeps only the nodes that can reach a given set of targets, in one
+pass in reverse topological order.  A closure over that copy gives the
+same hop count as the full graph to every target, because every node on a
+shortest path to a target reaches that target.  ``PolicyStore`` keeps such
+a copy for its condition nodes.  It builds the copy lazily, under a lock,
+and then only reads it, so concurrent queries stay safe (see
 ``policy.py``).
 """
 
@@ -36,6 +35,7 @@ from .errors import (
     DuplicateNameError,
     EmptyNameError,
     FrozenGraphError,
+    NotFrozenError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -46,7 +46,7 @@ Scalar = Union[str, int, float, bool]
 HAS_ATTR = "HAS_ATTR"
 
 # Children over HAS_ATTR, indexed by node ref.
-Adjacency = Sequence[Sequence[NodeRef]]
+Adjacency = Sequence[Collection[NodeRef]]
 
 PRIMITIVE_LABEL = "Primitive"
 POLICY_LABEL = "Policy"
@@ -69,11 +69,13 @@ class Graph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._by_name: dict[str, NodeRef] = {}
-        # ref -> rel_type -> set of target refs
+        # HAS_ATTR children by ref: sets while the graph is built, tuples
+        # after freeze().
+        self._children: Adjacency = []
+        # ref -> rel_type -> set of target refs, for every type but HAS_ATTR
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
         self._frozen = False
         self._attr_depth: Optional[int] = None
-        self._snapshot: Optional[tuple[tuple[NodeRef, ...], ...]] = None
 
     # -- construction -------------------------------------------------
 
@@ -97,27 +99,26 @@ class Graph:
         ref = len(self._nodes)
         self._nodes.append(Node(ref, name, tuple(ordered), dict(properties or {})))
         self._by_name[name] = ref
-        self._snapshot = None
+        self._children.append(set())
         return ref
 
     def add_edge(self, src: NodeRef, rel_type: str, dst: NodeRef) -> None:
         self._check_mutable()
         self._check_ref(src)
         self._check_ref(dst)
-        if rel_type == HAS_ATTR and src == dst:
+        if rel_type != HAS_ATTR:
+            self._out.setdefault(src, {}).setdefault(rel_type, set()).add(dst)
+        elif src == dst:
             raise SelfLoopError(f"HAS_ATTR self-loop on {self._nodes[src].name!r}")
-        self._out.setdefault(src, {}).setdefault(rel_type, set()).add(dst)
-        self._snapshot = None
+        else:
+            self._children[src].add(dst)
 
-    def freeze(self, attr_depth: Optional[int] = None) -> None:
-        """Finish the build phase.
-
-        ``attr_depth`` may only raise the traversal bound above the computed
-        maximum chain length; it never lowers it.  Computing that length
-        builds the HAS_ATTR snapshot, which every later closure shares.
-        """
-        computed = self.attribute_depth()
-        self._attr_depth = max(computed, attr_depth or 0)
+    def freeze(self) -> None:
+        """Finish the build phase: fix the traversal bound at the longest
+        HAS_ATTR chain and turn each node's children into a tuple.  A cycle
+        raises before anything changes, leaving the graph unfrozen."""
+        self._attr_depth = self.attribute_depth()
+        self._children = tuple(tuple(children) for children in self._children)
         self._frozen = True
 
     # -- lookups ------------------------------------------------------
@@ -146,38 +147,23 @@ class Graph:
         return iter(self._nodes)
 
     def edges(self) -> Iterator[tuple[NodeRef, str, NodeRef]]:
-        for src in sorted(self._out):
-            for rel_type in sorted(self._out[src]):
-                for dst in sorted(self._out[src][rel_type]):
+        for src, children in enumerate(self._children):
+            rels = {HAS_ATTR: children, **self._out.get(src, {})}
+            for rel_type in sorted(rels):
+                for dst in sorted(rels[rel_type]):
                     yield src, rel_type, dst
 
     def edge_count(self, rel_type: Optional[str] = None) -> int:
-        total = 0
-        for rels in self._out.values():
-            for rt, targets in rels.items():
-                if rel_type is None or rt == rel_type:
-                    total += len(targets)
-        return total
+        return sum(rel_type in (None, rt) for _, rt, _ in self.edges())
 
     def has_edge(self, src: NodeRef, rel_type: str, dst: NodeRef) -> bool:
-        return dst in self._out.get(src, {}).get(rel_type, ())
+        self._check_ref(dst)
+        return dst in self._targets(src, rel_type)
 
     def out_neighbors(self, ref: NodeRef, rel_type: str) -> frozenset[NodeRef]:
-        self._check_ref(ref)
-        return frozenset(self._out.get(ref, {}).get(rel_type, ()))
+        return frozenset(self._targets(ref, rel_type))
 
     # -- reachability -------------------------------------------------
-
-    def attribute_adjacency(self) -> tuple[tuple[NodeRef, ...], ...]:
-        """The HAS_ATTR snapshot: the children of every node, by ref."""
-        snapshot = self._snapshot
-        if snapshot is None:
-            empty: dict[str, set[NodeRef]] = {}
-            out = self._out
-            snapshot = self._snapshot = tuple(
-                tuple(out.get(n, empty).get(HAS_ATTR, ())) for n in range(len(self._nodes))
-            )
-        return snapshot
 
     def attribute_closure(
         self, start: NodeRef, max_depth: int, adjacency: Optional[Adjacency] = None
@@ -186,13 +172,13 @@ class Graph:
 
         Returns minimal hop counts, keyed in discovery order; always
         contains ``start -> 0``.  The walk follows ``adjacency`` when one is
-        given (a ``trimmed_adjacency`` of this graph) and the snapshot
-        otherwise.
+        given (a ``trimmed_adjacency`` of this graph) and the graph's own
+        children otherwise.
         """
         self._check_ref(start)
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        adj = self.attribute_adjacency() if adjacency is None else adjacency
+        adj = self._children if adjacency is None else adjacency
         dist = {start: 0}
         frontier = [start]
         for d in range(1, max_depth + 1):
@@ -208,18 +194,20 @@ class Graph:
         return dist
 
     def trimmed_adjacency(self, targets: Collection[NodeRef]) -> tuple[tuple[NodeRef, ...], ...]:
-        """The snapshot without every node that cannot reach a node of
-        ``targets`` over HAS_ATTR: such a node keeps no children and no
-        edge leads to it.  A node's children keep their snapshot order.
+        """The frozen graph's children without every node that cannot reach
+        a node of ``targets`` over HAS_ATTR: such a node keeps no children
+        and no edge leads to it.  A node's children keep their order.
         """
-        adj = self.attribute_adjacency()
+        if not self._frozen:
+            raise NotFrozenError("freeze the graph before trimming it")
+        adj = self._children
         reaches = [False] * len(adj)
         trimmed: list[tuple[NodeRef, ...]] = [()] * len(adj)
         for n in reversed(self._topological_order()):
             children = adj[n]
             kept = tuple(m for m in children if reaches[m])
-            # Sharing the snapshot's tuple when nothing was dropped keeps
-            # the copy small.
+            # Sharing the graph's tuple when nothing was dropped keeps the
+            # copy small.
             trimmed[n] = children if len(kept) == len(children) else kept
             reaches[n] = bool(kept) or n in targets
         return tuple(trimmed)
@@ -230,7 +218,7 @@ class Graph:
         Raises AttributeCycleError, naming one node on the cycle, if the
         HAS_ATTR subgraph is not acyclic.
         """
-        adj = self.attribute_adjacency()
+        adj = self._children
         longest = [0] * len(adj)
         for r in self._topological_order():
             for dst in adj[r]:
@@ -244,7 +232,7 @@ class Graph:
         """Every node, each after all of its HAS_ATTR parents (Kahn's
         algorithm); raises AttributeCycleError, naming one node on a cycle,
         if there is none."""
-        adj = self.attribute_adjacency()
+        adj = self._children
         indeg = [0] * len(adj)
         for children in adj:
             for dst in children:
@@ -259,6 +247,12 @@ class Graph:
             culprit = next(r for r in range(len(adj)) if indeg[r] > 0)
             raise AttributeCycleError(self._nodes[culprit].name)
         return order
+
+    def _targets(self, src: NodeRef, rel_type: str) -> Collection[NodeRef]:
+        self._check_ref(src)
+        if rel_type == HAS_ATTR:
+            return self._children[src]
+        return self._out.get(src, {}).get(rel_type, ())
 
     def _check_mutable(self) -> None:
         if self._frozen:

@@ -7,22 +7,27 @@ in memory:
 1. ``query_closures`` runs one bounded BFS per query primitive: the
    ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.  Like
    the Cypher pattern, it only needs to reach condition nodes ``c``, so it
-   walks the store's ``condition_adjacency``: the graph with every node
-   that cannot reach a condition node left out.  Each condition node is
-   found at the same minimal hop count as in the full graph, within the
-   same depth bound; nodes that lead nowhere are never visited.
+   walks the store's ``condition_adjacency``: the frozen graph with every
+   node that cannot reach a condition node left out.  Each condition node
+   is found at the same minimal hop count as in the full graph, within the
+   same depth bound; nodes that lead nowhere are never visited.  On an
+   unfrozen graph it raises ``NotFrozenError``.
 2. ``PolicyStore.candidates`` looks up each closure node in the store's
-   condition index, which gives the policies with that node as a condition
-   in that slot: the ``(sc)-[:SUB_CON]->(pol)`` step of each stage.  One
-   counter tallies the hits per policy over all three slots.
-3. A simple policy is a candidate iff its tally equals its ref count,
-   which holds iff ``sat_cons = req_cons`` holds in every stage.  Policies
-   with compound slots are always candidates.
+   condition index, which gives the policies with that node as a plain
+   top-level condition in that slot: the ``(sc)-[:SUB_CON]->(pol)`` step
+   of each stage.  One counter tallies the hits per policy over all three
+   slots.
+3. One rule covers every policy: it is a candidate iff its tally equals
+   its count of top-level refs.  For a simple policy that is
+   ``sat_cons = req_cons`` in every stage, so the candidate is a match.
+   For a compound policy it is a necessary condition, and a policy with
+   no top-level ref at all is always a candidate.
 
 Only the candidates reach ``match_single``, which checks the three slots
-against the shared closures and supplies the path lengths: a simple slot
-survives iff every required reference is inside the closure; a compound
-slot evaluates its expressions over the same closure.  Every front end
+against the shared closures, decides the compound candidates and supplies
+the path lengths: a simple slot survives iff every required reference is
+inside the closure; a compound slot evaluates its expressions over the
+same closure.  Every front end
 that needs closures gets them from ``query_closures``; they are exact at
 the store's condition nodes and say nothing about any other node.
 

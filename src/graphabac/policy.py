@@ -14,27 +14,32 @@ an inverted index, which ``PolicyStore.candidates`` reads.  In the graph,
 each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge to every
 policy it conditions, and each Cypher stage follows those edges from the
 closure nodes to the policies and keeps a policy when
-``sat_cons = req_cons``.  Here the edges are ``_postings[t][node]`` (the
-seqs of the simple policies with ``Ref(node)`` in slot ``t``) and
-``_required[seq]`` is the policy's ref count over all three slots.  No
-slot can be hit more often than it has conditions, so the three-slot total
-reaches ``_required[seq]`` exactly when every stage's
-``sat_cons = req_cons`` holds.  Policies with a ``Not``/``And``/``Or``
-expression cannot be decided by counting; their seqs are kept on
-``_residual``.  The index is filled by ``create_policy`` after every check
-has passed, so a rejected policy leaves no trace in it.  It does not
-depend on the traversal depth, which bounds the closures alone.
+``sat_cons = req_cons``.  Here the edges are ``_postings[t][node]``: the
+seqs of the policies with a plain ``Ref(node)`` at the top level of slot
+``t``.  ``_required[seq]`` counts those top-level refs over all three
+slots.  A slot is a conjunction, so a policy can match only if every one
+of them is in its slot's closure, which is when the hits reach
+``_required[seq]``.  For a simple policy (nothing but refs) that count is
+the match: it is every stage's ``sat_cons = req_cons``.  For a policy with
+``Not``/``And``/``Or`` expressions it is a necessary condition, and
+``matcher.match_single`` decides the rest, as in the counting algorithm of
+Fabret et al. (SIGMOD 2001).  Only a policy with no top-level ref at all
+cannot be counted; its seq is kept on ``_residual``.  The index is filled
+by ``create_policy`` after every check has passed, so a rejected policy
+leaves no trace in it.  It does not depend on the traversal depth, which
+bounds the closures alone.
 
 The same step records the store's condition nodes: every ``Ref`` leaf of
 every stored policy, including the leaves under ``Not``.  Matching reads
 the closures only at those nodes, so ``condition_adjacency`` gives the
-closures a copy of the graph's ``HAS_ATTR`` snapshot trimmed to the nodes
-that can reach one (``Graph.trimmed_adjacency``).  The copy is built on
-the first query after a new condition node arrives or the graph's
-snapshot changes, under a lock, so concurrent first queries build it once;
-every later query reads the finished, immutable copy without the lock.
-Like the graph, a store is filled single-threaded: ``create_policy`` must
-not run while another thread matches against the same store.
+closures a copy of the frozen graph's ``HAS_ATTR`` children trimmed to
+the nodes that can reach one (``Graph.trimmed_adjacency``).  The frozen
+graph never changes, so the copy is rebuilt only on the first query after
+a new condition node arrives.  It is built under a lock, so concurrent
+first queries build it once; every later query reads the finished,
+immutable copy without the lock.  Like the graph, a store is filled
+single-threaded: ``create_policy`` must not run while another thread
+matches against the same store.
 """
 
 from __future__ import annotations
@@ -145,9 +150,8 @@ class PolicyStore:
         self._required: list[int] = []
         self._residual: list[int] = []
         self._conditions: set[NodeRef] = set()
-        # (graph snapshot, its copy trimmed to self._conditions), or None
-        # after a new condition node.
-        self._trimmed: Optional[tuple[tuple, tuple]] = None
+        # The graph trimmed to self._conditions, or None after a new one.
+        self._trimmed: Optional[tuple[tuple[NodeRef, ...], ...]] = None
         self._trim_lock = threading.Lock()
 
     def create_policy(
@@ -186,14 +190,15 @@ class PolicyStore:
         if not leaves <= self._conditions:
             self._conditions |= leaves
             self._trimmed = None
-        if all(isinstance(e, Ref) for exprs in frozen.values() for e in exprs):
-            for t, exprs in frozen.items():
-                postings = self._postings[t]
-                for e in exprs:
+        required = 0
+        for t, exprs in frozen.items():
+            postings = self._postings[t]
+            for e in exprs:
+                if isinstance(e, Ref):
                     postings.setdefault(e.node, []).append(seq)
-            self._required.append(sum(len(exprs) for exprs in frozen.values()))
-        else:
-            self._required.append(0)  # has no postings, so is never counted
+                    required += 1
+        self._required.append(required)
+        if not required:  # has no postings, so is never counted
             self._residual.append(seq)
         return policy
 
@@ -213,28 +218,27 @@ class PolicyStore:
         return self._ordered
 
     def condition_adjacency(self) -> tuple[tuple[NodeRef, ...], ...]:
-        """The graph's HAS_ATTR snapshot trimmed to the nodes that can reach
-        a condition node of this store; built on first use and kept until
-        a new condition node arrives or the graph's snapshot changes."""
-        base = self.graph.attribute_adjacency()
+        """The frozen graph's HAS_ATTR children trimmed to the nodes that can
+        reach a condition node of this store; built on first use and kept
+        until a new condition node arrives.  Raises NotFrozenError on an
+        unfrozen graph."""
         trimmed = self._trimmed
-        if trimmed is None or trimmed[0] is not base:
+        if trimmed is None:
             with self._trim_lock:
                 trimmed = self._trimmed
-                if trimmed is None or trimmed[0] is not base:
-                    trimmed = (base, self.graph.trimmed_adjacency(self._conditions))
-                    self._trimmed = trimmed
-        return trimmed[1]
+                if trimmed is None:
+                    trimmed = self._trimmed = self.graph.trimmed_adjacency(self._conditions)
+        return trimmed
 
     def candidates(
         self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]
     ) -> list[int]:
         """Seqs, ascending, of the policies that can match a query whose
-        closures these are: every simple policy with each condition node in
-        its slot's closure, and every compound policy.
+        closures these are: every policy with each top-level ``Ref`` in its
+        slot's closure, and every policy without one.
 
         A simple candidate is a match; ``matcher.match_single`` still
-        supplies its path lengths.
+        supplies its path lengths, and decides the other candidates.
         """
         # A keys-view intersection walks the smaller side, so tiny stores and
         # large closures both stay cheap; one Counter call tallies every hit.

@@ -1,4 +1,4 @@
-"""Random model generation for randomized testing and benchmarks.
+"""Random model generation shared by the randomized tests and the sweep scripts.
 
 Attribute nodes are arranged in layers and HAS_ATTR edges only point from
 lower to strictly higher layers, so generated graphs are acyclic by
@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, HAS_ATTR, NodeRef
-from .matcher import AccessQuery
-from .policy import And, ConditionExpr, ConditionType, Decision, Or, PolicyStore, Ref
+from graphabac.graph import Graph, HAS_ATTR, NodeRef
+from graphabac.matcher import AccessQuery
+from graphabac.policy import And, ConditionExpr, ConditionType, Decision, Or, PolicyStore, Ref
 
 
 @dataclass
@@ -106,3 +106,32 @@ def random_notfree_expr(
         random_notfree_expr(rng, nodes, max_depth - 1) for _ in range(width)
     )
     return kind(children)
+
+
+def primitives_reaching(model: RandomModel) -> dict[NodeRef, set[NodeRef]]:
+    """For every node, the primitives whose closure holds it."""
+    g = model.graph
+    reached_by: dict[NodeRef, set[NodeRef]] = {}
+    for p in model.primitives:
+        for n in g.attribute_closure(p, g.attr_depth):
+            reached_by.setdefault(n, set()).add(p)
+    return reached_by
+
+
+def matching_query(
+    rng: random.Random, model: RandomModel, reached_by: dict[NodeRef, set[NodeRef]]
+) -> AccessQuery:
+    """A query that matches at least one stored policy: a policy is drawn and
+    each slot gets a primitive whose closure holds all of that slot's
+    conditions.  ``reached_by`` is ``primitives_reaching(model)``; the
+    policies must be simple, as ``random_model`` makes them."""
+    policies = model.policies.policies()
+    for _ in range(10_000):
+        slots = rng.choice(policies).conditions.values()
+        options = [
+            set.intersection(*(reached_by.get(e.node, set()) for e in exprs))
+            for exprs in slots
+        ]
+        if all(options):
+            return AccessQuery(*(rng.choice(sorted(o)) for o in options))
+    raise ValueError("no stored policy found that some query can match")

@@ -33,9 +33,16 @@ from graphabac import (
 from graphabac.cypher import emit_cypher_data, emit_cypher_decision_query
 from graphabac.errors import MissingConditionTypeError
 from graphabac.matcher import match_single, query_closures
-from graphabac.randmodel import RandomModelConfig, random_model, random_notfree_expr, random_query
 
 from randdocs import MALFORMED_CORPUS, random_document
+from randmodel import (
+    RandomModelConfig,
+    matching_query,
+    primitives_reaching,
+    random_model,
+    random_notfree_expr,
+    random_query,
+)
 from test_cypher import script_structure
 from test_dsl import model_fingerprint
 
@@ -347,3 +354,34 @@ def test_9_desk_scale_performance():
     median = statistics.median(timings)
     assert median < 0.050, f"median {median * 1000:.1f} ms"
     report(9, "desk-scale-performance")
+
+
+def test_9_desk_scale_matching_queries():
+    # Uniform queries on test_9's model match almost nothing, so its timing
+    # leaves out candidate checks and combining.  Here every second query is
+    # built to match a stored policy, as in scripts/policy_sweep.py.
+    rng = random.Random(42)
+    cfg = RandomModelConfig(
+        n_primitives=2000,
+        n_attributes=8000,
+        n_layers=5,
+        edge_factor=3.2,
+        n_policies=1000,
+        anchored_fraction=0.5,
+    )
+    model = random_model(rng, cfg)
+    reached_by = primitives_reaching(model)
+    queries = [
+        matching_query(rng, model, reached_by) if i % 2 else random_query(rng, model)
+        for i in range(100)
+    ]
+    timings, matches = [], 0
+    for q in queries:
+        t0 = time.perf_counter()
+        result = evaluate(model.policies, q, CombiningAlgorithm.DENY_OVERRIDES)
+        timings.append(time.perf_counter() - t0)
+        matches += len(result.matches)
+    assert matches / len(queries) > 0.3, f"{matches} matches"
+    median = statistics.median(timings)
+    assert median < 0.050, f"median {median * 1000:.1f} ms"
+    report(9, "desk-scale-matching-queries")

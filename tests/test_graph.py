@@ -147,13 +147,15 @@ class TestAttributeDepth:
             g.attribute_depth()
         assert exc.value.node_name in ("A", "B")
 
-    def test_freeze_override_only_raises_depth(self):
-        g, _ = chain_graph("a", "b", "c")
-        g.freeze(attr_depth=5)
-        assert g.attr_depth == 5
-        g2, _ = chain_graph("a", "b", "c")
-        g2.freeze(attr_depth=1)
-        assert g2.attr_depth == 2
+    def test_cycle_leaves_graph_unfrozen(self):
+        g, (a, b) = chain_graph("A", "B")
+        g.add_edge(b, HAS_ATTR, a)
+        with pytest.raises(AttributeCycleError):
+            g.freeze()
+        assert not g.frozen
+        c = g.add_node("C")
+        g.add_edge(a, HAS_ATTR, c)
+        assert g.attribute_closure(a, 2) == {a: 0, b: 1, c: 1}
 
 
 class TestFreeze:
@@ -164,6 +166,57 @@ class TestFreeze:
             g.add_node("c")
         with pytest.raises(FrozenGraphError):
             g.add_edge(a, HAS_ATTR, b)
+
+    def test_edges_read_the_same_before_and_after(self):
+        # HAS_ATTR and other relationship types are stored apart; every
+        # edge reader must report both, the same way on either side of
+        # freeze().
+        g = Graph()
+        r, a, b, c = (g.add_node(n) for n in "rabc")
+        for src, rel, dst in (
+            (r, HAS_ATTR, b), (r, "SUB_CON", c), (r, HAS_ATTR, a), (a, HAS_ATTR, c),
+            (c, "RELATES_TO", c), (b, "SUB_CON", a), (r, "RELATES_TO", a),
+        ):
+            g.add_edge(src, rel, dst)
+
+        def observe():
+            refs = range(g.node_count())
+            rels = (HAS_ATTR, "SUB_CON", "RELATES_TO", "ABSENT")
+            return (
+                list(g.edges()),
+                [g.edge_count(rel) for rel in (None, *rels)],
+                [g.has_edge(x, rel, y) for x in refs for rel in rels for y in refs],
+                [g.out_neighbors(x, rel) for x in refs for rel in rels],
+                [list(g.attribute_closure(x, 2)) for x in refs],
+            )
+
+        before = observe()
+        g.freeze()
+        assert observe() == before
+        edges, counts = before[:2]
+        assert edges == [
+            (r, HAS_ATTR, a), (r, HAS_ATTR, b), (r, "RELATES_TO", a), (r, "SUB_CON", c),
+            (a, HAS_ATTR, c), (b, "SUB_CON", a), (c, "RELATES_TO", c),
+        ]
+        assert counts == [7, 3, 2, 2, 0]
+        assert before[4][r] == [r, a, b, c]
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_edge_lookups_reject_unknown_refs(self, frozen):
+        # Children are a list indexed by ref, so a negative ref would wrap
+        # to the last node instead of failing.
+        g, (a, b) = chain_graph("a", "b")
+        if frozen:
+            g.freeze()
+        for bad in (-1, 2):
+            with pytest.raises(UnknownNodeError):
+                g.has_edge(bad, HAS_ATTR, b)
+            with pytest.raises(UnknownNodeError):
+                g.has_edge(a, HAS_ATTR, bad)
+            with pytest.raises(UnknownNodeError):
+                g.out_neighbors(bad, HAS_ATTR)
+            with pytest.raises(UnknownNodeError):
+                g.out_neighbors(bad, "RELATES_TO")
 
 
 # -- randomized properties -------------------------------------------

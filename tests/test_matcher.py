@@ -29,7 +29,8 @@ from graphabac.errors import (
 )
 from graphabac.matcher import match_single, match_single_oracle, query_closures
 from graphabac.policy import ref_leaves
-from graphabac.randmodel import RandomModelConfig, random_model, random_query
+
+from randmodel import RandomModelConfig, random_model, random_query
 
 SUB = ConditionType.SUB_CON
 ACT = ConditionType.ACT_CON
@@ -221,10 +222,13 @@ def _random_slot(rng, nodes):
 
 class TestProperties:
     def test_monotone_under_new_edges(self):
-        # Adding a HAS_ATTR edge never removes a Not-free match (at a fixed
-        # traversal depth at least as large as before).
+        # Adding a HAS_ATTR edge never removes a Not-free match (at a
+        # traversal depth at least as large as before).  A frozen graph
+        # cannot change, so each trial builds the graph again with the
+        # extra edge and a new store holding the same policies.
         rng = random.Random(11)
         cfg = RandomModelConfig(n_primitives=4, n_attributes=8, n_layers=3, n_policies=8)
+        grew = 0
         for trial in range(20):
             model = random_model(random.Random(trial), cfg)
             q = random_query(rng, model)
@@ -239,14 +243,22 @@ class TestProperties:
             if not candidates:
                 continue
             a, b = rng.choice(candidates)
-            g._frozen = False  # test-only: reopen the frozen graph
-            g.add_edge(a, HAS_ATTR, b)
-            g.freeze()
-            after = {
-                m.policy.name
-                for m in matching_policies(model.policies, q, depth=g.attr_depth)
-            }
+            g2 = Graph()
+            for node in g.nodes():
+                g2.add_node(node.name, node.labels, node.properties)
+            for src, rel, dst in (*g.edges(), (a, HAS_ATTR, b)):
+                g2.add_edge(src, rel, dst)
+            g2.freeze()
+            assert g2.attr_depth >= g.attr_depth
+            store = PolicyStore(g2)
+            for p in model.policies.policies():
+                store.create_policy(p.name, p.decision, p.conditions, p.score)
+            matches = matching_policies(store, q)
+            after = {m.policy.name for m in matches}
             assert before <= after
+            assert matches == matching_policies_oracle(store, q)
+            grew += after > before
+        assert grew > 0
 
     def test_zero_length_reflexivity(self):
         rng = random.Random(5)
@@ -310,14 +322,14 @@ class TestCompoundMatching:
         bad = g.add_node("Blocked", ("Attribute",))
         act = g.add_node("Go", ("Primitive",))
         obj = g.add_node("Door", ("Primitive",))
-        g.freeze(attr_depth=4)
+        g.freeze()
         store = PolicyStore(g)
         store.create_policy(
             "NotBlocked",
             Decision.PERMIT,
             {SUB: {Not(Ref(bad))}, ACT: {Ref(act)}, OBJ: {Ref(obj)}},
         )
-        (m,) = matching_policies(store, AccessQuery(s, act, obj))
+        (m,) = matching_policies(store, AccessQuery(s, act, obj), depth=4)
         assert m.len_sub == 5  # depth 4 + 1
         oracle = match_single_oracle(g, store.get("NotBlocked"), AccessQuery(s, act, obj), 4)
         assert oracle == m
@@ -489,6 +501,44 @@ class TestIndexEdgeCases:
             assert [m.policy.name for m in got] == names, depth
             assert got == matching_policies_oracle(store, q, depth)
 
+    def test_unreached_top_level_ref_is_not_a_candidate(self):
+        # A compound policy is posted under its plain top-level refs, so the
+        # count rules it out before match_single runs.
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        store.create_policy(
+            "Compound",
+            Decision.PERMIT,
+            {SUB: {Ref(a2), Or((Ref(a1), Ref(obj)))}, ACT: {Ref(act)}, OBJ: {Ref(obj)}},
+        )
+        q = AccessQuery(s, act, obj)
+        assert store.candidates(query_closures(store, q, 1)) == []
+        assert matching_policies(store, q, 1) == [] == matching_policies_oracle(store, q, 1)
+        assert store.candidates(query_closures(store, q, 2)) == [0]
+        (m,) = matching_policies(store, q, 2)
+        assert [m] == matching_policies_oracle(store, q, 2)
+
+    def test_policy_without_top_level_ref_is_always_a_candidate(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        store.create_policy(
+            "NoRefs",
+            Decision.PERMIT,
+            {
+                SUB: {Not(Ref(a2))},
+                ACT: {Or((Ref(act), Ref(obj)))},
+                OBJ: {Or((Ref(a1), Ref(a2)))},
+            },
+        )
+        queries = (AccessQuery(s, act, obj), AccessQuery(act, act, act), AccessQuery(obj, s, a1))
+        for depth in range(g.attr_depth + 1):
+            for q in queries:
+                assert store.candidates(query_closures(store, q, depth)) == [0]
+                got = matching_policies(store, q, depth)
+                assert got == matching_policies_oracle(store, q, depth)
+        (m,) = matching_policies(store, queries[0], 1)
+        assert m.policy.name == "NoRefs"
+
 
 class TestTrimmedClosures:
     def test_exact_at_every_condition_node(self):
@@ -580,15 +630,19 @@ class TestTrimmedClosures:
         assert not any(sink in children for children in adjacency)
         assert matching_policies(store, q) == before
 
-    def test_follows_edges_added_before_freeze(self):
+    def test_unfrozen_graph_is_rejected(self):
+        # The trimmed copy is taken of the frozen graph only, so it can
+        # never go stale under the store.
         g = Graph()
         s, a, z = (g.add_node(n) for n in ("s", "a", "z"))
         g.add_edge(s, HAS_ATTR, a)
         store = PolicyStore(g)
         store.create_policy("OnZ", Decision.PERMIT, {t: {Ref(z)} for t in ConditionType})
         q = AccessQuery(s, s, s)
-        assert z not in query_closures(store, q, 2)[SUB]
+        with pytest.raises(NotFrozenError):
+            query_closures(store, q, 2)
         g.add_edge(a, HAS_ATTR, z)
+        g.freeze()
         assert query_closures(store, q, 2)[SUB] == {s: 0, a: 1, z: 2}
 
     def test_concurrent_first_queries_build_one_copy(self, monkeypatch):

@@ -223,7 +223,7 @@ class TestDnfExpand:
 
     def test_output_count_matches_term_product(self):
         from graphabac.policy import _dnf_terms
-        from graphabac.randmodel import random_notfree_expr
+        from randmodel import random_notfree_expr
 
         g = Graph()
         nodes = [g.add_node(f"n{i}", ("Attribute",)) for i in range(6)]
