@@ -190,6 +190,9 @@ def _serve_one(
 def cmd_serve(args) -> int:
     model = _load(args.model)
     default_alg = CombiningAlgorithm(args.algorithm)
+    # Requests are UTF-8 JSON.  Bytes that do not decode become U+FFFD, so
+    # their line fails as JSON and gets a Deny instead of ending the process.
+    sys.stdin.reconfigure(encoding="utf-8", errors="replace")
     serve_loop(model, default_alg, sys.stdin, sys.stdout, depth=args.depth)
     return EXIT_PERMIT
 

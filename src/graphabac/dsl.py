@@ -16,14 +16,26 @@ Grammar (``#`` starts a line comment):
 Multiple expressions in one slot form that slot's conjunctive condition
 set.  Parsing is total: malformed input yields positioned errors, never an
 exception, and the parser resynchronizes at the next statement keyword.
+
+The text is lexed in one ``finditer`` pass into ``(kind, value, offset)``
+tuples: kind is ``IDENT``, ``STRING``, ``INT``, ``PUNCT`` or, last,
+``EOF``; value is the token text (a string's unescaped contents); offset is
+the character index where the token starts.  Tokens stream to the parser,
+which holds one lookahead token, and lexer errors go straight into the
+parser's error list.  Line and column are computed only where they are
+recorded, on a ``ModelError``, ``NodeDecl``, ``EdgeDecl``, ``PolicyDecl``
+or ``NameRef``, by bisecting the text's line starts: lines end at
+``\\n`` and count from 1, and every other character, ``\\r`` and tab
+included, is one column.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
     AbacError,
@@ -149,153 +161,128 @@ class LoadedModel:
     policies: PolicyStore
 
 
-# -- tokenizer --------------------------------------------------------
+# -- lexer and parser -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT STRING INT PUNCT EOF ERROR
-    value: str
-    line: int
-    col: int
-
-
+# Alternatives are tried in order at each offset; every character matches
+# one of them, so ``finditer`` never skips text.  ``.`` does not match a
+# newline, which always lexes as whitespace, so no string spans lines.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<badstring>"[^"\n]*)
-    | (?P<int>-?\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<arrow>-\[|\]->)
-    | (?P<punct>[{}():,;=])
+      (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<PUNCT>-\[|\]->|[{}():,;=])
+    | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+    | (?P<BADSTRING>"[^"\n]*)
+    | (?P<INT>-?\d+)
+    | (?P<CHAR>.)
     """,
     re.VERBOSE,
 )
 
+# One escape per match, paired left to right as the lexer pairs them:
+# group 1 is a valid escaped character, group 2 an invalid one.
+_ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 
-def _tokenize(text: str) -> tuple[list[_Token], list[ModelError]]:
-    tokens: list[_Token] = []
-    errors: list[ModelError] = []
-    line, col, pos = 1, 1, 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            errors.append(ModelError(line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
-        raw = m.group(0)
+
+def _locator(text: str) -> Callable[[int], tuple[int, int]]:
+    """Map a character offset into ``text`` to its 1-based (line, column)."""
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def where(offset: int) -> tuple[int, int]:
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    return where
+
+
+def _lex(
+    text: str, errors: list[ModelError], where: Callable[[int], tuple[int, int]]
+) -> Iterator[tuple[str, str, int]]:
+    """Yield ``(kind, value, offset)`` per token, then ``EOF``; lexer errors
+    go to ``errors`` as the scan reaches them."""
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "string":
-            value, err = _unescape(raw, line, col)
-            if err is not None:
-                errors.append(err)
-            tokens.append(_Token("STRING", value, line, col))
-        elif kind == "badstring":
-            errors.append(ModelError(line, col, "unterminated string literal"))
-        elif kind == "int":
-            tokens.append(_Token("INT", raw, line, col))
-        elif kind == "ident":
-            tokens.append(_Token("IDENT", raw, line, col))
-        elif kind in ("arrow", "punct"):
-            tokens.append(_Token("PUNCT", raw, line, col))
-        # whitespace and comments are dropped
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens, errors
-
-
-def _unescape(raw: str, line: int, col: int) -> tuple[str, Optional[ModelError]]:
-    body = raw[1:-1]
-    out: list[str] = []
-    err: Optional[ModelError] = None
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            nxt = body[i + 1] if i + 1 < len(body) else ""
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-            err = err or ModelError(line, col, f"invalid escape sequence \\{nxt}")
-            i += 2
+        if kind == "SKIP":
             continue
-        out.append(ch)
-        i += 1
-    return "".join(out), err
-
-
-# -- parser -----------------------------------------------------------
+        if kind == "STRING":
+            value = m.group()[1:-1]
+            if "\\" in value:
+                invalid = [bad for _, bad in _ESCAPE_RE.findall(value) if bad]
+                if invalid:
+                    message = f"invalid escape sequence \\{invalid[0]}"
+                    errors.append(ModelError(*where(m.start()), message))
+                value = _ESCAPE_RE.sub(r"\1", value)
+            yield kind, value, m.start()
+        elif kind == "BADSTRING":
+            errors.append(ModelError(*where(m.start()), "unterminated string literal"))
+        elif kind == "CHAR":
+            message = f"unexpected character {m.group()!r}"
+            errors.append(ModelError(*where(m.start()), message))
+        else:
+            yield kind, m.group(), m.start()
+    yield "EOF", "", len(text)
 
 
 class _SyntaxFailure(Exception):
-    def __init__(self, token: _Token, message: str):
+    def __init__(self, offset: int, message: str):
         super().__init__(message)
-        self.token = token
+        self.offset = offset
         self.message = message
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
         self.errors: list[ModelError] = []
+        self.where = _locator(text)
+        # The token stream holds no reference back to the parser, so the
+        # scan state is freed with the parser, not at a cyclic collection.
+        self._next = _lex(text, self.errors, self.where).__next__
+        self.tok = self._next()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tok
+        if tok[0] != "EOF":
+            self.tok = self._next()
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value in words
+        kind, value, _ = self.tok
+        return kind == "IDENT" and value in words
 
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == value:
-            return self.advance()
-        raise _SyntaxFailure(tok, f"expected {value!r}, found {tok.value or 'end of input'!r}")
+    def at_punct(self, value: str) -> bool:
+        kind, found, _ = self.tok
+        return kind == "PUNCT" and found == value
 
-    def expect_keyword(self, *words: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in words:
-            return self.advance()
-        want = " or ".join(repr(w) for w in words)
-        raise _SyntaxFailure(tok, f"expected {want}, found {tok.value or 'end of input'!r}")
+    def unexpected(self, wanted: str) -> _SyntaxFailure:
+        """The failure for a lookahead token that is not ``wanted``."""
+        _, value, offset = self.tok
+        return _SyntaxFailure(offset, f"expected {wanted}, found {value or 'end of input'!r}")
 
-    def parse_name(self) -> _Token:
-        tok = self.peek()
-        if tok.kind == "STRING":
+    def expect_punct(self, value: str) -> None:
+        if not self.at_punct(value):
+            raise self.unexpected(repr(value))
+        self.advance()
+
+    def expect_keyword(self, *words: str) -> tuple[str, str, int]:
+        if not self.at_keyword(*words):
+            raise self.unexpected(" or ".join(repr(w) for w in words))
+        return self.advance()
+
+    def parse_name(self) -> tuple[str, str, int]:
+        kind, value, _ = self.tok
+        if kind == "STRING" or (kind == "IDENT" and value not in KEYWORDS):
             return self.advance()
-        if tok.kind == "IDENT" and tok.value not in KEYWORDS:
-            return self.advance()
-        raise _SyntaxFailure(tok, f"expected a name, found {tok.value or 'end of input'!r}")
+        raise self.unexpected("a name")
 
     def resync(self) -> None:
         # Skip forward to the next statement keyword (or EOF).
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF" or self.at_keyword("node", "edge", "policy"):
-                return
+        while self.tok[0] != "EOF" and not self.at_keyword("node", "edge", "policy"):
             self.advance()
 
     def parse_model(self) -> ModelDocument:
         doc = ModelDocument()
-        while self.peek().kind != "EOF":
+        while self.tok[0] != "EOF":
             try:
                 if self.at_keyword("node"):
                     doc.nodes.append(self.parse_node())
@@ -304,15 +291,9 @@ class _Parser:
                 elif self.at_keyword("policy"):
                     doc.policies.append(self.parse_policy())
                 else:
-                    tok = self.peek()
-                    raise _SyntaxFailure(
-                        tok,
-                        f"expected 'node', 'edge' or 'policy', found {tok.value or 'end of input'!r}",
-                    )
+                    raise self.unexpected("'node', 'edge' or 'policy'")
             except _SyntaxFailure as fail:
-                self.errors.append(
-                    ModelError(fail.token.line, fail.token.col, fail.message)
-                )
+                self.errors.append(ModelError(*self.where(fail.offset), fail.message))
                 # Keep the token when it can start the next statement; the
                 # statement's own keyword is consumed before any failure, so
                 # this always makes progress.
@@ -324,139 +305,130 @@ class _Parser:
 
     def parse_node(self) -> NodeDecl:
         kw = self.expect_keyword("node")
-        name = self.parse_name()
+        name = self.parse_name()[1]
         self.expect_punct(":")
         labels = [self.expect_label()]
-        while self.peek().kind == "PUNCT" and self.peek().value == ",":
+        while self.at_punct(","):
             self.advance()
             labels.append(self.expect_label())
-        props: dict[str, Scalar] = {}
-        if self.peek().kind == "PUNCT" and self.peek().value == "{":
-            props = self.parse_props()
-        return NodeDecl(name.value, tuple(labels), props, kw.line, kw.col)
+        props = self.parse_props() if self.at_punct("{") else {}
+        return NodeDecl(name, tuple(labels), props, *self.where(kw[2]))
 
     def expect_label(self) -> str:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value not in KEYWORDS:
-            return self.advance().value
-        raise _SyntaxFailure(tok, f"expected a label, found {tok.value or 'end of input'!r}")
+        kind, value, _ = self.tok
+        if kind == "IDENT" and value not in KEYWORDS:
+            return self.advance()[1]
+        raise self.unexpected("a label")
 
     def parse_props(self) -> dict[str, Scalar]:
         self.expect_punct("{")
         props: dict[str, Scalar] = {}
         while True:
-            key = self.peek()
-            if key.kind != "IDENT":
-                raise _SyntaxFailure(key, "expected a property key")
+            kind, key, offset = self.tok
+            if kind != "IDENT":
+                raise _SyntaxFailure(offset, "expected a property key")
             self.advance()
             self.expect_punct("=")
-            props[key.value] = self.parse_scalar()
-            if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                self.advance()
-                continue
-            break
+            props[key] = self.parse_scalar()
+            if not self.at_punct(","):
+                break
+            self.advance()
         self.expect_punct("}")
         return props
 
     def parse_scalar(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            return self.advance().value
-        if tok.kind == "INT":
-            return int(self.advance().value)
-        if tok.kind == "IDENT" and tok.value in ("true", "false"):
-            return self.advance().value == "true"
-        raise _SyntaxFailure(tok, f"expected a scalar value, found {tok.value or 'end of input'!r}")
+        kind, value, _ = self.tok
+        if kind == "STRING":
+            return self.advance()[1]
+        if kind == "INT":
+            return int(self.advance()[1])
+        if kind == "IDENT" and value in ("true", "false"):
+            return self.advance()[1] == "true"
+        raise self.unexpected("a scalar value")
 
     def parse_edge(self) -> EdgeDecl:
         kw = self.expect_keyword("edge")
-        src = self.parse_name()
+        src = self.parse_name()[1]
         self.expect_punct("-[")
-        rel = self.peek()
-        if rel.kind != "IDENT":
-            raise _SyntaxFailure(rel, "expected a relationship type")
+        kind, rel, offset = self.tok
+        if kind != "IDENT":
+            raise _SyntaxFailure(offset, "expected a relationship type")
         self.advance()
         self.expect_punct("]->")
-        dst = self.parse_name()
-        return EdgeDecl(src.value, rel.value, dst.value, kw.line, kw.col)
+        dst = self.parse_name()[1]
+        return EdgeDecl(src, rel, dst, *self.where(kw[2]))
 
     def parse_policy(self) -> PolicyDecl:
         kw = self.expect_keyword("policy")
-        name = self.parse_name()
-        decision_tok = self.expect_keyword("permit", "deny")
-        decision = Decision.PERMIT if decision_tok.value == "permit" else Decision.DENY
+        name = self.parse_name()[1]
+        permit = self.expect_keyword("permit", "deny")[1] == "permit"
+        decision = Decision.PERMIT if permit else Decision.DENY
         score: Optional[int] = None
         if self.at_keyword("score"):
             self.advance()
-            tok = self.peek()
-            if tok.kind != "INT":
-                raise _SyntaxFailure(tok, "expected an integer score")
-            score = int(self.advance().value)
+            kind, value, offset = self.tok
+            if kind != "INT":
+                raise _SyntaxFailure(offset, "expected an integer score")
+            self.advance()
+            score = int(value)
         self.expect_punct("{")
         slots: dict[ConditionType, list[ExprDecl]] = {}
-        while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
-            ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES).value]
+        while not self.at_punct("}"):
+            ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES)[1]]
             self.expect_punct(":")
             exprs = slots.setdefault(ctype, [])
             exprs.append(self.parse_expr())
-            while self.peek().kind == "PUNCT" and self.peek().value == ";":
+            while self.at_punct(";"):
                 self.advance()
-                if self._at_expr_start():
-                    exprs.append(self.parse_expr())
-                else:
+                if not self._at_expr_start():
                     break
+                exprs.append(self.parse_expr())
         self.expect_punct("}")
         if not slots:
-            raise _SyntaxFailure(kw, f"policy {name.value!r} declares no condition slots")
-        return PolicyDecl(name.value, decision, score, slots, kw.line, kw.col)
+            raise _SyntaxFailure(kw[2], f"policy {name!r} declares no condition slots")
+        return PolicyDecl(name, decision, score, slots, *self.where(kw[2]))
 
     def _at_expr_start(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            return True
-        if tok.kind == "PUNCT" and tok.value == "(":
-            return True
-        if tok.kind == "IDENT":
-            return tok.value == "not" or tok.value not in KEYWORDS
-        return False
+        kind, value, _ = self.tok
+        if kind == "IDENT":
+            return value == "not" or value not in KEYWORDS
+        return kind == "STRING" or self.at_punct("(")
 
     def parse_expr(self) -> ExprDecl:
-        tok = self.peek()
         if self.at_keyword("not"):
             self.advance()
             return NotExpr(self.parse_expr())
-        if tok.kind == "PUNCT" and tok.value == "(":
+        if self.at_punct("("):
             self.advance()
             children = [self.parse_expr()]
             op: Optional[str] = None
             while self.at_keyword("and", "or"):
-                op_tok = self.advance()
+                _, value, offset = self.advance()
                 if op is None:
-                    op = op_tok.value
-                elif op != op_tok.value:
+                    op = value
+                elif op != value:
                     raise _SyntaxFailure(
-                        op_tok, "mixed 'and'/'or' in one group; add parentheses"
+                        offset, "mixed 'and'/'or' in one group; add parentheses"
                     )
                 children.append(self.parse_expr())
             if op is None:
                 raise _SyntaxFailure(
-                    self.peek(), "expected 'and' or 'or' inside parentheses"
+                    self.tok[2], "expected 'and' or 'or' inside parentheses"
                 )
             self.expect_punct(")")
             if op == "and":
                 return AndExpr(tuple(children))
             return OrExpr(tuple(children))
-        name = self.parse_name()
-        return NameRef(name.value, name.line, name.col)
+        _, name, offset = self.parse_name()
+        return NameRef(name, *self.where(offset))
 
 
 def parse_model(text: str) -> ModelDocument:
     """Parse source text into a ModelDocument; syntax errors land in
     ``document.errors`` with line/column positions."""
-    tokens, lex_errors = _tokenize(text)
-    parser = _Parser(tokens)
-    parser.errors.extend(lex_errors)
-    doc = parser.parse_model()
+    doc = _Parser(text).parse_model()
+    # Stable: at one position a lexer error was recorded before the parser
+    # could fail on the token there.
     doc.errors.sort(key=lambda e: (e.line, e.col))
     return doc
 
@@ -556,10 +528,11 @@ def load_model(text: str) -> LoadedModel:
 
 
 def load_model_file(path) -> LoadedModel:
-    """Read and load a UTF-8 model file.  Undecodable bytes raise
-    ModelLoadError like any other malformed input; OSError passes through."""
+    """Read and load a UTF-8 model file; a leading byte-order mark is
+    dropped.  Undecodable bytes raise ModelLoadError like any other
+    malformed input; OSError passes through."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         message = f"model file is not UTF-8 text: {exc}"

@@ -129,34 +129,30 @@ def _slot_length(
     """Match one condition slot against a precomputed closure.
 
     Returns the slot's contribution to the policy length, or None when the
-    slot fails.  One pass over a simple slot checks that every Ref is in
-    the closure and keeps the nearest; a slot with any other expression
-    evaluates every expression recursively.  A slot whose only satisfied
-    evidence is negative (no true Ref leaf) contributes depth + 1, one more
-    than any real path can be.
+    slot fails.  One pass over the slot: a Ref must be in the closure and
+    gives its hop; any other expression must evaluate true and gives the
+    nearest hop of its Ref leaves that are in the closure.  The slot
+    contributes 1 + the nearest hop, or depth + 1, one more than any real
+    path can be, when no leaf is in the closure (its only satisfied
+    evidence is negative).  The closure must be built at ``depth``, so no
+    hop exceeds it and starting the nearest hop at ``depth`` covers both.
     """
-    nearest: Optional[int] = None
+    nearest = depth
     for e in exprs:
-        if not isinstance(e, Ref):
-            break
-        h = closure.get(e.node)
-        if h is None:
-            # A false Ref fails the slot, simple or compound.
+        if isinstance(e, Ref):
+            h = closure.get(e.node)
+            if h is None:
+                return None
+        elif _eval_with_closure(closure, e):
+            h = min(
+                (closure[leaf.node] for leaf in ref_leaves(e) if leaf.node in closure),
+                default=depth,
+            )
+        else:
             return None
-        if nearest is None or h < nearest:
+        if h < nearest:
             nearest = h
-    else:
-        return 1 + nearest
-    for e in exprs:
-        if not _eval_with_closure(closure, e):
-            return None
-    hops = [
-        closure[leaf.node]
-        for e in exprs
-        for leaf in ref_leaves(e)
-        if leaf.node in closure
-    ]
-    return 1 + min(hops) if hops else depth + 1
+    return 1 + nearest
 
 
 def match_single(

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -151,6 +152,15 @@ class TestValidate:
         assert captured.err.startswith(f"{path}:0:0: model file is not UTF-8 text")
         assert captured.out == ""
 
+    def test_byte_order_mark_is_dropped(self, model_path, tmp_path, capsys):
+        path = tmp_path / "bom.abac"
+        path.write_text("\ufeff" + bundled_model_text(), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert "3 policies valid" in capsys.readouterr().out
+        for model in (model_path, str(path)):
+            assert main(["check", model, "Sue", "Read", "MR_1234"]) == 0
+            assert capsys.readouterr().out.strip() == "Permit"
+
     def test_condition_on_policy_node_exit_one(self, tmp_path, capsys):
         path = tmp_path / "m.abac"
         path.write_text(
@@ -268,6 +278,22 @@ class TestServe:
         assert code == 2
         assert out == ""
         assert "--depth" in err
+
+    def test_undecodable_bytes_fail_closed(self, model_path):
+        # A strict stdin decoder, as an ordinary UTF-8 locale gives.
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+        ok = self.request(id="1", subject="John", action="Write", object="MR_1234")
+        stdin = (ok + "\n").encode() + b"\xff\xfe bad\n" + (ok + "\n").encode()
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphabac", "serve", model_path],
+            input=stdin,
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        responses = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["decision"] for r in responses] == ["Permit", "Deny", "Permit"]
+        assert responses[1]["error"]
 
     def test_subprocess_round_trip(self, model_path):
         stdin = "\n".join(

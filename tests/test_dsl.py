@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -143,6 +145,21 @@ class TestParseModel:
         assert model.graph.find_node('He said "hi"') is not None
         assert model.graph.find_node("a\\b") is not None
 
+    def test_parser_freed_without_cycle_collection(self, healthcare_text):
+        # A reference cycle through the token stream would keep the scan
+        # state alive after parsing, until the next cyclic collection.
+        from graphabac.dsl import _Parser
+
+        gc.disable()
+        try:
+            parser = _Parser(healthcare_text)
+            assert not parser.parse_model().errors
+            alive = weakref.ref(parser)
+            del parser
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_scores_and_properties(self):
         text = (
             'node a : Attribute {weight = 3, tag = "x", flag = true}\n'
@@ -163,6 +180,59 @@ class TestMalformedInputs:
         for err in doc.errors:
             assert err.line >= 1 and err.col >= 1
             assert err.message
+
+
+class TestErrorPositions:
+    # (line, col, message) of every error, in order.  Lines end at "\n"
+    # only; "\r" and tab are one column each.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(
+                "node a : X\nnode b : Y\n\t$ node c : Z\n",
+                [(3, 2, "unexpected character '$'")],
+                id="after-tab",
+            ),
+            pytest.param(
+                'node "abc : X\nnode b : Y\n',
+                [
+                    (1, 6, "unterminated string literal"),
+                    (2, 1, "expected a name, found 'node'"),
+                ],
+                id="unterminated-string",
+            ),
+            pytest.param(
+                'node a : X {k = "x\\qy"}\n',
+                [(1, 17, "invalid escape sequence \\q")],
+                id="invalid-escape",
+            ),
+            pytest.param(
+                "node a : X\r\nnode b : @\r\nnode c :\r\n",
+                [
+                    (2, 10, "unexpected character '@'"),
+                    (3, 1, "expected a label, found 'node'"),
+                    (4, 1, "expected a label, found 'end of input'"),
+                ],
+                id="crlf",
+            ),
+            pytest.param(
+                "node a : X\nnode b :",
+                [(2, 9, "expected a label, found 'end of input'")],
+                id="end-of-input",
+            ),
+            pytest.param(
+                'node a : "l\\x"\n',
+                [
+                    (1, 10, "invalid escape sequence \\x"),
+                    (1, 10, "expected a label, found 'l'"),
+                ],
+                id="lexer-error-first",
+            ),
+        ],
+    )
+    def test_exact_positions(self, text, expected):
+        errors = parse_model(text).errors
+        assert [(e.line, e.col, e.message) for e in errors] == expected
 
 
 class TestSerializeModel:
