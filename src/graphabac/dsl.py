@@ -14,8 +14,10 @@ Grammar (``#`` starts a line comment):
     name     ::= IDENT | DQUOTED_STRING
 
 Multiple expressions in one slot form that slot's conjunctive condition
-set.  Parsing is total: malformed input yields positioned errors, never an
-exception, and the parser resynchronizes at the next statement keyword.
+set.  An expression nests ``not`` and ``(`` at most ``MAX_NESTING`` levels
+deep.  Parsing is total: malformed input yields positioned errors, never an
+exception, and the parser resynchronizes at the next statement keyword.  A
+policy that nests deeper is one error, at the policy.
 
 The text is lexed in one ``finditer`` pass into ``(kind, value, offset)``
 tuples: kind is ``IDENT``, ``STRING``, ``INT``, ``PUNCT`` or, last,
@@ -71,6 +73,11 @@ KEYWORDS = frozenset(
 _SLOT_TYPES = {t.value: t for t in ConditionType}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# The deepest nesting of `not` and `(` one expression may have.  Parsing,
+# loading and matching walk expressions recursively, so a bound well under
+# the interpreter's recursion limit keeps every walk safe.
+MAX_NESTING = 100
 
 
 # -- syntax tree ------------------------------------------------------
@@ -231,6 +238,10 @@ class _SyntaxFailure(Exception):
         self.message = message
 
 
+class _TooDeep(Exception):
+    """An expression nests deeper than MAX_NESTING."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.errors: list[ModelError] = []
@@ -373,16 +384,21 @@ class _Parser:
             score = int(value)
         self.expect_punct("{")
         slots: dict[ConditionType, list[ExprDecl]] = {}
-        while not self.at_punct("}"):
-            ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES)[1]]
-            self.expect_punct(":")
-            exprs = slots.setdefault(ctype, [])
-            exprs.append(self.parse_expr())
-            while self.at_punct(";"):
-                self.advance()
-                if not self._at_expr_start():
-                    break
+        try:
+            while not self.at_punct("}"):
+                ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES)[1]]
+                self.expect_punct(":")
+                exprs = slots.setdefault(ctype, [])
                 exprs.append(self.parse_expr())
+                while self.at_punct(";"):
+                    self.advance()
+                    if not self._at_expr_start():
+                        break
+                    exprs.append(self.parse_expr())
+        except _TooDeep:
+            raise _SyntaxFailure(
+                kw[2], f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
+            ) from None
         self.expect_punct("}")
         if not slots:
             raise _SyntaxFailure(kw[2], f"policy {name!r} declares no condition slots")
@@ -394,13 +410,18 @@ class _Parser:
             return value == "not" or value not in KEYWORDS
         return kind == "STRING" or self.at_punct("(")
 
-    def parse_expr(self) -> ExprDecl:
+    def parse_expr(self, room: int = MAX_NESTING) -> ExprDecl:
+        """One expression, with at most ``room`` levels of `not` and `(`."""
         if self.at_keyword("not"):
+            if not room:
+                raise _TooDeep
             self.advance()
-            return NotExpr(self.parse_expr())
+            return NotExpr(self.parse_expr(room - 1))
         if self.at_punct("("):
+            if not room:
+                raise _TooDeep
             self.advance()
-            children = [self.parse_expr()]
+            children = [self.parse_expr(room - 1)]
             op: Optional[str] = None
             while self.at_keyword("and", "or"):
                 _, value, offset = self.advance()
@@ -410,7 +431,7 @@ class _Parser:
                     raise _SyntaxFailure(
                         offset, "mixed 'and'/'or' in one group; add parentheses"
                     )
-                children.append(self.parse_expr())
+                children.append(self.parse_expr(room - 1))
             if op is None:
                 raise _SyntaxFailure(
                     self.tok[2], "expected 'and' or 'or' inside parentheses"

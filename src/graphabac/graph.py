@@ -212,6 +212,24 @@ class Graph:
             reaches[n] = bool(kept) or n in targets
         return tuple(trimmed)
 
+    def path_counts(self) -> list[int]:
+        """For each node of the frozen graph, the number of HAS_ATTR paths
+        that reach it from a source node (one with no parent), a source
+        counting itself as one: an estimate of how many query closures
+        hold the node.  One pass in topological order.
+        """
+        if not self._frozen:
+            raise NotFrozenError("freeze the graph before counting paths")
+        adj = self._children
+        counts = [0] * len(adj)
+        for n in self._topological_order():
+            # Every parent comes first and adds at least one, so a count
+            # still at zero here is a source's.
+            c = counts[n] = counts[n] or 1
+            for m in adj[n]:
+                counts[m] += c
+        return counts
+
     def attribute_depth(self) -> int:
         """Length of the longest simple HAS_ATTR path (longest path on a DAG).
 

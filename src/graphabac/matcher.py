@@ -12,16 +12,17 @@ in memory:
    is found at the same minimal hop count as in the full graph, within the
    same depth bound; nodes that lead nowhere are never visited.  On an
    unfrozen graph it raises ``NotFrozenError``.
-2. ``PolicyStore.candidates`` looks up each closure node in the store's
-   condition index, which gives the policies with that node as a plain
-   top-level condition in that slot: the ``(sc)-[:SUB_CON]->(pol)`` step
-   of each stage.  One counter tallies the hits per policy over all three
-   slots.
-3. One rule covers every policy: it is a candidate iff its tally equals
-   its count of top-level refs.  For a simple policy that is
-   ``sat_cons = req_cons`` in every stage, so the candidate is a match.
-   For a compound policy it is a necessary condition, and a policy with
-   no top-level ref at all is always a candidate.
+2. ``PolicyStore.candidates`` looks up each closure node among the keys
+   of the store's condition index.  Each policy with a plain top-level
+   condition is posted there once, under the one ``(slot, node)`` of its
+   top-level refs that the fewest closures are likely to reach
+   (``Graph.path_counts``): one ``(sc)-[:SUB_CON]->(pol)`` edge of its
+   stage, picked so that a query finds few policies by it.
+3. Each policy found by its key is checked against the rest of its
+   top-level refs, which must all be in their slots' closures: the rest of
+   every stage's ``sat_cons = req_cons``.  For a simple policy that makes
+   it a match.  For a compound policy it is a necessary condition, and a
+   policy with no top-level ref at all is always a candidate.
 
 Only the candidates reach ``match_single``, which checks the three slots
 against the shared closures, decides the compound candidates and supplies
@@ -56,6 +57,7 @@ from .policy import (
     Policy,
     PolicyStore,
     Ref,
+    _SLOTS,
     ref_leaves,
 )
 
@@ -96,10 +98,6 @@ class PolicyMatch:
 # -- closure-based evaluation (production path) -----------------------
 
 Closures = dict[ConditionType, dict[NodeRef, int]]
-
-# Iterating the enum class runs a Python-level generator; the hot paths
-# iterate this tuple instead.
-_SLOTS = tuple(ConditionType)
 
 
 def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:

@@ -10,36 +10,43 @@ that rejects a policy with an empty slot or a condition that does not name
 an attribute or primitive node, so every stored policy is well-formed.
 
 The store also keeps the policy side of the paper's decision statement as
-an inverted index, which ``PolicyStore.candidates`` reads.  In the graph,
-each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge to every
+a key index, which ``PolicyStore.candidates`` reads.  In the graph, each
+condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge to every
 policy it conditions, and each Cypher stage follows those edges from the
 closure nodes to the policies and keeps a policy when
-``sat_cons = req_cons``.  Here the edges are ``_postings[t][node]``: the
-seqs of the policies with a plain ``Ref(node)`` at the top level of slot
-``t``.  ``_required[seq]`` counts those top-level refs over all three
-slots.  A slot is a conjunction, so a policy can match only if every one
-of them is in its slot's closure, which is when the hits reach
-``_required[seq]``.  For a simple policy (nothing but refs) that count is
-the match: it is every stage's ``sat_cons = req_cons``.  For a policy with
+``sat_cons = req_cons``.  Here each policy with a plain ``Ref`` at the top
+level of a slot is posted once, under one key: its top-level
+``(slot, node)`` least likely to be in a query's closure, by
+``Graph.path_counts`` (ties go to the earlier slot, then the lower ref).
+A slot is a conjunction, so a policy can match only if its key is in its
+slot's closure.  A query looks up only its closure nodes among the keys
+and checks each policy found there against the rest of its top-level
+refs, which ``_refs`` holds as one node tuple per slot: that check is the
+rest of every stage's ``sat_cons = req_cons``.  For a simple policy
+(nothing but refs) it is the match.  For a policy with
 ``Not``/``And``/``Or`` expressions it is a necessary condition, and
-``matcher.match_single`` decides the rest, as in the counting algorithm of
-Fabret et al. (SIGMOD 2001).  Only a policy with no top-level ref at all
-cannot be counted; its seq is kept on ``_residual``.  The index is filled
-by ``create_policy`` after every check has passed, so a rejected policy
-leaves no trace in it.  It does not depend on the traversal depth, which
-bounds the closures alone.
+``matcher.match_single`` decides the rest.  The key is the access
+predicate of Fabret et al. (SIGMOD 2001); picking the rarest one follows
+Whang et al. (VLDB 2009).  Only a policy with no top-level ref at all has
+no key; its seq is kept on ``_residual``.
 
-The same step records the store's condition nodes: every ``Ref`` leaf of
-every stored policy, including the leaves under ``Not``.  Matching reads
-the closures only at those nodes, so ``condition_adjacency`` gives the
-closures a copy of the frozen graph's ``HAS_ATTR`` children trimmed to
+``create_policy`` records a policy's refs only after every check has
+passed, so a rejected policy leaves no trace.  Path counts need a frozen
+graph and ``create_policy`` may run before ``freeze()``, so it only queues
+the seq, and the first query after it posts the queued seqs.  The index
+does not depend on the traversal depth, which bounds the closures alone.
+
+``create_policy`` also records the store's condition nodes: every ``Ref``
+leaf of every stored policy, including the leaves under ``Not``.  Matching
+reads the closures only at those nodes, so ``condition_adjacency`` gives
+the closures a copy of the frozen graph's ``HAS_ATTR`` children trimmed to
 the nodes that can reach one (``Graph.trimmed_adjacency``).  The frozen
 graph never changes, so the copy is rebuilt only on the first query after
-a new condition node arrives.  It is built under a lock, so concurrent
-first queries build it once; every later query reads the finished,
-immutable copy without the lock.  Like the graph, a store is filled
-single-threaded: ``create_policy`` must not run while another thread
-matches against the same store.
+a new condition node arrives.  The copy and the queued keys are settled in
+one step under a lock, so concurrent first queries do it once; every later
+query reads the finished copy and index without the lock.  Like the graph,
+a store is filled single-threaded: ``create_policy`` must not run while
+another thread matches against the same store.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -70,6 +76,11 @@ class ConditionType(enum.Enum):
     # dict semantics and avoids Enum's Python-level __hash__ on every
     # slot-keyed lookup.
     __hash__ = object.__hash__
+
+
+# Iterating the enum class runs a Python-level generator; the hot paths
+# iterate this tuple instead.
+_SLOTS = tuple(ConditionType)
 
 
 class Decision(enum.Enum):
@@ -137,22 +148,25 @@ class Policy:
 
 
 class PolicyStore:
-    """Ordered store of valid policies built over a graph, indexed by
-    condition node (see the module docstring)."""
+    """Ordered store of valid policies built over a graph, indexed by one
+    key condition node per policy (see the module docstring)."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._policies: dict[str, Policy] = {}
         self._ordered: Optional[tuple[Policy, ...]] = ()
-        self._postings: dict[ConditionType, dict[NodeRef, list[int]]] = {
-            t: {} for t in ConditionType
-        }
-        self._required: list[int] = []
+        # Per slot, in _SLOTS order: seq -> the slot's top-level Ref nodes.
+        self._refs: tuple[list[tuple[NodeRef, ...]], ...] = tuple([] for _ in _SLOTS)
+        # Per slot, in _SLOTS order: key node -> seqs posted under it.
+        self._keys: tuple[dict[NodeRef, list[int]], ...] = tuple({} for _ in _SLOTS)
+        # Seqs with a top-level ref, not posted yet.
+        self._pending: list[int] = []
         self._residual: list[int] = []
+        self._path_counts: Optional[list[int]] = None
         self._conditions: set[NodeRef] = set()
         # The graph trimmed to self._conditions, or None after a new one.
         self._trimmed: Optional[tuple[tuple[NodeRef, ...], ...]] = None
-        self._trim_lock = threading.Lock()
+        self._settle_lock = threading.Lock()
 
     def create_policy(
         self,
@@ -190,16 +204,13 @@ class PolicyStore:
         if not leaves <= self._conditions:
             self._conditions |= leaves
             self._trimmed = None
-        required = 0
-        for t, exprs in frozen.items():
-            postings = self._postings[t]
-            for e in exprs:
-                if isinstance(e, Ref):
-                    postings.setdefault(e.node, []).append(seq)
-                    required += 1
-        self._required.append(required)
-        if not required:  # has no postings, so is never counted
-            self._residual.append(seq)
+        has_ref = False
+        for t, refs in zip(_SLOTS, self._refs):
+            # A slot without a plain Ref gets the shared empty tuple.
+            nodes = tuple(e.node for e in frozen[t] if isinstance(e, Ref))
+            refs.append(nodes)
+            has_ref = has_ref or bool(nodes)
+        (self._pending if has_ref else self._residual).append(seq)
         return policy
 
     def get(self, name: str) -> Policy:
@@ -224,11 +235,34 @@ class PolicyStore:
         unfrozen graph."""
         trimmed = self._trimmed
         if trimmed is None:
-            with self._trim_lock:
-                trimmed = self._trimmed
-                if trimmed is None:
-                    trimmed = self._trimmed = self.graph.trimmed_adjacency(self._conditions)
+            trimmed = self._settle()
         return trimmed
+
+    def _settle(self) -> tuple[tuple[NodeRef, ...], ...]:
+        """Post the queued policies under their keys and build the trimmed
+        copy if it is missing, once, however many threads ask at a time.
+        ``_pending`` is emptied, and ``_trimmed`` set, only once that part
+        is complete, so a reader that finds nothing queued, or a copy in
+        place, can use it without the lock."""
+        with self._settle_lock:
+            if self._pending:
+                counts = self._path_counts
+                if counts is None:
+                    counts = self._path_counts = self.graph.path_counts()
+                slots = tuple(enumerate(self._refs))
+                for s in self._pending:
+                    best = None
+                    for i, refs in slots:
+                        for n in refs[s]:
+                            rank = (counts[n], i, n)
+                            if best is None or rank < best:
+                                best = rank
+                    _, i, key = best
+                    self._keys[i].setdefault(key, []).append(s)
+                self._pending = []
+            if self._trimmed is None:
+                self._trimmed = self.graph.trimmed_adjacency(self._conditions)
+            return self._trimmed
 
     def candidates(
         self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]
@@ -240,15 +274,23 @@ class PolicyStore:
         A simple candidate is a match; ``matcher.match_single`` still
         supplies its path lengths, and decides the other candidates.
         """
+        if self._pending:
+            self._settle()
         # A keys-view intersection walks the smaller side, so tiny stores and
-        # large closures both stay cheap; one Counter call tallies every hit.
-        reached: list[int] = []
-        for t, closure in closures.items():
-            postings = self._postings[t]
-            for n in closure.keys() & postings.keys():
-                reached += postings[n]
-        required = self._required
-        seqs = [s for s, c in Counter(reached).items() if c == required[s]]
+        # large closures both stay cheap.
+        hits: list[int] = []
+        for t, keys in zip(_SLOTS, self._keys):
+            for n in closures[t].keys() & keys.keys():
+                hits += keys[n]
+        sub, act, obj = (closures[t].__contains__ for t in _SLOTS)
+        sub_refs, act_refs, obj_refs = self._refs
+        seqs = [
+            s
+            for s in hits
+            if all(map(sub, sub_refs[s]))
+            and all(map(act, act_refs[s]))
+            and all(map(obj, obj_refs[s]))
+        ]
         seqs += self._residual
         seqs.sort()
         return seqs

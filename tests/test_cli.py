@@ -144,6 +144,19 @@ class TestValidate:
         path.write_text("node : broken\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
 
+    def test_too_deep_nesting_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.abac"
+        path.write_text(
+            "node a : Attribute\n"
+            f"policy P permit {{ subject: {'not ' * 5000}a; action: a; object: a; }}\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}:2:1: policy 'P' nests conditions deeper than 100 levels\n"
+        assert main(["check", str(path), "a", "a", "a"]) == 2
+        assert "nests conditions deeper" in capsys.readouterr().err
+
     def test_non_utf8_model_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.abac"
         path.write_bytes(b"node \xff\xfe : Attribute\n")

@@ -5,14 +5,17 @@ import weakref
 import pytest
 
 from graphabac import (
+    AccessQuery,
+    CombiningAlgorithm,
     ConditionType,
     Decision,
     ModelLoadError,
+    evaluate,
     load_model,
     parse_model,
     serialize_model,
 )
-from graphabac.dsl import NameRef, NotExpr, OrExpr
+from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr
 
 from randdocs import MALFORMED_CORPUS, random_document
 
@@ -233,6 +236,41 @@ class TestErrorPositions:
     def test_exact_positions(self, text, expected):
         errors = parse_model(text).errors
         assert [(e.line, e.col, e.message) for e in errors] == expected
+
+
+def _nested_model(depth: int, opener: str) -> str:
+    """A model whose policy P nests its subject ``depth`` levels deep, with
+    `not` or `(`, followed by a policy Q that parses."""
+    if opener == "not":
+        subject = "not " * depth + "a"
+    else:
+        subject = "(" * depth + "a" + " and a)" * depth
+    return (
+        "node a : Attribute\n"
+        f"policy P permit {{ subject: {subject}; action: a; object: a; }}\n"
+        "policy Q deny { subject: a; action: a; object: a; }\n"
+    )
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("opener", ["not", "("])
+    def test_deep_nesting_is_one_error_at_the_policy(self, opener):
+        doc = parse_model(_nested_model(5000, opener))
+        assert [(e.line, e.col, e.message) for e in doc.errors] == [
+            (2, 1, f"policy 'P' nests conditions deeper than {MAX_NESTING} levels")
+        ]
+        assert [p.name for p in doc.policies] == ["Q"]  # resynchronized
+
+    @pytest.mark.parametrize("opener", ["not", "("])
+    def test_nesting_at_the_limit_loads_and_matches(self, opener):
+        assert parse_model(_nested_model(MAX_NESTING + 1, opener)).errors
+        model = load_model(_nested_model(MAX_NESTING, opener))
+        a = model.graph.find_node("a")
+        decision = evaluate(
+            model.policies, AccessQuery(a, a, a), CombiningAlgorithm.PERMIT_OVERRIDES
+        ).decision
+        # An even number of `not`s, or a conjunction of a, holds at a itself.
+        assert decision is Decision.PERMIT
 
 
 class TestSerializeModel:

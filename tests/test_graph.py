@@ -8,6 +8,7 @@ from graphabac.errors import (
     DuplicateNameError,
     EmptyNameError,
     FrozenGraphError,
+    NotFrozenError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -323,3 +324,29 @@ def test_edge_set_semantics(gr):
     g, _ = gr
     triples = list(g.edges())
     assert len(triples) == len(set(triples))
+
+
+def test_path_counts_on_a_diamond():
+    # s1 -> a -> c, s1 -> b -> c, s2 -> c: three source paths end at c.
+    g = Graph()
+    s1, s2, a, b, c = (g.add_node(n) for n in ("s1", "s2", "a", "b", "c"))
+    for src, dst in ((s1, a), (s1, b), (a, c), (b, c), (s2, c)):
+        g.add_edge(src, HAS_ATTR, dst)
+    with pytest.raises(NotFrozenError):
+        g.path_counts()
+    g.freeze()
+    assert g.path_counts() == [1, 1, 1, 1, 3]
+
+
+@settings(max_examples=60)
+@given(small_dags())
+def test_path_counts_match_path_enumeration(gr):
+    g, refs = gr
+    g.freeze()
+    parents = {r: [p for p in refs if r in g.out_neighbors(p, HAS_ATTR)] for r in refs}
+
+    def paths_to(node):
+        # Every path from a source ends at node; a source's own is the empty one.
+        return 1 if not parents[node] else sum(paths_to(p) for p in parents[node])
+
+    assert g.path_counts() == [paths_to(r) for r in refs]

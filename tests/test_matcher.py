@@ -407,6 +407,45 @@ class TestIndexDifferential:
         assert matched > 100
 
 
+    def test_candidates_are_the_policies_with_every_top_level_ref_reached(self):
+        # The key index finds a policy by one top-level ref and checks the
+        # rest; compare its candidates with that contract computed directly.
+        rng = random.Random(5120)
+        compared = kept = 0
+        for trial in range(30):
+            cfg = RandomModelConfig(
+                n_primitives=rng.randint(3, 6),
+                n_attributes=rng.randint(4, 14),
+                n_layers=rng.randint(1, 4),
+                n_policies=rng.randint(0, 12),
+                max_conditions_per_slot=rng.randint(1, 3),
+            )
+            model = random_model(rng, cfg)
+            g, store = model.graph, model.policies
+            nodes = list(range(g.node_count()))
+            for k in range(3):
+                slots = {t: _random_slot(rng, nodes) for t in ConditionType}
+                store.create_policy(f"extra{k}", Decision.PERMIT, slots)
+            for _ in range(6):
+                q = random_query(rng, model)
+                closures = query_closures(store, q, rng.randint(0, g.attr_depth))
+                expected = [
+                    p.seq
+                    for p in store.policies()
+                    if all(
+                        e.node in closures[t]
+                        for t in ConditionType
+                        for e in p.conditions[t]
+                        if isinstance(e, Ref)
+                    )
+                ]
+                assert store.candidates(closures) == expected
+                compared += 1
+                kept += len(expected)
+        assert compared == 180
+        assert kept > 100
+
+
 class TestIndexEdgeCases:
     def build(self):
         g = Graph()
@@ -421,6 +460,35 @@ class TestIndexEdgeCases:
         g.add_edge(obj, HAS_ATTR, a1)
         g.freeze()
         return g, s, a1, a2, act, obj, pol
+
+    def test_each_policy_is_posted_once_under_its_rarest_ref(self):
+        # Two source paths reach A1 and A2 (from s and obj), one reaches
+        # each source.  Ties go to the earlier slot, then the lower ref.
+        g, s, a1, a2, act, obj, pol = self.build()
+        assert [g.path_counts()[n] for n in (s, a1, a2, act, obj)] == [1, 2, 2, 1, 1]
+        store = PolicyStore(g)
+        store.create_policy(
+            "OnAct", Decision.PERMIT, {SUB: {Ref(a1), Ref(a2)}, ACT: {Ref(act)}, OBJ: {Ref(a1)}}
+        )
+        store.create_policy(
+            "OnS", Decision.PERMIT, {SUB: {Ref(s)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        store.create_policy(
+            "OnA1",
+            Decision.DENY,
+            {SUB: {Ref(a2), Ref(a1)}, ACT: {Or((Ref(act), Ref(obj)))}, OBJ: {Ref(a1)}},
+        )
+        store.create_policy(
+            "NoKey", Decision.DENY, {SUB: {Not(Ref(a2))}, ACT: {Not(Ref(s))}, OBJ: {Not(Ref(s))}}
+        )
+        matching_policies(store, AccessQuery(s, act, obj))
+        posted = {
+            (t, n): seqs
+            for t, keys in zip(ConditionType, store._keys)
+            for n, seqs in keys.items()
+        }
+        assert posted == {(ACT, act): [0], (SUB, s): [1], (SUB, a1): [2]}
+        assert store._residual == [3]
 
     def test_rejected_policy_leaves_no_trace(self):
         g, s, a1, a2, act, obj, pol = self.build()
@@ -613,6 +681,62 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in got] == ["OnA", "OnSink"]
         assert got[1].len_sub == 3
         assert got == matching_policies_oracle(store, q)
+
+    def test_policy_on_known_nodes_after_first_query(self):
+        # The new policy is posted at the next query; its nodes are all
+        # condition nodes already, so the trimmed copy is kept.
+        g, store, s, sink, act, obj, pol = self.build()
+        q = AccessQuery(s, act, obj)
+        assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
+        adjacency = store.condition_adjacency()
+        a = g.find_node("a")
+        store.create_policy(
+            "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
+        )
+        store.create_policy(
+            "OnAAgain", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        )
+        got = matching_policies(store, q)
+        assert [m.policy.name for m in got] == ["OnA", "OnAAgain"]
+        assert got == matching_policies_oracle(store, q)
+        assert store.condition_adjacency() is adjacency
+
+    def test_policies_created_before_freeze(self):
+        # Keys are chosen at the first query, once the graph is frozen.
+        g = Graph()
+        s1, s2, a, b, act, obj = (
+            g.add_node(n) for n in ("s1", "s2", "a", "b", "act", "obj")
+        )
+        for src, dst in ((s1, a), (s2, a), (s1, b), (a, b)):
+            g.add_edge(src, HAS_ATTR, dst)
+        store = PolicyStore(g)
+        base = {ACT: {Ref(act)}, OBJ: {Ref(obj)}}
+        store.create_policy("OnB", Decision.PERMIT, {SUB: {Ref(b)}, **base})
+        store.create_policy("OnAB", Decision.DENY, {SUB: {Ref(a), Ref(b)}, **base})
+        store.create_policy("OnS2", Decision.PERMIT, {SUB: {Ref(s2), Ref(b)}, **base})
+        store.create_policy(
+            "Compound", Decision.DENY, {SUB: {Ref(b), Not(Ref(s2))}, **base}
+        )
+        store.create_policy(
+            "NoRefs",
+            Decision.PERMIT,
+            {SUB: {Or((Ref(s1), Ref(s2)))}, ACT: {Not(Ref(act))}, OBJ: {Ref(obj)}},
+        )
+        g.freeze()
+        expected = {
+            s1: ["OnB", "OnAB", "Compound"],
+            s2: ["OnB", "OnAB", "OnS2"],
+            a: ["OnB", "OnAB", "Compound"],
+            b: ["OnB", "Compound"],
+        }
+        for sub, names in expected.items():
+            q = AccessQuery(sub, act, obj)
+            got = matching_policies(store, q)
+            assert [m.policy.name for m in got] == names
+            assert got == matching_policies_oracle(store, q)
+        q = AccessQuery(s1, s1, obj)
+        assert [m.policy.name for m in matching_policies(store, q)] == ["NoRefs"]
+        assert matching_policies(store, q) == matching_policies_oracle(store, q)
 
     def test_rejected_policy_adds_no_condition_node(self):
         g, store, s, sink, act, obj, pol = self.build()
