@@ -3,7 +3,9 @@
 Exit codes for ``check``: 0 Permit, 1 Deny, 2 usage or load error, so a
 denied request is never conflated with an operational failure.  The
 ``serve`` loop is fail-closed: malformed or unresolvable requests get a
-Deny response with an error message and processing continues.
+Deny response with an error message and processing continues.  ``serve``
+reads at most ``MAX_REQUEST_CHARS`` characters of a request line; a longer
+line gets one such Deny, and the rest of it is skipped unread.
 """
 
 from __future__ import annotations
@@ -11,11 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .combine import ALGORITHM_NAMES, CombiningAlgorithm, EvaluationResult, evaluate
 from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_policies
-from .dsl import LoadedModel, ModelLoadError, load_model_file
+from .dsl import (
+    LoadedModel,
+    ModelDocument,
+    ModelLoadError,
+    load_document,
+    load_model_file,
+    parse_model,
+    read_model_file,
+)
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
 from .policy import ConditionType, Decision, ref_leaves
@@ -24,14 +34,19 @@ EXIT_PERMIT = 0
 EXIT_DENY = 1
 EXIT_ERROR = 2
 
+# The longest request line, newline excluded, that ``serve`` reads.
+MAX_REQUEST_CHARS = 1 << 16
+
+_Loaded = TypeVar("_Loaded")
+
 
 class _CliError(Exception):
     pass
 
 
-def _load(path: str) -> LoadedModel:
+def _load(path: str, load: Callable[[str], _Loaded] = load_model_file) -> _Loaded:
     try:
-        return load_model_file(path)
+        return load(path)
     except ModelLoadError as exc:
         lines = "\n".join(f"{path}:{e}" for e in exc.errors)
         raise _CliError(f"failed to load model:\n{lines}") from exc
@@ -116,14 +131,21 @@ def cmd_validate(args) -> int:
     return EXIT_PERMIT
 
 
+def _checked_document(path: str) -> ModelDocument:
+    """The parsed model file, once it has passed every load check."""
+    doc = parse_model(read_model_file(path))
+    load_document(doc)
+    return doc
+
+
 def cmd_export_cypher(args) -> int:
-    model = _load(args.model)
     try:
         if args.what == "data":
-            sys.stdout.write(emit_cypher_data(model.document))
+            sys.stdout.write(emit_cypher_data(_load(args.model, _checked_document)))
         elif args.what == "policies":
-            sys.stdout.write(emit_cypher_policies(model.document))
+            sys.stdout.write(emit_cypher_policies(_load(args.model, _checked_document)))
         else:
+            model = _load(args.model)
             depth = args.depth if args.depth is not None else model.graph.attr_depth
             alg = CombiningAlgorithm(args.algorithm)
             sys.stdout.write(emit_cypher_decision_query(alg, depth))
@@ -132,21 +154,44 @@ def cmd_export_cypher(args) -> int:
     return EXIT_PERMIT
 
 
+def request_lines(stream: TextIO) -> Iterator[str]:
+    """The lines of ``stream``, each read with a bound: a line longer than
+    MAX_REQUEST_CHARS comes out cut to MAX_REQUEST_CHARS + 1 characters, and
+    the rest of it is skipped."""
+    limit = MAX_REQUEST_CHARS + 1
+    readline = stream.readline
+    while line := readline(limit):
+        if len(line) == limit and line[-1] != "\n":
+            while (rest := readline(limit)) and rest[-1] != "\n":
+                pass
+        yield line
+
+
 def serve_loop(
     model: LoadedModel,
     default_alg: CombiningAlgorithm,
-    stdin: TextIO,
+    stdin: Iterable[str],
     stdout: TextIO,
     depth: Optional[int] = None,
 ) -> None:
     """One JSON request per input line, one JSON response per output line,
-    in request order.  Never raises on malformed input."""
+    in request order.  Never raises on malformed input.  A line longer than
+    MAX_REQUEST_CHARS gets a Deny; ``request_lines`` reads such a line
+    without holding all of it."""
     for line in stdin:
-        if not line.strip():
+        if len(line) > MAX_REQUEST_CHARS and line[MAX_REQUEST_CHARS] != "\n":
+            response = _deny("", f"request line longer than {MAX_REQUEST_CHARS} characters")
+        elif not line.strip():
             continue
-        stdout.write(json.dumps(_serve_one(model, default_alg, line, depth)))
+        else:
+            response = _serve_one(model, default_alg, line, depth)
+        stdout.write(json.dumps(response))
         stdout.write("\n")
         stdout.flush()
+
+
+def _deny(req_id: str, error: str) -> dict:
+    return {"id": req_id, "decision": "Deny", "matching": [], "error": error}
 
 
 def _serve_one(
@@ -179,12 +224,7 @@ def _serve_one(
             "error": None,
         }
     except (ValueError, RecursionError, _CliError, AbacError) as exc:
-        return {
-            "id": req_id,
-            "decision": "Deny",
-            "matching": [],
-            "error": f"{exc}",
-        }
+        return _deny(req_id, f"{exc}")
 
 
 def cmd_serve(args) -> int:
@@ -193,7 +233,7 @@ def cmd_serve(args) -> int:
     # Requests are UTF-8 JSON.  Bytes that do not decode become U+FFFD, so
     # their line fails as JSON and gets a Deny instead of ending the process.
     sys.stdin.reconfigure(encoding="utf-8", errors="replace")
-    serve_loop(model, default_alg, sys.stdin, sys.stdout, depth=args.depth)
+    serve_loop(model, default_alg, request_lines(sys.stdin), sys.stdout, depth=args.depth)
     return EXIT_PERMIT
 
 

@@ -29,6 +29,21 @@ recorded, on a ``ModelError``, ``NodeDecl``, ``EdgeDecl``, ``PolicyDecl``
 or ``NameRef``, by bisecting the text's line starts: lines end at
 ``\\n`` and count from 1, and every other character, ``\\r`` and tab
 included, is one column.
+
+The parser hands each declaration, as soon as it is complete, to a sink.
+``parse_model`` appends them to a ``ModelDocument``.  ``load_model`` and
+``load_model_file`` hand them to ``_ModelBuilder``, which loads the model
+in the same pass, so no document exists on that path: a node goes into the
+graph at once, an edge when both of its ends are known, and a policy is
+created when every name it uses is known.  Declarations may refer to nodes
+declared later; such an edge or policy, and every later one of its kind,
+waits until the end of input, so edges and policies still go in in source
+order, which fixes child order, policy ``seq`` and first-applicable
+results.  ``load_document`` feeds a document's declarations to the same
+builder.  Either way a ``ModelLoadError`` lists the errors in one order:
+any syntax errors, and then nothing else; otherwise node errors, then edge
+errors, then a ``HAS_ATTR`` cycle; and policy errors only when the graph
+has none.
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ from .errors import (
 )
 from .graph import Graph, Scalar
 from .policy import (
+    MAX_NESTING,
     And,
     ConditionExpr,
     ConditionType,
@@ -73,11 +89,6 @@ KEYWORDS = frozenset(
 _SLOT_TYPES = {t.value: t for t in ConditionType}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-# The deepest nesting of `not` and `(` one expression may have.  Parsing,
-# loading and matching walk expressions recursively, so a bound well under
-# the interpreter's recursion limit keeps every walk safe.
-MAX_NESTING = 100
 
 
 # -- syntax tree ------------------------------------------------------
@@ -163,7 +174,6 @@ class ModelLoadError(AbacError):
 
 @dataclass
 class LoadedModel:
-    document: ModelDocument
     graph: Graph
     policies: PolicyStore
 
@@ -293,14 +303,25 @@ class _Parser:
 
     def parse_model(self) -> ModelDocument:
         doc = ModelDocument()
+        doc.errors = self.parse(doc.nodes.append, doc.edges.append, doc.policies.append)
+        return doc
+
+    def parse(
+        self,
+        on_node: Callable[[NodeDecl], None],
+        on_edge: Callable[[EdgeDecl], None],
+        on_policy: Callable[[PolicyDecl], None],
+    ) -> list[ModelError]:
+        """Hand each complete declaration to its callback, in source order,
+        and return the syntax errors sorted by position."""
         while self.tok[0] != "EOF":
             try:
                 if self.at_keyword("node"):
-                    doc.nodes.append(self.parse_node())
+                    on_node(self.parse_node())
                 elif self.at_keyword("edge"):
-                    doc.edges.append(self.parse_edge())
+                    on_edge(self.parse_edge())
                 elif self.at_keyword("policy"):
-                    doc.policies.append(self.parse_policy())
+                    on_policy(self.parse_policy())
                 else:
                     raise self.unexpected("'node', 'edge' or 'policy'")
             except _SyntaxFailure as fail:
@@ -311,8 +332,10 @@ class _Parser:
                 if not self.at_keyword("node", "edge", "policy"):
                     self.advance()
                 self.resync()
-        doc.errors = self.errors
-        return doc
+        # Stable: at one position a lexer error was recorded before the parser
+        # could fail on the token there.
+        self.errors.sort(key=lambda e: (e.line, e.col))
+        return self.errors
 
     def parse_node(self) -> NodeDecl:
         kw = self.expect_keyword("node")
@@ -447,75 +470,113 @@ class _Parser:
 def parse_model(text: str) -> ModelDocument:
     """Parse source text into a ModelDocument; syntax errors land in
     ``document.errors`` with line/column positions."""
-    doc = _Parser(text).parse_model()
-    # Stable: at one position a lexer error was recorded before the parser
-    # could fail on the token there.
-    doc.errors.sort(key=lambda e: (e.line, e.col))
-    return doc
+    return _Parser(text).parse_model()
 
 
 # -- loading ----------------------------------------------------------
 
 
+class _ModelBuilder:
+    """Loads declarations into a graph and policy store as they arrive, in
+    source order, and holds back those that name a node not declared yet
+    (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self.graph = Graph()
+        self.store = PolicyStore(self.graph)
+        self.node_errors: list[ModelError] = []
+        self.edge_errors: list[ModelError] = []
+        self.policy_errors: list[ModelError] = []
+        # The first edge (policy) that named an unknown node, and every later
+        # one, left for finish().
+        self.waiting_edges: list[EdgeDecl] = []
+        self.waiting_policies: list[PolicyDecl] = []
+
+    def node(self, nd: NodeDecl) -> None:
+        try:
+            self.graph.add_node(nd.name, nd.labels, nd.properties)
+        except (DuplicateNameError, EmptyNameError, ValueError) as exc:
+            self.node_errors.append(ModelError(nd.line, nd.col, str(exc), "graph"))
+
+    def edge(self, ed: EdgeDecl) -> None:
+        if self.waiting_edges or self._load_edge(ed):
+            self.waiting_edges.append(ed)
+
+    def policy(self, pd: PolicyDecl) -> None:
+        if self.waiting_policies or self._load_policy(pd):
+            self.waiting_policies.append(pd)
+
+    def finish(self, syntax_errors: list[ModelError]) -> LoadedModel:
+        """Load what waited, freeze, and return the model, or raise
+        ModelLoadError carrying every positioned error."""
+        if syntax_errors:
+            raise ModelLoadError(list(syntax_errors))
+        for ed in self.waiting_edges:
+            self.edge_errors += self._load_edge(ed)
+        errors = self.node_errors + self.edge_errors
+        if not errors:
+            try:
+                self.graph.freeze()
+            except AttributeCycleError as exc:
+                errors.append(ModelError(0, 0, str(exc), "graph"))
+        if errors:
+            raise ModelLoadError(errors)
+        for pd in self.waiting_policies:
+            self.policy_errors += self._load_policy(pd)
+        if self.policy_errors:
+            raise ModelLoadError(self.policy_errors)
+        return LoadedModel(self.graph, self.store)
+
+    def _load_edge(self, ed: EdgeDecl) -> list[ModelError]:
+        """Add the edge, recording a rejection, unless it names an unknown
+        node: then add nothing and return one error per unknown end."""
+        src = self.graph.find_node(ed.src)
+        dst = self.graph.find_node(ed.dst)
+        if src is None or dst is None:
+            return [
+                ModelError(ed.line, ed.col, f"unknown node {name!r}", "graph")
+                for name, ref in ((ed.src, src), (ed.dst, dst))
+                if ref is None
+            ]
+        try:
+            self.graph.add_edge(src, ed.rel_type, dst)
+        except SelfLoopError as exc:
+            self.edge_errors.append(ModelError(ed.line, ed.col, str(exc), "graph"))
+        return []
+
+    def _load_policy(self, pd: PolicyDecl) -> list[ModelError]:
+        """Create the policy, recording a rejection, unless it names an
+        unknown node: then create nothing and return one error per unknown
+        name."""
+        unknown: list[ModelError] = []
+        conditions: dict[ConditionType, set[ConditionExpr]] = {}
+        for t, decls in pd.slots.items():
+            resolved: set[ConditionExpr] = set()
+            for decl in decls:
+                expr = _resolve_expr(self.graph, pd, decl, unknown)
+                if expr is not None:
+                    resolved.add(expr)
+            conditions[t] = resolved
+        if not unknown:
+            try:
+                self.store.create_policy(pd.name, pd.decision, conditions, pd.score)
+            except AbacError as exc:
+                self.policy_errors.append(ModelError(pd.line, pd.col, str(exc), "policy"))
+        return unknown
+
+
 def load_document(doc: ModelDocument) -> LoadedModel:
     """Build the frozen graph and policy store, or raise ModelLoadError
     carrying every positioned error.  Never yields a partial model."""
-    errors = list(doc.errors)
-    if errors:
-        raise ModelLoadError(errors)
-
-    graph = Graph()
-    for nd in doc.nodes:
-        try:
-            graph.add_node(nd.name, nd.labels, nd.properties)
-        except (DuplicateNameError, EmptyNameError, ValueError) as exc:
-            errors.append(ModelError(nd.line, nd.col, str(exc), "graph"))
-    for ed in doc.edges:
-        src = graph.find_node(ed.src)
-        dst = graph.find_node(ed.dst)
-        if src is None:
-            errors.append(ModelError(ed.line, ed.col, f"unknown node {ed.src!r}", "graph"))
-        if dst is None:
-            errors.append(ModelError(ed.line, ed.col, f"unknown node {ed.dst!r}", "graph"))
-        if src is None or dst is None:
-            continue
-        try:
-            graph.add_edge(src, ed.rel_type, dst)
-        except SelfLoopError as exc:
-            errors.append(ModelError(ed.line, ed.col, str(exc), "graph"))
-    if not errors:
-        try:
-            graph.freeze()
-        except AttributeCycleError as exc:
-            errors.append(ModelError(0, 0, str(exc), "graph"))
-    if errors:
-        raise ModelLoadError(errors)
-
-    store = PolicyStore(graph)
-    for pd in doc.policies:
-        errors.extend(_load_policy(graph, store, pd))
-    if errors:
-        raise ModelLoadError(errors)
-    return LoadedModel(doc, graph, store)
-
-
-def _load_policy(graph: Graph, store: PolicyStore, pd: PolicyDecl) -> list[ModelError]:
-    errors: list[ModelError] = []
-    conditions: dict[ConditionType, set[ConditionExpr]] = {}
-    for t, decls in pd.slots.items():
-        resolved: set[ConditionExpr] = set()
-        for decl in decls:
-            expr = _resolve_expr(graph, pd, decl, errors)
-            if expr is not None:
-                resolved.add(expr)
-        conditions[t] = resolved
-    if errors:
-        return errors
-    try:
-        store.create_policy(pd.name, pd.decision, conditions, pd.score)
-    except AbacError as exc:
-        errors.append(ModelError(pd.line, pd.col, str(exc), "policy"))
-    return errors
+    builder = _ModelBuilder()
+    if not doc.errors:
+        for nd in doc.nodes:
+            builder.node(nd)
+        for ed in doc.edges:
+            builder.edge(ed)
+        for pd in doc.policies:
+            builder.policy(pd)
+    return builder.finish(doc.errors)
 
 
 def _resolve_expr(
@@ -545,20 +606,28 @@ def _resolve_expr(
 
 
 def load_model(text: str) -> LoadedModel:
-    return load_document(parse_model(text))
+    """Parse and load source text in one pass; the same model, or the same
+    ModelLoadError, as ``load_document(parse_model(text))``."""
+    builder = _ModelBuilder()
+    errors = _Parser(text).parse(builder.node, builder.edge, builder.policy)
+    return builder.finish(errors)
 
 
-def load_model_file(path) -> LoadedModel:
-    """Read and load a UTF-8 model file; a leading byte-order mark is
-    dropped.  Undecodable bytes raise ModelLoadError like any other
-    malformed input; OSError passes through."""
+def read_model_file(path) -> str:
+    """The text of a UTF-8 model file; a leading byte-order mark is dropped.
+    Undecodable bytes raise ModelLoadError like any other malformed input;
+    OSError passes through."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         message = f"model file is not UTF-8 text: {exc}"
         raise ModelLoadError([ModelError(0, 0, message)]) from None
-    return load_model(text)
+
+
+def load_model_file(path) -> LoadedModel:
+    """Read and load a model file (see ``read_model_file``)."""
+    return load_model(read_model_file(path))
 
 
 # -- serialization ----------------------------------------------------

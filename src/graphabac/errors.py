@@ -67,6 +67,10 @@ class DanglingConditionRefError(PolicyError):
     pass
 
 
+class ConditionTooDeepError(PolicyError):
+    """A condition nests Not/And/Or deeper than policy.MAX_NESTING levels."""
+
+
 class NegationNotExpandableError(PolicyError):
     """DNF expansion does not distribute NOT; rewrite it by hand first."""
 

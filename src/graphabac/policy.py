@@ -6,8 +6,13 @@ condition type (subject / action / object).  The expressions in one slot
 are conjunctive; disjunction lives only inside ``Or`` trees.
 
 ``PolicyStore.create_policy`` is the validity gate: it is the only code
-that rejects a policy with an empty slot or a condition that does not name
-an attribute or primitive node, so every stored policy is well-formed.
+that rejects a policy with an empty slot, a condition that does not name
+an attribute or primitive node, or a condition that nests ``Not``/``And``/
+``Or`` more than ``MAX_NESTING`` levels deep, so every stored policy is
+well-formed.  Hashing, ``ref_leaves`` and matching walk an expression
+recursively, so the bound keeps each walk far below the interpreter's
+recursion limit.  ``create_policy`` measures the depth first, level by
+level, before anything hashes or walks the expression.
 
 The store also keeps the policy side of the paper's decision statement as
 a key index, which ``PolicyStore.candidates`` reads.  In the graph, each
@@ -55,9 +60,10 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Collection, Iterator, Mapping, Optional
 
 from .errors import (
+    ConditionTooDeepError,
     DanglingConditionRefError,
     DuplicatePolicyError,
     MissingConditionTypeError,
@@ -65,6 +71,10 @@ from .errors import (
     UnknownPolicyError,
 )
 from .graph import Graph, NodeRef, POLICY_LABEL
+
+# The deepest nesting of Not/And/Or one condition may have: a Ref alone is
+# 0 levels, Not(Ref) is 1.  The .abac parser counts `not` and `(` the same.
+MAX_NESTING = 100
 
 
 class ConditionType(enum.Enum):
@@ -135,6 +145,25 @@ def ref_leaves(expr: ConditionExpr) -> Iterator[Ref]:
         raise TypeError(f"unknown expression node {expr!r}")
 
 
+def _nests_too_deep(expr: ConditionExpr) -> bool:
+    """Whether some leaf of ``expr`` sits under more than MAX_NESTING
+    levels.  Walks level by level, without recursion or hashing, and visits
+    a subexpression shared by several parents once per level."""
+    level: Collection[ConditionExpr] = (expr,)
+    for _ in range(MAX_NESTING + 1):
+        below: dict[int, ConditionExpr] = {}
+        for e in level:
+            if isinstance(e, Not):
+                below[id(e.inner)] = e.inner
+            elif isinstance(e, (And, Or)):
+                for child in e.children:
+                    below[id(child)] = child
+        if not below:
+            return False
+        level = below.values()
+    return True
+
+
 @dataclass
 class Policy:
     name: str
@@ -172,11 +201,17 @@ class PolicyStore:
         self,
         name: str,
         decision: Decision,
-        conditions: Mapping[ConditionType, set[ConditionExpr] | frozenset[ConditionExpr]],
+        conditions: Mapping[ConditionType, Collection[ConditionExpr]],
         score: Optional[int] = None,
     ) -> Policy:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
+        for t in _SLOTS:
+            for expr in conditions.get(t, ()):
+                if not isinstance(expr, Ref) and _nests_too_deep(expr):
+                    raise ConditionTooDeepError(
+                        f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
+                    )
         frozen = {t: frozenset(conditions.get(t, ())) for t in ConditionType}
         seq = len(self._policies)
         policy = Policy(name, decision, score or 0, seq, frozen)

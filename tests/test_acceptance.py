@@ -288,8 +288,8 @@ def test_6_dnf_expansion():
     report(6, "dnf-expansion")
 
 
-def test_7_cypher_goldens(healthcare):
-    script = emit_cypher_data(healthcare.document)
+def test_7_cypher_goldens(healthcare, healthcare_text):
+    script = emit_cypher_data(parse_model(healthcare_text))
     nodes, edges = script_structure(script)
     g = healthcare.graph
     assert nodes == {(":" + ":".join(n.labels), n.name) for n in g.nodes()}
@@ -307,7 +307,7 @@ def test_7_cypher_goldens(healthcare):
     )
     assert "order by plen asc limit 1" in shortest
     # Byte stability across repeated emission.
-    assert emit_cypher_data(healthcare.document) == script
+    assert emit_cypher_data(parse_model(healthcare_text)) == script
     assert emit_cypher_decision_query(CombiningAlgorithm.DENY_OVERRIDES, 5) == deny
     report(7, "cypher-goldens")
 

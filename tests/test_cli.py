@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from graphabac.cli import main, serve_loop
+from graphabac.cli import MAX_REQUEST_CHARS, main, request_lines, serve_loop
 from graphabac.combine import CombiningAlgorithm
 from graphabac.dsl import bundled_model_text, load_bundled_model
 
@@ -203,6 +203,24 @@ class TestExportCypher:
         assert code == 0
         assert "[:HAS_ATTR*0..5]" in capsys.readouterr().out
 
+    def test_policies_script(self, model_path, capsys):
+        code = main(["export-cypher", model_path, "--what", "policies"])
+        assert code == 0
+        assert "create (pol:Policy {name:'Policy2', decision:'Permit'})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("what", ["data", "policies"])
+    def test_model_that_fails_to_load_exit_two(self, tmp_path, capsys, what):
+        path = tmp_path / "bad.abac"
+        path.write_text(
+            "node a : Attribute\npolicy P permit { subject: Ghost; action: a; object: a; }\n",
+            encoding="utf-8",
+        )
+        code = main(["export-cypher", str(path), "--what", what])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{path}:2:28: policy 'P' references unknown node 'Ghost'" in captured.err
+
     def test_unsupported_query_algorithm(self, model_path, capsys):
         code = main(
             [
@@ -305,6 +323,29 @@ class TestServe:
         )
         assert proc.returncode == 0, proc.stderr
         responses = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["decision"] for r in responses] == ["Permit", "Deny", "Permit"]
+        assert responses[1]["error"]
+
+    def test_over_long_line_fails_closed(self, model_path):
+        ok = self.request(id="1", subject="John", action="Write", object="MR_1234")
+        stdin = f"{ok}\n{'[' * (3 * MAX_REQUEST_CHARS)}\n{ok}\n"
+        code, out, err = run_cli(["serve", model_path], stdin=stdin)
+        assert code == 0, err
+        responses = [json.loads(line) for line in out.splitlines()]
+        assert [r["decision"] for r in responses] == ["Permit", "Deny", "Permit"]
+        assert responses[1]["error"] == (
+            f"request line longer than {MAX_REQUEST_CHARS} characters"
+        )
+
+    def test_line_length_bound_is_exact(self):
+        ok = self.request(id="1", subject="John", action="Write", object="MR_1234")
+        at_limit = ok.ljust(MAX_REQUEST_CHARS)
+        stdin = io.StringIO(f"{at_limit}\n{at_limit} \n{ok}")
+        out = io.StringIO()
+        serve_loop(
+            load_bundled_model(), CombiningAlgorithm.DENY_OVERRIDES, request_lines(stdin), out
+        )
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["decision"] for r in responses] == ["Permit", "Deny", "Permit"]
         assert responses[1]["error"]
 

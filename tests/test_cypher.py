@@ -43,14 +43,14 @@ def script_structure(script):
 
 
 class TestEmitData:
-    def test_healthcare_contains_sample_nodes(self, healthcare):
-        script = emit_cypher_data(healthcare.document)
+    def test_healthcare_contains_sample_nodes(self, healthcare_text):
+        script = emit_cypher_data(parse_model(healthcare_text))
         assert "(:Subject:User:Primitive {name:'Peter'})" in script
         assert "(:Record:Object:Primitive {name:'MR_1234'})" in script
         assert "{name:'Peter''s Family Clinic'}" in script
 
-    def test_healthcare_structure_complete(self, healthcare):
-        nodes, edges = script_structure(emit_cypher_data(healthcare.document))
+    def test_healthcare_structure_complete(self, healthcare, healthcare_text):
+        nodes, edges = script_structure(emit_cypher_data(parse_model(healthcare_text)))
         g = healthcare.graph
         expected_nodes = {
             (":" + ":".join(n.labels), n.name) for n in g.nodes()
@@ -76,8 +76,8 @@ class TestEmitData:
 
 
 class TestEmitPolicies:
-    def test_healthcare_policy2(self, healthcare):
-        script = emit_cypher_policies(healthcare.document)
+    def test_healthcare_policy2(self, healthcare_text):
+        script = emit_cypher_policies(parse_model(healthcare_text))
         assert "create (pol:Policy {name:'Policy2', decision:'Permit'})" in script
         assert script.count("merge (pol)<-[:SUB_CON]-") == 5  # 1 + 2 + 2
         assert script.count("merge (pol)<-[:ACT_CON]-") == 3

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -15,7 +16,7 @@ from graphabac import (
     parse_model,
     serialize_model,
 )
-from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr
+from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr, load_document
 
 from randdocs import MALFORMED_CORPUS, random_document
 
@@ -314,3 +315,185 @@ class TestSerializeModel:
 
         expr = OrExpr((NameRef("Manager"), NotExpr(NameRef("On Leave"))))
         assert format_expr(expr) == '(Manager or not "On Leave")'
+
+
+# -- one-pass load ------------------------------------------------------
+
+
+def _load_outcome(load, text):
+    """Everything a load decides: the exact error list, or the nodes, each
+    node's HAS_ATTR children in order, and the policies with their seqs."""
+    try:
+        model = load(text)
+    except ModelLoadError as exc:
+        return [(e.line, e.col, e.message, e.kind) for e in exc.errors]
+    g = model.graph
+    return (
+        [(n.ref, n.name, n.labels, n.properties) for n in g.nodes()],
+        list(g._children),
+        sorted(g.edges()),
+        [
+            (p.name, p.seq, p.decision, p.score, [p.conditions[t] for t in ConditionType])
+            for p in model.policies.policies()
+        ],
+    )
+
+
+def _document_load(text):
+    return load_document(parse_model(text))
+
+
+def _assert_one_pass_agrees(text):
+    expected = _load_outcome(_document_load, text)
+    assert _load_outcome(load_model, text) == expected, text
+    return expected
+
+
+def _statements(text):
+    """The text's declarations, one string each, comments dropped."""
+    stmts = []
+    for line in text.splitlines():
+        if line.startswith(("node", "edge", "policy")):
+            stmts.append(line)
+        elif stmts and line.strip() and not line.startswith("#"):
+            stmts[-1] += "\n" + line
+    return stmts
+
+
+def _mutated(rng, text):
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        roll = rng.random()
+        if roll < 0.3:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif roll < 0.5:
+            lines.insert(i, lines[j])
+        elif roll < 0.7 and len(lines) > 1:
+            del lines[i]
+        else:
+            words = lines[i].split(" ")
+            words[rng.randrange(len(words))] = rng.choice(
+                ["Ghost", "Doctor", "Write", '"Full Access"', "Policy1", "{", ";"]
+            )
+            lines[i] = " ".join(words)
+    return "\n".join(lines)
+
+
+class TestOnePassLoad:
+    """``load_model`` builds while it parses; it must decide exactly what
+    ``load_document(parse_model(text))`` decides."""
+
+    def test_random_documents_in_any_order(self):
+        rng = random.Random(2024)
+        loaded = 0
+        for _ in range(60):
+            stmts = _statements(serialize_model(random_document(rng)))
+            kinds = {k: [s for s in stmts if s.startswith(k)] for k in ("node", "edge", "policy")}
+            orders = [
+                stmts,
+                kinds["policy"] + kinds["edge"] + kinds["node"],
+                rng.sample(stmts, len(stmts)),
+            ]
+            for order in orders:
+                outcome = _assert_one_pass_agrees("\n".join(order) + "\n")
+                loaded += isinstance(outcome, tuple)
+        assert loaded > 100
+
+    def test_mutated_healthcare_models(self, healthcare_text):
+        rng = random.Random(77)
+        failed = 0
+        for _ in range(300):
+            text = _mutated(rng, healthcare_text)
+            if rng.random() < 0.3:
+                stmts = _statements(text)
+                text = "\n".join(rng.sample(stmts, len(stmts))) + "\n"
+            failed += isinstance(_assert_one_pass_agrees(text), list)
+        assert 50 < failed < 250
+
+    def test_edge_before_both_nodes(self):
+        # n0's children 9 and 1 share a slot in a small set, so the child
+        # tuple's order shows which edge went in first.
+        text = (
+            "edge n0 -[HAS_ATTR]-> n9\n"
+            + "".join(f"node n{i} : Attribute\n" for i in range(10))
+            + "edge n0 -[HAS_ATTR]-> n1\n"
+        )
+        nodes, children, _, _ = _assert_one_pass_agrees(text)
+        assert [name for _, name, _, _ in nodes] == [f"n{i}" for i in range(10)]
+        assert sorted(children[0]) == [1, 9]
+
+    def test_policy_before_its_nodes(self):
+        text = (
+            "node a : Attribute\n"
+            "policy Early permit { subject: late; action: a; object: a; }\n"
+            "policy Known deny { subject: a; action: a; object: a; }\n"
+            "node late : Attribute\n"
+        )
+        _, _, _, policies = _assert_one_pass_agrees(text)
+        assert [(name, seq) for name, seq, *_ in policies] == [("Early", 0), ("Known", 1)]
+
+    def test_duplicate_policy_name_after_a_waiting_copy(self):
+        text = (
+            "node a : Attribute\n"
+            "policy P permit { subject: late; action: a; object: a; }\n"
+            "policy P deny { subject: a; action: a; object: a; }\n"
+            "node late : Attribute\n"
+        )
+        assert _assert_one_pass_agrees(text) == [
+            (3, 1, "policy 'P' already exists", "policy")
+        ]
+
+    def test_error_order_by_kind(self):
+        # Errors arrive edge, node, policy in the text; they are reported by
+        # kind, and policy errors not at all while the graph has some.
+        text = (
+            "node a : Attribute\n"
+            "edge a -[HAS_ATTR]-> a\n"
+            "policy P permit { subject: ghost; action: a; object: a; }\n"
+            "node a : Attribute\n"
+            "edge a -[HAS_ATTR]-> nowhere\n"
+        )
+        assert _assert_one_pass_agrees(text) == [
+            (4, 1, "node 'a' already exists", "graph"),
+            (2, 1, "HAS_ATTR self-loop on 'a'", "graph"),
+            (5, 1, "unknown node 'nowhere'", "graph"),
+        ]
+
+    def test_syntax_errors_come_alone(self):
+        text = "node a : Attribute\nnode a : Attribute\nnode b :\n"
+        assert _assert_one_pass_agrees(text) == [
+            (4, 1, "expected a label, found 'end of input'", "syntax")
+        ]
+
+
+def _generated_model_text(rng, n_nodes, n_edges, n_policies):
+    names = [f"n{i}" for i in range(n_nodes)]
+    lines = [f"node {n} : Attribute" for n in names]
+    for _ in range(n_edges):
+        i, j = sorted(rng.sample(range(n_nodes), 2))
+        lines.append(f"edge {names[i]} -[HAS_ATTR]-> {names[j]}")
+    for p in range(n_policies):
+        slots = " ".join(
+            f"{t.value}: " + "; ".join(rng.sample(names, rng.randint(1, 3))) + ";"
+            for t in ConditionType
+        )
+        lines.append(f"policy P{p} permit {{ {slots} }}")
+    return "\n".join(lines) + "\n"
+
+
+def _traced_peak(fn, arg):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(arg)  # noqa: F841 - held while the peak is read
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peak_below_parse_peak():
+    # No parsed document is kept while loading, so the whole load peaks
+    # lower than parsing into a document alone.
+    text = _generated_model_text(random.Random(5), 400, 1200, 400)
+    assert _traced_peak(load_model, text) < _traced_peak(parse_model, text)

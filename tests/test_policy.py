@@ -16,7 +16,9 @@ from graphabac import (
     Ref,
     dnf_expand,
 )
+from graphabac.policy import MAX_NESTING
 from graphabac.errors import (
+    ConditionTooDeepError,
     DanglingConditionRefError,
     DuplicatePolicyError,
     MissingConditionTypeError,
@@ -103,6 +105,48 @@ class TestCreatePolicy:
             store.create_policy("B", Decision.DENY, conds)
         assert store.policies() == (a, b)
         assert all(store.policies()[p.seq] is p for p in (a, b))
+
+
+def _nested(leaf, levels, wrap):
+    expr = leaf
+    for _ in range(levels):
+        expr = Not(expr) if wrap == "not" else And((expr, leaf))
+    return expr
+
+
+class TestNestingBound:
+    # Lists, not sets: a set would hash the deep tree, which recurses.
+    def conditions(self, graph, subject):
+        return {
+            SUB: [subject],
+            ACT: [ref_to(graph, "Read")],
+            OBJ: [ref_to(graph, "Hospital Records")],
+        }
+
+    @pytest.mark.parametrize("wrap", ["not", "and"])
+    def test_too_deep_rejected_without_trace(self, healthcare, wrap):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        deep = _nested(ref_to(g, "Doctor"), 5000, wrap)
+        with pytest.raises(ConditionTooDeepError, match=f"deeper than {MAX_NESTING} levels"):
+            store.create_policy("Deep", Decision.PERMIT, self.conditions(g, deep))
+        assert len(store) == 0
+        assert store.policies() == ()
+        kept = store.create_policy("Next", Decision.PERMIT, self.conditions(g, ref_to(g, "Doctor")))
+        assert kept.seq == 0
+
+    @pytest.mark.parametrize("wrap", ["not", "and"])
+    def test_exactly_max_nesting_accepted(self, healthcare, wrap):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        doctor = ref_to(g, "Doctor")
+        at_limit = _nested(doctor, MAX_NESTING, wrap)
+        store.create_policy("AtLimit", Decision.PERMIT, self.conditions(g, at_limit))
+        with pytest.raises(ConditionTooDeepError):
+            store.create_policy(
+                "OneMore", Decision.PERMIT, self.conditions(g, _nested(doctor, MAX_NESTING + 1, wrap))
+            )
+        assert [p.name for p in store.policies()] == ["AtLimit"]
 
 
 class TestValidatePolicy:
