@@ -10,12 +10,14 @@ condition nodes.  Then, for the same sample of primitives, it times two
 closures in turns, start by start:
 
 - the full closure: `Graph.attribute_closure(p, depth)` over the whole graph;
-- the trimmed closure: the same call over `PolicyStore.condition_adjacency()`,
-  which is what `matcher.query_closures` walks.
+- the trimmed closure: the same call over the `adjacency` of the store's
+  snapshot (`PolicyStore.policies()`), which is what
+  `matcher.query_closures` walks.
 
 It records their median and p90 in microseconds, the mean node counts, the
-condition nodes each start reaches, and the build time and kept share of the
-trimmed copy.  A check that both closures agree at every condition node runs
+condition nodes each start reaches, the build time of the snapshot that
+holds the trimmed copy, with its key index, and the kept share of the copy.
+A check that both closures agree at every condition node runs
 outside the timed region.
 
     PYTHONPATH=src python3 scripts/closure_sweep.py
@@ -99,7 +101,7 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
             e.node for p in store.policies() for exprs in p.conditions.values() for e in exprs
         }
         t = time.perf_counter()
-        adjacency = store.condition_adjacency()
+        adjacency = store.policies().adjacency
         trim_ms = (time.perf_counter() - t) * 1e3
         trimmed = {s: g.attribute_closure(s, g.attr_depth, adjacency) for s in starts}
         for s in starts:

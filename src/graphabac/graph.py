@@ -19,10 +19,9 @@ Other relationship types keep their own map; reachability never reads it.
 that keeps only the nodes that can reach a given set of targets, in one
 pass in reverse topological order.  A closure over that copy gives the
 same hop count as the full graph to every target, because every node on a
-shortest path to a target reaches that target.  ``PolicyStore`` keeps such
-a copy for its condition nodes.  It builds the copy lazily, under a lock,
-and then only reads it, so concurrent queries stay safe (see
-``policy.py``).
+shortest path to a target reaches that target.  Each ``PolicySnapshot``
+of a store holds such a copy for the store's condition nodes, and no query
+changes it (see ``policy.py``).
 """
 
 from __future__ import annotations

@@ -2,22 +2,24 @@
 
 ``matching_policies`` is the production path, and it runs the paper's
 three-stage Cypher decision statement (``cypher.emit_cypher_decision_query``)
-in memory:
+in memory.  It reads ``PolicyStore.policies()`` once per query: the
+store's compiled ``PolicySnapshot``, which holds the policies, the
+adjacency the closures walk and the key index.
 
 1. ``query_closures`` runs one bounded BFS per query primitive: the
    ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.  Like
    the Cypher pattern, it only needs to reach condition nodes ``c``, so it
-   walks the store's ``condition_adjacency``: the frozen graph with every
-   node that cannot reach a condition node left out.  Each condition node
-   is found at the same minimal hop count as in the full graph, within the
+   walks the snapshot's ``adjacency``: the frozen graph with every node
+   that cannot reach a condition node left out.  Each condition node is
+   found at the same minimal hop count as in the full graph, within the
    same depth bound; nodes that lead nowhere are never visited.  On an
    unfrozen graph it raises ``NotFrozenError``.
-2. ``PolicyStore.candidates`` looks up each closure node among the keys
-   of the store's condition index.  Each policy with a plain top-level
-   condition is posted there once, under the one ``(slot, node)`` of its
-   top-level refs that the fewest closures are likely to reach
-   (``Graph.path_counts``): one ``(sc)-[:SUB_CON]->(pol)`` edge of its
-   stage, picked so that a query finds few policies by it.
+2. ``PolicySnapshot.candidates`` looks up each closure node among the
+   keys of the snapshot's condition index.  Each policy with a plain
+   top-level condition is posted there once, under the one
+   ``(slot, node)`` of its top-level refs that the fewest closures are
+   likely to reach (``Graph.path_counts``): one ``(sc)-[:SUB_CON]->(pol)``
+   edge of its stage, picked so that a query finds few policies by it.
 3. Each policy found by its key is checked against the rest of its
    top-level refs, which must all be in their slots' closures: the rest of
    every stage's ``sat_cons = req_cons``.  For a simple policy that makes
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotFrozenError
-from .graph import Graph, HAS_ATTR, NodeRef
+from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
 from .policy import (
     And,
     ConditionExpr,
@@ -103,10 +105,11 @@ Closures = dict[ConditionType, dict[NodeRef, int]]
 def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:
     """Minimal hop counts from each query primitive to every condition node
     of ``store`` it reaches within ``depth``, keyed by slot type."""
-    graph, adjacency = store.graph, store.condition_adjacency()
-    return {
-        t: graph.attribute_closure(q.primitive(t), depth, adjacency) for t in _SLOTS
-    }
+    return _closures(store.graph, store.policies().adjacency, q, depth)
+
+
+def _closures(graph: Graph, adjacency: Adjacency, q: AccessQuery, depth: int) -> Closures:
+    return {t: graph.attribute_closure(q.primitive(t), depth, adjacency) for t in _SLOTS}
 
 
 def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:
@@ -182,11 +185,11 @@ def matching_policies(
         raise NotFrozenError("freeze the graph before matching")
     if depth is None:
         depth = graph.attr_depth
-    closures = query_closures(store, q, depth)
     policies = store.policies()
+    closures = _closures(graph, policies.adjacency, q, depth)
     return [
         m
-        for s in store.candidates(closures)
+        for s in policies.candidates(closures)
         if (m := match_single(policies[s], closures, depth)) is not None
     ]
 
@@ -264,9 +267,6 @@ def matching_policies_oracle(
         raise NotFrozenError("freeze the graph before matching")
     if depth is None:
         depth = graph.attr_depth
-    out = []
-    for policy in store.policies():
-        match = match_single_oracle(graph, policy, q, depth)
-        if match is not None:
-            out.append(match)
-    return out
+    # Iterating the store reads no compiled snapshot, so the check shares
+    # nothing with the path it checks.
+    return [m for p in store if (m := match_single_oracle(graph, p, q, depth)) is not None]

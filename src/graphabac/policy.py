@@ -14,44 +14,47 @@ recursively, so the bound keeps each walk far below the interpreter's
 recursion limit.  ``create_policy`` measures the depth first, level by
 level, before anything hashes or walks the expression.
 
-The store also keeps the policy side of the paper's decision statement as
-a key index, which ``PolicyStore.candidates`` reads.  In the graph, each
-condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge to every
-policy it conditions, and each Cypher stage follows those edges from the
-closure nodes to the policies and keeps a policy when
+``PolicyStore.policies()`` compiles the stored policies into one
+``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
+policy side of the paper's decision statement as a key index.  In the
+graph, each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge
+to every policy it conditions, and each Cypher stage follows those edges
+from the closure nodes to the policies and keeps a policy when
 ``sat_cons = req_cons``.  Here each policy with a plain ``Ref`` at the top
 level of a slot is posted once, under one key: its top-level
 ``(slot, node)`` least likely to be in a query's closure, by
 ``Graph.path_counts`` (ties go to the earlier slot, then the lower ref).
 A slot is a conjunction, so a policy can match only if its key is in its
 slot's closure.  A query looks up only its closure nodes among the keys
-and checks each policy found there against the rest of its top-level
-refs, which ``_refs`` holds as one node tuple per slot: that check is the
-rest of every stage's ``sat_cons = req_cons``.  For a simple policy
-(nothing but refs) it is the match.  For a policy with
-``Not``/``And``/``Or`` expressions it is a necessary condition, and
-``matcher.match_single`` decides the rest.  The key is the access
-predicate of Fabret et al. (SIGMOD 2001); picking the rarest one follows
-Whang et al. (VLDB 2009).  Only a policy with no top-level ref at all has
-no key; its seq is kept on ``_residual``.
+(``PolicySnapshot.candidates``) and checks each policy found there
+against the rest of its top-level refs, which ``refs`` holds as one node
+tuple per slot: that check is the rest of every stage's
+``sat_cons = req_cons``.  For a simple policy (nothing but refs) it is the
+match.  For a policy with ``Not``/``And``/``Or`` expressions it is a
+necessary condition, and ``matcher.match_single`` decides the rest.  The
+key is the access predicate of Fabret et al. (SIGMOD 2001); picking the
+rarest one follows Whang et al. (VLDB 2009).  Only a policy with no
+top-level ref at all has no key; its seq is kept on ``residual``.  The
+index does not depend on the traversal depth, which bounds the closures
+alone.
 
-``create_policy`` records a policy's refs only after every check has
-passed, so a rejected policy leaves no trace.  Path counts need a frozen
-graph and ``create_policy`` may run before ``freeze()``, so it only queues
-the seq, and the first query after it posts the queued seqs.  The index
-does not depend on the traversal depth, which bounds the closures alone.
+The snapshot also holds the store's condition nodes: every ``Ref`` leaf
+of every stored policy, including the leaves under ``Not``.  Matching
+reads the closures only at those nodes, so the snapshot's ``adjacency``
+is a copy of the frozen graph's ``HAS_ATTR`` children trimmed to the
+nodes that can reach one (``Graph.trimmed_adjacency``).
 
-``create_policy`` also records the store's condition nodes: every ``Ref``
-leaf of every stored policy, including the leaves under ``Not``.  Matching
-reads the closures only at those nodes, so ``condition_adjacency`` gives
-the closures a copy of the frozen graph's ``HAS_ATTR`` children trimmed to
-the nodes that can reach one (``Graph.trimmed_adjacency``).  The frozen
-graph never changes, so the copy is rebuilt only on the first query after
-a new condition node arrives.  The copy and the queued keys are settled in
-one step under a lock, so concurrent first queries do it once; every later
-query reads the finished copy and index without the lock.  Like the graph,
-a store is filled single-threaded: ``create_policy`` must not run while
-another thread matches against the same store.
+``create_policy`` validates and inserts, and writes nothing else, so a
+rejected policy leaves no trace.  ``policies()`` builds the snapshot,
+which needs a frozen graph, at its first call and again, in full, at the
+first call after an insertion, reusing the previous snapshot's path
+counts and, when no condition node is new, its adjacency.  Every front
+end creates all its policies before its first query, so it builds one
+snapshot.  A snapshot is built to one side, under a lock, and published
+by one assignment, so concurrent first queries build it once; it never
+changes after that, and any number of threads may match against it.
+Like the graph, a store is filled single-threaded: ``create_policy`` must
+not run while another thread matches against the same store.
 """
 
 from __future__ import annotations
@@ -176,26 +179,89 @@ class Policy:
         return all(self.conditions.get(t) for t in ConditionType)
 
 
+class PolicySnapshot(tuple):
+    """The stored policies in ``seq`` order, compiled over the frozen graph:
+    the key index, the top-level refs and the trimmed adjacency (see the
+    module docstring).  Raises NotFrozenError on an unfrozen graph."""
+
+    def __new__(
+        cls, graph: Graph, policies: tuple[Policy, ...], previous: Optional[PolicySnapshot]
+    ) -> PolicySnapshot:
+        self = super().__new__(cls, policies)
+        counts = graph.path_counts() if previous is None else previous.path_counts
+        # Per slot, in _SLOTS order: seq -> the slot's top-level Ref nodes,
+        # and key node -> the seqs posted under it.
+        refs: tuple[list[tuple[NodeRef, ...]], ...] = ([], [], [])
+        keys: tuple[dict[NodeRef, list[int]], ...] = ({}, {}, {})
+        residual: list[int] = []
+        conditions: set[NodeRef] = set()
+        for p in policies:
+            best = None
+            for i, (t, slot_refs) in enumerate(zip(_SLOTS, refs)):
+                nodes = []
+                for e in p.conditions[t]:
+                    if isinstance(e, Ref):
+                        nodes.append(e.node)
+                        rank = (counts[e.node], i, e.node)
+                        if best is None or rank < best:
+                            best = rank
+                    else:
+                        conditions.update(leaf.node for leaf in ref_leaves(e))
+                # A slot without a plain Ref gets the shared empty tuple.
+                slot_refs.append(tuple(nodes))
+                conditions.update(nodes)
+            if best is None:
+                residual.append(p.seq)
+            else:
+                _, i, key = best
+                keys[i].setdefault(key, []).append(p.seq)
+        self.refs = tuple(map(tuple, refs))
+        self.keys, self.residual, self.path_counts = keys, residual, counts
+        # The store only appends, so an equal count means an equal set.
+        if previous is not None and len(conditions) == len(previous.conditions):
+            self.conditions, self.adjacency = previous.conditions, previous.adjacency
+        else:
+            self.conditions = frozenset(conditions)
+            self.adjacency = graph.trimmed_adjacency(self.conditions)
+        return self
+
+    def candidates(self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]) -> list[int]:
+        """Seqs, ascending, of the policies that can match a query whose
+        closures these are: every policy with each top-level ``Ref`` in its
+        slot's closure, and every policy without one.
+
+        A simple candidate is a match; ``matcher.match_single`` still
+        supplies its path lengths, and decides the other candidates.
+        """
+        # A keys-view intersection walks the smaller side, so tiny stores and
+        # large closures both stay cheap.
+        hits: list[int] = []
+        for t, keys in zip(_SLOTS, self.keys):
+            for n in closures[t].keys() & keys.keys():
+                hits += keys[n]
+        sub, act, obj = (closures[t].__contains__ for t in _SLOTS)
+        sub_refs, act_refs, obj_refs = self.refs
+        seqs = [
+            s
+            for s in hits
+            if all(map(sub, sub_refs[s]))
+            and all(map(act, act_refs[s]))
+            and all(map(obj, obj_refs[s]))
+        ]
+        seqs += self.residual
+        seqs.sort()
+        return seqs
+
+
 class PolicyStore:
-    """Ordered store of valid policies built over a graph, indexed by one
-    key condition node per policy (see the module docstring)."""
+    """Ordered store of valid policies built over a graph, compiled into one
+    ``PolicySnapshot`` for matching (see the module docstring)."""
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._policies: dict[str, Policy] = {}
-        self._ordered: Optional[tuple[Policy, ...]] = ()
-        # Per slot, in _SLOTS order: seq -> the slot's top-level Ref nodes.
-        self._refs: tuple[list[tuple[NodeRef, ...]], ...] = tuple([] for _ in _SLOTS)
-        # Per slot, in _SLOTS order: key node -> seqs posted under it.
-        self._keys: tuple[dict[NodeRef, list[int]], ...] = tuple({} for _ in _SLOTS)
-        # Seqs with a top-level ref, not posted yet.
-        self._pending: list[int] = []
-        self._residual: list[int] = []
-        self._path_counts: Optional[list[int]] = None
-        self._conditions: set[NodeRef] = set()
-        # The graph trimmed to self._conditions, or None after a new one.
-        self._trimmed: Optional[tuple[tuple[NodeRef, ...], ...]] = None
-        self._settle_lock = threading.Lock()
+        self._snapshot: Optional[PolicySnapshot] = None
+        self._lock = threading.Lock()
 
     def create_policy(
         self,
@@ -213,39 +279,27 @@ class PolicyStore:
                         f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
                     )
         frozen = {t: frozenset(conditions.get(t, ())) for t in ConditionType}
-        seq = len(self._policies)
-        policy = Policy(name, decision, score or 0, seq, frozen)
         missing = [t for t in ConditionType if not frozen[t]]
         if missing:
             raise MissingConditionTypeError(name, missing)
         graph = self.graph
         dangling: set[str] = set()
-        leaves: set[NodeRef] = set()
         for exprs in frozen.values():
             for expr in exprs:
                 for leaf in ref_leaves(expr):
-                    leaves.add(leaf.node)
-                    if not 0 <= leaf.node < graph.node_count():
-                        dangling.add(f"node#{leaf.node}")
-                    elif graph.node(leaf.node).has_label(POLICY_LABEL):
-                        dangling.add(graph.node(leaf.node).name)
+                    node = leaf.node
+                    # A bool is an int, and 1.0 == 1; neither names a node.
+                    if type(node) is not int or not 0 <= node < graph.node_count():
+                        dangling.add(f"node#{node!r}")
+                    elif graph.node(node).has_label(POLICY_LABEL):
+                        dangling.add(graph.node(node).name)
         if dangling:
             names = ", ".join(sorted(dangling))
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
+        policy = Policy(name, decision, score or 0, len(self._policies), frozen)
         self._policies[name] = policy
-        self._ordered = None
-        if not leaves <= self._conditions:
-            self._conditions |= leaves
-            self._trimmed = None
-        has_ref = False
-        for t, refs in zip(_SLOTS, self._refs):
-            # A slot without a plain Ref gets the shared empty tuple.
-            nodes = tuple(e.node for e in frozen[t] if isinstance(e, Ref))
-            refs.append(nodes)
-            has_ref = has_ref or bool(nodes)
-        (self._pending if has_ref else self._residual).append(seq)
         return policy
 
     def get(self, name: str) -> Policy:
@@ -254,88 +308,29 @@ class PolicyStore:
         except KeyError:
             raise UnknownPolicyError(f"no policy named {name!r}") from None
 
-    def policies(self) -> tuple[Policy, ...]:
-        """Stored policies in ``seq`` order, so ``policies()[p.seq] is p``.
+    def policies(self) -> PolicySnapshot:
+        """Stored policies in ``seq`` order, so ``policies()[p.seq] is p``,
+        compiled for matching.
 
-        The tuple is cached and rebuilt only after an insertion.
+        The snapshot is built at the first call and at the first one after
+        an insertion, once however many threads call; every call in between
+        returns the same object.  The store only appends and a rejected
+        policy leaves no trace, so the count tells a stale snapshot.
         """
-        if self._ordered is None:
-            self._ordered = tuple(self._policies.values())
-        return self._ordered
+        while (snapshot := self._snapshot) is None or len(snapshot) != len(self._policies):
+            with self._lock:
+                if self._snapshot is snapshot:
+                    self._snapshot = PolicySnapshot(
+                        self.graph, tuple(self._policies.values()), snapshot
+                    )
+        return snapshot
 
-    def condition_adjacency(self) -> tuple[tuple[NodeRef, ...], ...]:
-        """The frozen graph's HAS_ATTR children trimmed to the nodes that can
-        reach a condition node of this store; built on first use and kept
-        until a new condition node arrives.  Raises NotFrozenError on an
-        unfrozen graph."""
-        trimmed = self._trimmed
-        if trimmed is None:
-            trimmed = self._settle()
-        return trimmed
-
-    def _settle(self) -> tuple[tuple[NodeRef, ...], ...]:
-        """Post the queued policies under their keys and build the trimmed
-        copy if it is missing, once, however many threads ask at a time.
-        ``_pending`` is emptied, and ``_trimmed`` set, only once that part
-        is complete, so a reader that finds nothing queued, or a copy in
-        place, can use it without the lock."""
-        with self._settle_lock:
-            if self._pending:
-                counts = self._path_counts
-                if counts is None:
-                    counts = self._path_counts = self.graph.path_counts()
-                slots = tuple(enumerate(self._refs))
-                for s in self._pending:
-                    best = None
-                    for i, refs in slots:
-                        for n in refs[s]:
-                            rank = (counts[n], i, n)
-                            if best is None or rank < best:
-                                best = rank
-                    _, i, key = best
-                    self._keys[i].setdefault(key, []).append(s)
-                self._pending = []
-            if self._trimmed is None:
-                self._trimmed = self.graph.trimmed_adjacency(self._conditions)
-            return self._trimmed
-
-    def candidates(
-        self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]
-    ) -> list[int]:
-        """Seqs, ascending, of the policies that can match a query whose
-        closures these are: every policy with each top-level ``Ref`` in its
-        slot's closure, and every policy without one.
-
-        A simple candidate is a match; ``matcher.match_single`` still
-        supplies its path lengths, and decides the other candidates.
-        """
-        if self._pending:
-            self._settle()
-        # A keys-view intersection walks the smaller side, so tiny stores and
-        # large closures both stay cheap.
-        hits: list[int] = []
-        for t, keys in zip(_SLOTS, self._keys):
-            for n in closures[t].keys() & keys.keys():
-                hits += keys[n]
-        sub, act, obj = (closures[t].__contains__ for t in _SLOTS)
-        sub_refs, act_refs, obj_refs = self._refs
-        seqs = [
-            s
-            for s in hits
-            if all(map(sub, sub_refs[s]))
-            and all(map(act, act_refs[s]))
-            and all(map(obj, obj_refs[s]))
-        ]
-        seqs += self._residual
-        seqs.sort()
-        return seqs
+    def __iter__(self) -> Iterator[Policy]:
+        """Stored policies in ``seq`` order, without compiling a snapshot."""
+        return iter(self._policies.values())
 
     def __len__(self) -> int:
         return len(self._policies)
-
-
-def _expr_key(expr: ConditionExpr) -> str:
-    return repr(expr)
 
 
 def _dnf_terms(expr: ConditionExpr) -> list[tuple[Ref, ...]]:
@@ -365,17 +360,16 @@ def dnf_expand(policy: Policy) -> list[Policy]:
     slots: list[list[frozenset[Ref]]] = []
     for t in ConditionType:
         terms: list[tuple[Ref, ...]] = [()]
-        for expr in sorted(policy.conditions.get(t, ()), key=_expr_key):
+        for expr in sorted(policy.conditions.get(t, ()), key=repr):
             terms = [a + b for a in terms for b in _dnf_terms(expr)]
         slots.append([frozenset(term) for term in terms])
-    types = tuple(ConditionType)
     return [
         Policy(
             f"{policy.name}#{i}",
             policy.decision,
             policy.score,
             policy.seq,
-            dict(zip(types, combo)),
+            dict(zip(_SLOTS, combo)),
         )
         for i, combo in enumerate(itertools.product(*slots))
     ]

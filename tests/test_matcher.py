@@ -356,7 +356,7 @@ def scan_matches(store, q, depth=None):
 class TestIndexDifferential:
     def test_indexed_scan_and_oracle_agree(self):
         # Random models from randmodel, grown one policy at a time with
-        # simple, compound and negation-only slots, so the incremental index
+        # simple, compound and negation-only slots, so the rebuilt index
         # is checked after every insertion, at every depth up to the graph's.
         rng = random.Random(7305)
         algorithms = list(CombiningAlgorithm)
@@ -439,11 +439,52 @@ class TestIndexDifferential:
                         if isinstance(e, Ref)
                     )
                 ]
-                assert store.candidates(closures) == expected
+                assert store.policies().candidates(closures) == expected
                 compared += 1
                 kept += len(expected)
         assert compared == 180
         assert kept > 100
+
+    def test_rebuilt_snapshot_posts_each_policy_once(self):
+        # Rounds of inserts, then queries.  Each round rebuilds the snapshot
+        # in full, posting every policy, old and new, exactly once; the
+        # queries of a round share it, and a rejected insert keeps it.
+        rng = random.Random(2911)
+        model = random_model(rng, RandomModelConfig(n_attributes=30, n_policies=10))
+        g, store = model.graph, model.policies
+        nodes = list(range(g.node_count()))
+        previous = None
+        kept_adjacency = new_adjacency = 0
+        for r in range(16):
+            for k in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    # Only condition nodes the store has, so no new one.
+                    slots = rng.choice(list(store)).conditions
+                else:
+                    slots = {t: _random_slot(rng, nodes) for t in ConditionType}
+                store.create_policy(f"r{r}.{k}", rng.choice(list(Decision)), slots)
+            snapshot = store.policies()
+            for _ in range(4):
+                q = random_query(rng, model)
+                assert matching_policies(store, q) == matching_policies_oracle(store, q)
+                assert store.policies() is snapshot
+            with pytest.raises(DuplicatePolicyError):
+                store.create_policy(f"r{r}.0", Decision.PERMIT, slots)
+            with pytest.raises(DanglingConditionRefError):
+                store.create_policy("Dangling", Decision.DENY, {**slots, SUB: {Ref(-1)}})
+            assert store.policies() is snapshot
+            posted = [s for keys in snapshot.keys for seqs in keys.values() for s in seqs]
+            assert sorted(posted + snapshot.residual) == list(range(len(store)))
+            assert snapshot is not previous and len(snapshot) == len(store)
+            if previous is not None:
+                assert snapshot.path_counts is previous.path_counts
+                if snapshot.conditions == previous.conditions:
+                    assert snapshot.adjacency is previous.adjacency
+                    kept_adjacency += 1
+                else:
+                    new_adjacency += 1
+            previous = snapshot
+        assert kept_adjacency > 2 and new_adjacency > 2
 
 
 class TestIndexEdgeCases:
@@ -484,11 +525,11 @@ class TestIndexEdgeCases:
         matching_policies(store, AccessQuery(s, act, obj))
         posted = {
             (t, n): seqs
-            for t, keys in zip(ConditionType, store._keys)
+            for t, keys in zip(ConditionType, store.policies().keys)
             for n, seqs in keys.items()
         }
         assert posted == {(ACT, act): [0], (SUB, s): [1], (SUB, a1): [2]}
-        assert store._residual == [3]
+        assert store.policies().residual == [3]
 
     def test_rejected_policy_leaves_no_trace(self):
         g, s, a1, a2, act, obj, pol = self.build()
@@ -580,9 +621,9 @@ class TestIndexEdgeCases:
             {SUB: {Ref(a2), Or((Ref(a1), Ref(obj)))}, ACT: {Ref(act)}, OBJ: {Ref(obj)}},
         )
         q = AccessQuery(s, act, obj)
-        assert store.candidates(query_closures(store, q, 1)) == []
+        assert store.policies().candidates(query_closures(store, q, 1)) == []
         assert matching_policies(store, q, 1) == [] == matching_policies_oracle(store, q, 1)
-        assert store.candidates(query_closures(store, q, 2)) == [0]
+        assert store.policies().candidates(query_closures(store, q, 2)) == [0]
         (m,) = matching_policies(store, q, 2)
         assert [m] == matching_policies_oracle(store, q, 2)
 
@@ -601,7 +642,7 @@ class TestIndexEdgeCases:
         queries = (AccessQuery(s, act, obj), AccessQuery(act, act, act), AccessQuery(obj, s, a1))
         for depth in range(g.attr_depth + 1):
             for q in queries:
-                assert store.candidates(query_closures(store, q, depth)) == [0]
+                assert store.policies().candidates(query_closures(store, q, depth)) == [0]
                 got = matching_policies(store, q, depth)
                 assert got == matching_policies_oracle(store, q, depth)
         (m,) = matching_policies(store, queries[0], 1)
@@ -688,7 +729,7 @@ class TestTrimmedClosures:
         g, store, s, sink, act, obj, pol = self.build()
         q = AccessQuery(s, act, obj)
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
-        adjacency = store.condition_adjacency()
+        adjacency = store.policies().adjacency
         a = g.find_node("a")
         store.create_policy(
             "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
@@ -699,7 +740,7 @@ class TestTrimmedClosures:
         got = matching_policies(store, q)
         assert [m.policy.name for m in got] == ["OnA", "OnAAgain"]
         assert got == matching_policies_oracle(store, q)
-        assert store.condition_adjacency() is adjacency
+        assert store.policies().adjacency is adjacency
 
     def test_policies_created_before_freeze(self):
         # Keys are chosen at the first query, once the graph is frozen.
@@ -742,7 +783,7 @@ class TestTrimmedClosures:
         g, store, s, sink, act, obj, pol = self.build()
         q = AccessQuery(s, act, obj)
         before = matching_policies(store, q)
-        adjacency = store.condition_adjacency()
+        adjacency = store.policies().adjacency
         on_sink = {SUB: {Ref(sink)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
         with pytest.raises(DuplicatePolicyError):
             store.create_policy("OnA", Decision.DENY, on_sink)
@@ -750,7 +791,7 @@ class TestTrimmedClosures:
             store.create_policy("Dangling", Decision.DENY, {**on_sink, OBJ: {Ref(obj), Ref(999)}})
         with pytest.raises(DanglingConditionRefError):
             store.create_policy("OnPolicy", Decision.DENY, {**on_sink, ACT: {Ref(act), Ref(pol)}})
-        assert store.condition_adjacency() is adjacency
+        assert store.policies().adjacency is adjacency
         assert not any(sink in children for children in adjacency)
         assert matching_policies(store, q) == before
 

@@ -77,13 +77,18 @@ class TestCreatePolicy:
             store.create_policy("P", Decision.DENY, conds)
 
     def test_dangling_ref_rejected(self, healthcare):
+        # A node that is not a plain int names no node, though True == 1
+        # and 1.0 == 1.
         store = PolicyStore(healthcare.graph)
-        with pytest.raises(DanglingConditionRefError):
-            store.create_policy(
-                "P",
-                Decision.PERMIT,
-                {SUB: {Ref(9999)}, ACT: {Ref(9999)}, OBJ: {Ref(9999)}},
-            )
+        for node in (9999, "Doctor", None, 1.0, True):
+            with pytest.raises(DanglingConditionRefError):
+                store.create_policy(
+                    "P",
+                    Decision.PERMIT,
+                    {SUB: {Ref(node)}, ACT: {Ref(node)}, OBJ: {Ref(node)}},
+                )
+            assert len(store) == 0
+            assert store.policies() == ()
 
     def test_seq_strictly_increasing(self, healthcare):
         seqs = [p.seq for p in healthcare.policies.policies()]
