@@ -13,19 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .combine import ALGORITHM_NAMES, CombiningAlgorithm, EvaluationResult, evaluate
 from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_policies
-from .dsl import (
-    LoadedModel,
-    ModelDocument,
-    ModelLoadError,
-    load_document,
-    load_model_file,
-    parse_model,
-    read_model_file,
-)
+from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
 from .policy import ConditionType, Decision, ref_leaves
@@ -37,16 +29,13 @@ EXIT_ERROR = 2
 # The longest request line, newline excluded, that ``serve`` reads.
 MAX_REQUEST_CHARS = 1 << 16
 
-_Loaded = TypeVar("_Loaded")
-
-
 class _CliError(Exception):
     pass
 
 
-def _load(path: str, load: Callable[[str], _Loaded] = load_model_file) -> _Loaded:
+def _load(path: str) -> LoadedModel:
     try:
-        return load(path)
+        return load_model_file(path)
     except ModelLoadError as exc:
         lines = "\n".join(f"{path}:{e}" for e in exc.errors)
         raise _CliError(f"failed to load model:\n{lines}") from exc
@@ -122,7 +111,7 @@ def cmd_validate(args) -> int:
         return EXIT_ERROR if hard else EXIT_DENY
     except OSError as exc:
         raise _CliError(str(exc)) from exc
-    for policy in model.policies.policies():
+    for policy in model.policies:
         print(f"{policy.name}: valid")
     print(
         f"{len(model.policies)} policies valid; "
@@ -131,21 +120,14 @@ def cmd_validate(args) -> int:
     return EXIT_PERMIT
 
 
-def _checked_document(path: str) -> ModelDocument:
-    """The parsed model file, once it has passed every load check."""
-    doc = parse_model(read_model_file(path))
-    load_document(doc)
-    return doc
-
-
 def cmd_export_cypher(args) -> int:
+    model = _load(args.model)
     try:
         if args.what == "data":
-            sys.stdout.write(emit_cypher_data(_load(args.model, _checked_document)))
+            sys.stdout.write(emit_cypher_data(model.graph))
         elif args.what == "policies":
-            sys.stdout.write(emit_cypher_policies(_load(args.model, _checked_document)))
+            sys.stdout.write(emit_cypher_policies(model.policies))
         else:
-            model = _load(args.model)
             depth = args.depth if args.depth is not None else model.graph.attr_depth
             alg = CombiningAlgorithm(args.algorithm)
             sys.stdout.write(emit_cypher_decision_query(alg, depth))

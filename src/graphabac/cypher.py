@@ -2,15 +2,22 @@
 
 Emits textual scripts only: data creation, policy-subgraph creation, and
 the three-stage decision statement for the combining algorithms that have
-a complete statement form.  Output is deterministic for a given document.
+a complete statement form.  The data and policy scripts are read from the
+loaded model, so they hold exactly what the engine decides on.
+
+Output is deterministic for a given model.  Nodes come in declaration
+order.  Edges come in ``Graph.edges()`` order: source node, then
+relationship type, then target.  Policies come in ``seq`` order, and a
+slot's refs come in node order.  ``score`` is emitted only when it is
+non-zero.
 """
 
 from __future__ import annotations
 
 from .combine import CombiningAlgorithm
-from .dsl import AndExpr, ModelDocument, NameRef, NotExpr, OrExpr, PolicyDecl
 from .errors import UnsupportedAlgorithmError, UnsupportedExportError
-from .policy import ConditionType
+from .graph import Graph, NodeRef
+from .policy import ConditionType, Policy, PolicyStore, Ref
 
 _SLOT_VAR = {
     ConditionType.SUB_CON: "sub",
@@ -29,55 +36,56 @@ def quote(value) -> str:
     return f"'{text}'"
 
 
-def emit_cypher_data(doc: ModelDocument) -> str:
+def emit_cypher_data(graph: Graph) -> str:
     """One create statement per node, one merge per edge."""
     lines: list[str] = []
-    for nd in doc.nodes:
+    for nd in graph.nodes():
         labels = "".join(f":{lab}" for lab in nd.labels)
         props = [f"name:{quote(nd.name)}"]
         props += [f"{k}:{quote(v)}" for k, v in sorted(nd.properties.items())]
         lines.append(f"create ({labels} {{{', '.join(props)}}});")
-    if doc.nodes and doc.edges:
+    edges = [
+        f"match (a {{name:{quote(graph.node(src).name)}}}), "
+        f"(b {{name:{quote(graph.node(dst).name)}}}) merge (a)-[:{rel_type}]->(b);"
+        for src, rel_type, dst in graph.edges()
+    ]
+    if lines and edges:
         lines.append("")
-    for ed in doc.edges:
-        lines.append(
-            f"match (a {{name:{quote(ed.src)}}}), (b {{name:{quote(ed.dst)}}}) "
-            f"merge (a)-[:{ed.rel_type}]->(b);"
-        )
+    lines += edges
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _simple_slot_names(pd: PolicyDecl, t: ConditionType) -> list[str]:
-    names: list[str] = []
-    for decl in pd.slots.get(t, []):
-        if isinstance(decl, NameRef):
-            names.append(decl.name)
-        elif isinstance(decl, (NotExpr, AndExpr, OrExpr)):
+def _simple_slot_refs(policy: Policy, t: ConditionType) -> list[NodeRef]:
+    refs: list[NodeRef] = []
+    for expr in policy.conditions[t]:
+        if not isinstance(expr, Ref):
             raise UnsupportedExportError(
-                f"policy {pd.name!r} has compound conditions; "
+                f"policy {policy.name!r} has compound conditions; "
                 "expand it to simple policies before export"
             )
-    return names
+        refs.append(expr.node)
+    return sorted(refs)
 
 
-def emit_cypher_policies(doc: ModelDocument) -> str:
+def emit_cypher_policies(store: PolicyStore) -> str:
     """Per policy: match the condition nodes, create the policy node, merge
     one typed condition edge per required condition."""
+    graph = store.graph
     chunks: list[str] = []
-    for pd in doc.policies:
+    for pol in store:
         match_parts: list[str] = []
         merges: list[str] = []
         for t in ConditionType:
             var = _SLOT_VAR[t]
-            for i, name in enumerate(_simple_slot_names(pd, t), start=1):
+            for i, ref in enumerate(_simple_slot_refs(pol, t), start=1):
                 alias = f"{var}{i}"
-                match_parts.append(f"({alias} {{name:{quote(name)}}})")
+                match_parts.append(f"({alias} {{name:{quote(graph.node(ref).name)}}})")
                 merges.append(f"merge (pol)<-[:{t.name}]- ({alias})")
-        props = [f"name:{quote(pd.name)}", f"decision:{quote(pd.decision.value)}"]
-        if pd.score is not None:
-            props.append(f"score:{pd.score}")
+        props = [f"name:{quote(pol.name)}", f"decision:{quote(pol.decision.value)}"]
+        if pol.score:
+            props.append(f"score:{pol.score}")
         chunk = [
-            f"// {pd.name} - {pd.decision.value}",
+            f"// {pol.name} - {pol.decision.value}",
             "match " + ", ".join(match_parts),
             f"create (pol:Policy {{{', '.join(props)}}})",
         ]

@@ -146,6 +146,7 @@ class Graph:
         return iter(self._nodes)
 
     def edges(self) -> Iterator[tuple[NodeRef, str, NodeRef]]:
+        """Every edge as (source, type, target), by source ref, then type, then target ref."""
         for src, children in enumerate(self._children):
             rels = {HAS_ATTR: children, **self._out.get(src, {})}
             for rel_type in sorted(rels):

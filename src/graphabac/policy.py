@@ -12,7 +12,8 @@ an attribute or primitive node, or a condition that nests ``Not``/``And``/
 well-formed.  Hashing, ``ref_leaves`` and matching walk an expression
 recursively, so the bound keeps each walk far below the interpreter's
 recursion limit.  ``create_policy`` measures the depth first, level by
-level, before anything hashes or walks the expression.
+level, and checks the slots and leaves of the expressions as given before
+anything hashes them, so an unhashable node is a dangling condition.
 
 ``PolicyStore.policies()`` compiles the stored policies into one
 ``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
@@ -272,19 +273,19 @@ class PolicyStore:
     ) -> Policy:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
-        for t in _SLOTS:
-            for expr in conditions.get(t, ()):
+        slots = [conditions.get(t, ()) for t in _SLOTS]
+        for exprs in slots:
+            for expr in exprs:
                 if not isinstance(expr, Ref) and _nests_too_deep(expr):
                     raise ConditionTooDeepError(
                         f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
                     )
-        frozen = {t: frozenset(conditions.get(t, ())) for t in ConditionType}
-        missing = [t for t in ConditionType if not frozen[t]]
+        missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)
         graph = self.graph
         dangling: set[str] = set()
-        for exprs in frozen.values():
+        for exprs in slots:
             for expr in exprs:
                 for leaf in ref_leaves(expr):
                     node = leaf.node
@@ -298,6 +299,7 @@ class PolicyStore:
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
+        frozen = {t: frozenset(exprs) for t, exprs in zip(_SLOTS, slots)}
         policy = Policy(name, decision, score or 0, len(self._policies), frozen)
         self._policies[name] = policy
         return policy

@@ -25,6 +25,7 @@ from graphabac import (
     combine,
     dnf_expand,
     evaluate,
+    load_model,
     matching_policies,
     matching_policies_oracle,
     parse_model,
@@ -289,7 +290,7 @@ def test_6_dnf_expansion():
 
 
 def test_7_cypher_goldens(healthcare, healthcare_text):
-    script = emit_cypher_data(parse_model(healthcare_text))
+    script = emit_cypher_data(load_model(healthcare_text).graph)
     nodes, edges = script_structure(script)
     g = healthcare.graph
     assert nodes == {(":" + ":".join(n.labels), n.name) for n in g.nodes()}
@@ -307,7 +308,7 @@ def test_7_cypher_goldens(healthcare, healthcare_text):
     )
     assert "order by plen asc limit 1" in shortest
     # Byte stability across repeated emission.
-    assert emit_cypher_data(parse_model(healthcare_text)) == script
+    assert emit_cypher_data(load_model(healthcare_text).graph) == script
     assert emit_cypher_decision_query(CombiningAlgorithm.DENY_OVERRIDES, 5) == deny
     report(7, "cypher-goldens")
 

@@ -9,6 +9,7 @@ import pytest
 from graphabac.cli import MAX_REQUEST_CHARS, main, request_lines, serve_loop
 from graphabac.combine import CombiningAlgorithm
 from graphabac.dsl import bundled_model_text, load_bundled_model
+from graphabac.policy import PolicyStore
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "Policy2: valid" in out
         assert "3 policies valid; attribute depth 2" in out
+
+    def test_lists_policies_without_compiling_a_snapshot(self, model_path, monkeypatch, capsys):
+        def no_snapshot(self):
+            raise AssertionError("validate compiled a policy snapshot")
+
+        monkeypatch.setattr(PolicyStore, "policies", no_snapshot)
+        assert main(["validate", model_path]) == 0
+        assert "Policy2: valid" in capsys.readouterr().out
 
     def test_invalid_policy_exit_one(self, tmp_path, capsys):
         path = tmp_path / "m.abac"

@@ -2,14 +2,13 @@ import re
 
 import pytest
 
-from graphabac import CombiningAlgorithm, parse_model
+from graphabac import CombiningAlgorithm, Graph, load_model
 from graphabac.cypher import (
     emit_cypher_data,
     emit_cypher_decision_query,
     emit_cypher_policies,
     quote,
 )
-from graphabac.dsl import ModelDocument
 from graphabac.errors import UnsupportedAlgorithmError, UnsupportedExportError
 
 DENY = CombiningAlgorithm.DENY_OVERRIDES
@@ -43,14 +42,14 @@ def script_structure(script):
 
 
 class TestEmitData:
-    def test_healthcare_contains_sample_nodes(self, healthcare_text):
-        script = emit_cypher_data(parse_model(healthcare_text))
+    def test_healthcare_contains_sample_nodes(self, healthcare):
+        script = emit_cypher_data(healthcare.graph)
         assert "(:Subject:User:Primitive {name:'Peter'})" in script
         assert "(:Record:Object:Primitive {name:'MR_1234'})" in script
         assert "{name:'Peter''s Family Clinic'}" in script
 
-    def test_healthcare_structure_complete(self, healthcare, healthcare_text):
-        nodes, edges = script_structure(emit_cypher_data(parse_model(healthcare_text)))
+    def test_healthcare_structure_complete(self, healthcare):
+        nodes, edges = script_structure(emit_cypher_data(healthcare.graph))
         g = healthcare.graph
         expected_nodes = {
             (":" + ":".join(n.labels), n.name) for n in g.nodes()
@@ -62,34 +61,62 @@ class TestEmitData:
         assert edges == expected_edges
 
     def test_empty_model(self):
-        assert emit_cypher_data(ModelDocument()) == ""
+        assert emit_cypher_data(Graph()) == ""
 
     def test_single_node(self):
-        doc = parse_model("node a : Attribute\n")
-        script = emit_cypher_data(doc)
+        model = load_model("node a : Attribute\n")
+        script = emit_cypher_data(model.graph)
         assert script == "create (:Attribute {name:'a'});\n"
 
     def test_deterministic(self, healthcare_text):
-        a = emit_cypher_data(parse_model(healthcare_text))
-        b = emit_cypher_data(parse_model(healthcare_text))
+        a = emit_cypher_data(load_model(healthcare_text).graph)
+        b = emit_cypher_data(load_model(healthcare_text).graph)
         assert a == b
 
 
 class TestEmitPolicies:
-    def test_healthcare_policy2(self, healthcare_text):
-        script = emit_cypher_policies(parse_model(healthcare_text))
+    def test_healthcare_policy2(self, healthcare):
+        script = emit_cypher_policies(healthcare.policies)
         assert "create (pol:Policy {name:'Policy2', decision:'Permit'})" in script
         assert script.count("merge (pol)<-[:SUB_CON]-") == 5  # 1 + 2 + 2
         assert script.count("merge (pol)<-[:ACT_CON]-") == 3
         assert script.count("merge (pol)<-[:OBJ_CON]-") == 3
 
     def test_compound_policy_rejected(self):
-        doc = parse_model(
+        model = load_model(
             "node a : Attribute\n"
             "policy P permit { subject: (a or a); action: a; object: a; }\n"
         )
         with pytest.raises(UnsupportedExportError):
-            emit_cypher_policies(doc)
+            emit_cypher_policies(model.policies)
+
+
+class TestExportFromModel:
+    NODES = "node a : Attribute\nnode b : Attribute\nnode c : Attribute\n"
+
+    def test_declaration_order_of_edges_and_refs_ignored(self):
+        one = load_model(
+            self.NODES
+            + "edge a -[HAS_ATTR]-> b\nedge b -[HAS_ATTR]-> c\nedge a -[LINK]-> c\n"
+            + "policy P permit score 2 { subject: a; b; action: c; object: c; }\n"
+        )
+        two = load_model(
+            self.NODES
+            + "edge a -[LINK]-> c\nedge b -[HAS_ATTR]-> c\nedge a -[HAS_ATTR]-> b\n"
+            + "policy P permit score 2 { subject: b; a; action: c; object: c; }\n"
+        )
+        assert emit_cypher_data(one.graph) == emit_cypher_data(two.graph)
+        assert emit_cypher_policies(one.policies) == emit_cypher_policies(two.policies)
+
+    def test_repeated_label_exported_once(self):
+        script = emit_cypher_data(load_model("node a : X, X\n").graph)
+        assert script == "create (:X {name:'a'});\n"
+
+    def test_repeated_ref_exported_once(self):
+        model = load_model(
+            "node a : Attribute\npolicy P permit { subject: a; a; action: a; object: a; }\n"
+        )
+        assert emit_cypher_policies(model.policies).count("merge (pol)<-[:SUB_CON]-") == 1
 
 
 class TestDecisionQuery:

@@ -89,6 +89,14 @@ class TestCreatePolicy:
                 )
             assert len(store) == 0
             assert store.policies() == ()
+        # An unhashable node is rejected before anything hashes it; lists,
+        # because a set literal would raise before create_policy runs.
+        for expr in (Ref([1]), Ref({}), Not(Ref([1]))):
+            with pytest.raises(DanglingConditionRefError):
+                store.create_policy(
+                    "P", Decision.PERMIT, {SUB: [expr], ACT: [expr], OBJ: [expr]}
+                )
+            assert len(store) == 0
 
     def test_seq_strictly_increasing(self, healthcare):
         seqs = [p.seq for p in healthcare.policies.policies()]
