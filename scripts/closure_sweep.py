@@ -6,25 +6,26 @@ factor 6: 11k nodes and ~66k distinct HAS_ATTR edges, about the size of the
 graph-deep benchmark workload).  For each condition-node share it fills a
 fresh `PolicyStore` on that graph with simple policies whose conditions are
 distinct attribute nodes drawn uniformly, until that share of all nodes are
-condition nodes.  Then, for the same sample of primitives, it times two
-closures in turns, start by start:
+condition nodes; each slot gets about a third of them.  Then, for the same
+sample of primitives, it times four closures in turns, start by start:
 
 - the full closure: `Graph.attribute_closure(p, depth)` over the whole graph;
-- the trimmed closure: the same call over the `adjacency` of the store's
-  snapshot (`PolicyStore.policies()`), which is what
-  `matcher.query_closures` walks.
+- per slot, the trimmed closure: the same call over that slot's copy in the
+  `adjacency` of the store's snapshot (`PolicyStore.policies()`), which is
+  what `matcher.query_closures` walks for that slot.
 
 It records their median and p90 in microseconds, the mean node counts, the
 condition nodes each start reaches, the build time of the snapshot that
-holds the trimmed copy, with its key index, and the kept share of the copy.
-A check that both closures agree at every condition node runs
-outside the timed region.
+holds the three trimmed copies, with its key index, and, per slot, the
+share of nodes its copy keeps.  A check that each slot's closure agrees
+with the full closure at every condition node of that slot runs outside
+the timed region.
 
     PYTHONPATH=src python3 scripts/closure_sweep.py
     PYTHONPATH=src python3 scripts/closure_sweep.py --depths 5 8 --shares 0.1 --out -
 
-The default sweep takes about 6 s and peaks at about 80 MB RSS on a 2-vCPU
-VM with CPython 3.11.
+The default sweep takes about 8 s and peaks at about 70 MB RSS on a
+2-vCPU VM with CPython 3.11.
 """
 
 from __future__ import annotations
@@ -66,16 +67,18 @@ def fill_store(
         store.create_policy(f"p{i}", Decision.PERMIT, conditions)
 
 
-def timed_us(g: Graph, starts: list[int], adjacency: Adjacency) -> tuple[list[float], list[float]]:
-    """Full and trimmed closure times per start, taken in turns so that a
-    slow spell of the host falls on both."""
-    full, trimmed = [], []
+def timed_us(
+    g: Graph, starts: list[int], adjacency: tuple[Adjacency, ...]
+) -> list[list[float]]:
+    """Closure times per start, full first, then one per slot's copy, taken
+    in turns so that a slow spell of the host falls on all of them."""
+    times: list[list[float]] = [[] for _ in range(1 + len(adjacency))]
     for s in starts:
-        for adj, out in ((None, full), (adjacency, trimmed)):
+        for adj, out in zip((None, *adjacency), times):
             t = time.perf_counter_ns()
             g.attribute_closure(s, g.attr_depth, adj)
             out.append((time.perf_counter_ns() - t) / 1e3)
-    return sorted(full), sorted(trimmed)
+    return [sorted(out) for out in times]
 
 
 def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[dict]:
@@ -97,41 +100,50 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
     for share in shares:
         store = PolicyStore(g)
         fill_store(store, attributes, round(share * g.node_count()), rng)
-        conditions = {
-            e.node for p in store.policies() for exprs in p.conditions.values() for e in exprs
-        }
         t = time.perf_counter()
-        adjacency = store.policies().adjacency
+        snapshot = store.policies()
         trim_ms = (time.perf_counter() - t) * 1e3
-        trimmed = {s: g.attribute_closure(s, g.attr_depth, adjacency) for s in starts}
-        for s in starts:
-            for c in conditions:
-                if trimmed[s].get(c) != full[s].get(c):
-                    raise AssertionError(f"closures disagree at node {c} from {s}")
         gc.collect()
-        full_us, trimmed_us = timed_us(g, starts, adjacency)
-        kept = sum(1 for n, children in enumerate(adjacency) if children or n in conditions)
+        full_us, *trimmed_us = timed_us(g, starts, snapshot.adjacency)
+        slots = {}
+        for slot, adjacency, us in zip(ConditionType, snapshot.adjacency, trimmed_us):
+            conditions = {e.node for p in store for e in p.conditions[slot]}
+            trimmed = {s: g.attribute_closure(s, g.attr_depth, adjacency) for s in starts}
+            for s in starts:
+                for c in conditions:
+                    if trimmed[s].get(c) != full[s].get(c):
+                        raise AssertionError(
+                            f"{slot.value} closures disagree at node {c} from {s}"
+                        )
+            kept = sum(1 for n, children in enumerate(adjacency) if children or n in conditions)
+            slots[slot.value] = {
+                "condition_nodes": len(conditions),
+                "trimmed_us_p50": round(statistics.median(us), 1),
+                "trimmed_us_p90": round(us[int(0.9 * len(us))], 1),
+                "trimmed_nodes_mean": round(statistics.fmean(map(len, trimmed.values())), 1),
+                "conditions_reached_mean": round(
+                    statistics.fmean(len(conditions & c.keys()) for c in full.values()), 1
+                ),
+                "p50_ratio": round(statistics.median(us) / statistics.median(full_us), 3),
+                "nodes_kept_share": round(kept / g.node_count(), 4),
+            }
+        n_conditions = len(
+            {e.node for p in store for exprs in p.conditions.values() for e in exprs}
+        )
         rows.append(
             {
                 "attr_depth": g.attr_depth,
                 "nodes": g.node_count(),
                 "has_attr_edges": g.edge_count(HAS_ATTR),
-                "condition_nodes": len(conditions),
-                "condition_share": round(len(conditions) / g.node_count(), 4),
+                "condition_nodes": n_conditions,
+                "condition_share": round(n_conditions / g.node_count(), 4),
                 "policies": len(store),
                 "starts": len(starts),
                 "full_us_p50": round(statistics.median(full_us), 1),
                 "full_us_p90": round(full_us[int(0.9 * len(full_us))], 1),
                 "full_nodes_mean": round(statistics.fmean(map(len, full.values())), 1),
-                "trimmed_us_p50": round(statistics.median(trimmed_us), 1),
-                "trimmed_us_p90": round(trimmed_us[int(0.9 * len(trimmed_us))], 1),
-                "trimmed_nodes_mean": round(statistics.fmean(map(len, trimmed.values())), 1),
-                "conditions_reached_mean": round(
-                    statistics.fmean(len(conditions & c.keys()) for c in full.values()), 1
-                ),
-                "p50_ratio": round(statistics.median(trimmed_us) / statistics.median(full_us), 3),
                 "trim_ms": round(trim_ms, 1),
-                "nodes_kept_share": round(kept / g.node_count(), 4),
+                "slots": slots,
             }
         )
     return rows
@@ -149,10 +161,14 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for depth in args.depths:
         for row in measure(depth, args.shares, args.seed, args.starts):
+            trimmed = ", ".join(
+                f"{slot} {v['trimmed_us_p50']:.0f} us / {v['trimmed_nodes_mean']:.0f} nodes"
+                for slot, v in row["slots"].items()
+            )
             print(
                 f"depth {row['attr_depth']:>2} share {row['condition_share']:.2f}: "
-                f"full {row['full_us_p50']:.0f} us / {row['full_nodes_mean']:.0f} nodes, "
-                f"trimmed {row['trimmed_us_p50']:.0f} us / {row['trimmed_nodes_mean']:.0f} nodes",
+                f"full {row['full_us_p50']:.0f} us / {row['full_nodes_mean']:.0f} nodes; "
+                f"trimmed {trimmed}",
                 file=sys.stderr,
             )
             rows.append(row)
@@ -166,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             "n_layers": "attr depth",
         },
         "conditions": "distinct attribute nodes drawn uniformly, one per slot of simple policies",
+        "trimmed": "per slot, over that slot's copy; checked at that slot's condition nodes",
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "nproc": os.cpu_count(),

@@ -29,6 +29,10 @@ EXIT_ERROR = 2
 # The longest request line, newline excluded, that ``serve`` reads.
 MAX_REQUEST_CHARS = 1 << 16
 
+# The whitespace of RFC 8259; ``str.strip()`` would also drop characters
+# such as U+001C and U+3000, which are not JSON and must get a Deny.
+_JSON_WHITESPACE = " \t\r\n"
+
 class _CliError(Exception):
     pass
 
@@ -157,13 +161,14 @@ def serve_loop(
     depth: Optional[int] = None,
 ) -> None:
     """One JSON request per input line, one JSON response per output line,
-    in request order.  Never raises on malformed input.  A line longer than
-    MAX_REQUEST_CHARS gets a Deny; ``request_lines`` reads such a line
-    without holding all of it."""
+    in request order.  Never raises on malformed input.  A line of JSON
+    whitespace alone (space, tab, CR, LF) gets no response; any other line
+    gets exactly one.  A line longer than MAX_REQUEST_CHARS gets a Deny;
+    ``request_lines`` reads such a line without holding all of it."""
     for line in stdin:
         if len(line) > MAX_REQUEST_CHARS and line[MAX_REQUEST_CHARS] != "\n":
             response = _deny("", f"request line longer than {MAX_REQUEST_CHARS} characters")
-        elif not line.strip():
+        elif not line.strip(_JSON_WHITESPACE):
             continue
         else:
             response = _serve_one(model, default_alg, line, depth)

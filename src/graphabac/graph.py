@@ -15,17 +15,22 @@ so a closure's keys come out in the same breadth-first discovery order
 before and after freezing, and every query shares the immutable tuples.
 Other relationship types keep their own map; reachability never reads it.
 
-``trimmed_adjacency`` derives, from a frozen graph, a copy of the children
-that keeps only the nodes that can reach a given set of targets, in one
-pass in reverse topological order.  A closure over that copy gives the
-same hop count as the full graph to every target, because every node on a
-shortest path to a target reaches that target.  Each ``PolicySnapshot``
-of a store holds such a copy for the store's condition nodes, and no query
-changes it (see ``policy.py``).
+``trimmed_adjacency`` derives, from a frozen graph, one copy of the
+children per given set of targets, each keeping only the nodes that can
+reach a target of its set.  One pass in reverse topological order gives
+each node a bit mask of the sets it reaches, and the copies share every
+tuple they can: the graph's own where no child is dropped, and one kept
+tuple where two copies keep the same children.  A closure over a copy
+gives the same hop count as the full graph to every target of its set,
+because every node on a shortest path to a target reaches that target.
+Each ``PolicySnapshot`` of a store holds one such copy per condition slot,
+for that slot's condition nodes, and no query changes them (see
+``policy.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
@@ -75,6 +80,8 @@ class Graph:
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
         self._frozen = False
         self._attr_depth: Optional[int] = None
+        # Every node after all of its HAS_ATTR parents, fixed by freeze().
+        self._order = array("l")
 
     # -- construction -------------------------------------------------
 
@@ -114,10 +121,13 @@ class Graph:
 
     def freeze(self) -> None:
         """Finish the build phase: fix the traversal bound at the longest
-        HAS_ATTR chain and turn each node's children into a tuple.  A cycle
+        HAS_ATTR chain, turn each node's children into a tuple and keep the
+        topological order for the passes over the frozen graph.  A cycle
         raises before anything changes, leaving the graph unfrozen."""
-        self._attr_depth = self.attribute_depth()
+        order = self._topological_order()
+        self._attr_depth = self._longest_chain(order)
         self._children = tuple(tuple(children) for children in self._children)
+        self._order = array("l", order)
         self._frozen = True
 
     # -- lookups ------------------------------------------------------
@@ -193,24 +203,51 @@ class Graph:
             frontier = found
         return dist
 
-    def trimmed_adjacency(self, targets: Collection[NodeRef]) -> tuple[tuple[NodeRef, ...], ...]:
-        """The frozen graph's children without every node that cannot reach
-        a node of ``targets`` over HAS_ATTR: such a node keeps no children
-        and no edge leads to it.  A node's children keep their order.
+    def trimmed_adjacency(
+        self, targets: Sequence[Collection[NodeRef]]
+    ) -> tuple[tuple[tuple[NodeRef, ...], ...], ...]:
+        """One copy of the frozen graph's children per collection of
+        ``targets``, in order.  Copy ``i`` leaves out every node that cannot
+        reach a node of ``targets[i]`` over HAS_ATTR: such a node keeps no
+        children and no edge leads to it.  A node's children keep their
+        order.
+
+        One pass in reverse topological order gives each node a bit mask of
+        the distinct target sets it reaches.  Equal target sets get the same
+        copy.  A node whose children all reach a set keeps the graph's own
+        tuple in that set's copy, and a trimmed tuple that two copies share
+        is stored once.
         """
         if not self._frozen:
             raise NotFrozenError("freeze the graph before trimming it")
         adj = self._children
-        reaches = [False] * len(adj)
-        trimmed: list[tuple[NodeRef, ...]] = [()] * len(adj)
-        for n in reversed(self._topological_order()):
+        distinct: dict[frozenset[NodeRef], int] = {}
+        for nodes in targets:
+            distinct.setdefault(frozenset(nodes), len(distinct))
+        reaches = [0] * len(adj)
+        for nodes, i in distinct.items():
+            for n in nodes:
+                reaches[n] |= 1 << i
+        slots = [(1 << i, [()] * len(adj)) for i in range(len(distinct))]
+        for n in reversed(self._order):
             children = adj[n]
-            kept = tuple(m for m in children if reaches[m])
-            # Sharing the graph's tuple when nothing was dropped keeps the
-            # copy small.
-            trimmed[n] = children if len(kept) == len(children) else kept
-            reaches[n] = bool(kept) or n in targets
-        return tuple(trimmed)
+            if not children:
+                continue
+            masks = [reaches[m] for m in children]
+            every = some = masks[0]
+            for mask in masks:
+                every &= mask
+                some |= mask
+            reaches[n] |= some
+            kept_once: dict[tuple[NodeRef, ...], tuple[NodeRef, ...]] = {}
+            for bit, copy in slots:
+                if every & bit:
+                    copy[n] = children
+                elif some & bit:
+                    kept = tuple(m for m, mask in zip(children, masks) if mask & bit)
+                    copy[n] = kept_once.setdefault(kept, kept)
+        copies = [tuple(copy) for _, copy in slots]
+        return tuple(copies[distinct[frozenset(nodes)]] for nodes in targets)
 
     def path_counts(self) -> list[int]:
         """For each node of the frozen graph, the number of HAS_ATTR paths
@@ -222,7 +259,7 @@ class Graph:
             raise NotFrozenError("freeze the graph before counting paths")
         adj = self._children
         counts = [0] * len(adj)
-        for n in self._topological_order():
+        for n in self._order:
             # Every parent comes first and adds at least one, so a count
             # still at zero here is a source's.
             c = counts[n] = counts[n] or 1
@@ -236,15 +273,18 @@ class Graph:
         Raises AttributeCycleError, naming one node on the cycle, if the
         HAS_ATTR subgraph is not acyclic.
         """
+        return self._longest_chain(self._topological_order())
+
+    # -- internal -----------------------------------------------------
+
+    def _longest_chain(self, order: Sequence[NodeRef]) -> int:
         adj = self._children
         longest = [0] * len(adj)
-        for r in self._topological_order():
+        for r in order:
             for dst in adj[r]:
                 if longest[r] + 1 > longest[dst]:
                     longest[dst] = longest[r] + 1
         return max(longest, default=0)
-
-    # -- internal -----------------------------------------------------
 
     def _topological_order(self) -> list[NodeRef]:
         """Every node, each after all of its HAS_ATTR parents (Kahn's

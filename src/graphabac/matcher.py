@@ -4,16 +4,19 @@
 three-stage Cypher decision statement (``cypher.emit_cypher_decision_query``)
 in memory.  It reads ``PolicyStore.policies()`` once per query: the
 store's compiled ``PolicySnapshot``, which holds the policies, the
-adjacency the closures walk and the key index.
+per-slot adjacencies the closures walk and the key index.
 
 1. ``query_closures`` runs one bounded BFS per query primitive: the
    ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.  Like
-   the Cypher pattern, it only needs to reach condition nodes ``c``, so it
-   walks the snapshot's ``adjacency``: the frozen graph with every node
-   that cannot reach a condition node left out.  Each condition node is
-   found at the same minimal hop count as in the full graph, within the
-   same depth bound; nodes that lead nowhere are never visited.  On an
-   unfrozen graph it raises ``NotFrozenError``.
+   the Cypher pattern, it only needs to reach the condition nodes ``c``
+   that its own stage joins on: ``SUB_CON`` nodes for the subject,
+   ``ACT_CON`` for the action and ``OBJ_CON`` for the object.  So slot
+   ``t``'s BFS walks slot ``t``'s copy in the snapshot's ``adjacency``:
+   the frozen graph with every node that cannot reach a condition node of
+   slot ``t`` left out.  Each of those condition nodes is found at the
+   same minimal hop count as in the full graph, within the same depth
+   bound; nodes that lead to none are never visited.  On an unfrozen
+   graph it raises ``NotFrozenError``.
 2. ``PolicySnapshot.candidates`` looks up each closure node among the
    keys of the snapshot's condition index.  Each policy with a plain
    top-level condition is posted there once, under the one
@@ -31,8 +34,9 @@ against the shared closures, decides the compound candidates and supplies
 the path lengths: a simple slot survives iff every required reference is
 inside the closure; a compound slot evaluates its expressions over the
 same closure.  Every front end
-that needs closures gets them from ``query_closures``; they are exact at
-the store's condition nodes and say nothing about any other node.
+that needs closures gets them from ``query_closures``; slot ``t``'s
+closure is exact at slot ``t``'s condition nodes of the store and says
+nothing about any other node.
 
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
@@ -104,12 +108,24 @@ Closures = dict[ConditionType, dict[NodeRef, int]]
 
 def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:
     """Minimal hop counts from each query primitive to every condition node
-    of ``store`` it reaches within ``depth``, keyed by slot type."""
+    of its slot in ``store`` that it reaches within ``depth``, keyed by slot
+    type."""
     return _closures(store.graph, store.policies().adjacency, q, depth)
 
 
-def _closures(graph: Graph, adjacency: Adjacency, q: AccessQuery, depth: int) -> Closures:
-    return {t: graph.attribute_closure(q.primitive(t), depth, adjacency) for t in _SLOTS}
+_SUB, _ACT, _OBJ = _SLOTS
+
+
+def _closures(
+    graph: Graph, adjacency: tuple[Adjacency, ...], q: AccessQuery, depth: int
+) -> Closures:
+    sub, act, obj = adjacency
+    closure = graph.attribute_closure
+    return {
+        _SUB: closure(q.sub, depth, sub),
+        _ACT: closure(q.act, depth, act),
+        _OBJ: closure(q.obj, depth, obj),
+    }
 
 
 def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:

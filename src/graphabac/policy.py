@@ -39,23 +39,27 @@ top-level ref at all has no key; its seq is kept on ``residual``.  The
 index does not depend on the traversal depth, which bounds the closures
 alone.
 
-The snapshot also holds the store's condition nodes: every ``Ref`` leaf
-of every stored policy, including the leaves under ``Not``.  Matching
-reads the closures only at those nodes, so the snapshot's ``adjacency``
-is a copy of the frozen graph's ``HAS_ATTR`` children trimmed to the
-nodes that can reach one (``Graph.trimmed_adjacency``).
+The snapshot also holds the store's condition nodes, slot by slot:
+``conditions`` is one frozenset per slot, in ``_SLOTS`` order, of every
+``Ref`` leaf of that slot in every stored policy, including the leaves
+under ``Not``.  Matching reads a slot's closure only at that slot's
+condition nodes, so the snapshot's ``adjacency`` is the matching tuple of
+three copies of the frozen graph's ``HAS_ATTR`` children, each trimmed to
+the nodes that can reach a condition node of its slot, all built by one
+``Graph.trimmed_adjacency`` call.
 
 ``create_policy`` validates and inserts, and writes nothing else, so a
 rejected policy leaves no trace.  ``policies()`` builds the snapshot,
 which needs a frozen graph, at its first call and again, in full, at the
 first call after an insertion, reusing the previous snapshot's path
-counts and, when no condition node is new, its adjacency.  Every front
-end creates all its policies before its first query, so it builds one
-snapshot.  A snapshot is built to one side, under a lock, and published
-by one assignment, so concurrent first queries build it once; it never
-changes after that, and any number of threads may match against it.
-Like the graph, a store is filled single-threaded: ``create_policy`` must
-not run while another thread matches against the same store.
+counts and, when no slot gains a condition node, its copies as the same
+object.  Every front end creates all its policies before its first
+query, so it builds one snapshot.  A snapshot is built to one side, under
+a lock, and published by one assignment, so concurrent first queries
+build it once; it never changes after that, and any number of threads may
+match against it.  Like the graph, a store is filled single-threaded:
+``create_policy`` must not run while another thread matches against the
+same store.
 """
 
 from __future__ import annotations
@@ -182,8 +186,9 @@ class Policy:
 
 class PolicySnapshot(tuple):
     """The stored policies in ``seq`` order, compiled over the frozen graph:
-    the key index, the top-level refs and the trimmed adjacency (see the
-    module docstring).  Raises NotFrozenError on an unfrozen graph."""
+    the key index, the top-level refs and one trimmed adjacency per slot
+    (see the module docstring).  Raises NotFrozenError on an unfrozen
+    graph."""
 
     def __new__(
         cls, graph: Graph, policies: tuple[Policy, ...], previous: Optional[PolicySnapshot]
@@ -195,10 +200,11 @@ class PolicySnapshot(tuple):
         refs: tuple[list[tuple[NodeRef, ...]], ...] = ([], [], [])
         keys: tuple[dict[NodeRef, list[int]], ...] = ({}, {}, {})
         residual: list[int] = []
-        conditions: set[NodeRef] = set()
+        # Per slot: every Ref leaf of the slot's expressions.
+        conditions: tuple[set[NodeRef], ...] = (set(), set(), set())
         for p in policies:
             best = None
-            for i, (t, slot_refs) in enumerate(zip(_SLOTS, refs)):
+            for i, (t, slot_refs, slot_conditions) in enumerate(zip(_SLOTS, refs, conditions)):
                 nodes = []
                 for e in p.conditions[t]:
                     if isinstance(e, Ref):
@@ -207,10 +213,10 @@ class PolicySnapshot(tuple):
                         if best is None or rank < best:
                             best = rank
                     else:
-                        conditions.update(leaf.node for leaf in ref_leaves(e))
+                        slot_conditions.update(leaf.node for leaf in ref_leaves(e))
                 # A slot without a plain Ref gets the shared empty tuple.
                 slot_refs.append(tuple(nodes))
-                conditions.update(nodes)
+                slot_conditions.update(nodes)
             if best is None:
                 residual.append(p.seq)
             else:
@@ -218,11 +224,13 @@ class PolicySnapshot(tuple):
                 keys[i].setdefault(key, []).append(p.seq)
         self.refs = tuple(map(tuple, refs))
         self.keys, self.residual, self.path_counts = keys, residual, counts
-        # The store only appends, so an equal count means an equal set.
-        if previous is not None and len(conditions) == len(previous.conditions):
+        # The store only appends, so equal counts mean equal sets.
+        if previous is not None and list(map(len, conditions)) == list(
+            map(len, previous.conditions)
+        ):
             self.conditions, self.adjacency = previous.conditions, previous.adjacency
         else:
-            self.conditions = frozenset(conditions)
+            self.conditions = tuple(map(frozenset, conditions))
             self.adjacency = graph.trimmed_adjacency(self.conditions)
         return self
 

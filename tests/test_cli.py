@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphabac.cli import MAX_REQUEST_CHARS, main, request_lines, serve_loop
 from graphabac.combine import CombiningAlgorithm
@@ -358,6 +360,27 @@ class TestServe:
         assert [r["decision"] for r in responses] == ["Permit", "Deny", "Permit"]
         assert responses[1]["error"]
 
+    def test_non_json_whitespace_line_fails_closed(self):
+        # Only space, tab, CR and LF are JSON whitespace; a line of other
+        # whitespace is a malformed request, and a line of JSON whitespace
+        # alone gets no response.
+        ok = self.request(id="ok", subject="John", action="Write", object="MR_1234")
+        lines = [ok, "\x1c", " \t\r", "\u3000", "", "\x0b", ok]
+        responses = self.serve(lines)
+        assert [r["decision"] for r in responses] == ["Permit", "Deny", "Deny", "Deny", "Permit"]
+        assert all(r["error"] for r in responses[1:4])
+
+    def test_non_json_whitespace_over_a_pipe(self, model_path):
+        # The pipe's line reader splits on CR and LF only, so each of these
+        # lines reaches the loop whole, and a closed-loop client gets a
+        # reply to every one.
+        ok = self.request(id="ok", subject="John", action="Write", object="MR_1234")
+        stdin = f"\x1c\n{ok}\n\u3000\n\x0b\n \n{ok}\n"
+        code, out, err = run_cli(["serve", model_path], stdin=stdin)
+        assert code == 0, err
+        responses = [json.loads(line) for line in out.splitlines()]
+        assert [r["decision"] for r in responses] == ["Deny", "Permit", "Deny", "Deny", "Permit"]
+
     def test_subprocess_round_trip(self, model_path):
         stdin = "\n".join(
             [
@@ -369,3 +392,56 @@ class TestServe:
         assert code == 0
         responses = [json.loads(line) for line in out.splitlines()]
         assert [r["decision"] for r in responses] == ["Permit", "Deny"]
+
+
+_MODEL = load_bundled_model()
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+# Requests shaped like the real ones, with each field present or not, and
+# any JSON value or one of the model's names in it.
+_NAMES = st.sampled_from([n.name for n in _MODEL.graph.nodes()]) | _JSON
+_REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.text() | _JSON,
+        "subject": _NAMES,
+        "action": _NAMES,
+        "object": _NAMES,
+        "algorithm": st.sampled_from([a.value for a in CombiningAlgorithm]) | _JSON,
+    },
+)
+
+# Lines of whitespace only, JSON's or not: str.isspace() is true for all.
+_SPACES = st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"))
+
+
+class TestServeFuzz:
+    """Any line that is not JSON whitespace alone gets exactly one Deny or
+    decision, and nothing ends the loop."""
+
+    def check(self, lines):
+        out = io.StringIO()
+        serve_loop(_MODEL, CombiningAlgorithm.DENY_OVERRIDES, lines, out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        expected = [line for line in lines if line.strip(" \t\r\n")]
+        assert len(responses) == len(expected)
+        for r in responses:
+            assert set(r) == {"id", "decision", "matching", "error"}
+            assert r["decision"] in ("Permit", "Deny")
+            assert isinstance(r["id"], str) and isinstance(r["matching"], list)
+            assert r["error"] is None or r["error"]
+
+    @settings(max_examples=300)
+    @given(st.lists((st.text() | _SPACES).map(lambda t: t.replace("\n", "") + "\n"), max_size=5))
+    def test_arbitrary_text_lines(self, lines):
+        self.check(lines)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_JSON | _REQUESTS, max_size=4))
+    def test_arbitrary_json_lines(self, values):
+        self.check([json.dumps(v) + "\n" for v in values])

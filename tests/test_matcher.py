@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -651,9 +652,10 @@ class TestIndexEdgeCases:
 
 class TestTrimmedClosures:
     def test_exact_at_every_condition_node(self):
-        # Closures over the store's trimmed adjacency agree with full closures
-        # at every condition node, at every depth, on models whose stores
-        # mix simple, compound and negation-only slots.
+        # Each slot's closure over its trimmed copy is the full closure cut
+        # to the start and the nodes that reach a condition node of that
+        # slot, at every depth, on models whose stores mix simple,
+        # compound and negation-only slots.
         rng = random.Random(4417)
         compared = trimmed_away = 0
         for trial in range(25):
@@ -672,25 +674,66 @@ class TestTrimmedClosures:
                 slots = {t: _random_slot(rng, nodes) for t in ConditionType}
                 store.create_policy(f"extra{k}", Decision.PERMIT, slots)
             conditions = {
-                leaf.node
-                for p in store.policies()
-                for exprs in p.conditions.values()
-                for e in exprs
-                for leaf in ref_leaves(e)
+                t: {leaf.node for p in store for e in p.conditions[t] for leaf in ref_leaves(e)}
+                for t in ConditionType
             }
+            reach = {n: g.attribute_closure(n, g.attr_depth).keys() for n in nodes}
             for depth in range(g.attr_depth + 1):
                 q = random_query(rng, model)
                 closures = query_closures(store, q, depth)
                 for t in ConditionType:
-                    full = g.attribute_closure(q.primitive(t), depth)
-                    trimmed = closures[t]
-                    assert trimmed.items() <= full.items()
-                    for c in conditions:
-                        assert trimmed.get(c) == full.get(c)
+                    start = q.primitive(t)
+                    full = g.attribute_closure(start, depth)
+                    assert closures[t] == {
+                        n: h
+                        for n, h in full.items()
+                        if n == start or reach[n] & conditions[t]
+                    }
                     compared += 1
-                    trimmed_away += len(full) - len(trimmed)
+                    trimmed_away += len(full) - len(closures[t])
         assert compared > 200
         assert trimmed_away > 100
+
+    def test_one_pass_equals_one_trim_per_target_set(self):
+        # Each copy of one multi-set trim keeps exactly the children that
+        # reach its own target set, as the full closures say; equal target
+        # sets share one copy, and equal kept tuples are one object.
+        rng = random.Random(6203)
+        compared = trimmed = 0
+        for trial in range(20):
+            cfg = RandomModelConfig(
+                n_primitives=rng.randint(3, 6),
+                n_attributes=rng.randint(10, 30),
+                n_layers=rng.randint(2, 5),
+                n_policies=0,
+            )
+            g = random_model(rng, cfg).graph
+            nodes = list(range(g.node_count()))
+            reach = {n: g.attribute_closure(n, g.attr_depth).keys() for n in nodes}
+            # Children in the graph's own order: a one-hop closure's keys.
+            children = {n: list(g.attribute_closure(n, 1))[1:] for n in nodes}
+            sets = [set(rng.sample(nodes, rng.randint(0, 4))) for _ in range(3)]
+            copies = g.trimmed_adjacency(sets)
+            assert len(copies) == 3
+            for targets, copy in zip(sets, copies):
+                expected = tuple(
+                    tuple(m for m in children[n] if reach[m] & targets) for n in nodes
+                )
+                assert copy == expected
+                assert g.trimmed_adjacency([targets]) == (expected,)
+                compared += 1
+                trimmed += sum(len(children[n]) - len(copy[n]) for n in nodes)
+            # Every node reaches itself, so this copy keeps every edge: it
+            # is the graph's own children, which the copies share.
+            whole = g.trimmed_adjacency([nodes])[0]
+            for n in nodes:
+                for a, b in itertools.combinations((*copies, whole), 2):
+                    assert (a[n] is b[n]) == (a[n] == b[n])
+            again = g.trimmed_adjacency([sets[0], sets[1], set(sets[0])])
+            assert again[0] is again[2]
+            assert again[:2] == copies[:2]
+        assert compared == 60
+        assert trimmed > 100
 
     def build(self):
         # s -> a -> sink, and nothing conditions sink until the test adds it.
@@ -724,16 +767,13 @@ class TestTrimmedClosures:
         assert got == matching_policies_oracle(store, q)
 
     def test_policy_on_known_nodes_after_first_query(self):
-        # The new policy is posted at the next query; its nodes are all
-        # condition nodes already, so the trimmed copy is kept.
+        # The new policy is posted at the next query; each of its nodes is
+        # already a condition node of the same slot, so the copies are kept.
         g, store, s, sink, act, obj, pol = self.build()
         q = AccessQuery(s, act, obj)
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
         adjacency = store.policies().adjacency
         a = g.find_node("a")
-        store.create_policy(
-            "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
-        )
         store.create_policy(
             "OnAAgain", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
         )
@@ -741,6 +781,26 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in got] == ["OnA", "OnAAgain"]
         assert got == matching_policies_oracle(store, q)
         assert store.policies().adjacency is adjacency
+
+    def test_known_node_in_a_new_slot_after_first_query(self):
+        # `a` conditions the subject only until OnAToo makes it an object
+        # condition too, so the next query builds new copies.
+        g, store, s, sink, act, obj, pol = self.build()
+        q = AccessQuery(s, act, obj)
+        assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
+        adjacency = store.policies().adjacency
+        a = g.find_node("a")
+        assert a not in query_closures(store, AccessQuery(s, act, s), g.attr_depth)[OBJ]
+        store.create_policy(
+            "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
+        )
+        got = matching_policies(store, q)
+        assert [m.policy.name for m in got] == ["OnA"]
+        assert got == matching_policies_oracle(store, q)
+        assert store.policies().adjacency is not adjacency
+        assert query_closures(store, AccessQuery(s, act, s), g.attr_depth)[OBJ] == {s: 0, a: 1}
+        for q in (AccessQuery(s, act, s), AccessQuery(a, act, a), AccessQuery(s, act, sink)):
+            assert matching_policies(store, q) == matching_policies_oracle(store, q)
 
     def test_policies_created_before_freeze(self):
         # Keys are chosen at the first query, once the graph is frozen.
@@ -792,7 +852,8 @@ class TestTrimmedClosures:
         with pytest.raises(DanglingConditionRefError):
             store.create_policy("OnPolicy", Decision.DENY, {**on_sink, ACT: {Ref(act), Ref(pol)}})
         assert store.policies().adjacency is adjacency
-        assert not any(sink in children for children in adjacency)
+        assert len(adjacency) == 3
+        assert not any(sink in children for copy in adjacency for children in copy)
         assert matching_policies(store, q) == before
 
     def test_unfrozen_graph_is_rejected(self):
