@@ -27,12 +27,14 @@ _SLOT_VAR = {
 
 
 def quote(value) -> str:
-    """Single-quoted Cypher string literal; embedded quotes are doubled."""
+    """Single-quoted Cypher string literal.  Cypher reads a backslash in a
+    string as the start of an escape, so each one is doubled, and so is
+    each embedded quote."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    text = str(value).replace("'", "''")
+    text = str(value).replace("\\", "\\\\").replace("'", "''")
     return f"'{text}'"
 
 
@@ -126,36 +128,25 @@ def emit_cypher_decision_query(alg: CombiningAlgorithm, depth: int) -> str:
         raise UnsupportedAlgorithmError(
             f"no complete decision statement for {alg.value!r}"
         )
+    # The shortest-path form names each stage's path and carries the running
+    # path length, plen, from stage to stage.
+    path = "path=" if track_length else ""
+    carried = "plen, " if track_length else ""
     lines = ["with $AQ as req"]
     for index, (label, var, param, rel, first) in enumerate(_STAGES, start=1):
-        lines.append(f"// Stage {index} - {label} Conditions")
         pol_pattern = "(pol:Policy)" if first else "(pol)"
+        plen = ""
         if track_length:
-            plen = "length(path)" if first else "length(path) + plen"
-            lines.append(
-                f"match path=({var} {{name:req.{param}}})"
-                f"-[:HAS_ATTR*0..{depth}]->(sc)-[:{rel}]->{pol_pattern}"
-            )
-            lines.append(
-                f"with req, pol, {plen} as plen, "
-                "size(collect(distinct sc)) as sat_cons"
-            )
-            lines.append(f"match (pol)<-[:{rel}]- (rc)")
-            lines.append(
-                "with req, pol, plen, sat_cons, size(collect(rc)) as req_cons "
-                "where req_cons = sat_cons"
-            )
-        else:
-            lines.append(
-                f"match ({var} {{name:req.{param}}})"
-                f"-[:HAS_ATTR*0..{depth}]->(sc)-[:{rel}]->{pol_pattern}"
-            )
-            lines.append("with req, pol, size(collect(distinct sc)) as sat_cons")
-            lines.append(f"match (pol)<-[:{rel}]- (rc)")
-            lines.append(
-                "with req, pol, sat_cons, size(collect(rc)) as req_cons "
-                "where req_cons = sat_cons"
-            )
+            plen = "length(path) as plen, " if first else "length(path) + plen as plen, "
+        lines += [
+            f"// Stage {index} - {label} Conditions",
+            f"match {path}({var} {{name:req.{param}}})"
+            f"-[:HAS_ATTR*0..{depth}]->(sc)-[:{rel}]->{pol_pattern}",
+            f"with req, pol, {plen}size(collect(distinct sc)) as sat_cons",
+            f"match (pol)<-[:{rel}]- (rc)",
+            f"with req, pol, {carried}sat_cons, size(collect(rc)) as req_cons "
+            "where req_cons = sat_cons",
+        ]
     if track_length:
         lines.append("with plen, collect(pol) as pols order by plen asc limit 1")
         lines.append("unwind pols as pol")

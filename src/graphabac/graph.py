@@ -213,22 +213,18 @@ class Graph:
         order.
 
         One pass in reverse topological order gives each node a bit mask of
-        the distinct target sets it reaches.  Equal target sets get the same
-        copy.  A node whose children all reach a set keeps the graph's own
-        tuple in that set's copy, and a trimmed tuple that two copies share
-        is stored once.
+        the positions of ``targets`` it reaches.  A node whose children all
+        reach a position's targets keeps the graph's own tuple in that
+        copy, and a trimmed tuple that two copies share is stored once.
         """
         if not self._frozen:
             raise NotFrozenError("freeze the graph before trimming it")
         adj = self._children
-        distinct: dict[frozenset[NodeRef], int] = {}
-        for nodes in targets:
-            distinct.setdefault(frozenset(nodes), len(distinct))
         reaches = [0] * len(adj)
-        for nodes, i in distinct.items():
+        for i, nodes in enumerate(targets):
             for n in nodes:
                 reaches[n] |= 1 << i
-        slots = [(1 << i, [()] * len(adj)) for i in range(len(distinct))]
+        slots = [(1 << i, [()] * len(adj)) for i in range(len(targets))]
         for n in reversed(self._order):
             children = adj[n]
             if not children:
@@ -246,8 +242,7 @@ class Graph:
                 elif some & bit:
                     kept = tuple(m for m, mask in zip(children, masks) if mask & bit)
                     copy[n] = kept_once.setdefault(kept, kept)
-        copies = [tuple(copy) for _, copy in slots]
-        return tuple(copies[distinct[frozenset(nodes)]] for nodes in targets)
+        return tuple(tuple(copy) for _, copy in slots)
 
     def path_counts(self) -> list[int]:
         """For each node of the frozen graph, the number of HAS_ATTR paths
@@ -317,5 +312,6 @@ class Graph:
             raise FrozenGraphError("graph is frozen; mutation is not allowed")
 
     def _check_ref(self, ref: NodeRef) -> None:
-        if not isinstance(ref, int) or not 0 <= ref < len(self._nodes):
+        # A bool is an int, but names no node.
+        if type(ref) is not int or not 0 <= ref < len(self._nodes):
             raise UnknownNodeError(f"no node with ref {ref!r}")

@@ -39,21 +39,21 @@ top-level ref at all has no key; its seq is kept on ``residual``.  The
 index does not depend on the traversal depth, which bounds the closures
 alone.
 
-The snapshot also holds the store's condition nodes, slot by slot:
-``conditions`` is one frozenset per slot, in ``_SLOTS`` order, of every
-``Ref`` leaf of that slot in every stored policy, including the leaves
-under ``Not``.  Matching reads a slot's closure only at that slot's
-condition nodes, so the snapshot's ``adjacency`` is the matching tuple of
-three copies of the frozen graph's ``HAS_ATTR`` children, each trimmed to
+A slot's condition nodes are every ``Ref`` leaf of that slot in every
+stored policy, including the leaves under ``Not``.  Matching reads a
+slot's closure only at that slot's condition nodes, so the snapshot's
+``adjacency`` is a tuple of three copies of the frozen graph's
+``HAS_ATTR`` children, one per slot in ``_SLOTS`` order, each trimmed to
 the nodes that can reach a condition node of its slot, all built by one
-``Graph.trimmed_adjacency`` call.
+``Graph.trimmed_adjacency`` call.  A snapshot holds only what a query
+reads: ``refs``, ``keys``, ``residual`` and ``adjacency``.
 
 ``create_policy`` validates and inserts, and writes nothing else, so a
 rejected policy leaves no trace.  ``policies()`` builds the snapshot,
-which needs a frozen graph, at its first call and again, in full, at the
-first call after an insertion, reusing the previous snapshot's path
-counts and, when no slot gains a condition node, its copies as the same
-object.  Every front end creates all its policies before its first
+which needs a frozen graph, at its first call and again at the first
+call after an insertion.  Each build reads the store's policies and the
+frozen graph alone, so a rebuilt snapshot equals one built fresh from the
+same store.  Every front end creates all its policies before its first
 query, so it builds one snapshot.  A snapshot is built to one side, under
 a lock, and published by one assignment, so concurrent first queries
 build it once; it never changes after that, and any number of threads may
@@ -190,11 +190,9 @@ class PolicySnapshot(tuple):
     (see the module docstring).  Raises NotFrozenError on an unfrozen
     graph."""
 
-    def __new__(
-        cls, graph: Graph, policies: tuple[Policy, ...], previous: Optional[PolicySnapshot]
-    ) -> PolicySnapshot:
+    def __new__(cls, graph: Graph, policies: tuple[Policy, ...]) -> PolicySnapshot:
         self = super().__new__(cls, policies)
-        counts = graph.path_counts() if previous is None else previous.path_counts
+        counts = graph.path_counts()
         # Per slot, in _SLOTS order: seq -> the slot's top-level Ref nodes,
         # and key node -> the seqs posted under it.
         refs: tuple[list[tuple[NodeRef, ...]], ...] = ([], [], [])
@@ -223,15 +221,8 @@ class PolicySnapshot(tuple):
                 _, i, key = best
                 keys[i].setdefault(key, []).append(p.seq)
         self.refs = tuple(map(tuple, refs))
-        self.keys, self.residual, self.path_counts = keys, residual, counts
-        # The store only appends, so equal counts mean equal sets.
-        if previous is not None and list(map(len, conditions)) == list(
-            map(len, previous.conditions)
-        ):
-            self.conditions, self.adjacency = previous.conditions, previous.adjacency
-        else:
-            self.conditions = tuple(map(frozenset, conditions))
-            self.adjacency = graph.trimmed_adjacency(self.conditions)
+        self.keys, self.residual = keys, residual
+        self.adjacency = graph.trimmed_adjacency(conditions)
         return self
 
     def candidates(self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]) -> list[int]:
@@ -330,9 +321,7 @@ class PolicyStore:
         while (snapshot := self._snapshot) is None or len(snapshot) != len(self._policies):
             with self._lock:
                 if self._snapshot is snapshot:
-                    self._snapshot = PolicySnapshot(
-                        self.graph, tuple(self._policies.values()), snapshot
-                    )
+                    self._snapshot = PolicySnapshot(self.graph, tuple(self._policies.values()))
         return snapshot
 
     def __iter__(self) -> Iterator[Policy]:

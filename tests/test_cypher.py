@@ -68,6 +68,13 @@ class TestEmitData:
         script = emit_cypher_data(model.graph)
         assert script == "create (:Attribute {name:'a'});\n"
 
+    def test_backslash_in_name(self):
+        # The name is C:\new; unescaped, Cypher would read \n as a newline.
+        model = load_model('node "C:\\\\new" : Attribute\n')
+        assert model.graph.node(0).name == "C:\\new"
+        script = emit_cypher_data(model.graph)
+        assert script == "create (:Attribute {name:'C:\\\\new'});\n"
+
     def test_deterministic(self, healthcare_text):
         a = emit_cypher_data(load_model(healthcare_text).graph)
         b = emit_cypher_data(load_model(healthcare_text).graph)
@@ -165,10 +172,66 @@ class TestDecisionQuery:
     def test_byte_stable(self):
         assert emit_cypher_decision_query(DENY, 5) == emit_cypher_decision_query(DENY, 5)
 
+    def test_full_text_at_depth_five(self):
+        plain = [
+            "with $AQ as req",
+            "// Stage 1 - Subject Conditions",
+            "match (sub {name:req.SUBJECT_NAME})-[:HAS_ATTR*0..5]->(sc)-[:SUB_CON]->(pol:Policy)",
+            "with req, pol, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:SUB_CON]- (rc)",
+            "with req, pol, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+            "// Stage 2 - Object Conditions",
+            "match (obj {name:req.OBJECT_NAME})-[:HAS_ATTR*0..5]->(sc)-[:OBJ_CON]->(pol)",
+            "with req, pol, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:OBJ_CON]- (rc)",
+            "with req, pol, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+            "// Stage 3 - Action Conditions",
+            "match (act {name:req.ACTION_NAME})-[:HAS_ATTR*0..5]->(sc)-[:ACT_CON]->(pol)",
+            "with req, pol, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:ACT_CON]- (rc)",
+            "with req, pol, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+        ]
+        deny = (
+            "return case when count(pol) = 0 or 'Deny' in collect(pol.decision) "
+            "then 'Deny' else 'Permit' end as decision"
+        )
+        permit = (
+            "return case when 'Permit' in collect(pol.decision) "
+            "then 'Permit' else 'Deny' end as decision"
+        )
+        shortest = [
+            "with $AQ as req",
+            "// Stage 1 - Subject Conditions",
+            "match path=(sub {name:req.SUBJECT_NAME})-[:HAS_ATTR*0..5]->(sc)-[:SUB_CON]->(pol:Policy)",
+            "with req, pol, length(path) as plen, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:SUB_CON]- (rc)",
+            "with req, pol, plen, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+            "// Stage 2 - Object Conditions",
+            "match path=(obj {name:req.OBJECT_NAME})-[:HAS_ATTR*0..5]->(sc)-[:OBJ_CON]->(pol)",
+            "with req, pol, length(path) + plen as plen, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:OBJ_CON]- (rc)",
+            "with req, pol, plen, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+            "// Stage 3 - Action Conditions",
+            "match path=(act {name:req.ACTION_NAME})-[:HAS_ATTR*0..5]->(sc)-[:ACT_CON]->(pol)",
+            "with req, pol, length(path) + plen as plen, size(collect(distinct sc)) as sat_cons",
+            "match (pol)<-[:ACT_CON]- (rc)",
+            "with req, pol, plen, sat_cons, size(collect(rc)) as req_cons where req_cons = sat_cons",
+            "with plen, collect(pol) as pols order by plen asc limit 1",
+            "unwind pols as pol",
+            deny,
+        ]
+        assert emit_cypher_decision_query(DENY, 5) == "\n".join([*plain, deny]) + "\n"
+        assert emit_cypher_decision_query(PERMIT, 5) == "\n".join([*plain, permit]) + "\n"
+        assert emit_cypher_decision_query(SHORTEST, 5) == "\n".join(shortest) + "\n"
+
 
 class TestQuote:
     def test_apostrophe_doubling(self):
         assert quote("Peter's Profile") == "'Peter''s Profile'"
+
+    def test_backslash_doubling(self):
+        assert quote("C:\\new") == "'C:\\\\new'"
+        assert quote("\\'") == "'\\\\'''"
 
     def test_scalars(self):
         assert quote(3) == "3"

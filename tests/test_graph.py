@@ -209,7 +209,9 @@ class TestFreeze:
         g, (a, b) = chain_graph("a", "b")
         if frozen:
             g.freeze()
-        for bad in (-1, 2):
+        for bad in (-1, 2, True):
+            with pytest.raises(UnknownNodeError):
+                g.attribute_closure(bad, 1)
             with pytest.raises(UnknownNodeError):
                 g.has_edge(bad, HAS_ATTR, b)
             with pytest.raises(UnknownNodeError):
