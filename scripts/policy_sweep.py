@@ -17,7 +17,7 @@ each size's own policies.
     PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
     PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
 
-The default sizes take about 25 s and peak at about 225 MB RSS on a 2-vCPU
+The default sizes take about 25 s and peak at about 165 MB RSS on a 2-vCPU
 VM with CPython 3.11, most of it building the 100k-policy model.
 """
 

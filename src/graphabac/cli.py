@@ -11,6 +11,7 @@ line gets one such Deny, and the rest of it is skipped unread.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Iterable, Iterator, Optional, TextIO
@@ -216,6 +217,9 @@ def _serve_one(
 
 def cmd_serve(args) -> int:
     model = _load(args.model)
+    # The loaded model is immutable and lives as long as the process, so
+    # keep the cyclic collector from walking it at every full collection.
+    gc.freeze()
     default_alg = CombiningAlgorithm(args.algorithm)
     # Requests are UTF-8 JSON.  Bytes that do not decode become U+FFFD, so
     # their line fails as JSON and gets a Deny instead of ending the process.

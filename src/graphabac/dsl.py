@@ -26,9 +26,11 @@ the character index where the token starts.  Tokens stream to the parser,
 which holds one lookahead token, and lexer errors go straight into the
 parser's error list.  Line and column are computed only where they are
 recorded, on a ``ModelError``, ``NodeDecl``, ``EdgeDecl``, ``PolicyDecl``
-or ``NameRef``, by bisecting the text's line starts: lines end at
-``\\n`` and count from 1, and every other character, ``\\r`` and tab
-included, is one column.
+or ``NameRef``, by counting the newlines between the previous position
+asked for and this one, backwards when the parser asks for an earlier
+one (a policy's keyword after the names inside it); no table of line
+starts is kept.  Lines end at ``\\n`` and count from 1, and every other
+character, ``\\r`` and tab included, is one column.
 
 The parser hands each declaration, as soon as it is complete, to a sink.
 ``parse_model`` appends them to a ``ModelDocument``.  ``load_model`` and
@@ -49,7 +51,6 @@ has none.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterator, Optional, Union
@@ -203,12 +204,29 @@ _ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 
 
 def _locator(text: str) -> Callable[[int], tuple[int, int]]:
-    """Map a character offset into ``text`` to its 1-based (line, column)."""
-    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    """Map a character offset into ``text`` to its 1-based (line, column).
+
+    Each call counts the newlines between the previous offset asked for and
+    this one, in either direction, so a parse that asks for positions
+    roughly in text order scans the text about once and keeps no table of
+    line starts."""
+    # The line of the last offset asked for, and the offset its line starts at.
+    line, start, last = 1, 0, 0
 
     def where(offset: int) -> tuple[int, int]:
-        line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
+        nonlocal line, start, last
+        if offset >= last:
+            crossed = text.count("\n", last, offset)
+            if crossed:
+                line += crossed
+                start = text.rfind("\n", last, offset) + 1
+        else:
+            crossed = text.count("\n", offset, last)
+            if crossed:
+                line -= crossed
+                start = text.rfind("\n", 0, offset) + 1
+        last = offset
+        return line, offset - start + 1
 
     return where
 

@@ -8,6 +8,11 @@ The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
 concurrently.
 
+A ``Node`` is a slotted, frozen record.  Nodes with equal label lists
+share one labels tuple, and a node's properties are a read-only
+``MappingProxyType`` over the graph's own copy of them; every node
+declared without properties shares one empty mapping.
+
 Each ``HAS_ATTR`` edge is stored once, in a per-node list of children
 indexed by ref.  While the graph is built a node's children are a set;
 ``freeze()`` turns each set into a tuple in the set's own iteration order,
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -56,12 +62,17 @@ PRIMITIVE_LABEL = "Primitive"
 POLICY_LABEL = "Policy"
 
 
-@dataclass(frozen=True)
+# The properties of every node declared without any.
+_NO_PROPERTIES: Mapping[str, Scalar] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True)
 class Node:
     ref: NodeRef
     name: str
     labels: tuple[str, ...]
-    properties: Mapping[str, Scalar] = field(default_factory=dict)
+    # Read-only: a MappingProxyType over the graph's own copy.
+    properties: Mapping[str, Scalar] = field(default_factory=lambda: _NO_PROPERTIES)
 
     def has_label(self, label: str) -> bool:
         return label in self.labels
@@ -73,6 +84,8 @@ class Graph:
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._by_name: dict[str, NodeRef] = {}
+        # One tuple per distinct label list, shared by every node with it.
+        self._labels: dict[tuple[str, ...], tuple[str, ...]] = {}
         # HAS_ATTR children by ref: sets while the graph is built, tuples
         # after freeze().
         self._children: Adjacency = []
@@ -96,14 +109,13 @@ class Graph:
             raise EmptyNameError("node name must be non-empty")
         if name in self._by_name:
             raise DuplicateNameError(f"node {name!r} already exists")
-        ordered: list[str] = []
-        for lab in labels:
-            if lab not in ordered:
-                ordered.append(lab)
+        ordered = tuple(dict.fromkeys(labels))
         if PRIMITIVE_LABEL in ordered and POLICY_LABEL in ordered:
             raise ValueError(f"node {name!r} cannot be both Primitive and Policy")
+        ordered = self._labels.setdefault(ordered, ordered)
+        props = MappingProxyType(dict(properties)) if properties else _NO_PROPERTIES
         ref = len(self._nodes)
-        self._nodes.append(Node(ref, name, tuple(ordered), dict(properties or {})))
+        self._nodes.append(Node(ref, name, ordered, props))
         self._by_name[name] = ref
         self._children.append(set())
         return ref

@@ -48,8 +48,15 @@ the nodes that can reach a condition node of its slot, all built by one
 ``Graph.trimmed_adjacency`` call.  A snapshot holds only what a query
 reads: ``refs``, ``keys``, ``residual`` and ``adjacency``.
 
-``create_policy`` validates and inserts, and writes nothing else, so a
-rejected policy leaves no trace.  ``policies()`` builds the snapshot,
+A store holds one ``Ref`` per node: once a policy has passed every check,
+``create_policy`` replaces each top-level ``Ref`` of its slots with the
+store's ``Ref`` for that node, or makes the given one that ``Ref`` when
+the node has none yet.  Leaves under ``Not``/``And``/``Or`` keep the
+objects they were given.  ``Ref``, ``Not``, ``And``, ``Or`` and ``Policy``
+are slotted records, with no per-instance dict.
+
+``create_policy`` validates before it records new ``Ref``s and inserts, so
+a rejected policy leaves no trace.  ``policies()`` builds the snapshot,
 which needs a frozen graph, at its first call and again at the first
 call after an insertion.  Each build reads the store's policies and the
 frozen graph alone, so a rebuilt snapshot equals one built fresh from the
@@ -112,17 +119,17 @@ class ConditionExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(ConditionExpr):
     node: NodeRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(ConditionExpr):
     inner: ConditionExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(ConditionExpr):
     children: tuple[ConditionExpr, ...]
 
@@ -131,7 +138,7 @@ class And(ConditionExpr):
             raise ValueError("And requires at least two children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(ConditionExpr):
     children: tuple[ConditionExpr, ...]
 
@@ -172,7 +179,7 @@ def _nests_too_deep(expr: ConditionExpr) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class Policy:
     name: str
     decision: Decision
@@ -260,6 +267,8 @@ class PolicyStore:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._policies: dict[str, Policy] = {}
+        # node -> the one Ref for it that every stored policy's slots hold
+        self._refs: dict[NodeRef, Ref] = {}
         self._snapshot: Optional[PolicySnapshot] = None
         self._lock = threading.Lock()
 
@@ -298,8 +307,18 @@ class PolicyStore:
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
-        frozen = {t: frozenset(exprs) for t, exprs in zip(_SLOTS, slots)}
+        # Each top-level Ref becomes the store's one Ref for its node; the
+        # new ones enter the table only once the policy is accepted.
+        refs, added = self._refs, {}
+        frozen = {
+            t: frozenset(
+                (refs.get(e.node) or added.setdefault(e.node, e)) if isinstance(e, Ref) else e
+                for e in exprs
+            )
+            for t, exprs in zip(_SLOTS, slots)
+        }
         policy = Policy(name, decision, score or 0, len(self._policies), frozen)
+        refs.update(added)
         self._policies[name] = policy
         return policy
 

@@ -1,5 +1,6 @@
 import gc
 import random
+from bisect import bisect_right
 import tracemalloc
 import weakref
 
@@ -16,7 +17,7 @@ from graphabac import (
     parse_model,
     serialize_model,
 )
-from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr, load_document
+from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr, _locator, load_document
 
 from randdocs import MALFORMED_CORPUS, random_document
 
@@ -497,3 +498,26 @@ def test_load_peak_below_parse_peak():
     # lower than parsing into a document alone.
     text = _generated_model_text(random.Random(5), 400, 1200, 400)
     assert _traced_peak(load_model, text) < _traced_peak(parse_model, text)
+
+
+# Empty lines (leading, inner and last), "\r\n", tabs, and no final newline.
+_POSITION_TEXT = "\nnode a : X\r\n\n\tnode b\t: Y\r\n\r\n  \n# c\n\n\nnode c : Z {k = 1}"
+
+
+def _bisect_position(text, offset):
+    starts = [0, *(i + 1 for i, ch in enumerate(text) if ch == "\n")]
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "random"])
+def test_position_parity_with_bisect(order):
+    text = _POSITION_TEXT
+    offsets = list(range(len(text) + 1))
+    if order == "decreasing":
+        offsets.reverse()
+    elif order == "random":
+        rng = random.Random(17)
+        offsets = rng.sample(offsets, len(offsets)) + rng.choices(offsets, k=200)
+    where = _locator(text)
+    assert [where(o) for o in offsets] == [_bisect_position(text, o) for o in offsets]

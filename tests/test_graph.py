@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphabac import Graph, HAS_ATTR
+from graphabac import Graph, HAS_ATTR, load_model
 from graphabac.errors import (
     AttributeCycleError,
     DuplicateNameError,
@@ -44,6 +44,37 @@ class TestAddNode:
         g = Graph()
         with pytest.raises(ValueError):
             g.add_node("x", ("Primitive", "Policy"))
+
+
+class TestNodeRecords:
+    def test_properties_read_only_after_load(self):
+        g = load_model("node a : Attribute {k = 1}\nnode b : Attribute\n").graph
+        for name in ("a", "b"):
+            with pytest.raises(TypeError):
+                g.node(g.find_node(name)).properties["k"] = 2
+        assert g.node(g.find_node("a")).properties == {"k": 1}
+        assert g.node(g.find_node("b")).properties == {}
+
+    def test_properties_copied_from_the_caller(self):
+        g = Graph()
+        props = {"k": 1}
+        ref = g.add_node("a", ("Attribute",), props)
+        props["k"] = 2
+        assert g.node(ref).properties == {"k": 1}
+
+    def test_nodes_without_properties_share_one_mapping(self):
+        g = load_model("node a : Attribute\nnode b : Role\nnode c : Attribute\n").graph
+        a, b, c = (g.node(g.find_node(n)) for n in "abc")
+        assert a.properties is b.properties is c.properties
+
+    def test_equal_label_lists_share_one_tuple(self):
+        g = Graph()
+        a = g.add_node("a", ["Role", "Attribute"])
+        b = g.add_node("b", ("Role", "Attribute", "Role"))
+        c = g.add_node("c", ("Attribute", "Role"))
+        assert g.node(a).labels == ("Role", "Attribute")
+        assert g.node(a).labels is g.node(b).labels
+        assert g.node(c).labels == ("Attribute", "Role")
 
 
 class TestAddEdge:

@@ -315,3 +315,94 @@ class TestExprInvariants:
         assert Ref(n) == Ref(n)
         assert {Ref(n), Ref(n)} == {Ref(n)}
         assert Not(Ref(n)) == Not(Ref(n))
+
+
+def _top_level_refs(store):
+    """node -> the distinct top-level Ref objects for it, by id, across every
+    stored policy."""
+    objects = {}
+    for pol in store:
+        for exprs in pol.conditions.values():
+            for e in exprs:
+                if isinstance(e, Ref):
+                    objects.setdefault(e.node, {})[id(e)] = e
+    return objects
+
+
+class TestOneRefPerNode:
+    def test_bundled_model_holds_one_ref_per_node(self, healthcare):
+        objects = _top_level_refs(healthcare.policies)
+        assert objects and all(len(same) == 1 for same in objects.values())
+        # Some node is a condition of more than one policy, so the check
+        # compares objects that were parsed apart.
+        doctor = healthcare.graph.find_node("Doctor")
+        users = [p for p in healthcare.policies if Ref(doctor) in p.conditions[SUB]]
+        assert len(users) > 1
+
+    def test_fresh_refs_share_one_object(self):
+        from randmodel import RandomModelConfig, random_model
+
+        model = random_model(random.Random(11), RandomModelConfig(n_policies=200))
+        objects = _top_level_refs(model.policies)
+        assert all(len(same) == 1 for same in objects.values())
+        uses = {}
+        for pol in model.policies:
+            for exprs in pol.conditions.values():
+                for e in exprs:
+                    uses[e.node] = uses.get(e.node, 0) + 1
+        assert max(uses.values()) > 1
+
+    def test_one_object_across_slots_of_one_policy(self, healthcare):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        pol = store.create_policy(
+            "P", Decision.PERMIT,
+            {SUB: {ref_to(g, "Doctor")}, ACT: {ref_to(g, "Doctor")}, OBJ: {ref_to(g, "Doctor")}},
+        )
+        (a,), (b,), (c,) = (pol.conditions[t] for t in (SUB, ACT, OBJ))
+        assert a is b is c
+
+    def test_leaves_under_operators_keep_their_objects(self, healthcare):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        first = ref_to(g, "Doctor")
+        store.create_policy("P", Decision.PERMIT, {SUB: {first}, ACT: {first}, OBJ: {first}})
+        inner = ref_to(g, "Doctor")
+        pol = store.create_policy(
+            "Q", Decision.DENY, {SUB: {Not(inner)}, ACT: {first}, OBJ: {first}}
+        )
+        (neg,) = pol.conditions[SUB]
+        assert neg.inner is inner and inner is not first
+
+    def test_rejected_policy_leaves_its_refs_out(self, healthcare):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        records = ref_to(g, "Hospital Records")
+        store.create_policy("P", Decision.PERMIT, {SUB: {records}, ACT: {records}, OBJ: {records}})
+        doctor = ref_to(g, "Doctor")
+        with pytest.raises(MissingConditionTypeError):
+            store.create_policy("Q", Decision.PERMIT, {SUB: {doctor}, OBJ: {records}})
+        with pytest.raises(DanglingConditionRefError):
+            store.create_policy(
+                "Q", Decision.PERMIT, {SUB: {doctor}, ACT: {Ref(-1)}, OBJ: {records}}
+            )
+        # An And over a list passes every check and fails only when the
+        # slot is hashed, after the top-level Ref before it was seen.
+        unhashable = And([ref_to(g, "Doctor"), ref_to(g, "Nurse")])
+        with pytest.raises(TypeError):
+            store.create_policy(
+                "Q", Decision.PERMIT, {SUB: [doctor, unhashable], ACT: {records}, OBJ: {records}}
+            )
+        later = ref_to(g, "Doctor")
+        pol = store.create_policy(
+            "R", Decision.PERMIT, {SUB: {later}, ACT: {records}, OBJ: {records}}
+        )
+        (got,) = pol.conditions[SUB]
+        assert got is later and got is not doctor
+        assert next(iter(pol.conditions[OBJ])) is records
+
+
+def test_records_have_no_instance_dict(healthcare):
+    g = healthcare.graph
+    for record in (Ref(1), g.node(g.find_node("Doctor")), healthcare.policies.get("Policy2")):
+        assert not hasattr(record, "__dict__")
