@@ -19,7 +19,9 @@ condition nodes each start reaches, the build time of the snapshot that
 holds the three trimmed copies, with its key index, and, per slot, the
 share of nodes its copy keeps.  A check that each slot's closure agrees
 with the full closure at every condition node of that slot runs outside
-the timed region.
+the timed region.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed
+loop timed before and after the sweep, so a later run can be scaled to
+this one.
 
     PYTHONPATH=src python3 scripts/closure_sweep.py
     PYTHONPATH=src python3 scripts/closure_sweep.py --depths 5 8 --shares 0.1 --out -
@@ -45,8 +47,10 @@ from graphabac import HAS_ATTR, Graph
 from graphabac.graph import Adjacency
 from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 from randmodel import RandomModelConfig, random_model  # noqa: E402
+from run import calib_ms  # noqa: E402
 
 N_PRIMITIVES = 1000
 N_ATTRIBUTES = 10000
@@ -106,8 +110,10 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
         gc.collect()
         full_us, *trimmed_us = timed_us(g, starts, snapshot.adjacency)
         slots = {}
-        for slot, adjacency, us in zip(ConditionType, snapshot.adjacency, trimmed_us):
-            conditions = {e.node for p in store for e in p.conditions[slot]}
+        for i, (slot, adjacency, us) in enumerate(
+            zip(ConditionType, snapshot.adjacency, trimmed_us)
+        ):
+            conditions = {n for p in store for n in p.nodes[i]}
             trimmed = {s: g.attribute_closure(s, g.attr_depth, adjacency) for s in starts}
             for s in starts:
                 for c in conditions:
@@ -127,9 +133,7 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
                 "p50_ratio": round(statistics.median(us) / statistics.median(full_us), 3),
                 "nodes_kept_share": round(kept / g.node_count(), 4),
             }
-        n_conditions = len(
-            {e.node for p in store for exprs in p.conditions.values() for e in exprs}
-        )
+        n_conditions = len({n for p in store for nodes in p.nodes for n in nodes})
         rows.append(
             {
                 "attr_depth": g.attr_depth,
@@ -158,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default="BENCH_closure_sweep.json", help="path, or - for stdout")
     args = ap.parse_args(argv)
 
+    calib = [calib_ms()]
     rows = []
     for depth in args.depths:
         for row in measure(depth, args.shares, args.seed, args.starts):
@@ -172,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             rows.append(row)
+    calib.append(calib_ms())
     report = {
         "script": "scripts/closure_sweep.py",
         "seed": args.seed,
@@ -186,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "nproc": os.cpu_count(),
+        "calib_ms": round(statistics.fmean(calib), 2),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
         "points": rows,
     }

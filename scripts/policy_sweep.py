@@ -12,12 +12,14 @@ Uniform random queries almost never satisfy all three slots of a policy, so
 every second query is built to match one: a stored policy is drawn and each
 slot gets a primitive whose closure holds all of that slot's conditions.
 The uniform half is the same at every size; the matching half is drawn from
-each size's own policies.
+each size's own policies.  ``calib_ms`` is the mean of `bench/run.py`'s
+host-speed loop timed before and after the sweep, so a later run can be
+scaled to this one.
 
     PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
     PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
 
-The default sizes take about 25 s and peak at about 165 MB RSS on a 2-vCPU
+The default sizes take about 25 s and peak at about 85 MB RSS on a 2-vCPU
 VM with CPython 3.11, most of it building the 100k-policy model.
 """
 
@@ -36,7 +38,8 @@ import time
 
 from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 from randmodel import (  # noqa: E402
     RandomModelConfig,
     matching_query,
@@ -44,6 +47,7 @@ from randmodel import (  # noqa: E402
     random_model,
     random_query,
 )
+from run import calib_ms  # noqa: E402
 
 GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
 
@@ -95,11 +99,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default="BENCH_policy_sweep.json", help="path, or - for stdout")
     args = ap.parse_args(argv)
 
+    calib = [calib_ms()]
     rows = []
     for n in args.sizes:
         row = measure(n, args.seed, args.queries, args.warmup)
         print(f"{n:>7} policies: evaluate p50 {row['evaluate_ms_p50']:.3f} ms", file=sys.stderr)
         rows.append(row)
+    calib.append(calib_ms())
     first, last = rows[0], rows[-1]
     report = {
         "script": "scripts/policy_sweep.py",
@@ -109,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "nproc": os.cpu_count(),
+        "calib_ms": round(statistics.fmean(calib), 2),
         "sizes": rows,
         "policy_ratio": last["policies"] / first["policies"],
         "p50_ratio": round(last["evaluate_ms_p50"] / first["evaluate_ms_p50"], 2),

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .combine import CombiningAlgorithm
 from .errors import UnsupportedAlgorithmError, UnsupportedExportError
-from .graph import Graph, NodeRef
-from .policy import ConditionType, Policy, PolicyStore, Ref
+from .graph import Graph
+from .policy import ConditionType, PolicyStore
 
 _SLOT_VAR = {
     ConditionType.SUB_CON: "sub",
@@ -57,29 +57,22 @@ def emit_cypher_data(graph: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _simple_slot_refs(policy: Policy, t: ConditionType) -> list[NodeRef]:
-    refs: list[NodeRef] = []
-    for expr in policy.conditions[t]:
-        if not isinstance(expr, Ref):
-            raise UnsupportedExportError(
-                f"policy {policy.name!r} has compound conditions; "
-                "expand it to simple policies before export"
-            )
-        refs.append(expr.node)
-    return sorted(refs)
-
-
 def emit_cypher_policies(store: PolicyStore) -> str:
     """Per policy: match the condition nodes, create the policy node, merge
     one typed condition edge per required condition."""
     graph = store.graph
     chunks: list[str] = []
     for pol in store:
+        if any(pol.compound):
+            raise UnsupportedExportError(
+                f"policy {pol.name!r} has compound conditions; "
+                "expand it to simple policies before export"
+            )
         match_parts: list[str] = []
         merges: list[str] = []
-        for t in ConditionType:
+        for t, nodes in zip(ConditionType, pol.nodes):
             var = _SLOT_VAR[t]
-            for i, ref in enumerate(_simple_slot_refs(pol, t), start=1):
+            for i, ref in enumerate(sorted(nodes), start=1):
                 alias = f"{var}{i}"
                 match_parts.append(f"({alias} {{name:{quote(graph.node(ref).name)}}})")
                 merges.append(f"merge (pol)<-[:{t.name}]- ({alias})")

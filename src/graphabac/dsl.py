@@ -567,13 +567,13 @@ class _ModelBuilder:
         unknown node: then create nothing and return one error per unknown
         name."""
         unknown: list[ModelError] = []
-        conditions: dict[ConditionType, set[ConditionExpr]] = {}
+        conditions: dict[ConditionType, list[ConditionExpr]] = {}
         for t, decls in pd.slots.items():
-            resolved: set[ConditionExpr] = set()
+            resolved: list[ConditionExpr] = []
             for decl in decls:
                 expr = _resolve_expr(self.graph, pd, decl, unknown)
                 if expr is not None:
-                    resolved.add(expr)
+                    resolved.append(expr)
             conditions[t] = resolved
         if not unknown:
             try:

@@ -17,26 +17,20 @@ per-slot adjacencies the closures walk and the key index.
    same minimal hop count as in the full graph, within the same depth
    bound; nodes that lead to none are never visited.  On an unfrozen
    graph it raises ``NotFrozenError``.
-2. ``PolicySnapshot.candidates`` looks up each closure node among the
-   keys of the snapshot's condition index.  Each policy with a plain
-   top-level condition is posted there once, under the one
-   ``(slot, node)`` of its top-level refs that the fewest closures are
-   likely to reach (``Graph.path_counts``): one ``(sc)-[:SUB_CON]->(pol)``
-   edge of its stage, picked so that a query finds few policies by it.
-3. Each policy found by its key is checked against the rest of its
-   top-level refs, which must all be in their slots' closures: the rest of
-   every stage's ``sat_cons = req_cons``.  For a simple policy that makes
-   it a match.  For a compound policy it is a necessary condition, and a
-   policy with no top-level ref at all is always a candidate.
+2. ``PolicySnapshot.candidates`` looks up the closure nodes among the
+   keys of the snapshot's condition index (one ``(sc)-[:SUB_CON]->(pol)``
+   edge per policy, see ``policy``) and keeps each policy found there
+   whose other plain nodes are all in their slots' closures: the rest of
+   every stage's ``sat_cons = req_cons``.  A policy with no plain node at
+   all is always a candidate.
 
 Only the candidates reach ``match_single``, which checks the three slots
 against the shared closures, decides the compound candidates and supplies
-the path lengths: a simple slot survives iff every required reference is
-inside the closure; a compound slot evaluates its expressions over the
-same closure.  Every front end
-that needs closures gets them from ``query_closures``; slot ``t``'s
-closure is exact at slot ``t``'s condition nodes of the store and says
-nothing about any other node.
+the path lengths: a slot survives iff each of its plain nodes is in the
+closure and each of its compound expressions evaluates true over it.
+Every front end that needs closures gets them from ``query_closures``;
+slot ``t``'s closure is exact at slot ``t``'s condition nodes of the
+store and says nothing about any other node.
 
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
@@ -141,34 +135,36 @@ def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool
 
 
 def _slot_length(
-    exprs: frozenset[ConditionExpr], closure: dict[NodeRef, int], depth: int
+    nodes: tuple[NodeRef, ...],
+    compound: tuple[ConditionExpr, ...],
+    closure: dict[NodeRef, int],
+    depth: int,
 ) -> Optional[int]:
-    """Match one condition slot against a precomputed closure.
+    """Match one compiled condition slot against a precomputed closure.
 
     Returns the slot's contribution to the policy length, or None when the
-    slot fails.  One pass over the slot: a Ref must be in the closure and
-    gives its hop; any other expression must evaluate true and gives the
-    nearest hop of its Ref leaves that are in the closure.  The slot
-    contributes 1 + the nearest hop, or depth + 1, one more than any real
-    path can be, when no leaf is in the closure (its only satisfied
-    evidence is negative).  The closure must be built at ``depth``, so no
-    hop exceeds it and starting the nearest hop at ``depth`` covers both.
+    slot fails.  Each plain node must be in the closure and gives its hop;
+    each compound expression must evaluate true and gives the nearest hop
+    of its Ref leaves that are in the closure.  The slot contributes 1 +
+    the nearest hop, or depth + 1, one more than any real path can be,
+    when no leaf is in the closure (its only satisfied evidence is
+    negative).  The closure must be built at ``depth``, so no hop exceeds
+    it and starting the nearest hop at ``depth`` covers both.
     """
     nearest = depth
-    for e in exprs:
-        if isinstance(e, Ref):
-            h = closure.get(e.node)
-            if h is None:
-                return None
-        elif _eval_with_closure(closure, e):
-            h = min(
-                (closure[leaf.node] for leaf in ref_leaves(e) if leaf.node in closure),
-                default=depth,
-            )
-        else:
+    for n in nodes:
+        h = closure.get(n)
+        if h is None:
             return None
         if h < nearest:
             nearest = h
+    for e in compound:
+        if not _eval_with_closure(closure, e):
+            return None
+        for leaf in ref_leaves(e):
+            h = closure.get(leaf.node)
+            if h is not None and h < nearest:
+                nearest = h
     return 1 + nearest
 
 
@@ -180,9 +176,11 @@ def match_single(
     ``policy`` must have a non-empty slot of every type, which
     ``PolicyStore.create_policy`` guarantees.
     """
+    nodes, compound = policy.nodes, policy.compound
     lengths = []
-    for t in _SLOTS:
-        length = _slot_length(policy.conditions[t], closures[t], depth)
+    # Three subscripts cost less here than a zip over the three tuples.
+    for i in (0, 1, 2):
+        length = _slot_length(nodes[i], compound[i], closures[_SLOTS[i]], depth)
         if length is None:
             return None
         lengths.append(length)
@@ -255,14 +253,14 @@ def match_single_oracle(
     if not policy.is_valid_shape():
         return None
     lengths: dict[ConditionType, int] = {}
-    for t in ConditionType:
+    for t, exprs in policy.conditions.items():
         x = q.primitive(t)
-        for expr in policy.conditions[t]:
+        for expr in exprs:
             if not _oracle_eval(graph, x, expr, depth):
                 return None
         hops = [
             h
-            for expr in policy.conditions[t]
+            for expr in exprs
             for leaf in ref_leaves(expr)
             if (h := _oracle_min_hops(graph, x, leaf.node, depth)) is not None
         ]

@@ -15,58 +15,59 @@ recursion limit.  ``create_policy`` measures the depth first, level by
 level, and checks the slots and leaves of the expressions as given before
 anything hashes them, so an unhashable node is a dangling condition.
 
+A policy holds each slot once, compiled by ``compile_conditions``, the one
+place that tells a plain ``Ref`` from a compound expression: ``nodes``
+has one tuple per slot, in ``_SLOTS`` order, of the nodes its top-level
+``Ref``s name, and ``compound`` one tuple per slot of its ``Not``/``And``/
+``Or`` expressions.  Neither holds a repeat, and a policy with no compound
+expression shares the one ``_NO_COMPOUND`` tuple.  ``Policy.conditions``
+rebuilds the ``{type: frozenset}`` mapping for the readers that want it
+(the oracle, ``explain``); matching reads the compiled fields.
+
 ``PolicyStore.policies()`` compiles the stored policies into one
 ``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
 policy side of the paper's decision statement as a key index.  In the
 graph, each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge
 to every policy it conditions, and each Cypher stage follows those edges
 from the closure nodes to the policies and keeps a policy when
-``sat_cons = req_cons``.  Here each policy with a plain ``Ref`` at the top
-level of a slot is posted once, under one key: its top-level
-``(slot, node)`` least likely to be in a query's closure, by
-``Graph.path_counts`` (ties go to the earlier slot, then the lower ref).
-A slot is a conjunction, so a policy can match only if its key is in its
-slot's closure.  A query looks up only its closure nodes among the keys
-(``PolicySnapshot.candidates``) and checks each policy found there
-against the rest of its top-level refs, which ``refs`` holds as one node
-tuple per slot: that check is the rest of every stage's
-``sat_cons = req_cons``.  For a simple policy (nothing but refs) it is the
-match.  For a policy with ``Not``/``And``/``Or`` expressions it is a
-necessary condition, and ``matcher.match_single`` decides the rest.  The
-key is the access predicate of Fabret et al. (SIGMOD 2001); picking the
-rarest one follows Whang et al. (VLDB 2009).  Only a policy with no
-top-level ref at all has no key; its seq is kept on ``residual``.  The
-index does not depend on the traversal depth, which bounds the closures
-alone.
+``sat_cons = req_cons``.  Here each policy with a plain node in a slot is
+posted once, under one key: its ``(slot, node)`` least likely to be in a
+query's closure, by ``Graph.path_counts`` (ties go to the earlier slot,
+then the lower node).  A slot is a conjunction, so a policy can match
+only if its key is in its slot's closure.  A query looks up only its
+closure nodes among the keys (``PolicySnapshot.candidates``) and checks
+each policy found there against the rest of its plain nodes, which
+``refs`` holds per slot, by seq, as the policies' own ``nodes`` tuples:
+that check is the rest of every stage's ``sat_cons = req_cons``.  For a
+simple policy (no compound expression) it is the match.  For any other it
+is a necessary condition, and ``matcher.match_single`` decides the rest.
+The key is the access predicate of Fabret et al. (SIGMOD 2001); picking
+the rarest one follows Whang et al. (VLDB 2009).  Only a policy with no
+plain node at all has no key; its seq is kept on ``residual``.  The index
+does not depend on the traversal depth, which bounds the closures alone.
 
-A slot's condition nodes are every ``Ref`` leaf of that slot in every
-stored policy, including the leaves under ``Not``.  Matching reads a
-slot's closure only at that slot's condition nodes, so the snapshot's
-``adjacency`` is a tuple of three copies of the frozen graph's
-``HAS_ATTR`` children, one per slot in ``_SLOTS`` order, each trimmed to
-the nodes that can reach a condition node of its slot, all built by one
-``Graph.trimmed_adjacency`` call.  A snapshot holds only what a query
-reads: ``refs``, ``keys``, ``residual`` and ``adjacency``.
+A slot's condition nodes are its plain nodes and every ``Ref`` leaf of its
+compound expressions, including the leaves under ``Not``, in every stored
+policy.  Matching reads a slot's closure only at that slot's condition
+nodes, so the snapshot's ``adjacency`` is a tuple of three copies of the
+frozen graph's ``HAS_ATTR`` children, one per slot in ``_SLOTS`` order,
+each trimmed to the nodes that can reach a condition node of its slot, all
+built by one ``Graph.trimmed_adjacency`` call.  A snapshot holds only what
+a query reads: ``refs``, ``keys``, ``residual`` and ``adjacency``.
+``Ref``, ``Not``, ``And``, ``Or`` and ``Policy`` are slotted records, with
+no per-instance dict.
 
-A store holds one ``Ref`` per node: once a policy has passed every check,
-``create_policy`` replaces each top-level ``Ref`` of its slots with the
-store's ``Ref`` for that node, or makes the given one that ``Ref`` when
-the node has none yet.  Leaves under ``Not``/``And``/``Or`` keep the
-objects they were given.  ``Ref``, ``Not``, ``And``, ``Or`` and ``Policy``
-are slotted records, with no per-instance dict.
-
-``create_policy`` validates before it records new ``Ref``s and inserts, so
-a rejected policy leaves no trace.  ``policies()`` builds the snapshot,
-which needs a frozen graph, at its first call and again at the first
-call after an insertion.  Each build reads the store's policies and the
-frozen graph alone, so a rebuilt snapshot equals one built fresh from the
-same store.  Every front end creates all its policies before its first
-query, so it builds one snapshot.  A snapshot is built to one side, under
-a lock, and published by one assignment, so concurrent first queries
-build it once; it never changes after that, and any number of threads may
-match against it.  Like the graph, a store is filled single-threaded:
-``create_policy`` must not run while another thread matches against the
-same store.
+``create_policy`` validates and compiles before it inserts, so a rejected
+policy leaves no trace.  ``policies()`` builds the snapshot, which needs a
+frozen graph, at its first call and again at the first call after an
+insertion.  Each build reads the store's policies and the frozen graph
+alone, so a rebuilt snapshot equals one built fresh from the same store.
+Every front end creates all its policies before its first query, so it
+builds one snapshot.  A snapshot is built to one side, under a lock, and
+published by one assignment, so concurrent first queries build it once; it
+never changes after that, and any number of threads may match against it.
+Like the graph, a store is filled single-threaded: ``create_policy`` must
+not run while another thread matches against the same store.
 """
 
 from __future__ import annotations
@@ -179,55 +180,80 @@ def _nests_too_deep(expr: ConditionExpr) -> bool:
     return True
 
 
+Slots = tuple[tuple[NodeRef, ...], ...]
+CompoundSlots = tuple[tuple[ConditionExpr, ...], ...]
+
+# The compound field of every policy without a Not/And/Or expression.
+_NO_COMPOUND: CompoundSlots = ((), (), ())
+
+
+def compile_conditions(
+    conditions: Mapping[ConditionType, Collection[ConditionExpr]],
+) -> tuple[Slots, CompoundSlots]:
+    """A conditions mapping as a policy's ``nodes`` and ``compound`` fields,
+    as in ``Policy(name, decision, score, seq, *compile_conditions(c))``:
+    per slot, the nodes of its top-level ``Ref``s and its other
+    expressions, each once, in the order given.  Hashes every compound
+    expression, so an unhashable one raises TypeError."""
+    nodes, compound = [], []
+    for t in _SLOTS:
+        plain, other = {}, {}
+        for e in conditions.get(t, ()):
+            if isinstance(e, Ref):
+                plain[e.node] = None
+            else:
+                other[e] = None
+        nodes.append(tuple(plain))
+        compound.append(tuple(other))
+    return tuple(nodes), tuple(compound) if any(compound) else _NO_COMPOUND
+
+
 @dataclass(slots=True)
 class Policy:
     name: str
     decision: Decision
     score: int
     seq: int
-    conditions: Mapping[ConditionType, frozenset[ConditionExpr]]
+    nodes: Slots
+    compound: CompoundSlots
+
+    @property
+    def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:
+        """Each slot's expressions as one set, keyed by condition type."""
+        return {
+            t: frozenset(map(Ref, nodes)).union(exprs)
+            for t, nodes, exprs in zip(_SLOTS, self.nodes, self.compound)
+        }
 
     def is_valid_shape(self) -> bool:
-        return all(self.conditions.get(t) for t in ConditionType)
+        return all(nodes or exprs for nodes, exprs in zip(self.nodes, self.compound))
 
 
 class PolicySnapshot(tuple):
     """The stored policies in ``seq`` order, compiled over the frozen graph:
-    the key index, the top-level refs and one trimmed adjacency per slot
-    (see the module docstring).  Raises NotFrozenError on an unfrozen
-    graph."""
+    the key index, each slot's plain nodes by seq and one trimmed adjacency
+    per slot (see the module docstring).  Raises NotFrozenError on an
+    unfrozen graph."""
 
     def __new__(cls, graph: Graph, policies: tuple[Policy, ...]) -> PolicySnapshot:
         self = super().__new__(cls, policies)
         counts = graph.path_counts()
-        # Per slot, in _SLOTS order: seq -> the slot's top-level Ref nodes,
-        # and key node -> the seqs posted under it.
-        refs: tuple[list[tuple[NodeRef, ...]], ...] = ([], [], [])
+        # Per slot, in _SLOTS order: seq -> that policy's own node tuple, and
+        # every condition node of the slot.
+        self.refs = tuple(zip(*(p.nodes for p in policies))) or ((), (), ())
+        conditions = tuple(set(itertools.chain.from_iterable(slot)) for slot in self.refs)
+        # Per slot: key node -> the seqs posted under it.
         keys: tuple[dict[NodeRef, list[int]], ...] = ({}, {}, {})
         residual: list[int] = []
-        # Per slot: every Ref leaf of the slot's expressions.
-        conditions: tuple[set[NodeRef], ...] = (set(), set(), set())
         for p in policies:
-            best = None
-            for i, (t, slot_refs, slot_conditions) in enumerate(zip(_SLOTS, refs, conditions)):
-                nodes = []
-                for e in p.conditions[t]:
-                    if isinstance(e, Ref):
-                        nodes.append(e.node)
-                        rank = (counts[e.node], i, e.node)
-                        if best is None or rank < best:
-                            best = rank
-                    else:
-                        slot_conditions.update(leaf.node for leaf in ref_leaves(e))
-                # A slot without a plain Ref gets the shared empty tuple.
-                slot_refs.append(tuple(nodes))
-                slot_conditions.update(nodes)
-            if best is None:
-                residual.append(p.seq)
-            else:
-                _, i, key = best
+            ranks = [(counts[n], i, n) for i, nodes in enumerate(p.nodes) for n in nodes]
+            if ranks:
+                _, i, key = min(ranks)
                 keys[i].setdefault(key, []).append(p.seq)
-        self.refs = tuple(map(tuple, refs))
+            else:
+                residual.append(p.seq)
+            for slot_conditions, exprs in zip(conditions, p.compound):
+                slot_conditions.update(leaf.node for e in exprs for leaf in ref_leaves(e))
         self.keys, self.residual = keys, residual
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
@@ -267,8 +293,6 @@ class PolicyStore:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._policies: dict[str, Policy] = {}
-        # node -> the one Ref for it that every stored policy's slots hold
-        self._refs: dict[NodeRef, Ref] = {}
         self._snapshot: Optional[PolicySnapshot] = None
         self._lock = threading.Lock()
 
@@ -282,43 +306,32 @@ class PolicyStore:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
         slots = [conditions.get(t, ()) for t in _SLOTS]
-        for exprs in slots:
-            for expr in exprs:
-                if not isinstance(expr, Ref) and _nests_too_deep(expr):
-                    raise ConditionTooDeepError(
-                        f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
-                    )
+        exprs = list(itertools.chain.from_iterable(slots))
+        for expr in exprs:
+            if not isinstance(expr, Ref) and _nests_too_deep(expr):
+                raise ConditionTooDeepError(
+                    f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
+                )
         missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)
         graph = self.graph
         dangling: set[str] = set()
-        for exprs in slots:
-            for expr in exprs:
-                for leaf in ref_leaves(expr):
-                    node = leaf.node
-                    # A bool is an int, and 1.0 == 1; neither names a node.
-                    if type(node) is not int or not 0 <= node < graph.node_count():
-                        dangling.add(f"node#{node!r}")
-                    elif graph.node(node).has_label(POLICY_LABEL):
-                        dangling.add(graph.node(node).name)
+        for leaf in itertools.chain.from_iterable(map(ref_leaves, exprs)):
+            node = leaf.node
+            # A bool is an int, and 1.0 == 1; neither names a node.
+            if type(node) is not int or not 0 <= node < graph.node_count():
+                dangling.add(f"node#{node!r}")
+            elif graph.node(node).has_label(POLICY_LABEL):
+                dangling.add(graph.node(node).name)
         if dangling:
             names = ", ".join(sorted(dangling))
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
-        # Each top-level Ref becomes the store's one Ref for its node; the
-        # new ones enter the table only once the policy is accepted.
-        refs, added = self._refs, {}
-        frozen = {
-            t: frozenset(
-                (refs.get(e.node) or added.setdefault(e.node, e)) if isinstance(e, Ref) else e
-                for e in exprs
-            )
-            for t, exprs in zip(_SLOTS, slots)
-        }
-        policy = Policy(name, decision, score or 0, len(self._policies), frozen)
-        refs.update(added)
+        policy = Policy(
+            name, decision, score or 0, len(self._policies), *compile_conditions(conditions)
+        )
         self._policies[name] = policy
         return policy
 
@@ -351,9 +364,9 @@ class PolicyStore:
         return len(self._policies)
 
 
-def _dnf_terms(expr: ConditionExpr) -> list[tuple[Ref, ...]]:
+def _dnf_terms(expr: ConditionExpr) -> list[tuple[NodeRef, ...]]:
     if isinstance(expr, Ref):
-        return [(expr,)]
+        return [(expr.node,)]
     if isinstance(expr, Not):
         raise NegationNotExpandableError(
             "cannot expand a NOT condition; rewrite with an explicit Deny policy"
@@ -361,7 +374,7 @@ def _dnf_terms(expr: ConditionExpr) -> list[tuple[Ref, ...]]:
     if isinstance(expr, Or):
         return [t for child in expr.children for t in _dnf_terms(child)]
     if isinstance(expr, And):
-        terms: list[tuple[Ref, ...]] = [()]
+        terms: list[tuple[NodeRef, ...]] = [()]
         for child in expr.children:
             terms = [a + b for a in terms for b in _dnf_terms(child)]
         return terms
@@ -375,19 +388,14 @@ def dnf_expand(policy: Policy) -> list[Policy]:
     output count is the product of per-slot term counts.  Names get a
     ``#index`` suffix; decision, score, and seq are copied.
     """
-    slots: list[list[frozenset[Ref]]] = []
-    for t in ConditionType:
-        terms: list[tuple[Ref, ...]] = [()]
-        for expr in sorted(policy.conditions.get(t, ()), key=repr):
+    slots: list[list[tuple[NodeRef, ...]]] = []
+    for nodes, exprs in zip(policy.nodes, policy.compound):
+        terms = [nodes]
+        for expr in sorted(exprs, key=repr):
             terms = [a + b for a in terms for b in _dnf_terms(expr)]
-        slots.append([frozenset(term) for term in terms])
+        slots.append([tuple(dict.fromkeys(term)) for term in terms])
+    name, decision, score, seq = policy.name, policy.decision, policy.score, policy.seq
     return [
-        Policy(
-            f"{policy.name}#{i}",
-            policy.decision,
-            policy.score,
-            policy.seq,
-            dict(zip(_SLOTS, combo)),
-        )
+        Policy(f"{name}#{i}", decision, score, seq, combo, _NO_COMPOUND)
         for i, combo in enumerate(itertools.product(*slots))
     ]

@@ -64,7 +64,7 @@ def random_model(rng: random.Random, cfg: RandomModelConfig = RandomModelConfig(
     candidates = primitives + attributes
     store = PolicyStore(graph)
     for i in range(cfg.n_policies):
-        conditions: dict[ConditionType, set[ConditionExpr]] = {}
+        conditions: dict[ConditionType, list[ConditionExpr]] = {}
         if rng.random() < cfg.anchored_fraction:
             # Draw conditions from a random primitive's closure per slot so a
             # decent share of policies actually match some query.
@@ -72,11 +72,11 @@ def random_model(rng: random.Random, cfg: RandomModelConfig = RandomModelConfig(
                 anchor = rng.choice(primitives)
                 closure = list(graph.attribute_closure(anchor, graph.attr_depth))
                 k = rng.randint(1, min(cfg.max_conditions_per_slot, len(closure)))
-                conditions[t] = {Ref(n) for n in rng.sample(closure, k)}
+                conditions[t] = [Ref(n) for n in rng.sample(closure, k)]
         else:
             for t in ConditionType:
                 k = rng.randint(1, cfg.max_conditions_per_slot)
-                conditions[t] = {Ref(n) for n in rng.sample(candidates, k)}
+                conditions[t] = [Ref(n) for n in rng.sample(candidates, k)]
         decision = (
             Decision.DENY if rng.random() < cfg.deny_fraction else Decision.PERMIT
         )
@@ -127,10 +127,9 @@ def matching_query(
     policies must be simple, as ``random_model`` makes them."""
     policies = model.policies.policies()
     for _ in range(10_000):
-        slots = rng.choice(policies).conditions.values()
         options = [
-            set.intersection(*(reached_by.get(e.node, set()) for e in exprs))
-            for exprs in slots
+            set.intersection(*(reached_by.get(n, set()) for n in nodes))
+            for nodes in rng.choice(policies).nodes
         ]
         if all(options):
             return AccessQuery(*(rng.choice(sorted(o)) for o in options))

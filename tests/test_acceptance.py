@@ -34,6 +34,7 @@ from graphabac import (
 from graphabac.cypher import emit_cypher_data, emit_cypher_decision_query
 from graphabac.errors import MissingConditionTypeError
 from graphabac.matcher import match_single, query_closures
+from graphabac.policy import compile_conditions
 
 from randdocs import MALFORMED_CORPUS, random_document
 from randmodel import (
@@ -136,7 +137,8 @@ def test_3_validity_gate():
 def _match(name, decision, score=0, seq=0, lens=(1, 1, 1)):
     from graphabac.matcher import PolicyMatch
 
-    pol = Policy(name, decision, score, seq, {t: frozenset() for t in ConditionType})
+    empty = compile_conditions({t: frozenset() for t in ConditionType})
+    pol = Policy(name, decision, score, seq, *empty)
     return PolicyMatch(pol, *lens)
 
 
@@ -225,7 +227,7 @@ def test_6_dnf_expansion():
     g.freeze()
     compound = Policy(
         "Reports", PERMIT, 0, 0,
-        {
+        *compile_conditions({
             SUB: frozenset(
                 {
                     Or(
@@ -238,7 +240,7 @@ def test_6_dnf_expansion():
             ),
             ACT: frozenset({Ref(refs["View"])}),
             OBJ: frozenset({Ref(refs["Monthly Reports"])}),
-        },
+        }),
     )
     expanded = dnf_expand(compound)
     subs = sorted(
@@ -263,13 +265,13 @@ def test_6_dnf_expansion():
         rg.freeze()
         pol = Policy(
             "c", PERMIT, 0, 0,
-            {
+            *compile_conditions({
                 t: frozenset(
                     random_notfree_expr(rng, nodes)
                     for _ in range(rng.randint(1, 2))
                 )
                 for t in ConditionType
-            },
+            }),
         )
         parts = dnf_expand(pol)
         # A store holding the policy makes its leaves (and so every part's)

@@ -12,6 +12,7 @@ from graphabac import (
     combine,
     evaluate,
 )
+from graphabac.policy import compile_conditions
 
 ALGS = list(CombiningAlgorithm)
 Q = AccessQuery(0, 1, 2)
@@ -19,11 +20,11 @@ Q = AccessQuery(0, 1, 2)
 
 def match(name, decision, score=0, seq=None, lens=(1, 1, 1)):
     pol = Policy(
-        name=name,
-        decision=decision,
-        score=score,
-        seq=seq if seq is not None else 0,
-        conditions={t: frozenset() for t in ConditionType},
+        name,
+        decision,
+        score,
+        seq if seq is not None else 0,
+        *compile_conditions({t: frozenset() for t in ConditionType}),
     )
     return PolicyMatch(pol, *lens)
 

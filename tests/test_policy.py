@@ -16,7 +16,7 @@ from graphabac import (
     Ref,
     dnf_expand,
 )
-from graphabac.policy import MAX_NESTING
+from graphabac.policy import MAX_NESTING, compile_conditions
 from graphabac.errors import (
     ConditionTooDeepError,
     DanglingConditionRefError,
@@ -202,7 +202,7 @@ class TestDnfExpand:
         g = reporting_graph()
         pol = Policy(
             "Reports", Decision.PERMIT, 0, 0,
-            {
+            *compile_conditions({
                 SUB: frozenset(
                     {
                         Or(
@@ -220,7 +220,7 @@ class TestDnfExpand:
                 ),
                 ACT: frozenset({Ref(g.find_node("View"))}),
                 OBJ: frozenset({Ref(g.find_node("Monthly Reports"))}),
-            },
+            }),
         )
         expanded = dnf_expand(pol)
         assert len(expanded) == 2
@@ -246,11 +246,11 @@ class TestDnfExpand:
         a, b, c, d = (g.find_node(n) for n in ("Manager", "Senior", "Employee", "View"))
         pol = Policy(
             "P", Decision.PERMIT, 0, 0,
-            {
+            *compile_conditions({
                 SUB: frozenset({Or((Ref(a), Ref(b)))}),
                 OBJ: frozenset({Or((Ref(c), Ref(d)))}),
                 ACT: frozenset({Ref(g.find_node("Monthly Reports"))}),
-            },
+            }),
         )
         expanded = dnf_expand(pol)
         assert len(expanded) == 4
@@ -269,11 +269,11 @@ class TestDnfExpand:
         g = reporting_graph()
         pol = Policy(
             "P", Decision.PERMIT, 0, 0,
-            {
+            *compile_conditions({
                 SUB: frozenset({Not(Ref(g.find_node("Manager")))}),
                 ACT: frozenset({Ref(g.find_node("View"))}),
                 OBJ: frozenset({Ref(g.find_node("Monthly Reports"))}),
-            },
+            }),
         )
         with pytest.raises(NegationNotExpandableError):
             dnf_expand(pol)
@@ -299,7 +299,7 @@ class TestDnfExpand:
                     slot_terms *= len(_dnf_terms(e))
                 expected *= slot_terms
                 conditions[t] = frozenset(exprs)
-            pol = Policy("P", Decision.PERMIT, 0, 0, conditions)
+            pol = Policy("P", Decision.PERMIT, 0, 0, *compile_conditions(conditions))
             assert len(dnf_expand(pol)) == expected
 
 
@@ -317,50 +317,48 @@ class TestExprInvariants:
         assert Not(Ref(n)) == Not(Ref(n))
 
 
-def _top_level_refs(store):
-    """node -> the distinct top-level Ref objects for it, by id, across every
-    stored policy."""
-    objects = {}
-    for pol in store:
-        for exprs in pol.conditions.values():
-            for e in exprs:
-                if isinstance(e, Ref):
-                    objects.setdefault(e.node, {})[id(e)] = e
-    return objects
+def _stores(healthcare):
+    """The bundled store, a randmodel store and one with compound slots."""
+    from randmodel import RandomModelConfig, random_model
+    from test_matcher import _random_slot
 
-
-class TestOneRefPerNode:
-    def test_bundled_model_holds_one_ref_per_node(self, healthcare):
-        objects = _top_level_refs(healthcare.policies)
-        assert objects and all(len(same) == 1 for same in objects.values())
-        # Some node is a condition of more than one policy, so the check
-        # compares objects that were parsed apart.
-        doctor = healthcare.graph.find_node("Doctor")
-        users = [p for p in healthcare.policies if Ref(doctor) in p.conditions[SUB]]
-        assert len(users) > 1
-
-    def test_fresh_refs_share_one_object(self):
-        from randmodel import RandomModelConfig, random_model
-
-        model = random_model(random.Random(11), RandomModelConfig(n_policies=200))
-        objects = _top_level_refs(model.policies)
-        assert all(len(same) == 1 for same in objects.values())
-        uses = {}
-        for pol in model.policies:
-            for exprs in pol.conditions.values():
-                for e in exprs:
-                    uses[e.node] = uses.get(e.node, 0) + 1
-        assert max(uses.values()) > 1
-
-    def test_one_object_across_slots_of_one_policy(self, healthcare):
-        g = healthcare.graph
-        store = PolicyStore(g)
-        pol = store.create_policy(
-            "P", Decision.PERMIT,
-            {SUB: {ref_to(g, "Doctor")}, ACT: {ref_to(g, "Doctor")}, OBJ: {ref_to(g, "Doctor")}},
+    g = healthcare.graph
+    nodes = [n for n in range(g.node_count()) if not g.node(n).has_label("Policy")]
+    compound = PolicyStore(g)
+    rng = random.Random(5)
+    for i in range(40):
+        compound.create_policy(
+            f"c{i}", Decision.PERMIT, {t: _random_slot(rng, nodes) for t in ConditionType}
         )
-        (a,), (b,), (c,) = (pol.conditions[t] for t in (SUB, ACT, OBJ))
-        assert a is b is c
+    model = random_model(random.Random(11), RandomModelConfig(n_policies=200))
+    return healthcare.policies, model.policies, compound
+
+
+class TestCompiledSlots:
+    def test_snapshot_refs_are_the_policies_own_tuples(self, healthcare):
+        for store in _stores(healthcare):
+            snapshot = store.policies()
+            for p in store:
+                for i in range(3):
+                    assert snapshot.refs[i][p.seq] is p.nodes[i]
+
+    def test_slots_hold_plain_nodes_and_no_top_level_ref(self, healthcare):
+        for store in _stores(healthcare):
+            for p in store:
+                assert all(type(n) is int for nodes in p.nodes for n in nodes)
+                assert not any(isinstance(e, Ref) for exprs in p.compound for e in exprs)
+
+    def test_same_node_in_every_slot(self, healthcare):
+        g = healthcare.graph
+        doctor = g.find_node("Doctor")
+        pol = PolicyStore(g).create_policy(
+            "P", Decision.PERMIT,
+            {SUB: [ref_to(g, "Doctor"), Ref(doctor)], ACT: {Ref(doctor)}, OBJ: {Ref(doctor)}},
+        )
+        assert pol.nodes == ((doctor,), (doctor,), (doctor,))
+        # Every policy without a compound expression shares one constant.
+        assert pol.compound == ((), (), ())
+        assert pol.compound is healthcare.policies.get("Policy2").compound
 
     def test_leaves_under_operators_keep_their_objects(self, healthcare):
         g = healthcare.graph
@@ -374,7 +372,7 @@ class TestOneRefPerNode:
         (neg,) = pol.conditions[SUB]
         assert neg.inner is inner and inner is not first
 
-    def test_rejected_policy_leaves_its_refs_out(self, healthcare):
+    def test_rejected_policy_leaves_no_trace(self, healthcare):
         g = healthcare.graph
         store = PolicyStore(g)
         records = ref_to(g, "Hospital Records")
@@ -387,19 +385,41 @@ class TestOneRefPerNode:
                 "Q", Decision.PERMIT, {SUB: {doctor}, ACT: {Ref(-1)}, OBJ: {records}}
             )
         # An And over a list passes every check and fails only when the
-        # slot is hashed, after the top-level Ref before it was seen.
+        # slot is hashed.
         unhashable = And([ref_to(g, "Doctor"), ref_to(g, "Nurse")])
         with pytest.raises(TypeError):
             store.create_policy(
                 "Q", Decision.PERMIT, {SUB: [doctor, unhashable], ACT: {records}, OBJ: {records}}
             )
-        later = ref_to(g, "Doctor")
+        assert len(store) == 1
         pol = store.create_policy(
-            "R", Decision.PERMIT, {SUB: {later}, ACT: {records}, OBJ: {records}}
+            "Q", Decision.PERMIT, {SUB: {doctor}, ACT: {records}, OBJ: {records}}
         )
-        (got,) = pol.conditions[SUB]
-        assert got is later and got is not doctor
-        assert next(iter(pol.conditions[OBJ])) is records
+        assert pol.seq == 1 and store.policies() == (store.get("P"), pol)
+
+
+_NODES = list(range(6))
+
+
+@given(st.randoms(use_true_random=False))
+def test_compiled_slots_round_trip(rng):
+    """Compiling a conditions mapping loses nothing and keeps no repeat:
+    ``conditions`` rebuilds the given sets, and the shape check agrees."""
+    from test_matcher import _random_slot
+
+    given_slots = {}
+    for t in ConditionType:
+        exprs = [] if rng.random() < 0.1 else list(_random_slot(rng, _NODES))
+        # Repeats: the same objects again, and equal Refs that are new objects.
+        exprs += rng.sample(exprs, rng.randint(0, len(exprs)))
+        exprs += [Ref(e.node) for e in exprs if isinstance(e, Ref)]
+        rng.shuffle(exprs)
+        given_slots[t] = exprs
+    pol = Policy("P", Decision.PERMIT, 0, 0, *compile_conditions(given_slots))
+    assert pol.conditions == {t: frozenset(exprs) for t, exprs in given_slots.items()}
+    for slot in (*pol.nodes, *pol.compound):
+        assert len(set(slot)) == len(slot)
+    assert pol.is_valid_shape() == all(given_slots.values())
 
 
 def test_records_have_no_instance_dict(healthcare):
