@@ -6,6 +6,14 @@ denied request is never conflated with an operational failure.  The
 Deny response with an error message and processing continues.  ``serve``
 reads at most ``MAX_REQUEST_CHARS`` characters of a request line; a longer
 line gets one such Deny, and the rest of it is skipped unread.
+
+A ``serve`` reply is one line of ASCII JSON, byte for byte what
+``json.dumps`` writes for the response object with its default settings:
+
+    {"id": "q1", "decision": "Permit", "matching": ["Policy2"], "error": null}
+
+A Deny for a bad request has ``"matching": []`` and the error text as a
+string, and an ``id`` of ``""`` when the request has no usable one.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ def _resolve_query(model: LoadedModel, subject: str, action: str, obj: str) -> A
         if ref is None:
             raise _CliError(f"unknown node {name!r}")
         refs.append(ref)
-    return AccessQuery(sub=refs[0], act=refs[1], obj=refs[2])
+    return AccessQuery(*refs)
 
 
 def _evaluate(args, model: LoadedModel) -> tuple[AccessQuery, EvaluationResult]:
@@ -164,27 +172,41 @@ def serve_loop(
     """One JSON request per input line, one JSON response per output line,
     in request order.  Never raises on malformed input.  A line of JSON
     whitespace alone (space, tab, CR, LF) gets no response; any other line
-    gets exactly one.  A line longer than MAX_REQUEST_CHARS gets a Deny;
-    ``request_lines`` reads such a line without holding all of it."""
+    gets exactly one, written whole and then flushed.  A line longer than
+    MAX_REQUEST_CHARS gets a Deny; ``request_lines`` reads such a line
+    without holding all of it."""
+    write, flush = stdout.write, stdout.flush
     for line in stdin:
         if len(line) > MAX_REQUEST_CHARS and line[MAX_REQUEST_CHARS] != "\n":
-            response = _deny("", f"request line longer than {MAX_REQUEST_CHARS} characters")
+            reply = _deny("", f"request line longer than {MAX_REQUEST_CHARS} characters")
         elif not line.strip(_JSON_WHITESPACE):
             continue
         else:
-            response = _serve_one(model, default_alg, line, depth)
-        stdout.write(json.dumps(response))
-        stdout.write("\n")
-        stdout.flush()
+            reply = _serve_one(model, default_alg, line, depth)
+        write(reply)
+        flush()
 
 
-def _deny(req_id: str, error: str) -> dict:
-    return {"id": req_id, "decision": "Deny", "matching": [], "error": error}
+# A reply is the line ``json.dumps(response) + "\n"`` would give, built
+# from pre-quoted parts: json.dumps quotes a string with this function when
+# ensure_ascii is on, its default.
+_quote = json.encoder.encode_basestring_ascii
+
+_ALGORITHMS = {a.value: a for a in CombiningAlgorithm}
+# Reading a member off an enum class runs Python code; read it once.
+_PERMIT = Decision.PERMIT
+
+
+def _deny(req_id: str, error: str) -> str:
+    return (
+        f'{{"id": {_quote(req_id)}, "decision": "Deny", "matching": [], '
+        f'"error": {_quote(error)}}}\n'
+    )
 
 
 def _serve_one(
     model: LoadedModel, default_alg: CombiningAlgorithm, line: str, depth: Optional[int]
-) -> dict:
+) -> str:
     req_id = ""
     try:
         record = json.loads(line)
@@ -194,25 +216,30 @@ def _serve_one(
         req_id = raw_id if isinstance(raw_id, str) else ""
         if not req_id:
             raise ValueError("missing or empty 'id'")
-        names = {}
+        names = []
         for key in ("subject", "action", "object"):
             value = record.get(key)
             if not isinstance(value, str):
                 raise ValueError(f"missing or non-string {key!r}")
-            names[key] = value
-        alg = default_alg
-        if record.get("algorithm") is not None:
-            alg = CombiningAlgorithm(record["algorithm"])
-        q = _resolve_query(model, names["subject"], names["action"], names["object"])
+            names.append(value)
+        name = record.get("algorithm")
+        if name is None:
+            alg = default_alg
+        elif isinstance(name, str) and name in _ALGORITHMS:
+            alg = _ALGORITHMS[name]
+        else:
+            # Raises the enum's own ValueError for any other value.
+            alg = CombiningAlgorithm(name)
+        q = _resolve_query(model, *names)
         result = evaluate(model.policies, q, alg, depth=depth)
-        return {
-            "id": req_id,
-            "decision": result.decision.value,
-            "matching": [m.policy.name for m in result.matches],
-            "error": None,
-        }
     except (ValueError, RecursionError, _CliError, AbacError) as exc:
         return _deny(req_id, f"{exc}")
+    decision = '"Permit"' if result.decision is _PERMIT else '"Deny"'
+    matching = ", ".join([_quote(m.policy.name) for m in result.matches])
+    return (
+        f'{{"id": {_quote(req_id)}, "decision": {decision}, "matching": [{matching}], '
+        f'"error": null}}\n'
+    )
 
 
 def cmd_serve(args) -> int:

@@ -39,12 +39,16 @@ production path and is O(paths); keep it to small graphs.
 
 Both report, per match, the minimal path length from each query
 primitive to the policy (closure hops plus the condition edge).
+
+``AccessQuery`` and ``PolicyMatch`` are named tuples: immutable, hashed
+and compared by their field values, and built without a Python-level
+``__setattr__`` per field, since every decision makes one query and one
+record per match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
 from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
@@ -62,8 +66,9 @@ from .policy import (
 )
 
 
-@dataclass(frozen=True)
-class AccessQuery:
+class AccessQuery(NamedTuple):
+    """One request: the subject, action and object nodes."""
+
     sub: NodeRef
     act: NodeRef
     obj: NodeRef
@@ -76,8 +81,9 @@ class AccessQuery:
         return self.obj
 
 
-@dataclass(frozen=True)
-class PolicyMatch:
+class PolicyMatch(NamedTuple):
+    """One matching policy with its path length per slot."""
+
     policy: Policy
     len_sub: int
     len_act: int

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import graphabac.cli as cli
 from graphabac.cli import MAX_REQUEST_CHARS, main, request_lines, serve_loop
 from graphabac.combine import CombiningAlgorithm
-from graphabac.dsl import bundled_model_text, load_bundled_model
-from graphabac.policy import PolicyStore
+from graphabac.dsl import LoadedModel, bundled_model_text, load_bundled_model
+from graphabac.graph import HAS_ATTR, Graph
+from graphabac.matcher import AccessQuery
+from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
 
 
 @pytest.fixture(scope="module")
@@ -445,3 +448,174 @@ class TestServeFuzz:
     @given(st.lists(_JSON | _REQUESTS, max_size=4))
     def test_arbitrary_json_lines(self, values):
         self.check([json.dumps(v) + "\n" for v in values])
+
+
+# Text that json.dumps escapes or spells out: quotes, backslashes, control
+# characters, non-ASCII and astral characters, and lone surrogates.
+_ODD_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\xe9\u20ac\U0001f600\ud800\udfff')
+_ODD_TEXT = st.text(
+    _ODD_CHARS | st.characters() | st.characters(min_codepoint=0x10000), min_size=1, max_size=6
+).filter(lambda t: json.loads(json.dumps(t)) == t)  # JSON reads "\ud800\udfff" as one character
+
+REPLY_KEYS = ["id", "decision", "matching", "error"]
+
+
+def response(req_id, decision="Deny", matching=(), error=None):
+    return {"id": req_id, "decision": decision, "matching": list(matching), "error": error}
+
+
+def odd_model(names):
+    """Subject, action and object nodes named ``names[:3]``, an attribute
+    ``names[3]`` of the subject, and two policies named ``names[4:6]`` that
+    match that triple, a Permit on the subject and a Deny on its attribute."""
+    g = Graph()
+    sub, act, obj, attr = (g.add_node(n) for n in names[:4])
+    g.add_edge(sub, HAS_ATTR, attr)
+    g.freeze()
+    store = PolicyStore(g)
+    for name, decision, node in ((names[4], Decision.PERMIT, sub), (names[5], Decision.DENY, attr)):
+        conditions = {
+            ConditionType.SUB_CON: [Ref(node)],
+            ConditionType.ACT_CON: [Ref(act)],
+            ConditionType.OBJ_CON: [Ref(obj)],
+        }
+        store.create_policy(name, decision, conditions)
+    return LoadedModel(g, store)
+
+
+def serve_text(model, lines, algorithm=CombiningAlgorithm.DENY_OVERRIDES):
+    out = io.StringIO()
+    serve_loop(model, algorithm, lines, out)
+    return out.getvalue().splitlines(keepends=True)
+
+
+class TestReplyBytes:
+    """Each reply is the line ``json.dumps`` gives for the response object,
+    keys in the order id, decision, matching, error."""
+
+    def check(self, reply, expected):
+        assert reply == json.dumps(expected) + "\n"
+        assert list(json.loads(reply)) == REPLY_KEYS
+        assert reply.isascii()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        names=st.lists(_ODD_TEXT, min_size=6, max_size=6, unique=True),
+        ids=st.lists(_ODD_TEXT, min_size=4, max_size=4),
+        unknown=_ODD_TEXT,
+        raw=_ODD_TEXT,
+        ascii_only=st.booleans(),
+    )
+    def test_replies_equal_json_dumps(self, names, ids, unknown, raw, ascii_only):
+        model = odd_model(names)
+        sub, act, obj, attr, permit, deny = names
+        while unknown in names:
+            unknown += "?"
+        slots = {"action": act, "object": obj}
+        requests = [
+            {"id": ids[0], "subject": sub, **slots},
+            {"id": ids[1], "subject": attr, **slots, "algorithm": "first-applicable"},
+            {"id": ids[2], "subject": unknown, **slots},
+            {"id": ids[3], "subject": sub, **slots, "algorithm": unknown},
+        ]
+        lines = [json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in requests]
+        lines.append(raw.replace("\n", "").replace("\r", "") + "\n")
+        replies = serve_text(model, lines)
+        assert len(replies) == (5 if raw.strip(" \t\r\n") else 4)
+        self.check(replies[0], response(ids[0], matching=[permit, deny]))
+        self.check(replies[1], response(ids[1], matching=[deny]))
+        self.check(replies[2], response(ids[2], error=f"unknown node {unknown!r}"))
+        error = f"{unknown!r} is not a valid CombiningAlgorithm"
+        self.check(replies[3], response(ids[3], error=error))
+        for reply in replies[4:]:
+            self.check(reply, json.loads(reply))
+            assert json.loads(reply)["error"]
+
+    def test_permit_reply_line(self):
+        line = json.dumps({"id": "q1", "subject": "John", "action": "Write", "object": "MR_1234"})
+        assert serve_text(_MODEL, [line]) == [
+            '{"id": "q1", "decision": "Permit", "matching": ["Policy2"], "error": null}\n'
+        ]
+
+    @pytest.mark.parametrize(
+        "algorithm, error",
+        [
+            (["x"], "['x'] is not a valid CombiningAlgorithm"),
+            ({"a": 1}, "{'a': 1} is not a valid CombiningAlgorithm"),
+            (1, "1 is not a valid CombiningAlgorithm"),
+            (True, "True is not a valid CombiningAlgorithm"),
+            ("", "'' is not a valid CombiningAlgorithm"),
+            ("best-effort", "'best-effort' is not a valid CombiningAlgorithm"),
+        ],
+    )
+    def test_bad_algorithm_error_text(self, algorithm, error):
+        request = {"id": "q", "subject": "John", "action": "Write", "object": "MR_1234"}
+        (reply,) = serve_text(_MODEL, [json.dumps({**request, "algorithm": algorithm})])
+        self.check(reply, response("q", error=error))
+
+    @pytest.mark.parametrize(
+        "algorithm, decision",
+        [
+            (None, "Deny"),
+            ("deny-overrides", "Deny"),
+            ("permit-overrides", "Permit"),
+            ("first-applicable", "Permit"),
+            ("max-score-deny-overrides", "Deny"),
+            ("shortest-path-deny-overrides", "Permit"),
+        ],
+    )
+    def test_request_algorithm_is_used(self, algorithm, decision):
+        # Both policies match, the Permit first and one hop nearer.
+        model = odd_model(["s", "a", "o", "t", "P", "D"])
+        request = {"id": "q", "subject": "s", "action": "a", "object": "o", "algorithm": algorithm}
+        (reply,) = serve_text(model, [json.dumps(request)], CombiningAlgorithm.DENY_OVERRIDES)
+        self.check(reply, response("q", decision, ["P", "D"]))
+
+
+class TestServeTimedContract:
+    """``bench/serve_timed.py`` times ``serve_loop`` from outside: it counts
+    one flush per reply, and it wraps ``cli.evaluate`` to time decisions."""
+
+    def test_one_whole_line_then_one_flush_per_reply(self, monkeypatch):
+        events = []
+
+        class Out:
+            def write(self, text):
+                events.append(text)
+
+            def flush(self):
+                events.append(None)
+
+        asked = []
+        evaluate = cli.evaluate
+
+        def counting(store, q, alg, depth=None):
+            asked.append(q)
+            return evaluate(store, q, alg, depth=depth)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        ok = {"subject": "John", "action": "Write", "object": "MR_1234"}
+        lines = [
+            json.dumps({"id": "a", **ok}),
+            "garbage",
+            json.dumps({"id": "b", **ok, "subject": "Ghost"}),
+            json.dumps({"id": "c", **ok, "algorithm": "best-effort"}),
+            json.dumps({"id": "", **ok}),
+            " \t\r",
+            json.dumps({"id": "d", **ok, "action": "Read", "algorithm": "first-applicable"}),
+            "[" * (MAX_REQUEST_CHARS + 1),
+        ]
+        lines = [f"{line}\n" for line in lines]
+        serve_loop(_MODEL, CombiningAlgorithm.DENY_OVERRIDES, lines, Out())
+        assert len(events) == 2 * 7
+        assert events[1::2] == [None] * 7
+        for text in events[0::2]:
+            assert text.endswith("\n") and text.count("\n") == 1
+        ids = [json.loads(text)["id"] for text in events[0::2]]
+        assert ids == ["a", "", "b", "c", "", "d", ""]
+        g = _MODEL.graph
+        john, mr = g.find_node("John"), g.find_node("MR_1234")
+        assert asked == [
+            AccessQuery(john, g.find_node("Write"), mr),
+            AccessQuery(john, g.find_node("Read"), mr),
+        ]

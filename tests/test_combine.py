@@ -12,6 +12,7 @@ from graphabac import (
     combine,
     evaluate,
 )
+from graphabac.combine import EvaluationResult
 from graphabac.policy import compile_conditions
 
 ALGS = list(CombiningAlgorithm)
@@ -184,3 +185,59 @@ class TestEvaluate:
             result = evaluate(healthcare.policies, q, alg)
             assert result.decision is D
             assert result.matches == ()
+
+
+class TestRecords:
+    """The query, match and result records are immutable values: assignment
+    fails, and they hash and compare by their fields."""
+
+    RECORDS = [
+        (AccessQuery(0, 1, 2), {"sub": 0, "act": 1, "obj": 2}),
+        (PolicyMatch("p", 1, 2, 3), {"policy": "p", "len_sub": 1, "len_act": 2, "len_obj": 3}),
+        (
+            EvaluationResult(D, ALGS[0], (), ()),
+            {"decision": D, "algorithm": ALGS[0], "matches": (), "deciding_policies": ()},
+        ),
+    ]
+
+    @pytest.mark.parametrize("record, fields", RECORDS)
+    def test_fields_read_back_and_reject_assignment(self, record, fields):
+        for name, value in fields.items():
+            assert getattr(record, name) == value
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert {name: getattr(record, name) for name in fields} == fields
+
+    @pytest.mark.parametrize("record, fields", RECORDS)
+    def test_hash_and_equality_follow_the_fields(self, record, fields):
+        same = type(record)(**fields)
+        assert same == record and hash(same) == hash(record)
+        first = next(iter(fields))
+        other = type(record)(**{**fields, first: "changed"})
+        assert other != record
+
+    def test_match_of_a_stored_policy_compares_but_does_not_hash(self):
+        # A stored Policy is a mutable record, so it has no hash.
+        m = match("a", P, lens=(1, 2, 4))
+        assert m == PolicyMatch(m.policy, 1, 2, 4)
+        assert m != PolicyMatch(m.policy, 1, 2, 5)
+        with pytest.raises(TypeError):
+            hash(m)
+
+    def test_lengths_and_primitives_by_slot(self):
+        m = PolicyMatch("p", 1, 2, 4)
+        assert m.total_len == 7
+        assert [m.length(t) for t in ConditionType] == [1, 2, 4]
+        q = AccessQuery(sub=5, act=6, obj=7)
+        assert q == AccessQuery(5, 6, 7)
+        assert [q.primitive(t) for t in ConditionType] == [5, 6, 7]
+
+    def test_results_of_equal_inputs_are_equal(self):
+        ms = [match("a", P, seq=0), match("b", D, seq=1)]
+        for alg in ALGS:
+            assert combine(Q, ms, alg) == combine(Q, list(ms), alg)
+            assert combine(Q, ms, alg).matches == tuple(ms)
