@@ -9,9 +9,10 @@ waits for each reply before sending the next.  Blocks of requests alternate
 between the two children, so both see the same host speed.  Like
 `bench/run.py`, the script pins itself and both children to one CPU.
 
-Per child it reports the p50 and p90 round trip in microseconds and the
-requests per second (requests over their summed round-trip time).  The
-echo child is the floor: what any line-for-line service costs over this
+Per child it reports the p50 and p90 round trip in microseconds, as
+nearest-rank percentiles like `bench/run.py`'s, and the requests per
+second (requests over their summed round-trip time).  The echo child is
+the floor: what any line-for-line service costs over this
 pipe from this client.  ``calib_ms`` is the mean of `bench/run.py`'s
 host-speed loop timed before and after, so a later run can be scaled to
 this one.
@@ -41,7 +42,10 @@ from graphabac.dsl import bundled_model_text
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
-from run import Serve, calib_ms, pin_to_one_cpu  # noqa: E402
+from run import Serve, calib_ms, percentile, pin_to_one_cpu  # noqa: E402
+
+# Requests per alternating block.
+BLOCK = 500
 
 # Reads each line as `serve` does (text stdin, one bounded readline per
 # line) and writes one fixed reply with one write and one flush.
@@ -60,13 +64,13 @@ def summary(rtt_ns: list[int]) -> dict:
     us = sorted(ns / 1e3 for ns in rtt_ns)
     return {
         "requests": len(us),
-        "us_p50": round(statistics.median(us), 2),
-        "us_p90": round(us[int(0.9 * len(us))], 2),
+        "us_p50": round(percentile(us, 50), 2),
+        "us_p90": round(percentile(us, 90), 2),
         "rps": round(len(us) / (sum(rtt_ns) / 1e9)),
     }
 
 
-def measure(requests: list, model_path: str, env: dict, block: int, warmup: int) -> dict:
+def measure(requests: list, model_path: str, env: dict, warmup: int) -> dict:
     lines = [r.line.encode() + b"\n" for r in requests]
     calib = [calib_ms()]
     children = {
@@ -81,10 +85,10 @@ def measure(requests: list, model_path: str, env: dict, block: int, warmup: int)
             for line in lines[:warmup]:
                 if proc.ask(line) is None:
                     raise RuntimeError("a child stopped answering during warm-up")
-        for start in range(0, len(lines), block):
+        for start in range(0, len(lines), BLOCK):
             for name, proc in children.items():
                 times, got = rtt[name], replies[name]
-                for line in lines[start : start + block]:
+                for line in lines[start : start + BLOCK]:
                     t0 = clock()
                     reply = proc.ask(line)
                     times.append(clock() - t0)
@@ -113,7 +117,6 @@ def measure(requests: list, model_path: str, env: dict, block: int, warmup: int)
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--requests", type=int, default=20000, help="requests per child")
-    ap.add_argument("--block", type=int, default=500, help="requests per alternating block")
     ap.add_argument("--warmup", type=int, default=200, help="untimed requests per child")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="BENCH_serve_sweep.json", help="path, or - for stdout")
@@ -128,12 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         model_path = os.path.join(work, "healthcare.abac")
         with open(model_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        report = measure(requests, model_path, env, args.block, args.warmup)
+        report = measure(requests, model_path, env, args.warmup)
     report = {
         "script": "scripts/serve_sweep.py",
         "seed": args.seed,
         "model": "bundled healthcare model, serve-small request stream",
-        "block": args.block,
+        "block": BLOCK,
         "warmup": args.warmup,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

@@ -193,15 +193,19 @@ def serve_loop(
 _quote = json.encoder.encode_basestring_ascii
 
 _ALGORITHMS = {a.value: a for a in CombiningAlgorithm}
-# Reading a member off an enum class runs Python code; read it once.
-_PERMIT = Decision.PERMIT
+_DECISIONS = {d: _quote(d.value) for d in Decision}
+
+
+def _reply(req_id: str, decision: str, matching: str, error: str) -> str:
+    """The finished reply line from its already quoted parts."""
+    return (
+        f'{{"id": {_quote(req_id)}, "decision": {decision}, "matching": [{matching}], '
+        f'"error": {error}}}\n'
+    )
 
 
 def _deny(req_id: str, error: str) -> str:
-    return (
-        f'{{"id": {_quote(req_id)}, "decision": "Deny", "matching": [], '
-        f'"error": {_quote(error)}}}\n'
-    )
+    return _reply(req_id, _DECISIONS[Decision.DENY], "", _quote(error))
 
 
 def _serve_one(
@@ -234,12 +238,8 @@ def _serve_one(
         result = evaluate(model.policies, q, alg, depth=depth)
     except (ValueError, RecursionError, _CliError, AbacError) as exc:
         return _deny(req_id, f"{exc}")
-    decision = '"Permit"' if result.decision is _PERMIT else '"Deny"'
     matching = ", ".join([_quote(m.policy.name) for m in result.matches])
-    return (
-        f'{{"id": {_quote(req_id)}, "decision": {decision}, "matching": [{matching}], '
-        f'"error": null}}\n'
-    )
+    return _reply(req_id, _DECISIONS[result.decision], matching, "null")
 
 
 def cmd_serve(args) -> int:

@@ -26,9 +26,11 @@ ALGORITHM_NAMES = tuple(a.value for a in CombiningAlgorithm)
 
 # Reading a member off an enum class runs Python code (about 0.2 us on
 # CPython 3.11), so the decision path compares against these names.
-_DENY_OVERRIDES, _PERMIT_OVERRIDES, _FIRST_APPLICABLE, _MAX_SCORE, _SHORTEST_PATH = (
-    CombiningAlgorithm
-)
+_DENY_OVERRIDES = CombiningAlgorithm.DENY_OVERRIDES
+_PERMIT_OVERRIDES = CombiningAlgorithm.PERMIT_OVERRIDES
+_FIRST_APPLICABLE = CombiningAlgorithm.FIRST_APPLICABLE
+_MAX_SCORE = CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES
+_SHORTEST_PATH = CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES
 _PERMIT, _DENY = Decision.PERMIT, Decision.DENY
 
 Matches = tuple[PolicyMatch, ...]
