@@ -29,7 +29,7 @@ from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_po
 from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
-from .policy import ConditionType, Decision, ref_leaves
+from .policy import Decision, ref_leaves
 
 EXIT_PERMIT = 0
 EXIT_DENY = 1
@@ -93,14 +93,16 @@ def cmd_explain(args) -> int:
         for m in result.matches:
             pol = m.policy
             slots = []
-            for t in ConditionType:
+            # Conditions, closures and lengths all come in slot order.
+            lengths = (m.len_sub, m.len_act, m.len_obj)
+            for (t, exprs), closure, length in zip(pol.conditions.items(), closures, lengths):
                 sats = sorted(
                     model.graph.node(leaf.node).name
-                    for e in pol.conditions[t]
+                    for e in exprs
                     for leaf in ref_leaves(e)
-                    if leaf.node in closures[t]
+                    if leaf.node in closure
                 )
-                slots.append(f"{t.value}={m.length(t)} [{', '.join(sats)}]")
+                slots.append(f"{t.value}={length} [{', '.join(sats)}]")
             print(
                 f"  {pol.name} [{pol.decision.value}, score {pol.score}] "
                 f"{' '.join(slots)} total={m.total_len}"

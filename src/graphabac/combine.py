@@ -56,9 +56,7 @@ def _deny_overrides(matches: Matches) -> tuple[Decision, Matches]:
     return _DENY, ()
 
 
-def combine(
-    q: AccessQuery, matches: Iterable[PolicyMatch], alg: CombiningAlgorithm
-) -> EvaluationResult:
+def combine(matches: Iterable[PolicyMatch], alg: CombiningAlgorithm) -> EvaluationResult:
     """Pure reduction of an ordered match list to a decision.
 
     ``matches`` must be in insertion-sequence order, as produced by the
@@ -98,4 +96,4 @@ def evaluate(
     depth: Optional[int] = None,
 ) -> EvaluationResult:
     """Match then combine: the full decision pipeline for one query."""
-    return combine(q, matching_policies(store, q, depth=depth), alg)
+    return combine(matching_policies(store, q, depth=depth), alg)

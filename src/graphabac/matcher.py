@@ -32,6 +32,12 @@ Every front end that needs closures gets them from ``query_closures``;
 slot ``t``'s closure is exact at slot ``t``'s condition nodes of the
 store and says nothing about any other node.
 
+The closures are a triple in ``_SLOTS`` order (subject, action, object),
+the order of ``AccessQuery``'s fields and of every other per-slot value:
+``Policy.nodes`` and ``compound``, the snapshot's ``refs``, ``keys`` and
+``adjacency``, and ``PolicyMatch``'s lengths.  So the decision path pairs
+a slot's values by position and never looks a slot up by its type.
+
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
 enumeration over the full graph.  It exists to cross-validate the
@@ -52,18 +58,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
 from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
-from .policy import (
-    And,
-    ConditionExpr,
-    ConditionType,
-    Not,
-    Or,
-    Policy,
-    PolicyStore,
-    Ref,
-    _SLOTS,
-    ref_leaves,
-)
+from .policy import And, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
 
 
 class AccessQuery(NamedTuple):
@@ -72,13 +67,6 @@ class AccessQuery(NamedTuple):
     sub: NodeRef
     act: NodeRef
     obj: NodeRef
-
-    def primitive(self, t: ConditionType) -> NodeRef:
-        if t is ConditionType.SUB_CON:
-            return self.sub
-        if t is ConditionType.ACT_CON:
-            return self.act
-        return self.obj
 
 
 class PolicyMatch(NamedTuple):
@@ -93,27 +81,18 @@ class PolicyMatch(NamedTuple):
     def total_len(self) -> int:
         return self.len_sub + self.len_act + self.len_obj
 
-    def length(self, t: ConditionType) -> int:
-        if t is ConditionType.SUB_CON:
-            return self.len_sub
-        if t is ConditionType.ACT_CON:
-            return self.len_act
-        return self.len_obj
-
 
 # -- closure-based evaluation (production path) -----------------------
 
-Closures = dict[ConditionType, dict[NodeRef, int]]
+Closure = dict[NodeRef, int]
+Closures = tuple[Closure, Closure, Closure]
 
 
 def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:
     """Minimal hop counts from each query primitive to every condition node
-    of its slot in ``store`` that it reaches within ``depth``, keyed by slot
-    type."""
+    of its slot in ``store`` that it reaches within ``depth``, one dict per
+    slot in ``_SLOTS`` order, like the query's own fields."""
     return _closures(store.graph, store.policies().adjacency, q, depth)
-
-
-_SUB, _ACT, _OBJ = _SLOTS
 
 
 def _closures(
@@ -121,14 +100,10 @@ def _closures(
 ) -> Closures:
     sub, act, obj = adjacency
     closure = graph.attribute_closure
-    return {
-        _SUB: closure(q.sub, depth, sub),
-        _ACT: closure(q.act, depth, act),
-        _OBJ: closure(q.obj, depth, obj),
-    }
+    return closure(q.sub, depth, sub), closure(q.act, depth, act), closure(q.obj, depth, obj)
 
 
-def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool:
+def _eval_with_closure(closure: Closure, expr: ConditionExpr) -> bool:
     if isinstance(expr, Ref):
         return expr.node in closure
     if isinstance(expr, Not):
@@ -143,7 +118,7 @@ def _eval_with_closure(closure: dict[NodeRef, int], expr: ConditionExpr) -> bool
 def _slot_length(
     nodes: tuple[NodeRef, ...],
     compound: tuple[ConditionExpr, ...],
-    closure: dict[NodeRef, int],
+    closure: Closure,
     depth: int,
 ) -> Optional[int]:
     """Match one compiled condition slot against a precomputed closure.
@@ -186,7 +161,7 @@ def match_single(
     lengths = []
     # Three subscripts cost less here than a zip over the three tuples.
     for i in (0, 1, 2):
-        length = _slot_length(nodes[i], compound[i], closures[_SLOTS[i]], depth)
+        length = _slot_length(nodes[i], compound[i], closures[i], depth)
         if length is None:
             return None
         lengths.append(length)
@@ -258,9 +233,10 @@ def match_single_oracle(
 ) -> Optional[PolicyMatch]:
     if not policy.is_valid_shape():
         return None
-    lengths: dict[ConditionType, int] = {}
-    for t, exprs in policy.conditions.items():
-        x = q.primitive(t)
+    lengths = []
+    # ``Policy.conditions`` holds the slots in ``_SLOTS`` order, the order of
+    # the query's fields.
+    for x, exprs in zip(q, policy.conditions.values()):
         for expr in exprs:
             if not _oracle_eval(graph, x, expr, depth):
                 return None
@@ -270,13 +246,8 @@ def match_single_oracle(
             for leaf in ref_leaves(expr)
             if (h := _oracle_min_hops(graph, x, leaf.node, depth)) is not None
         ]
-        lengths[t] = 1 + min(hops) if hops else depth + 1
-    return PolicyMatch(
-        policy=policy,
-        len_sub=lengths[ConditionType.SUB_CON],
-        len_act=lengths[ConditionType.ACT_CON],
-        len_obj=lengths[ConditionType.OBJ_CON],
-    )
+        lengths.append(1 + min(hops) if hops else depth + 1)
+    return PolicyMatch(policy, *lengths)
 
 
 def matching_policies_oracle(

@@ -6,14 +6,16 @@ condition type (subject / action / object).  The expressions in one slot
 are conjunctive; disjunction lives only inside ``Or`` trees.
 
 ``PolicyStore.create_policy`` is the validity gate: it is the only code
-that rejects a policy with an empty slot, a condition that does not name
-an attribute or primitive node, or a condition that nests ``Not``/``And``/
-``Or`` more than ``MAX_NESTING`` levels deep, so every stored policy is
-well-formed.  Hashing, ``ref_leaves`` and matching walk an expression
-recursively, so the bound keeps each walk far below the interpreter's
-recursion limit.  ``create_policy`` measures the depth first, level by
-level, and checks the slots and leaves of the expressions as given before
-anything hashes them, so an unhashable node is a dangling condition.
+that rejects a policy with a decision that is not a ``Decision`` member, a
+score that is neither an ``int`` nor None, an empty slot, a condition that
+does not name an attribute or primitive node, or a condition that nests
+``Not``/``And``/``Or`` more than ``MAX_NESTING`` levels deep, so every
+stored policy is well-formed.  Hashing, ``ref_leaves`` and matching walk
+an expression recursively, so the bound keeps each walk far below the
+interpreter's recursion limit.  ``create_policy`` measures the depth
+first, level by level, and checks the slots and leaves of the expressions
+as given before anything hashes them, so an unhashable node is a dangling
+condition.
 
 A policy holds each slot once, compiled by ``compile_conditions``, the one
 place that tells a plain ``Ref`` from a compound expression: ``nodes``
@@ -76,7 +78,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Optional
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ConditionTooDeepError,
@@ -84,6 +86,7 @@ from .errors import (
     DuplicatePolicyError,
     MissingConditionTypeError,
     NegationNotExpandableError,
+    PolicyError,
     UnknownPolicyError,
 )
 from .graph import Graph, NodeRef, POLICY_LABEL
@@ -99,13 +102,17 @@ class ConditionType(enum.Enum):
     OBJ_CON = "object"
 
     # Members are singletons compared by identity, so identity hashing keeps
-    # dict semantics and avoids Enum's Python-level __hash__ on every
-    # slot-keyed lookup.
+    # dict semantics and avoids Enum's Python-level __hash__.  The load path
+    # needs it: the parser, the builder, ``create_policy`` and
+    # ``compile_conditions`` make about a dozen slot-keyed dict operations
+    # per policy.  A query keys nothing by slot type.
     __hash__ = object.__hash__
 
 
-# Iterating the enum class runs a Python-level generator; the hot paths
-# iterate this tuple instead.
+# The slot order of every per-slot value: a policy's ``nodes`` and
+# ``compound``, the snapshot's fields, a query, its closures and a match's
+# lengths.  Iterating the enum class runs a Python-level generator, so the
+# load path iterates this tuple instead.
 _SLOTS = tuple(ConditionType)
 
 
@@ -258,10 +265,11 @@ class PolicySnapshot(tuple):
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
 
-    def candidates(self, closures: Mapping[ConditionType, Mapping[NodeRef, int]]) -> list[int]:
+    def candidates(self, closures: Sequence[Mapping[NodeRef, int]]) -> list[int]:
         """Seqs, ascending, of the policies that can match a query whose
-        closures these are: every policy with each top-level ``Ref`` in its
-        slot's closure, and every policy without one.
+        closures these are, one per slot in ``_SLOTS`` order: every policy
+        with each top-level ``Ref`` in its slot's closure, and every policy
+        without one.
 
         A simple candidate is a match; ``matcher.match_single`` still
         supplies its path lengths, and decides the other candidates.
@@ -269,10 +277,11 @@ class PolicySnapshot(tuple):
         # A keys-view intersection walks the smaller side, so tiny stores and
         # large closures both stay cheap.
         hits: list[int] = []
-        for t, keys in zip(_SLOTS, self.keys):
-            for n in closures[t].keys() & keys.keys():
+        for closure, keys in zip(closures, self.keys):
+            for n in closure.keys() & keys.keys():
                 hits += keys[n]
-        sub, act, obj = (closures[t].__contains__ for t in _SLOTS)
+        sub_closure, act_closure, obj_closure = closures
+        sub, act, obj = sub_closure.__contains__, act_closure.__contains__, obj_closure.__contains__
         sub_refs, act_refs, obj_refs = self.refs
         seqs = [
             s
@@ -305,6 +314,11 @@ class PolicyStore:
     ) -> Policy:
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
+        if not isinstance(decision, Decision):
+            raise PolicyError(f"policy {name!r} has decision {decision!r}, not a Decision")
+        # A bool is an int, but no score.
+        if score is not None and type(score) is not int:
+            raise PolicyError(f"policy {name!r} has score {score!r}, not an int or None")
         slots = [conditions.get(t, ()) for t in _SLOTS]
         exprs = list(itertools.chain.from_iterable(slots))
         for expr in exprs:

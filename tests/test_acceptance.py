@@ -174,9 +174,8 @@ def test_4_combining_algorithm_suite():
         (SP, mixed, PERMIT),  # min total length 3 held by the Permit policy
         (SP, [_match("a", PERMIT, 0, 0, (2, 2, 2)), _match("b", DENY, 0, 1)], DENY),
     ]
-    q = AccessQuery(0, 0, 0)
     for i, (alg, matches, want) in enumerate(cases):
-        got = combine(q, matches, alg).decision
+        got = combine(matches, alg).decision
         assert got is want, f"case {i}: {alg.value} -> {got}"
     report(4, "combining-suite")
 

@@ -115,6 +115,96 @@ class TestExplain:
         assert "decision: Permit" in out
 
 
+# Node S is both a plain subject condition of Both and a leaf of its
+# compound one, so Both's subject lists it twice.
+COMPOUND_MODEL = """\
+node u : Subject, Primitive
+node R : Attribute
+node S : Attribute
+node a : Action
+node o : Object, Primitive
+edge u -[HAS_ATTR]-> R
+edge u -[HAS_ATTR]-> S
+policy Both permit { subject: S; (R or not S); action: a; object: o; }
+policy NotR deny { subject: S; action: not R; object: not S; }
+policy Miss deny { subject: not S; action: a; object: o; }
+"""
+
+
+class TestExplainGolden:
+    """The whole of explain's stdout and its exit code, pinned."""
+
+    CASES = {
+        "permit": (
+            ["Sue", "Read", "MR_1234"],
+            0,
+            """\
+query: subject=Sue action=Read object=MR_1234
+algorithm: deny-overrides (attribute depth 2)
+matching policies:
+  Policy3 [Permit, score 0] subject=2 [Doctor, Peter's Family Clinic] action=1 [Read] object=2 [Peter's Medical Records] total=5
+considered by algorithm:
+  Policy3
+decision: Permit
+""",
+        ),
+        "shortest-path": (
+            ["John", "Write", "MR_1234", "--algorithm", "shortest-path-deny-overrides"],
+            0,
+            """\
+query: subject=John action=Write object=MR_1234
+algorithm: shortest-path-deny-overrides (attribute depth 2)
+matching policies:
+  Policy2 [Permit, score 0] subject=2 [Doctor, Hospital Staff] action=2 [Full Access] object=3 [Hospital Records] total=7
+considered by algorithm:
+  Policy2
+decision: Permit
+""",
+        ),
+        "no-match": (
+            ["Sue", "Write", "MR_1234"],
+            1,
+            """\
+query: subject=Sue action=Write object=MR_1234
+algorithm: deny-overrides (attribute depth 2)
+no matching policies; default Deny
+decision: Deny
+""",
+        ),
+        "depth-0": (
+            ["Peter", "Read", "MR_1234", "--depth", "0"],
+            1,
+            """\
+query: subject=Peter action=Read object=MR_1234
+algorithm: deny-overrides (attribute depth 0)
+no matching policies; default Deny
+decision: Deny
+""",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bundled_model(self, case, model_path, capsys):
+        args, code, out = self.CASES[case]
+        assert main(["explain", model_path, *args]) == code
+        assert capsys.readouterr().out == out
+
+    def test_compound_model_with_not_leaves(self, tmp_path, capsys):
+        path = tmp_path / "compound.abac"
+        path.write_text(COMPOUND_MODEL, encoding="utf-8")
+        assert main(["explain", str(path), "u", "a", "o"]) == 1
+        assert capsys.readouterr().out == """\
+query: subject=u action=a object=o
+algorithm: deny-overrides (attribute depth 1)
+matching policies:
+  Both [Permit, score 0] subject=2 [R, S, S] action=1 [a] object=1 [o] total=4
+  NotR [Deny, score 0] subject=2 [S] action=2 [] object=2 [] total=6
+considered by algorithm:
+  NotR
+decision: Deny
+"""
+
+
 class TestValidate:
     def test_healthcare_summary(self, model_path, capsys):
         code = main(["validate", model_path])

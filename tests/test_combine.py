@@ -16,7 +16,6 @@ from graphabac.combine import EvaluationResult
 from graphabac.policy import compile_conditions
 
 ALGS = list(CombiningAlgorithm)
-Q = AccessQuery(0, 1, 2)
 
 
 def match(name, decision, score=0, seq=None, lens=(1, 1, 1)):
@@ -37,7 +36,7 @@ D = Decision.DENY
 class TestCombine:
     def test_empty_is_deny_for_all(self):
         for alg in ALGS:
-            result = combine(Q, [], alg)
+            result = combine([], alg)
             assert result.decision is D
             assert result.matches == ()
             assert result.deciding_policies == ()
@@ -60,17 +59,17 @@ class TestCombine:
     )
     def test_basic_cases(self, alg, matches, expected):
         ms = [match(n, d, seq=i) for i, (n, d) in enumerate(matches)]
-        assert combine(Q, ms, alg).decision is expected
+        assert combine(ms, alg).decision is expected
 
     def test_max_score_restricts_before_deny_overrides(self):
         ms = [match("P1", P, score=5, seq=0), match("P2", D, score=3, seq=1)]
-        result = combine(Q, ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
         assert result.decision is P
         assert [m.policy.name for m in result.deciding_policies] == ["P1"]
 
     def test_max_score_tie_applies_deny_overrides(self):
         ms = [match("P1", P, score=5, seq=0), match("P2", D, score=5, seq=1)]
-        result = combine(Q, ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
         assert result.decision is D
 
     def test_shortest_path_restricts_to_min_length(self):
@@ -79,7 +78,7 @@ class TestCombine:
             match("B", D, seq=1, lens=(2, 1, 1)),
             match("C", P, seq=2, lens=(2, 2, 2)),
         ]
-        result = combine(Q, ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
         assert result.decision is D
         assert {m.policy.name for m in result.deciding_policies} == {"B"}
 
@@ -88,7 +87,7 @@ class TestCombine:
             match("A", P, seq=0, lens=(1, 1, 1)),
             match("B", D, seq=1, lens=(2, 2, 2)),
         ]
-        result = combine(Q, ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
         assert result.decision is P
 
 
@@ -106,13 +105,13 @@ match_lists = st.lists(
 class TestCombineProperties:
     @given(match_lists)
     def test_deny_overrides_never_permits_past_a_deny(self, ms):
-        result = combine(Q, ms, CombiningAlgorithm.DENY_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.DENY_OVERRIDES)
         if any(m.policy.decision is D for m in ms):
             assert result.decision is D
 
     @given(match_lists)
     def test_permit_overrides_never_denies_past_a_permit(self, ms):
-        result = combine(Q, ms, CombiningAlgorithm.PERMIT_OVERRIDES)
+        result = combine(ms, CombiningAlgorithm.PERMIT_OVERRIDES)
         if any(m.policy.decision is P for m in ms):
             assert result.decision is P
 
@@ -121,7 +120,7 @@ class TestCombineProperties:
         if not ms or any(m.policy.decision is D for m in ms):
             return
         for alg in ALGS:
-            assert combine(Q, ms, alg).decision is P
+            assert combine(ms, alg).decision is P
 
     @given(match_lists, decisions)
     def test_max_score_ignores_lower_scores(self, ms, d):
@@ -129,8 +128,8 @@ class TestCombineProperties:
             return
         top = max(m.policy.score for m in ms)
         extra = match("low", d, score=top - 1, seq=99)
-        a = combine(Q, ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
-        b = combine(Q, ms + [extra], CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
+        a = combine(ms, CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
+        b = combine(ms + [extra], CombiningAlgorithm.MAX_SCORE_DENY_OVERRIDES)
         assert a.decision is b.decision
 
     @given(match_lists, decisions)
@@ -139,19 +138,19 @@ class TestCombineProperties:
             return
         shortest = min(m.total_len for m in ms)
         extra = match("far", d, seq=99, lens=(shortest, 1, 1))  # total > shortest
-        a = combine(Q, ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
-        b = combine(Q, ms + [extra], CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
+        a = combine(ms, CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
+        b = combine(ms + [extra], CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES)
         assert a.decision is b.decision
 
     @given(match_lists)
     def test_pure_function(self, ms):
         for alg in ALGS:
-            assert combine(Q, ms, alg) == combine(Q, ms, alg)
+            assert combine(ms, alg) == combine(ms, alg)
 
     @given(match_lists)
     def test_deciding_subset_of_matches(self, ms):
         for alg in ALGS:
-            result = combine(Q, ms, alg)
+            result = combine(ms, alg)
             names = [m.policy.name for m in result.matches]
             for m in result.deciding_policies:
                 assert m.policy.name in names
@@ -228,16 +227,19 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(m)
 
-    def test_lengths_and_primitives_by_slot(self):
+    def test_lengths_and_primitives_unpack_in_slot_order(self):
         m = PolicyMatch("p", 1, 2, 4)
         assert m.total_len == 7
-        assert [m.length(t) for t in ConditionType] == [1, 2, 4]
+        policy, *lengths = m
+        assert (policy, lengths) == ("p", [1, 2, 4])
+        assert lengths == [m.len_sub, m.len_act, m.len_obj]
         q = AccessQuery(sub=5, act=6, obj=7)
         assert q == AccessQuery(5, 6, 7)
-        assert [q.primitive(t) for t in ConditionType] == [5, 6, 7]
+        sub, act, obj = q
+        assert (sub, act, obj) == (5, 6, 7) == (q.sub, q.act, q.obj)
 
     def test_results_of_equal_inputs_are_equal(self):
         ms = [match("a", P, seq=0), match("b", D, seq=1)]
         for alg in ALGS:
-            assert combine(Q, ms, alg) == combine(Q, list(ms), alg)
-            assert combine(Q, ms, alg).matches == tuple(ms)
+            assert combine(ms, alg) == combine(list(ms), alg)
+            assert combine(ms, alg).matches == tuple(ms)

@@ -379,8 +379,7 @@ class TestIndexDifferential:
                     slots = {t: _random_slot(rng, nodes) for t in ConditionType}
                 else:
                     slots = {}
-                    for t in ConditionType:
-                        anchor = anchored.primitive(t)
+                    for t, anchor in zip(ConditionType, anchored):
                         reach = sorted(g.attribute_closure(anchor, g.attr_depth))
                         picks = rng.sample(reach, rng.randint(1, min(3, len(reach))))
                         slots[t] = {Ref(n) for n in picks}
@@ -397,10 +396,8 @@ class TestIndexDifferential:
                     assert indexed == matching_policies_oracle(store, q, depth)
                     for alg in algorithms:
                         result = evaluate(store, q, alg, depth)
-                        assert result == combine(q, scan_matches(store, q, depth), alg)
-                        assert result == combine(
-                            q, matching_policies_oracle(store, q, depth), alg
-                        )
+                        assert result == combine(scan_matches(store, q, depth), alg)
+                        assert result == combine(matching_policies_oracle(store, q, depth), alg)
                     compared += 1
                     matched += bool(indexed)
         # The comparison means something only if many queries match.
@@ -434,9 +431,9 @@ class TestIndexDifferential:
                     p.seq
                     for p in store.policies()
                     if all(
-                        e.node in closures[t]
-                        for t in ConditionType
-                        for e in p.conditions[t]
+                        e.node in closure
+                        for closure, exprs in zip(closures, p.conditions.values())
+                        for e in exprs
                         if isinstance(e, Ref)
                     )
                 ]
@@ -678,16 +675,15 @@ class TestTrimmedClosures:
             for depth in range(g.attr_depth + 1):
                 q = random_query(rng, model)
                 closures = query_closures(store, q, depth)
-                for t in ConditionType:
-                    start = q.primitive(t)
+                for t, start, closure in zip(ConditionType, q, closures):
                     full = g.attribute_closure(start, depth)
-                    assert closures[t] == {
+                    assert closure == {
                         n: h
                         for n, h in full.items()
                         if n == start or reach[n] & conditions[t]
                     }
                     compared += 1
-                    trimmed_away += len(full) - len(closures[t])
+                    trimmed_away += len(full) - len(closure)
         assert compared > 200
         assert trimmed_away > 100
 
@@ -755,7 +751,7 @@ class TestTrimmedClosures:
         g, store, s, sink, act, obj, pol = self.build()
         q = AccessQuery(s, act, obj)
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
-        assert sink not in query_closures(store, q, g.attr_depth)[SUB]
+        assert sink not in query_closures(store, q, g.attr_depth)[0]
         store.create_policy(
             "OnSink", Decision.DENY, {SUB: {Ref(sink)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
         )
@@ -788,7 +784,7 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
         adjacency = store.policies().adjacency
         a = g.find_node("a")
-        assert a not in query_closures(store, AccessQuery(s, act, s), g.attr_depth)[OBJ]
+        assert a not in query_closures(store, AccessQuery(s, act, s), g.attr_depth)[2]
         store.create_policy(
             "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
         )
@@ -796,7 +792,7 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in got] == ["OnA"]
         assert got == matching_policies_oracle(store, q)
         assert store.policies().adjacency != adjacency
-        assert query_closures(store, AccessQuery(s, act, s), g.attr_depth)[OBJ] == {s: 0, a: 1}
+        assert query_closures(store, AccessQuery(s, act, s), g.attr_depth)[2] == {s: 0, a: 1}
         for q in (AccessQuery(s, act, s), AccessQuery(a, act, a), AccessQuery(s, act, sink)):
             assert matching_policies(store, q) == matching_policies_oracle(store, q)
 
@@ -867,7 +863,7 @@ class TestTrimmedClosures:
             query_closures(store, q, 2)
         g.add_edge(a, HAS_ATTR, z)
         g.freeze()
-        assert query_closures(store, q, 2)[SUB] == {s: 0, a: 1, z: 2}
+        assert query_closures(store, q, 2)[0] == {s: 0, a: 1, z: 2}
 
     def test_concurrent_first_queries_build_one_copy(self, monkeypatch):
         rng = random.Random(88)

@@ -23,6 +23,7 @@ from graphabac.errors import (
     DuplicatePolicyError,
     MissingConditionTypeError,
     NegationNotExpandableError,
+    PolicyError,
     UnknownPolicyError,
 )
 
@@ -75,6 +76,28 @@ class TestCreatePolicy:
         store.create_policy("P", Decision.PERMIT, conds)
         with pytest.raises(DuplicatePolicyError):
             store.create_policy("P", Decision.DENY, conds)
+
+    def test_bad_decision_or_score_rejected(self, healthcare):
+        # A string decision would otherwise permit under deny-overrides, and
+        # a string score would make max-score raise.
+        store = PolicyStore(healthcare.graph)
+        conds = {
+            SUB: {ref_to(healthcare.graph, "Doctor")},
+            ACT: {ref_to(healthcare.graph, "Read")},
+            OBJ: {ref_to(healthcare.graph, "Hospital Records")},
+        }
+        store.create_policy("First", Decision.DENY, conds)
+        for decision in ("Deny", "Permit", None, 0, True):
+            with pytest.raises(PolicyError, match="not a Decision"):
+                store.create_policy("P", decision, conds)
+            assert len(store) == 1
+        for score in ("9", 1.0, True, False, [1]):
+            with pytest.raises(PolicyError, match="not an int"):
+                store.create_policy("P", Decision.PERMIT, conds, score=score)
+            assert len(store) == 1
+        assert store.create_policy("P", Decision.PERMIT, conds, score=-3).seq == 1
+        assert store.create_policy("Q", Decision.PERMIT, conds, score=None).score == 0
+        assert [p.name for p in store.policies()] == ["First", "P", "Q"]
 
     def test_dangling_ref_rejected(self, healthcare):
         # A node that is not a plain int names no node, though True == 1
