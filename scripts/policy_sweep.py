@@ -12,15 +12,20 @@ Uniform random queries almost never satisfy all three slots of a policy, so
 every second query is built to match one: a stored policy is drawn and each
 slot gets a primitive whose closure holds all of that slot's conditions.
 The uniform half is the same at every size; the matching half is drawn from
-each size's own policies.  ``calib_ms`` is the mean of `bench/run.py`'s
-host-speed loop timed before and after the sweep, so a later run can be
-scaled to this one.
+each size's own policies.  ``model_traced_mib`` is the memory the built
+model holds, graph and store before any snapshot, by tracemalloc.  It is
+taken in a build of its own after the size's timings and ``peak_rss_mb``,
+so that ``build_s`` and the query timings run untraced.  ``calib_ms`` is
+the mean of `bench/run.py`'s host-speed loop timed before and after the
+sweep, so a later run can be scaled to this one.
 
     PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
     PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
 
-The default sizes take about 25 s and peak at about 85 MB RSS on a 2-vCPU
-VM with CPython 3.11, most of it building the 100k-policy model.
+The default sizes take about 70 s on a 2-vCPU VM with CPython 3.11, most
+of it the traced build of the 100k-policy model.  That build peaks at
+about 140 MB RSS; the untraced one, whose peak ``peak_rss_mb`` reports,
+at about 85 MB.
 """
 
 from __future__ import annotations
@@ -35,12 +40,14 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 from randmodel import (  # noqa: E402
+    RandomModel,
     RandomModelConfig,
     matching_query,
     primitives_reaching,
@@ -52,11 +59,23 @@ from run import calib_ms  # noqa: E402
 GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
 
 
+def build(n_policies: int, seed: int) -> RandomModel:
+    config = RandomModelConfig(n_policies=n_policies, **GRAPH_SHAPE)
+    return random_model(random.Random(seed), config)
+
+
+def traced_mib(n_policies: int, seed: int) -> float:
+    """The tracemalloc size of one built model, graph and store."""
+    tracemalloc.start()
+    model = build(n_policies, seed)
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return round(size / 2**20, 2)
+
+
 def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
     t0 = time.perf_counter()
-    model = random_model(
-        random.Random(seed), RandomModelConfig(n_policies=n_policies, **GRAPH_SHAPE)
-    )
+    model = build(n_policies, seed)
     build_s = time.perf_counter() - t0
     g = model.graph
     reached_by = primitives_reaching(model)
@@ -103,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for n in args.sizes:
         row = measure(n, args.seed, args.queries, args.warmup)
+        row["model_traced_mib"] = traced_mib(n, args.seed)
         print(f"{n:>7} policies: evaluate p50 {row['evaluate_ms_p50']:.3f} ms", file=sys.stderr)
         rows.append(row)
     calib.append(calib_ms())

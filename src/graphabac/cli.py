@@ -29,7 +29,7 @@ from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_po
 from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
-from .policy import Decision, ref_leaves
+from .policy import ConditionType, Decision
 
 EXIT_PERMIT = 0
 EXIT_DENY = 1
@@ -93,15 +93,14 @@ def cmd_explain(args) -> int:
         for m in result.matches:
             pol = m.policy
             slots = []
-            # Conditions, closures and lengths all come in slot order.
+            # Slots, closures and lengths all come in slot order.  A slot lists
+            # the condition nodes its length is taken over, each once.
             lengths = (m.len_sub, m.len_act, m.len_obj)
-            for (t, exprs), closure, length in zip(pol.conditions.items(), closures, lengths):
-                sats = sorted(
-                    model.graph.node(leaf.node).name
-                    for e in exprs
-                    for leaf in ref_leaves(e)
-                    if leaf.node in closure
-                )
+            for t, nodes, pairs, closure, length in zip(
+                ConditionType, pol.nodes, pol.compound, closures, lengths
+            ):
+                reached = {*nodes, *(n for _, leaves in pairs for n in leaves)}
+                sats = sorted(model.graph.node(n).name for n in reached if n in closure)
                 slots.append(f"{t.value}={length} [{', '.join(sats)}]")
             print(
                 f"  {pol.name} [{pol.decision.value}, score {pol.score}] "

@@ -58,7 +58,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
 from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
-from .policy import And, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
+from .policy import And, CompoundSlot, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
 
 
 class AccessQuery(NamedTuple):
@@ -117,7 +117,7 @@ def _eval_with_closure(closure: Closure, expr: ConditionExpr) -> bool:
 
 def _slot_length(
     nodes: tuple[NodeRef, ...],
-    compound: tuple[ConditionExpr, ...],
+    compound: CompoundSlot,
     closure: Closure,
     depth: int,
 ) -> Optional[int]:
@@ -126,11 +126,11 @@ def _slot_length(
     Returns the slot's contribution to the policy length, or None when the
     slot fails.  Each plain node must be in the closure and gives its hop;
     each compound expression must evaluate true and gives the nearest hop
-    of its Ref leaves that are in the closure.  The slot contributes 1 +
-    the nearest hop, or depth + 1, one more than any real path can be,
-    when no leaf is in the closure (its only satisfied evidence is
-    negative).  The closure must be built at ``depth``, so no hop exceeds
-    it and starting the nearest hop at ``depth`` covers both.
+    of its leaf nodes, compiled next to it, that are in the closure.  The
+    slot contributes 1 + the nearest hop, or depth + 1, one more than any
+    real path can be, when no leaf is in the closure (its only satisfied
+    evidence is negative).  The closure must be built at ``depth``, so no
+    hop exceeds it and starting the nearest hop at ``depth`` covers both.
     """
     nearest = depth
     for n in nodes:
@@ -139,11 +139,11 @@ def _slot_length(
             return None
         if h < nearest:
             nearest = h
-    for e in compound:
+    for e, leaves in compound:
         if not _eval_with_closure(closure, e):
             return None
-        for leaf in ref_leaves(e):
-            h = closure.get(leaf.node)
+        for n in leaves:
+            h = closure.get(n)
             if h is not None and h < nearest:
                 nearest = h
     return 1 + nearest

@@ -10,21 +10,26 @@ that rejects a policy with a decision that is not a ``Decision`` member, a
 score that is neither an ``int`` nor None, an empty slot, a condition that
 does not name an attribute or primitive node, or a condition that nests
 ``Not``/``And``/``Or`` more than ``MAX_NESTING`` levels deep, so every
-stored policy is well-formed.  Hashing, ``ref_leaves`` and matching walk
-an expression recursively, so the bound keeps each walk far below the
+stored policy is well-formed.  Hashing, compiling and matching walk an
+expression recursively, so the bound keeps each walk far below the
 interpreter's recursion limit.  ``create_policy`` measures the depth
 first, level by level, and checks the slots and leaves of the expressions
 as given before anything hashes them, so an unhashable node is a dangling
 condition.
 
 A policy holds each slot once, compiled by ``compile_conditions``, the one
-place that tells a plain ``Ref`` from a compound expression: ``nodes``
-has one tuple per slot, in ``_SLOTS`` order, of the nodes its top-level
-``Ref``s name, and ``compound`` one tuple per slot of its ``Not``/``And``/
-``Or`` expressions.  Neither holds a repeat, and a policy with no compound
-expression shares the one ``_NO_COMPOUND`` tuple.  ``Policy.conditions``
-rebuilds the ``{type: frozenset}`` mapping for the readers that want it
-(the oracle, ``explain``); matching reads the compiled fields.
+place that tells a plain ``Ref`` from a compound expression and the one
+place that finds a compound expression's leaves: ``nodes`` has one tuple
+per slot, in ``_SLOTS`` order, of the nodes its top-level ``Ref``s name,
+and ``compound`` one tuple per slot of ``(expression, leaf nodes)`` pairs,
+one per ``Not``/``And``/``Or`` expression, whose leaf nodes are the nodes
+of its ``Ref`` leaves, those under ``Not`` included, each once.  No slot
+holds a repeat, and a policy with no compound expression shares the one
+``_NO_COMPOUND`` tuple.  ``create_policy`` makes each slot a tuple once
+and compiles the tuples it checked, so a slot given as a one-shot
+iterable is read once.  ``Policy.conditions`` rebuilds the ``{type:
+frozenset}`` mapping for the readers that want it (the oracle); matching,
+the snapshot build and ``explain`` read the compiled fields.
 
 ``PolicyStore.policies()`` compiles the stored policies into one
 ``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
@@ -48,7 +53,7 @@ the rarest one follows Whang et al. (VLDB 2009).  Only a policy with no
 plain node at all has no key; its seq is kept on ``residual``.  The index
 does not depend on the traversal depth, which bounds the closures alone.
 
-A slot's condition nodes are its plain nodes and every ``Ref`` leaf of its
+A slot's condition nodes are its plain nodes and the leaf nodes of its
 compound expressions, including the leaves under ``Not``, in every stored
 policy.  Matching reads a slot's closure only at that slot's condition
 nodes, so the snapshot's ``adjacency`` is a tuple of three copies of the
@@ -188,7 +193,9 @@ def _nests_too_deep(expr: ConditionExpr) -> bool:
 
 
 Slots = tuple[tuple[NodeRef, ...], ...]
-CompoundSlots = tuple[tuple[ConditionExpr, ...], ...]
+# One slot's compound expressions, each with its leaf nodes, each once.
+CompoundSlot = tuple[tuple[ConditionExpr, tuple[NodeRef, ...]], ...]
+CompoundSlots = tuple[CompoundSlot, ...]
 
 # The compound field of every policy without a Not/And/Or expression.
 _NO_COMPOUND: CompoundSlots = ((), (), ())
@@ -200,7 +207,8 @@ def compile_conditions(
     """A conditions mapping as a policy's ``nodes`` and ``compound`` fields,
     as in ``Policy(name, decision, score, seq, *compile_conditions(c))``:
     per slot, the nodes of its top-level ``Ref``s and its other
-    expressions, each once, in the order given.  Hashes every compound
+    expressions, each once, in the order given, each expression paired
+    with the nodes of its ``Ref`` leaves, each once.  Hashes every compound
     expression, so an unhashable one raises TypeError."""
     nodes, compound = [], []
     for t in _SLOTS:
@@ -209,9 +217,9 @@ def compile_conditions(
             if isinstance(e, Ref):
                 plain[e.node] = None
             else:
-                other[e] = None
+                other[e] = tuple(dict.fromkeys(leaf.node for leaf in ref_leaves(e)))
         nodes.append(tuple(plain))
-        compound.append(tuple(other))
+        compound.append(tuple(other.items()))
     return tuple(nodes), tuple(compound) if any(compound) else _NO_COMPOUND
 
 
@@ -228,8 +236,8 @@ class Policy:
     def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:
         """Each slot's expressions as one set, keyed by condition type."""
         return {
-            t: frozenset(map(Ref, nodes)).union(exprs)
-            for t, nodes, exprs in zip(_SLOTS, self.nodes, self.compound)
+            t: frozenset(map(Ref, nodes)).union(e for e, _ in pairs)
+            for t, nodes, pairs in zip(_SLOTS, self.nodes, self.compound)
         }
 
     def is_valid_shape(self) -> bool:
@@ -259,8 +267,8 @@ class PolicySnapshot(tuple):
                 keys[i].setdefault(key, []).append(p.seq)
             else:
                 residual.append(p.seq)
-            for slot_conditions, exprs in zip(conditions, p.compound):
-                slot_conditions.update(leaf.node for e in exprs for leaf in ref_leaves(e))
+            for slot_conditions, pairs in zip(conditions, p.compound):
+                slot_conditions.update(n for _, leaves in pairs for n in leaves)
         self.keys, self.residual = keys, residual
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
@@ -319,7 +327,9 @@ class PolicyStore:
         # A bool is an int, but no score.
         if score is not None and type(score) is not int:
             raise PolicyError(f"policy {name!r} has score {score!r}, not an int or None")
-        slots = [conditions.get(t, ()) for t in _SLOTS]
+        # One read of each slot: a one-shot iterable passes the checks and is
+        # compiled from the same tuple.
+        slots = [tuple(conditions.get(t, ())) for t in _SLOTS]
         exprs = list(itertools.chain.from_iterable(slots))
         for expr in exprs:
             if not isinstance(expr, Ref) and _nests_too_deep(expr):
@@ -343,9 +353,8 @@ class PolicyStore:
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
-        policy = Policy(
-            name, decision, score or 0, len(self._policies), *compile_conditions(conditions)
-        )
+        compiled = compile_conditions(dict(zip(_SLOTS, slots)))
+        policy = Policy(name, decision, score or 0, len(self._policies), *compiled)
         self._policies[name] = policy
         return policy
 
@@ -403,9 +412,9 @@ def dnf_expand(policy: Policy) -> list[Policy]:
     ``#index`` suffix; decision, score, and seq are copied.
     """
     slots: list[list[tuple[NodeRef, ...]]] = []
-    for nodes, exprs in zip(policy.nodes, policy.compound):
+    for nodes, pairs in zip(policy.nodes, policy.compound):
         terms = [nodes]
-        for expr in sorted(exprs, key=repr):
+        for expr in sorted((e for e, _ in pairs), key=repr):
             terms = [a + b for a in terms for b in _dnf_terms(expr)]
         slots.append([tuple(dict.fromkeys(term)) for term in terms])
     name, decision, score, seq = policy.name, policy.decision, policy.score, policy.seq

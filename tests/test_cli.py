@@ -197,7 +197,7 @@ decision: Deny
 query: subject=u action=a object=o
 algorithm: deny-overrides (attribute depth 1)
 matching policies:
-  Both [Permit, score 0] subject=2 [R, S, S] action=1 [a] object=1 [o] total=4
+  Both [Permit, score 0] subject=2 [R, S] action=1 [a] object=1 [o] total=4
   NotR [Deny, score 0] subject=2 [S] action=2 [] object=2 [] total=6
 considered by algorithm:
   NotR

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphabac import (
+    AccessQuery,
     And,
+    CombiningAlgorithm,
     ConditionType,
     Decision,
     Graph,
@@ -15,8 +18,12 @@ from graphabac import (
     PolicyStore,
     Ref,
     dnf_expand,
+    evaluate,
+    load_model,
+    matching_policies_oracle,
 )
-from graphabac.policy import MAX_NESTING, compile_conditions
+from graphabac import matcher, policy
+from graphabac.policy import MAX_NESTING, compile_conditions, ref_leaves
 from graphabac.errors import (
     ConditionTooDeepError,
     DanglingConditionRefError,
@@ -369,7 +376,10 @@ class TestCompiledSlots:
         for store in _stores(healthcare):
             for p in store:
                 assert all(type(n) is int for nodes in p.nodes for n in nodes)
-                assert not any(isinstance(e, Ref) for exprs in p.compound for e in exprs)
+                for pairs in p.compound:
+                    for e, leaves in pairs:
+                        assert isinstance(e, (Not, And, Or))
+                        assert all(type(n) is int for n in leaves)
 
     def test_same_node_in_every_slot(self, healthcare):
         g = healthcare.graph
@@ -420,6 +430,49 @@ class TestCompiledSlots:
         )
         assert pol.seq == 1 and store.policies() == (store.get("P"), pol)
 
+    @pytest.mark.parametrize("slot", range(3))
+    def test_slot_given_as_generator_is_read_once(self, healthcare, slot):
+        g = healthcare.graph
+        nodes = [g.find_node(n) for n in ("Doctor", "Read", "Hospital Records")]
+        conditions = {t: [Ref(n)] for t, n in zip(ConditionType, nodes)}
+        t = list(ConditionType)[slot]
+        store = PolicyStore(g)
+        conditions[t] = (Ref(n) for n in [nodes[slot]])
+        pol = store.create_policy("P", Decision.PERMIT, conditions)
+        assert pol.nodes == tuple((n,) for n in nodes)
+        primitives = [n for n in range(g.node_count()) if g.node(n).has_label("Primitive")]
+        actions = [g.find_node("Read"), g.find_node("Write")]
+        for sub in primitives:
+            for act in actions:
+                for obj in primitives:
+                    q = AccessQuery(sub, act, obj)
+                    assert evaluate(store, q).matches == tuple(matching_policies_oracle(store, q))
+        conditions[t] = (r for r in ())
+        with pytest.raises(MissingConditionTypeError):
+            store.create_policy("Q", Decision.PERMIT, conditions)
+        assert len(store) == 1
+
+    def test_matching_reads_the_compiled_leaves(self, monkeypatch):
+        """Snapshot and decisions read the leaf tuples compiled at load and
+        walk no expression for its leaves."""
+        from test_cli import COMPOUND_MODEL
+
+        model = load_model(COMPOUND_MODEL)
+        g, store = model.graph, model.policies
+        assert any(isinstance(e, Not) for p in store for pairs in p.compound for e, _ in pairs)
+        queries = [AccessQuery(*q) for q in itertools.product(range(g.node_count()), repeat=3)]
+        expected = [matching_policies_oracle(store, q) for q in queries]
+
+        def no_walk(expr):
+            raise AssertionError("leaves walked after load")
+
+        monkeypatch.setattr(policy, "ref_leaves", no_walk)
+        monkeypatch.setattr(matcher, "ref_leaves", no_walk)
+        store.policies()
+        for alg in CombiningAlgorithm:
+            for q, matches in zip(queries, expected):
+                assert evaluate(store, q, alg).matches == tuple(matches)
+
 
 _NODES = list(range(6))
 
@@ -442,6 +495,9 @@ def test_compiled_slots_round_trip(rng):
     assert pol.conditions == {t: frozenset(exprs) for t, exprs in given_slots.items()}
     for slot in (*pol.nodes, *pol.compound):
         assert len(set(slot)) == len(slot)
+    for pairs in pol.compound:
+        for e, leaves in pairs:
+            assert leaves == tuple(dict.fromkeys(leaf.node for leaf in ref_leaves(e)))
     assert pol.is_valid_shape() == all(given_slots.values())
 
 
