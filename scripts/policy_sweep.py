@@ -13,19 +13,21 @@ every second query is built to match one: a stored policy is drawn and each
 slot gets a primitive whose closure holds all of that slot's conditions.
 The uniform half is the same at every size; the matching half is drawn from
 each size's own policies.  ``model_traced_mib`` is the memory the built
-model holds, graph and store before any snapshot, by tracemalloc.  It is
-taken in a build of its own after the size's timings and ``peak_rss_mb``,
-so that ``build_s`` and the query timings run untraced.  ``calib_ms`` is
-the mean of `bench/run.py`'s host-speed loop timed before and after the
-sweep, so a later run can be scaled to this one.
+model holds, graph and store before any snapshot, by tracemalloc, and
+``snapshot_traced_mib`` what building ``store.policies()`` over it adds.
+Both are taken in a build of their own, in a fresh interpreter, after the
+size's timings and ``peak_rss_mb``, so that ``build_s`` and the query
+timings run untraced and no size's reading depends on the sizes before
+it.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed loop timed
+before and after the sweep, so a later run can be scaled to this one.
 
     PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
     PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
 
 The default sizes take about 70 s on a 2-vCPU VM with CPython 3.11, most
-of it the traced build of the 100k-policy model.  That build peaks at
-about 140 MB RSS; the untraced one, whose peak ``peak_rss_mb`` reports,
-at about 85 MB.
+of it the traced build of the 100k-policy model.  That build's process
+peaks at about 140 MB RSS; the untraced build, whose peak ``peak_rss_mb``
+reports, at about 85 MB.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import multiprocessing
 import os
 import platform
 import random
@@ -64,13 +67,19 @@ def build(n_policies: int, seed: int) -> RandomModel:
     return random_model(random.Random(seed), config)
 
 
-def traced_mib(n_policies: int, seed: int) -> float:
-    """The tracemalloc size of one built model, graph and store."""
+def traced_mib(n_policies: int, seed: int) -> dict:
+    """The tracemalloc sizes of one built model, graph and store, and of the
+    snapshot ``store.policies()`` then builds over it."""
     tracemalloc.start()
     model = build(n_policies, seed)
-    size = tracemalloc.get_traced_memory()[0]
+    model_size = tracemalloc.get_traced_memory()[0]
+    model.policies.policies()
+    snapshot_size = tracemalloc.get_traced_memory()[0] - model_size
     tracemalloc.stop()
-    return round(size / 2**20, 2)
+    return {
+        "model_traced_mib": round(model_size / 2**20, 2),
+        "snapshot_traced_mib": round(snapshot_size / 2**20, 2),
+    }
 
 
 def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
@@ -122,7 +131,10 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for n in args.sizes:
         row = measure(n, args.seed, args.queries, args.warmup)
-        row["model_traced_mib"] = traced_mib(n, args.seed)
+        # A new interpreter per size, so what an earlier size left behind
+        # (interned strings, free lists, caches) does not move its sizes.
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            row.update(pool.apply(traced_mib, (n, args.seed)))
         print(f"{n:>7} policies: evaluate p50 {row['evaluate_ms_p50']:.3f} ms", file=sys.stderr)
         rows.append(row)
     calib.append(calib_ms())

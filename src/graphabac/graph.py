@@ -1,8 +1,9 @@
 """In-memory directed labeled property graph with attribute-chain reachability.
 
-Nodes are addressed by a unique, case-sensitive name; edges are typed and
-have set semantics (re-adding an existing edge is a no-op).  Attribute
-inheritance runs along outgoing ``HAS_ATTR`` edges, which must form a DAG.
+Nodes are addressed by a unique, case-sensitive, non-empty ``str`` name;
+edges are typed and have set semantics (re-adding an existing edge is a
+no-op).  Attribute inheritance runs along outgoing ``HAS_ATTR`` edges,
+which must form a DAG.
 
 The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
@@ -45,6 +46,7 @@ from .errors import (
     DuplicateNameError,
     EmptyNameError,
     FrozenGraphError,
+    GraphError,
     NotFrozenError,
     SelfLoopError,
     UnknownNodeError,
@@ -105,6 +107,8 @@ class Graph:
         properties: Optional[Mapping[str, Scalar]] = None,
     ) -> NodeRef:
         self._check_mutable()
+        if not isinstance(name, str):
+            raise GraphError(f"node name {name!r} is not a str")
         if not name:
             raise EmptyNameError("node name must be non-empty")
         if name in self._by_name:

@@ -22,7 +22,8 @@ per-slot adjacencies the closures walk and the key index.
    edge per policy, see ``policy``) and keeps each policy found there
    whose other plain nodes are all in their slots' closures: the rest of
    every stage's ``sat_cons = req_cons``.  A policy with no plain node at
-   all is always a candidate.
+   all is always a candidate.  The index holds the policies themselves,
+   so the candidates come out as policies, in ``seq`` order.
 
 Only the candidates reach ``match_single``, which checks the three slots
 against the shared closures, decides the compound candidates and supplies
@@ -34,7 +35,7 @@ store and says nothing about any other node.
 
 The closures are a triple in ``_SLOTS`` order (subject, action, object),
 the order of ``AccessQuery``'s fields and of every other per-slot value:
-``Policy.nodes`` and ``compound``, the snapshot's ``refs``, ``keys`` and
+``Policy.nodes`` and ``compound``, the snapshot's ``keys`` and
 ``adjacency``, and ``PolicyMatch``'s lengths.  So the decision path pairs
 a slot's values by position and never looks a slot up by its type.
 
@@ -184,8 +185,8 @@ def matching_policies(
     closures = _closures(graph, policies.adjacency, q, depth)
     return [
         m
-        for s in policies.candidates(closures)
-        if (m := match_single(policies[s], closures, depth)) is not None
+        for p in policies.candidates(closures)
+        if (m := match_single(p, closures, depth)) is not None
     ]
 
 

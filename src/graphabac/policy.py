@@ -6,16 +6,18 @@ condition type (subject / action / object).  The expressions in one slot
 are conjunctive; disjunction lives only inside ``Or`` trees.
 
 ``PolicyStore.create_policy`` is the validity gate: it is the only code
-that rejects a policy with a decision that is not a ``Decision`` member, a
-score that is neither an ``int`` nor None, an empty slot, a condition that
-does not name an attribute or primitive node, or a condition that nests
-``Not``/``And``/``Or`` more than ``MAX_NESTING`` levels deep, so every
-stored policy is well-formed.  Hashing, compiling and matching walk an
-expression recursively, so the bound keeps each walk far below the
-interpreter's recursion limit.  ``create_policy`` measures the depth
-first, level by level, and checks the slots and leaves of the expressions
-as given before anything hashes them, so an unhashable node is a dangling
-condition.
+that rejects a policy with a name that is not a ``str``, a decision that
+is not a ``Decision`` member, a score that is neither an ``int`` nor None,
+conditions that are not a mapping of collections, an empty slot, a
+condition part that is not a ``Ref``, a ``Not``, or an
+``And``/``Or`` of a tuple, a condition that does not name an attribute or
+primitive node, or a condition that nests ``Not``/``And``/``Or`` more than
+``MAX_NESTING`` levels deep, so every stored policy is well-formed.
+Hashing, compiling and matching walk an expression recursively, so the
+bound keeps each walk far below the interpreter's recursion limit.
+``create_policy`` checks each part's type and the depth first, level by
+level, and the leaves of the expressions as given, before anything hashes
+them, so an unhashable node is a dangling condition.
 
 A policy holds each slot once, compiled by ``compile_conditions``, the one
 place that tells a plain ``Ref`` from a compound expression and the one
@@ -37,21 +39,22 @@ policy side of the paper's decision statement as a key index.  In the
 graph, each condition node has a ``SUB_CON``/``ACT_CON``/``OBJ_CON`` edge
 to every policy it conditions, and each Cypher stage follows those edges
 from the closure nodes to the policies and keeps a policy when
-``sat_cons = req_cons``.  Here each policy with a plain node in a slot is
-posted once, under one key: its ``(slot, node)`` least likely to be in a
-query's closure, by ``Graph.path_counts`` (ties go to the earlier slot,
-then the lower node).  A slot is a conjunction, so a policy can match
-only if its key is in its slot's closure.  A query looks up only its
-closure nodes among the keys (``PolicySnapshot.candidates``) and checks
-each policy found there against the rest of its plain nodes, which
-``refs`` holds per slot, by seq, as the policies' own ``nodes`` tuples:
-that check is the rest of every stage's ``sat_cons = req_cons``.  For a
-simple policy (no compound expression) it is the match.  For any other it
-is a necessary condition, and ``matcher.match_single`` decides the rest.
-The key is the access predicate of Fabret et al. (SIGMOD 2001); picking
-the rarest one follows Whang et al. (VLDB 2009).  Only a policy with no
-plain node at all has no key; its seq is kept on ``residual``.  The index
-does not depend on the traversal depth, which bounds the closures alone.
+``sat_cons = req_cons``.  Here the index, like those edges, leads to the
+policies themselves: each policy with a plain node in a slot is posted
+once, under one key, its ``(slot, node)`` least likely to be in a query's
+closure, by ``Graph.path_counts`` (ties go to the earlier slot, then the
+lower node).  A slot is a conjunction, so a policy can match only if its
+key is in its slot's closure.  A query looks up only its closure nodes
+among the keys (``PolicySnapshot.candidates``) and checks each policy
+found there against the rest of its plain nodes, read from its own
+``nodes``: that check is the rest of every stage's ``sat_cons =
+req_cons``.  For a simple policy (no compound expression) it is the
+match.  For any other it is a necessary condition, and
+``matcher.match_single`` decides the rest.  The key is the access
+predicate of Fabret et al. (SIGMOD 2001); picking the rarest one follows
+Whang et al. (VLDB 2009).  Only a policy with no plain node at all has no
+key; it is kept on ``residual``.  The index does not depend on the
+traversal depth, which bounds the closures alone.
 
 A slot's condition nodes are its plain nodes and the leaf nodes of its
 compound expressions, including the leaves under ``Not``, in every stored
@@ -60,7 +63,8 @@ nodes, so the snapshot's ``adjacency`` is a tuple of three copies of the
 frozen graph's ``HAS_ATTR`` children, one per slot in ``_SLOTS`` order,
 each trimmed to the nodes that can reach a condition node of its slot, all
 built by one ``Graph.trimmed_adjacency`` call.  A snapshot holds only what
-a query reads: ``refs``, ``keys``, ``residual`` and ``adjacency``.
+a query reads: ``keys``, ``residual`` and ``adjacency``, besides the
+policies themselves.
 ``Ref``, ``Not``, ``And``, ``Or`` and ``Policy`` are slotted records, with
 no per-instance dict.
 
@@ -173,23 +177,32 @@ def ref_leaves(expr: ConditionExpr) -> Iterator[Ref]:
         raise TypeError(f"unknown expression node {expr!r}")
 
 
-def _nests_too_deep(expr: ConditionExpr) -> bool:
-    """Whether some leaf of ``expr`` sits under more than MAX_NESTING
+def _check_shape(name: str, expr: object) -> None:
+    """Raise a PolicyError naming policy ``name`` unless every part of
+    ``expr`` is a ``Ref``, ``Not``, ``And`` or ``Or``, each ``And``/``Or``
+    with a tuple of children, and no leaf sits under more than MAX_NESTING
     levels.  Walks level by level, without recursion or hashing, and visits
     a subexpression shared by several parents once per level."""
-    level: Collection[ConditionExpr] = (expr,)
+    level: Collection[object] = (expr,)
     for _ in range(MAX_NESTING + 1):
-        below: dict[int, ConditionExpr] = {}
+        below: dict[int, object] = {}
         for e in level:
             if isinstance(e, Not):
                 below[id(e.inner)] = e.inner
-            elif isinstance(e, (And, Or)):
+            elif isinstance(e, (And, Or)) and type(e.children) is tuple:
                 for child in e.children:
                     below[id(child)] = child
+            elif not isinstance(e, Ref):
+                raise PolicyError(
+                    f"policy {name!r} has a condition part of type {type(e).__name__}, "
+                    "not a Ref, a Not, or an And or Or of a tuple"
+                )
         if not below:
-            return False
+            return
         level = below.values()
-    return True
+    raise ConditionTooDeepError(
+        f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
+    )
 
 
 Slots = tuple[tuple[NodeRef, ...], ...]
@@ -246,35 +259,35 @@ class Policy:
 
 class PolicySnapshot(tuple):
     """The stored policies in ``seq`` order, compiled over the frozen graph:
-    the key index, each slot's plain nodes by seq and one trimmed adjacency
-    per slot (see the module docstring).  Raises NotFrozenError on an
-    unfrozen graph."""
+    the key index of the policies themselves and one trimmed adjacency per
+    slot (see the module docstring).  Raises NotFrozenError on an unfrozen
+    graph."""
 
     def __new__(cls, graph: Graph, policies: tuple[Policy, ...]) -> PolicySnapshot:
         self = super().__new__(cls, policies)
         counts = graph.path_counts()
-        # Per slot, in _SLOTS order: seq -> that policy's own node tuple, and
-        # every condition node of the slot.
-        self.refs = tuple(zip(*(p.nodes for p in policies))) or ((), (), ())
-        conditions = tuple(set(itertools.chain.from_iterable(slot)) for slot in self.refs)
-        # Per slot: key node -> the seqs posted under it.
-        keys: tuple[dict[NodeRef, list[int]], ...] = ({}, {}, {})
-        residual: list[int] = []
+        # Per slot, in _SLOTS order: every condition node of the slot, and
+        # key node -> the policies posted under it, in seq order.
+        conditions: tuple[set[NodeRef], ...] = (set(), set(), set())
+        keys: tuple[dict[NodeRef, list[Policy]], ...] = ({}, {}, {})
+        residual: list[Policy] = []
         for p in policies:
             ranks = [(counts[n], i, n) for i, nodes in enumerate(p.nodes) for n in nodes]
             if ranks:
                 _, i, key = min(ranks)
-                keys[i].setdefault(key, []).append(p.seq)
+                keys[i].setdefault(key, []).append(p)
             else:
-                residual.append(p.seq)
-            for slot_conditions, pairs in zip(conditions, p.compound):
-                slot_conditions.update(n for _, leaves in pairs for n in leaves)
+                residual.append(p)
+            for slot_conditions, nodes, pairs in zip(conditions, p.nodes, p.compound):
+                slot_conditions.update(nodes)
+                for _, leaves in pairs:
+                    slot_conditions.update(leaves)
         self.keys, self.residual = keys, residual
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
 
-    def candidates(self, closures: Sequence[Mapping[NodeRef, int]]) -> list[int]:
-        """Seqs, ascending, of the policies that can match a query whose
+    def candidates(self, closures: Sequence[Mapping[NodeRef, int]]) -> list[Policy]:
+        """The policies, in ``seq`` order, that can match a query whose
         closures these are, one per slot in ``_SLOTS`` order: every policy
         with each top-level ``Ref`` in its slot's closure, and every policy
         without one.
@@ -284,23 +297,22 @@ class PolicySnapshot(tuple):
         """
         # A keys-view intersection walks the smaller side, so tiny stores and
         # large closures both stay cheap.
-        hits: list[int] = []
+        hits: list[Policy] = []
         for closure, keys in zip(closures, self.keys):
             for n in closure.keys() & keys.keys():
                 hits += keys[n]
         sub_closure, act_closure, obj_closure = closures
         sub, act, obj = sub_closure.__contains__, act_closure.__contains__, obj_closure.__contains__
-        sub_refs, act_refs, obj_refs = self.refs
-        seqs = [
-            s
-            for s in hits
-            if all(map(sub, sub_refs[s]))
-            and all(map(act, act_refs[s]))
-            and all(map(obj, obj_refs[s]))
+        found = [
+            p
+            for p in hits
+            if all(map(sub, (nodes := p.nodes)[0]))
+            and all(map(act, nodes[1]))
+            and all(map(obj, nodes[2]))
         ]
-        seqs += self.residual
-        seqs.sort()
-        return seqs
+        found += self.residual
+        found.sort(key=lambda p: p.seq)
+        return found
 
 
 class PolicyStore:
@@ -320,6 +332,8 @@ class PolicyStore:
         conditions: Mapping[ConditionType, Collection[ConditionExpr]],
         score: Optional[int] = None,
     ) -> Policy:
+        if not isinstance(name, str):
+            raise PolicyError(f"policy name {name!r} is not a str")
         if name in self._policies:
             raise DuplicatePolicyError(f"policy {name!r} already exists")
         if not isinstance(decision, Decision):
@@ -329,13 +343,16 @@ class PolicyStore:
             raise PolicyError(f"policy {name!r} has score {score!r}, not an int or None")
         # One read of each slot: a one-shot iterable passes the checks and is
         # compiled from the same tuple.
-        slots = [tuple(conditions.get(t, ())) for t in _SLOTS]
+        try:
+            slots = [tuple(conditions.get(t, ())) for t in _SLOTS]
+        except (AttributeError, TypeError):
+            raise PolicyError(
+                f"policy {name!r} has conditions that are not a mapping of collections"
+            ) from None
         exprs = list(itertools.chain.from_iterable(slots))
         for expr in exprs:
-            if not isinstance(expr, Ref) and _nests_too_deep(expr):
-                raise ConditionTooDeepError(
-                    f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
-                )
+            if not isinstance(expr, Ref):
+                _check_shape(name, expr)
         missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)

@@ -86,6 +86,33 @@ class TestCheck:
         code, out, _ = run_cli(["check", model_path, "John", "Write", "MR_1234"])
         assert (code, out.strip()) == (0, "Permit")
 
+    def test_runs_on_the_standard_library_alone(self):
+        # -I drops PYTHONPATH and the working directory, -S site-packages, so
+        # only the standard library and the package's own source import.
+        package = os.path.dirname(cli.__file__)
+        model = os.path.join(package, "data", "healthcare.abac")
+        script = f"""
+import importlib, pkgutil, runpy, sys
+sys.path.insert(0, {os.path.dirname(package)!r})
+import graphabac
+for m in pkgutil.iter_modules(graphabac.__path__):
+    if m.name != "__main__":
+        importlib.import_module("graphabac." + m.name)
+print(*sorted(n for n in sys.modules if n.startswith("graphabac.")), file=sys.stderr)
+sys.argv = ["graphabac", "check", {model!r}, "John", "Write", "MR_1234"]
+runpy.run_module("graphabac", run_name="__main__")
+"""
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
+        )
+        modules = {
+            f"graphabac.{name[:-3]}"
+            for name in os.listdir(package)
+            if name.endswith(".py") and name not in ("__init__.py", "__main__.py")
+        }
+        assert modules <= set(proc.stderr.split()), proc.stderr
+        assert (proc.returncode, proc.stdout.strip()) == (0, "Permit")
+
 
 class TestExplain:
     def test_reports_lengths(self, model_path, capsys):

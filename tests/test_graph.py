@@ -8,6 +8,7 @@ from graphabac.errors import (
     DuplicateNameError,
     EmptyNameError,
     FrozenGraphError,
+    GraphError,
     NotFrozenError,
     SelfLoopError,
     UnknownNodeError,
@@ -39,6 +40,14 @@ class TestAddNode:
         g = Graph()
         with pytest.raises(EmptyNameError):
             g.add_node("")
+
+    def test_name_not_a_str_rejected(self):
+        # A non-str name would be exported to Cypher as another type.
+        g = Graph()
+        for name in (123, None, b"x", ["x"]):
+            with pytest.raises(GraphError, match="not a str"):
+                g.add_node(name, ["Primitive"])
+        assert g.node_count() == 0
 
     def test_primitive_policy_label_clash_rejected(self):
         g = Graph()

@@ -437,7 +437,7 @@ class TestIndexDifferential:
                         if isinstance(e, Ref)
                     )
                 ]
-                assert store.policies().candidates(closures) == expected
+                assert [p.seq for p in store.policies().candidates(closures)] == expected
                 compared += 1
                 kept += len(expected)
         assert compared == 180
@@ -471,11 +471,11 @@ class TestIndexDifferential:
             with pytest.raises(DanglingConditionRefError):
                 store.create_policy("Dangling", Decision.DENY, {**slots, SUB: {Ref(-1)}})
             assert store.policies() is snapshot
-            posted = [s for keys in snapshot.keys for seqs in keys.values() for s in seqs]
-            assert sorted(posted + snapshot.residual) == list(range(len(store)))
+            posted = [p for keys in snapshot.keys for ps in keys.values() for p in ps]
+            assert sorted(p.seq for p in posted + snapshot.residual) == list(range(len(store)))
             assert snapshot is not previous and len(snapshot) == len(store)
             fresh = PolicySnapshot(g, tuple(store))
-            assert snapshot.refs == fresh.refs
+            assert all(p is store.get(p.name) for p in posted + snapshot.residual)
             assert snapshot.keys == fresh.keys
             assert snapshot.residual == fresh.residual
             assert snapshot.adjacency == fresh.adjacency
@@ -519,12 +519,21 @@ class TestIndexEdgeCases:
         )
         matching_policies(store, AccessQuery(s, act, obj))
         posted = {
-            (t, n): seqs
+            (t, n): [p.seq for p in ps]
             for t, keys in zip(ConditionType, store.policies().keys)
-            for n, seqs in keys.items()
+            for n, ps in keys.items()
         }
         assert posted == {(ACT, act): [0], (SUB, s): [1], (SUB, a1): [2]}
-        assert store.policies().residual == [3]
+        assert [p.seq for p in store.policies().residual] == [3]
+
+    def test_empty_store_snapshot_matches_nothing(self):
+        g, s, a1, a2, act, obj, pol = self.build()
+        store = PolicyStore(g)
+        snapshot = store.policies()
+        assert snapshot == () and snapshot.keys == ({}, {}, {}) and snapshot.residual == []
+        q = AccessQuery(s, act, obj)
+        assert snapshot.candidates(query_closures(store, q, g.attr_depth)) == []
+        assert matching_policies(store, q) == []
 
     def test_rejected_policy_leaves_no_trace(self):
         g, s, a1, a2, act, obj, pol = self.build()
@@ -618,7 +627,7 @@ class TestIndexEdgeCases:
         q = AccessQuery(s, act, obj)
         assert store.policies().candidates(query_closures(store, q, 1)) == []
         assert matching_policies(store, q, 1) == [] == matching_policies_oracle(store, q, 1)
-        assert store.policies().candidates(query_closures(store, q, 2)) == [0]
+        assert [p.seq for p in store.policies().candidates(query_closures(store, q, 2))] == [0]
         (m,) = matching_policies(store, q, 2)
         assert [m] == matching_policies_oracle(store, q, 2)
 
@@ -637,7 +646,8 @@ class TestIndexEdgeCases:
         queries = (AccessQuery(s, act, obj), AccessQuery(act, act, act), AccessQuery(obj, s, a1))
         for depth in range(g.attr_depth + 1):
             for q in queries:
-                assert store.policies().candidates(query_closures(store, q, depth)) == [0]
+                candidates = store.policies().candidates(query_closures(store, q, depth))
+                assert [p.seq for p in candidates] == [0]
                 got = matching_policies(store, q, depth)
                 assert got == matching_policies_oracle(store, q, depth)
         (m,) = matching_policies(store, queries[0], 1)

@@ -23,6 +23,7 @@ from graphabac import (
     matching_policies_oracle,
 )
 from graphabac import matcher, policy
+from graphabac.matcher import query_closures
 from graphabac.policy import MAX_NESTING, compile_conditions, ref_leaves
 from graphabac.errors import (
     ConditionTooDeepError,
@@ -105,6 +106,58 @@ class TestCreatePolicy:
         assert store.create_policy("P", Decision.PERMIT, conds, score=-3).seq == 1
         assert store.create_policy("Q", Decision.PERMIT, conds, score=None).score == 0
         assert [p.name for p in store.policies()] == ["First", "P", "Q"]
+
+    def test_name_not_a_str_rejected(self, healthcare):
+        # A non-str name would reach serve's reply encoder and end serve.
+        store = PolicyStore(healthcare.graph)
+        records = ref_to(healthcare.graph, "Hospital Records")
+        conds = {SUB: {records}, ACT: {records}, OBJ: {records}}
+        for name in (123, None, b"P", ["P"]):
+            with pytest.raises(PolicyError, match="not a str"):
+                store.create_policy(name, Decision.PERMIT, conds)
+            assert len(store) == 0 and store.policies() == ()
+
+    @pytest.mark.parametrize(
+        "slot",
+        [
+            pytest.param(lambda g: ["Doctor"], id="str-in-list"),
+            pytest.param(lambda g: [0], id="int-in-list"),
+            pytest.param(lambda g: "Doctor", id="str-slot"),
+            pytest.param(lambda g: [Not(5)], id="not-of-int"),
+            pytest.param(
+                lambda g: [And([ref_to(g, "Doctor"), ref_to(g, "Nurse")])], id="and-of-list"
+            ),
+            pytest.param(
+                lambda g: [Or((ref_to(g, "Doctor"), Not(Or([ref_to(g, "Nurse")] * 2))))],
+                id="nested-or-of-list",
+            ),
+        ],
+    )
+    def test_malformed_condition_part_rejected(self, healthcare, slot):
+        g = healthcare.graph
+        store = PolicyStore(g)
+        records = ref_to(g, "Hospital Records")
+        conds = {SUB: {records}, ACT: {records}, OBJ: {records}}
+        first = store.create_policy("P", Decision.PERMIT, conds)
+        before = store.policies()
+        with pytest.raises(PolicyError, match="policy 'Q' has a condition part"):
+            store.create_policy("Q", Decision.PERMIT, {**conds, SUB: slot(g)})
+        assert store.policies() is before and tuple(before) == (first,)
+
+    @pytest.mark.parametrize(
+        "conditions",
+        [
+            pytest.param(lambda r: {SUB: 5, ACT: [r], OBJ: [r]}, id="int-slot"),
+            pytest.param(lambda r: {SUB: None, ACT: [r], OBJ: [r]}, id="none-slot"),
+            pytest.param(lambda r: [(SUB, [r]), (ACT, [r]), (OBJ, [r])], id="list-of-pairs"),
+        ],
+    )
+    def test_conditions_not_a_mapping_of_collections_rejected(self, healthcare, conditions):
+        store = PolicyStore(healthcare.graph)
+        records = ref_to(healthcare.graph, "Hospital Records")
+        with pytest.raises(PolicyError, match="not a mapping of collections"):
+            store.create_policy("Q", Decision.PERMIT, conditions(records))
+        assert len(store) == 0 and store.policies() == ()
 
     def test_dangling_ref_rejected(self, healthcare):
         # A node that is not a plain int names no node, though True == 1
@@ -368,9 +421,33 @@ class TestCompiledSlots:
     def test_snapshot_refs_are_the_policies_own_tuples(self, healthcare):
         for store in _stores(healthcare):
             snapshot = store.policies()
+            posted = {p.seq: p for keys in snapshot.keys for ps in keys.values() for p in ps}
+            posted.update((p.seq, p) for p in snapshot.residual)
             for p in store:
                 for i in range(3):
-                    assert snapshot.refs[i][p.seq] is p.nodes[i]
+                    assert posted[p.seq].nodes[i] is p.nodes[i]
+
+    def test_index_posts_each_policy_once_as_the_stored_object(self, healthcare):
+        for store in _stores(healthcare):
+            snapshot = store.policies()
+            posted = [p for keys in snapshot.keys for ps in keys.values() for p in ps]
+            posted += snapshot.residual
+            assert sorted(p.seq for p in posted) == list(range(len(store)))
+            assert all(p is store.get(p.name) for p in posted)
+
+    def test_candidates_come_in_strictly_increasing_seq(self, healthcare):
+        rng = random.Random(17)
+        longest = 0
+        for store in _stores(healthcare):
+            g = store.graph
+            nodes = [n for n in range(g.node_count()) if not g.node(n).has_label("Policy")]
+            for _ in range(100):
+                q = AccessQuery(*rng.choices(nodes, k=3))
+                closures = query_closures(store, q, g.attr_depth)
+                seqs = [p.seq for p in store.policies().candidates(closures)]
+                assert all(a < b for a, b in zip(seqs, seqs[1:]))
+                longest = max(longest, len(seqs))
+        assert longest > 10
 
     def test_slots_hold_plain_nodes_and_no_top_level_ref(self, healthcare):
         for store in _stores(healthcare):
@@ -417,10 +494,9 @@ class TestCompiledSlots:
             store.create_policy(
                 "Q", Decision.PERMIT, {SUB: {doctor}, ACT: {Ref(-1)}, OBJ: {records}}
             )
-        # An And over a list passes every check and fails only when the
-        # slot is hashed.
+        # An And over a list is rejected before anything hashes it.
         unhashable = And([ref_to(g, "Doctor"), ref_to(g, "Nurse")])
-        with pytest.raises(TypeError):
+        with pytest.raises(PolicyError):
             store.create_policy(
                 "Q", Decision.PERMIT, {SUB: [doctor, unhashable], ACT: {records}, OBJ: {records}}
             )
