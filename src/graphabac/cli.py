@@ -29,7 +29,7 @@ from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_po
 from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
-from .policy import ConditionType, Decision
+from .policy import ConditionType, Decision, leaf_nodes
 
 EXIT_PERMIT = 0
 EXIT_DENY = 1
@@ -96,10 +96,10 @@ def cmd_explain(args) -> int:
             # Slots, closures and lengths all come in slot order.  A slot lists
             # the condition nodes its length is taken over, each once.
             lengths = (m.len_sub, m.len_act, m.len_obj)
-            for t, nodes, pairs, closure, length in zip(
+            for t, nodes, compiled, closure, length in zip(
                 ConditionType, pol.nodes, pol.compound, closures, lengths
             ):
-                reached = {*nodes, *(n for _, leaves in pairs for n in leaves)}
+                reached = {*nodes, *leaf_nodes(compiled)}
                 sats = sorted(model.graph.node(n).name for n in reached if n in closure)
                 slots.append(f"{t.value}={length} [{', '.join(sats)}]")
             print(

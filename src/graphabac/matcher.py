@@ -28,7 +28,10 @@ per-slot adjacencies the closures walk and the key index.
 Only the candidates reach ``match_single``, which checks the three slots
 against the shared closures, decides the compound candidates and supplies
 the path lengths: a slot survives iff each of its plain nodes is in the
-closure and each of its compound expressions evaluates true over it.
+closure and its compiled program, the conjunction of its compound
+expressions, evaluates true over it.  The program runs in one loop over
+its ops, so no code on the decision path recurses over an expression, and
+a part that several expressions share is evaluated once.
 Every front end that needs closures gets them from ``query_closures``;
 slot ``t``'s closure is exact at slot ``t``'s condition nodes of the
 store and says nothing about any other node.
@@ -42,7 +45,10 @@ a slot's values by position and never looks a slot up by its type.
 ``matching_policies_oracle`` is a deliberately independent check that
 evaluates every required condition by exhaustive simple-path
 enumeration over the full graph.  It exists to cross-validate the
-production path and is O(paths); keep it to small graphs.
+production path and is O(paths); keep it to small graphs.  It reads
+the expressions as given (``Policy.conditions``), never the programs, and
+walks each tree recursively, once per path through a shared part, so keep
+it to small trees too.
 
 Both report, per match, the minimal path length from each query
 primitive to the policy (closure hops plus the condition edge).
@@ -59,7 +65,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
 from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
-from .policy import And, CompoundSlot, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
+from .policy import AND, NOT, REF, And, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
 
 
 class AccessQuery(NamedTuple):
@@ -104,32 +110,19 @@ def _closures(
     return closure(q.sub, depth, sub), closure(q.act, depth, act), closure(q.obj, depth, obj)
 
 
-def _eval_with_closure(closure: Closure, expr: ConditionExpr) -> bool:
-    if isinstance(expr, Ref):
-        return expr.node in closure
-    if isinstance(expr, Not):
-        return not _eval_with_closure(closure, expr.inner)
-    if isinstance(expr, And):
-        return all(_eval_with_closure(closure, c) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(_eval_with_closure(closure, c) for c in expr.children)
-    raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
-
-
 def _slot_length(
-    nodes: tuple[NodeRef, ...],
-    compound: CompoundSlot,
-    closure: Closure,
-    depth: int,
+    nodes: tuple[NodeRef, ...], compound: tuple, closure: Closure, depth: int
 ) -> Optional[int]:
     """Match one compiled condition slot against a precomputed closure.
 
     Returns the slot's contribution to the policy length, or None when the
-    slot fails.  Each plain node must be in the closure and gives its hop;
-    each compound expression must evaluate true and gives the nearest hop
-    of its leaf nodes, compiled next to it, that are in the closure.  The
-    slot contributes 1 + the nearest hop, or depth + 1, one more than any
-    real path can be, when no leaf is in the closure (its only satisfied
+    slot fails.  Each plain node must be in the closure and gives its hop.
+    The compound expressions' program, when there is one, runs in one loop:
+    each op's truth value goes on a list at its position, a ``REF`` op is
+    true when its node is in the closure and then gives its hop, and the
+    last op, the conjunction of the expressions, must be true.  The slot
+    contributes 1 + the nearest hop, or depth + 1, one more than any real
+    path can be, when no node is in the closure (its only satisfied
     evidence is negative).  The closure must be built at ``depth``, so no
     hop exceeds it and starting the nearest hop at ``depth`` covers both.
     """
@@ -140,13 +133,22 @@ def _slot_length(
             return None
         if h < nearest:
             nearest = h
-    for e, leaves in compound:
-        if not _eval_with_closure(closure, e):
+    if compound:
+        values: list[bool] = []
+        push, value = values.append, values.__getitem__
+        for op, arg in compound[1]:
+            if op == REF:
+                push((h := closure.get(arg)) is not None)
+                if h is not None and h < nearest:
+                    nearest = h
+            elif op == NOT:
+                push(not values[arg])
+            elif op == AND:
+                push(all(map(value, arg)))
+            else:
+                push(any(map(value, arg)))
+        if not values[-1]:
             return None
-        for n in leaves:
-            h = closure.get(n)
-            if h is not None and h < nearest:
-                nearest = h
     return 1 + nearest
 
 

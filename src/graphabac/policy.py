@@ -13,25 +13,41 @@ condition part that is not a ``Ref``, a ``Not``, or an
 ``And``/``Or`` of a tuple, a condition that does not name an attribute or
 primitive node, or a condition that nests ``Not``/``And``/``Or`` more than
 ``MAX_NESTING`` levels deep, so every stored policy is well-formed.
-Hashing, compiling and matching walk an expression recursively, so the
-bound keeps each walk far below the interpreter's recursion limit.
-``create_policy`` checks each part's type and the depth first, level by
-level, and the leaves of the expressions as given, before anything hashes
-them, so an unhashable node is a dangling condition.
+The oracle, ``Policy.conditions`` and ``dnf_expand`` walk an expression
+recursively, so the bound keeps each of those walks far below the
+interpreter's recursion limit.  ``create_policy`` checks each part's type,
+the depth and the leaf nodes before anything hashes a node, so an
+unhashable node is a dangling condition.
 
 A policy holds each slot once, compiled by ``compile_conditions``, the one
-place that tells a plain ``Ref`` from a compound expression and the one
-place that finds a compound expression's leaves: ``nodes`` has one tuple
-per slot, in ``_SLOTS`` order, of the nodes its top-level ``Ref``s name,
-and ``compound`` one tuple per slot of ``(expression, leaf nodes)`` pairs,
-one per ``Not``/``And``/``Or`` expression, whose leaf nodes are the nodes
-of its ``Ref`` leaves, those under ``Not`` included, each once.  No slot
-holds a repeat, and a policy with no compound expression shares the one
-``_NO_COMPOUND`` tuple.  ``create_policy`` makes each slot a tuple once
-and compiles the tuples it checked, so a slot given as a one-shot
-iterable is read once.  ``Policy.conditions`` rebuilds the ``{type:
-frozenset}`` mapping for the readers that want it (the oracle); matching,
-the snapshot build and ``explain`` read the compiled fields.
+place that tells a plain ``Ref`` from a compound expression: ``nodes`` has
+one tuple per slot, in ``_SLOTS`` order, of the nodes its top-level
+``Ref``s name, and ``compound`` one entry per slot, ``()`` when the slot
+has no ``Not``/``And``/``Or`` expression, else ``(expressions,
+program)``.  The expressions are the slot's distinct compound expressions
+as given, for the readers that want the trees (the oracle,
+``Policy.conditions`` and ``dnf_expand``).  The program is the slot's one
+compiled form: a tuple of ``(op, arg)`` in post order, ``(REF, node)``,
+``(NOT, i)``, ``(AND, (i, ...))`` or ``(OR, (i, ...))``, where each ``i``
+is the position of an earlier op, and whose last op is the ``AND`` of the
+slot's expressions.  Each distinct subexpression is one op, keyed by its
+own tuple, so equal expressions made of distinct objects compile to the
+same op and count as one expression, and the ``REF`` ops' nodes are the
+leaves of the expressions, those under ``Not`` included, each once.
+``compile_conditions`` makes one walk per expression, without recursion,
+that checks the part types and the depth and builds the program; a part
+that several parents share is compiled once, found by ``id`` (hash-consing,
+Filliâtre and Conchon, ML 2006), so a condition whose paths double at each
+level costs time linear in its objects.  Matching runs the program in one
+loop, and the snapshot build and ``explain`` read the ``REF`` ops'
+nodes (``leaf_nodes``); none of them walks an expression.  A top-level
+``Ref`` skips the compiler.  No slot holds a repeat, and a policy with no
+compound expression shares the one ``_NO_COMPOUND`` tuple.
+``create_policy`` makes each slot a tuple once and compiles the tuples it
+checked, so a slot given as a one-shot iterable is read once.
+``Policy.conditions`` rebuilds the ``{type: frozenset}`` mapping, which
+hashes whole trees, once per path through a shared part: it is meant for
+the oracle and small trees.
 
 ``PolicyStore.policies()`` compiles the stored policies into one
 ``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
@@ -165,75 +181,105 @@ class Or(ConditionExpr):
 
 
 def ref_leaves(expr: ConditionExpr) -> Iterator[Ref]:
-    """All Ref leaves of an expression tree, including those under Not."""
+    """All Ref leaves of an expression tree, including those under Not.  For
+    the oracle: it walks every path, so a shared subtree once per path."""
     if isinstance(expr, Ref):
         yield expr
-    elif isinstance(expr, Not):
-        yield from ref_leaves(expr.inner)
-    elif isinstance(expr, (And, Or)):
-        for child in expr.children:
+    else:
+        for child in _children(expr):
             yield from ref_leaves(child)
-    else:  # pragma: no cover - sealed hierarchy
-        raise TypeError(f"unknown expression node {expr!r}")
 
 
-def _check_shape(name: str, expr: object) -> None:
-    """Raise a PolicyError naming policy ``name`` unless every part of
-    ``expr`` is a ``Ref``, ``Not``, ``And`` or ``Or``, each ``And``/``Or``
-    with a tuple of children, and no leaf sits under more than MAX_NESTING
-    levels.  Walks level by level, without recursion or hashing, and visits
-    a subexpression shared by several parents once per level."""
-    level: Collection[object] = (expr,)
-    for _ in range(MAX_NESTING + 1):
-        below: dict[int, object] = {}
-        for e in level:
-            if isinstance(e, Not):
-                below[id(e.inner)] = e.inner
-            elif isinstance(e, (And, Or)) and type(e.children) is tuple:
-                for child in e.children:
-                    below[id(child)] = child
-            elif not isinstance(e, Ref):
-                raise PolicyError(
-                    f"policy {name!r} has a condition part of type {type(e).__name__}, "
-                    "not a Ref, a Not, or an And or Or of a tuple"
-                )
-        if not below:
-            return
-        level = below.values()
-    raise ConditionTooDeepError(
-        f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
-    )
+def _children(part: Not | And | Or) -> tuple[ConditionExpr, ...]:
+    return (part.inner,) if isinstance(part, Not) else part.children
 
+
+# The opcodes of a program.  Its ops come in post order: (REF, node),
+# (NOT, i), (AND, (i, ...)) or (OR, (i, ...)), each i the position of an
+# earlier op.
+REF, NOT, AND, OR = range(4)
 
 Slots = tuple[tuple[NodeRef, ...], ...]
-# One slot's compound expressions, each with its leaf nodes, each once.
-CompoundSlot = tuple[tuple[ConditionExpr, tuple[NodeRef, ...]], ...]
-CompoundSlots = tuple[CompoundSlot, ...]
+# Per slot: () or its distinct compound expressions, as given, and their
+# program.
+CompoundSlots = tuple[tuple, ...]
 
 # The compound field of every policy without a Not/And/Or expression.
 _NO_COMPOUND: CompoundSlots = ((), (), ())
 
 
+def _compile_slot(name: str, exprs: Sequence[object]) -> tuple[tuple[NodeRef, ...], tuple]:
+    """One slot's top-level ``Ref`` nodes, each once, and ``()`` or its
+    distinct other expressions with their program.
+
+    Walks each expression once, without recursion, and compiles a part that
+    several parents share once, found by ``id``.  Raises a PolicyError
+    naming policy ``name`` for a part within MAX_NESTING levels that is not
+    a ``Ref``, a ``Not``, or an ``And``/``Or`` of a tuple, and then
+    ConditionTooDeepError if a path is longer than MAX_NESTING: a part's
+    height is taken over all its children, so the deepest path counts
+    wherever a shared part was first met.  Hashes no expression, and no node
+    that is not an ``int``: such a node is keyed by the ``id`` of its
+    ``Ref``, for ``create_policy`` to reject."""
+    plain: dict[object, object] = {}  # node, or id(Ref) -> node
+    index: dict[object, tuple[int, tuple]] = {}  # op, or id(Ref) -> (position, op)
+    done: dict[int, tuple[int, int]] = {}  # id(part) -> (position, height)
+    roots: dict[int, object] = {}  # root position -> the first expression compiled to it
+    for expr in exprs:
+        if isinstance(expr, Ref):
+            plain.setdefault(expr.node if type(expr.node) is int else id(expr), expr.node)
+            continue
+        stack = [(expr, 0, False)]
+        while stack:
+            part, depth, ready = stack.pop()
+            # A part below the bound is left out; its parent counts it as a
+            # leaf there, so the expression is too deep.
+            if id(part) in done or depth > MAX_NESTING:
+                continue
+            if isinstance(part, Ref):
+                op, height = (REF, part.node), 0
+            elif ready:
+                kids = [done.get(id(c), (-1, 0)) for c in _children(part)]
+                height = 1 + max(h for _, h in kids)
+                code = NOT if isinstance(part, Not) else AND if isinstance(part, And) else OR
+                op = (code, kids[0][0] if code == NOT else tuple(i for i, _ in kids))
+            elif isinstance(part, (Not, And, Or)) and type(_children(part)) is tuple:
+                stack.append((part, depth, True))
+                stack.extend((c, depth + 1, False) for c in reversed(_children(part)))
+                continue
+            else:
+                raise PolicyError(
+                    f"policy {name!r} has a condition part of type {type(part).__name__}, "
+                    "not a Ref, a Not, or an And or Or of a tuple"
+                )
+            key = op if op[0] != REF or type(op[1]) is int else id(part)
+            done[id(part)] = (index.setdefault(key, (len(index), op))[0], height)
+        position, height = done[id(expr)]
+        if height > MAX_NESTING:
+            raise ConditionTooDeepError(
+                f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
+            )
+        roots.setdefault(position, expr)
+    if not roots:
+        return tuple(plain.values()), ()
+    program = (*(op for _, op in index.values()), (AND, tuple(roots)))
+    return tuple(plain.values()), (tuple(roots.values()), program)
+
+
 def compile_conditions(
-    conditions: Mapping[ConditionType, Collection[ConditionExpr]],
+    conditions: Mapping[ConditionType, Collection[ConditionExpr]], name: str = "?"
 ) -> tuple[Slots, CompoundSlots]:
     """A conditions mapping as a policy's ``nodes`` and ``compound`` fields,
-    as in ``Policy(name, decision, score, seq, *compile_conditions(c))``:
-    per slot, the nodes of its top-level ``Ref``s and its other
-    expressions, each once, in the order given, each expression paired
-    with the nodes of its ``Ref`` leaves, each once.  Hashes every compound
-    expression, so an unhashable one raises TypeError."""
-    nodes, compound = [], []
-    for t in _SLOTS:
-        plain, other = {}, {}
-        for e in conditions.get(t, ()):
-            if isinstance(e, Ref):
-                plain[e.node] = None
-            else:
-                other[e] = tuple(dict.fromkeys(leaf.node for leaf in ref_leaves(e)))
-        nodes.append(tuple(plain))
-        compound.append(tuple(other.items()))
-    return tuple(nodes), tuple(compound) if any(compound) else _NO_COMPOUND
+    as in ``Policy(name, decision, score, seq, *compile_conditions(c))``,
+    each slot compiled by ``_compile_slot`` and raising as it does."""
+    nodes, compound = zip(*(_compile_slot(name, tuple(conditions.get(t, ()))) for t in _SLOTS))
+    return nodes, compound if any(compound) else _NO_COMPOUND
+
+
+def leaf_nodes(compiled: tuple) -> list[NodeRef]:
+    """The nodes of a compiled compound slot's ``REF`` ops: the leaves of its
+    expressions, those under ``Not`` included, each once."""
+    return [arg for op, arg in compiled[1] if op == REF] if compiled else []
 
 
 @dataclass(slots=True)
@@ -247,10 +293,13 @@ class Policy:
 
     @property
     def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:
-        """Each slot's expressions as one set, keyed by condition type."""
+        """Each slot's expressions as one set, keyed by condition type.
+        Hashes each tree whole, once per path through a shared part, so it
+        is meant for the oracle and small trees, not for the decision
+        path."""
         return {
-            t: frozenset(map(Ref, nodes)).union(e for e, _ in pairs)
-            for t, nodes, pairs in zip(_SLOTS, self.nodes, self.compound)
+            t: frozenset(map(Ref, nodes)).union(compiled[0] if compiled else ())
+            for t, nodes, compiled in zip(_SLOTS, self.nodes, self.compound)
         }
 
     def is_valid_shape(self) -> bool:
@@ -278,10 +327,8 @@ class PolicySnapshot(tuple):
                 keys[i].setdefault(key, []).append(p)
             else:
                 residual.append(p)
-            for slot_conditions, nodes, pairs in zip(conditions, p.nodes, p.compound):
-                slot_conditions.update(nodes)
-                for _, leaves in pairs:
-                    slot_conditions.update(leaves)
+            for slot_conditions, nodes, compiled in zip(conditions, p.nodes, p.compound):
+                slot_conditions.update(nodes, compiled and leaf_nodes(compiled))
         self.keys, self.residual = keys, residual
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
@@ -349,17 +396,13 @@ class PolicyStore:
             raise PolicyError(
                 f"policy {name!r} has conditions that are not a mapping of collections"
             ) from None
-        exprs = list(itertools.chain.from_iterable(slots))
-        for expr in exprs:
-            if not isinstance(expr, Ref):
-                _check_shape(name, expr)
+        nodes, compound = compile_conditions(dict(zip(_SLOTS, slots)), name)
         missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)
         graph = self.graph
         dangling: set[str] = set()
-        for leaf in itertools.chain.from_iterable(map(ref_leaves, exprs)):
-            node = leaf.node
+        for node in itertools.chain(*nodes, *map(leaf_nodes, compound)):
             # A bool is an int, and 1.0 == 1; neither names a node.
             if type(node) is not int or not 0 <= node < graph.node_count():
                 dangling.add(f"node#{node!r}")
@@ -370,8 +413,7 @@ class PolicyStore:
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
-        compiled = compile_conditions(dict(zip(_SLOTS, slots)))
-        policy = Policy(name, decision, score or 0, len(self._policies), *compiled)
+        policy = Policy(name, decision, score or 0, len(self._policies), nodes, compound)
         self._policies[name] = policy
         return policy
 
@@ -413,12 +455,10 @@ def _dnf_terms(expr: ConditionExpr) -> list[tuple[NodeRef, ...]]:
         )
     if isinstance(expr, Or):
         return [t for child in expr.children for t in _dnf_terms(child)]
-    if isinstance(expr, And):
-        terms: list[tuple[NodeRef, ...]] = [()]
-        for child in expr.children:
-            terms = [a + b for a in terms for b in _dnf_terms(child)]
-        return terms
-    raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
+    terms: list[tuple[NodeRef, ...]] = [()]
+    for child in expr.children:
+        terms = [a + b for a in terms for b in _dnf_terms(child)]
+    return terms
 
 
 def dnf_expand(policy: Policy) -> list[Policy]:
@@ -429,9 +469,9 @@ def dnf_expand(policy: Policy) -> list[Policy]:
     ``#index`` suffix; decision, score, and seq are copied.
     """
     slots: list[list[tuple[NodeRef, ...]]] = []
-    for nodes, pairs in zip(policy.nodes, policy.compound):
+    for nodes, compiled in zip(policy.nodes, policy.compound):
         terms = [nodes]
-        for expr in sorted((e for e, _ in pairs), key=repr):
+        for expr in sorted(compiled[0] if compiled else (), key=repr):
             terms = [a + b for a in terms for b in _dnf_terms(expr)]
         slots.append([tuple(dict.fromkeys(term)) for term in terms])
     name, decision, score, seq = policy.name, policy.decision, policy.score, policy.seq

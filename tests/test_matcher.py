@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -219,6 +220,77 @@ def _random_slot(rng, nodes):
     if rng.random() < 0.2:
         return {Not(Ref(rng.choice(nodes))) for _ in range(rng.randint(1, 2))}
     return {_random_expr(rng, nodes) for _ in range(rng.randint(1, 3))}
+
+
+def _shared_expr(rng, nodes, k):
+    """An expression of up to ``k`` operators whose parts reuse earlier
+    parts: each operator takes its children from a pool of the leaves and
+    the operators made so far, so subtrees are shared, some at several
+    depths.  Sometimes a chain ``x = And((x, x))`` (or ``Or``) instead."""
+    if rng.random() < 0.25:
+        x, kind = Ref(rng.choice(nodes)), rng.choice((And, Or))
+        for _ in range(k):
+            x = kind((x, x))
+        return x
+    pool = [Ref(n) for n in rng.sample(nodes, 3)]
+    for _ in range(k):
+        kind = rng.choice((Not, And, Or))
+        pool.append(Not(rng.choice(pool)) if kind is Not else kind(tuple(rng.choices(pool, k=2))))
+    return pool[-1]
+
+
+def _copy(expr):
+    """An equal expression made of new objects, shared parts copied apart."""
+    if isinstance(expr, Ref):
+        return Ref(expr.node)
+    if isinstance(expr, Not):
+        return Not(_copy(expr.inner))
+    return type(expr)(tuple(_copy(c) for c in expr.children))
+
+
+class TestSharedSubtrees:
+    def test_shared_subtrees_and_equal_copies_agree_with_oracle(self):
+        # Slots hold trees that share subtrees, the same object twice, and
+        # equal trees made of distinct objects, which are one expression.
+        from graphabac import dnf_expand
+        from graphabac.errors import NegationNotExpandableError
+        from graphabac.policy import _dnf_terms
+
+        rng = random.Random(2106)
+        expanded = 0
+        for _ in range(30):
+            n = rng.randint(4, 7)
+            g = Graph()
+            nodes = [g.add_node(f"n{i}") for i in range(n)]
+            for _ in range(rng.randint(0, 2 * n)):
+                i, j = sorted(rng.sample(range(n), 2))
+                g.add_edge(nodes[i], HAS_ATTR, nodes[j])
+            g.freeze()
+            store = PolicyStore(g)
+            for k in range(5):
+                conditions = {}
+                for t in ConditionType:
+                    exprs = [_shared_expr(rng, nodes, rng.randint(1, 6))]
+                    exprs += rng.sample([Ref(rng.choice(nodes)), exprs[0], _copy(exprs[0])], 2)
+                    conditions[t] = exprs
+                pol = store.create_policy(f"p{k}", rng.choice(list(Decision)), conditions)
+                distinct = {t: frozenset(exprs) for t, exprs in conditions.items()}
+                assert pol.conditions == distinct
+                for exprs, compiled in zip(distinct.values(), pol.compound):
+                    assert len(compiled[0]) == sum(not isinstance(e, Ref) for e in exprs)
+                try:
+                    count = len(dnf_expand(pol))
+                except NegationNotExpandableError:
+                    continue
+                terms = [len(_dnf_terms(e)) for exprs in distinct.values() for e in exprs]
+                assert count == math.prod(terms)
+                expanded += 1
+            for _ in range(8):
+                q = AccessQuery(*(rng.choice(nodes) for _ in range(3)))
+                oracle = matching_policies_oracle(store, q)
+                for alg in CombiningAlgorithm:
+                    assert evaluate(store, q, alg) == combine(oracle, alg)
+        assert expanded > 5
 
 
 class TestProperties:

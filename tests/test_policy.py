@@ -24,7 +24,7 @@ from graphabac import (
 )
 from graphabac import matcher, policy
 from graphabac.matcher import query_closures
-from graphabac.policy import MAX_NESTING, compile_conditions, ref_leaves
+from graphabac.policy import AND, MAX_NESTING, REF, compile_conditions, leaf_nodes, ref_leaves
 from graphabac.errors import (
     ConditionTooDeepError,
     DanglingConditionRefError,
@@ -244,6 +244,69 @@ class TestNestingBound:
             )
         assert [p.name for p in store.policies()] == ["AtLimit"]
 
+    def test_part_types_are_checked_within_the_bound(self, healthcare):
+        # A part of the wrong type within MAX_NESTING levels is reported
+        # before the depth; one further down makes the condition too deep.
+        g = healthcare.graph
+        store = PolicyStore(g)
+        too_deep = _nested(ref_to(g, "Doctor"), MAX_NESTING + 5, "not")
+        for expr, error in (
+            (_nested(5, MAX_NESTING, "not"), "condition part of type int"),
+            (And((too_deep, Not(5))), "condition part of type int"),
+            (_nested(5, MAX_NESTING + 1, "not"), "deeper than"),
+        ):
+            with pytest.raises(PolicyError, match=error):
+                store.create_policy("P", Decision.PERMIT, self.conditions(g, expr))
+        assert len(store) == 0
+
+
+class TestSharedSubexpressions:
+    """A part shared by several parents is compiled once, so a condition
+    whose paths double at each level costs time linear in its objects."""
+
+    def test_doubling_chain_at_the_nesting_bound(self, healthcare, query):
+        import time
+
+        g = healthcare.graph
+        chain = ref_to(g, "John")
+        for _ in range(MAX_NESTING):
+            chain = And((chain, chain))
+        conditions = {SUB: [chain], ACT: [ref_to(g, "Write")], OBJ: [ref_to(g, "MR_1234")]}
+        store = PolicyStore(g)
+        start = time.perf_counter()
+        pol = store.create_policy("Chain", Decision.PERMIT, conditions)
+        created = time.perf_counter() - start
+        start = time.perf_counter()
+        result = evaluate(store, query("John", "Write", "MR_1234"))
+        evaluated = time.perf_counter() - start
+        assert created < 0.5 and evaluated < 0.5
+        assert result.decision is Decision.PERMIT
+        assert [m.policy for m in result.matches] == [pol]
+        ((exprs, program), (), ()) = pol.compound
+        assert exprs == (chain,)
+        # One op per level and the leaf, then the slot's conjunction.
+        assert len(program) == MAX_NESTING + 1 + 1
+        assert program[0] == (REF, g.find_node("John"))
+        assert program[-1] == (AND, (MAX_NESTING,))
+
+    @pytest.mark.parametrize("shallow_first", [True, False])
+    def test_deepest_path_to_a_shared_part_counts(self, healthcare, shallow_first):
+        g = healthcare.graph
+        shared = _nested(ref_to(g, "Doctor"), 50, "not")
+        for levels, fits in ((MAX_NESTING - 50, False), (MAX_NESTING - 51, True)):
+            # ``shared`` is a child of the And and also ``levels`` Nots
+            # further down, so its leaf sits 1 + levels + 50 levels deep.
+            deep = _nested(shared, levels, "not")
+            expr = And((shared, deep) if shallow_first else (deep, shared))
+            conditions = {SUB: [expr], ACT: [ref_to(g, "Read")], OBJ: [ref_to(g, "Doctor")]}
+            store = PolicyStore(g)
+            if fits:
+                store.create_policy("P", Decision.PERMIT, conditions)
+            else:
+                with pytest.raises(ConditionTooDeepError):
+                    store.create_policy("P", Decision.PERMIT, conditions)
+                assert len(store) == 0
+
 
 class TestValidatePolicy:
     def test_missing_types_reported(self, healthcare):
@@ -453,10 +516,10 @@ class TestCompiledSlots:
         for store in _stores(healthcare):
             for p in store:
                 assert all(type(n) is int for nodes in p.nodes for n in nodes)
-                for pairs in p.compound:
-                    for e, leaves in pairs:
-                        assert isinstance(e, (Not, And, Or))
-                        assert all(type(n) is int for n in leaves)
+                for compiled in p.compound:
+                    exprs, program = compiled or ((), ())
+                    assert all(isinstance(e, (Not, And, Or)) for e in exprs)
+                    assert all(type(n) is int for op, n in program if op == REF)
 
     def test_same_node_in_every_slot(self, healthcare):
         g = healthcare.graph
@@ -529,13 +592,13 @@ class TestCompiledSlots:
         assert len(store) == 1
 
     def test_matching_reads_the_compiled_leaves(self, monkeypatch):
-        """Snapshot and decisions read the leaf tuples compiled at load and
+        """Snapshot and decisions read the programs compiled at load and
         walk no expression for its leaves."""
         from test_cli import COMPOUND_MODEL
 
         model = load_model(COMPOUND_MODEL)
         g, store = model.graph, model.policies
-        assert any(isinstance(e, Not) for p in store for pairs in p.compound for e, _ in pairs)
+        assert any(isinstance(e, Not) for p in store for c in p.compound if c for e in c[0])
         queries = [AccessQuery(*q) for q in itertools.product(range(g.node_count()), repeat=3)]
         expected = [matching_policies_oracle(store, q) for q in queries]
 
@@ -569,11 +632,15 @@ def test_compiled_slots_round_trip(rng):
         given_slots[t] = exprs
     pol = Policy("P", Decision.PERMIT, 0, 0, *compile_conditions(given_slots))
     assert pol.conditions == {t: frozenset(exprs) for t, exprs in given_slots.items()}
-    for slot in (*pol.nodes, *pol.compound):
+    for slot in pol.nodes:
         assert len(set(slot)) == len(slot)
-    for pairs in pol.compound:
-        for e, leaves in pairs:
-            assert leaves == tuple(dict.fromkeys(leaf.node for leaf in ref_leaves(e)))
+    for compiled in pol.compound:
+        if compiled:
+            exprs, program = compiled
+            assert len(set(exprs)) == len(exprs) and len(set(program)) == len(program)
+            leaves = leaf_nodes(compiled)
+            assert len(set(leaves)) == len(leaves)
+            assert set(leaves) == {leaf.node for e in exprs for leaf in ref_leaves(e)}
     assert pol.is_valid_shape() == all(given_slots.values())
 
 
