@@ -5,8 +5,8 @@ comment-only lines and the lines of docstrings (the leading string of a
 module, class or function) do not count.  A statement that spans several
 lines counts each line it is written on.
 
-    python scripts/code_lines.py            # src/graphabac, total only
-    python scripts/code_lines.py --per-file src/graphabac
+    python scripts/code_lines.py            # src/graphabac
+    python scripts/code_lines.py some/dir   # any other tree
 """
 
 from __future__ import annotations
@@ -53,20 +53,13 @@ def code_lines(source: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default="src/graphabac", help="directory to count")
-    ap.add_argument("--per-file", action="store_true", help="also print each file's count")
     args = ap.parse_args(argv)
     root = pathlib.Path(args.root)
     files = sorted(root.rglob("*.py"))
     if not files:
         print(f"code_lines: no Python files under {root}", file=sys.stderr)
         return 1
-    total = 0
-    for path in files:
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        if args.per_file:
-            print(f"{n:6d} {path}")
-    print(total)
+    print(sum(code_lines(path.read_text(encoding="utf-8")) for path in files))
     return 0
 
 

@@ -65,7 +65,8 @@ from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
 from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
-from .policy import AND, NOT, REF, And, ConditionExpr, Not, Or, Policy, PolicyStore, Ref, ref_leaves
+from .policy import AND, NOT, REF, And, CompiledSlot, ConditionExpr, Not, Or, Policy, PolicyStore
+from .policy import Ref, ref_leaves
 
 
 class AccessQuery(NamedTuple):
@@ -111,7 +112,7 @@ def _closures(
 
 
 def _slot_length(
-    nodes: tuple[NodeRef, ...], compound: tuple, closure: Closure, depth: int
+    nodes: tuple[NodeRef, ...], compound: CompiledSlot, closure: Closure, depth: int
 ) -> Optional[int]:
     """Match one compiled condition slot against a precomputed closure.
 

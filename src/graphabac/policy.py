@@ -19,7 +19,7 @@ interpreter's recursion limit.  ``create_policy`` checks each part's type,
 the depth and the leaf nodes before anything hashes a node, so an
 unhashable node is a dangling condition.
 
-A policy holds each slot once, compiled by ``compile_conditions``, the one
+A policy holds each slot once, compiled by ``_compile_slot``, the one
 place that tells a plain ``Ref`` from a compound expression: ``nodes`` has
 one tuple per slot, in ``_SLOTS`` order, of the nodes its top-level
 ``Ref``s name, and ``compound`` one entry per slot, ``()`` when the slot
@@ -34,15 +34,16 @@ slot's expressions.  Each distinct subexpression is one op, keyed by its
 own tuple, so equal expressions made of distinct objects compile to the
 same op and count as one expression, and the ``REF`` ops' nodes are the
 leaves of the expressions, those under ``Not`` included, each once.
-``compile_conditions`` makes one walk per expression, without recursion,
-that checks the part types and the depth and builds the program; a part
-that several parents share is compiled once, found by ``id`` (hash-consing,
-Filliâtre and Conchon, ML 2006), so a condition whose paths double at each
-level costs time linear in its objects.  Matching runs the program in one
-loop, and the snapshot build and ``explain`` read the ``REF`` ops'
-nodes (``leaf_nodes``); none of them walks an expression.  A top-level
-``Ref`` skips the compiler.  No slot holds a repeat, and a policy with no
-compound expression shares the one ``_NO_COMPOUND`` tuple.
+``_compile_slot`` makes one walk per expression, without recursion, that
+checks the part types and the depth and builds the program; a part that
+several parents share is compiled once, found by ``id`` (hash-consing,
+Filliâtre and Conchon, ML 2006), and walked again only when met nearer the
+root, so a condition whose paths double at each level costs time linear in
+its objects.  Matching runs the program in one loop, and the snapshot
+build and ``explain`` read the ``REF`` ops' nodes (``leaf_nodes``); none
+of them walks an expression.  A top-level ``Ref`` skips the compiler.  No
+slot holds a repeat, and a stored policy with no compound expression
+shares the one ``_NO_COMPOUND`` tuple.
 ``create_policy`` makes each slot a tuple once and compiles the tuples it
 checked, so a slot given as a one-shot iterable is read once.
 ``Policy.conditions`` rebuilds the ``{type: frozenset}`` mapping, which
@@ -128,9 +129,9 @@ class ConditionType(enum.Enum):
 
     # Members are singletons compared by identity, so identity hashing keeps
     # dict semantics and avoids Enum's Python-level __hash__.  The load path
-    # needs it: the parser, the builder, ``create_policy`` and
-    # ``compile_conditions`` make about a dozen slot-keyed dict operations
-    # per policy.  A query keys nothing by slot type.
+    # needs it: the parser, the builder and ``create_policy`` make about a
+    # dozen slot-keyed dict operations per policy.  A query keys nothing by
+    # slot type.
     __hash__ = object.__hash__
 
 
@@ -200,30 +201,33 @@ def _children(part: Not | And | Or) -> tuple[ConditionExpr, ...]:
 REF, NOT, AND, OR = range(4)
 
 Slots = tuple[tuple[NodeRef, ...], ...]
-# Per slot: () or its distinct compound expressions, as given, and their
-# program.
-CompoundSlots = tuple[tuple, ...]
+# One slot's entry in a policy's compound field: () or its distinct
+# compound expressions, as given, and their program of (op, arg) ops.
+CompiledSlot = tuple[()] | tuple[tuple[ConditionExpr, ...], tuple[tuple[int, object], ...]]
 
-# The compound field of every policy without a Not/And/Or expression.
-_NO_COMPOUND: CompoundSlots = ((), (), ())
+# The compound field of every stored policy without a Not/And/Or expression.
+_NO_COMPOUND: tuple[CompiledSlot, ...] = ((), (), ())
 
 
-def _compile_slot(name: str, exprs: Sequence[object]) -> tuple[tuple[NodeRef, ...], tuple]:
+def _compile_slot(name: str, exprs: tuple) -> tuple[tuple[NodeRef, ...], CompiledSlot]:
     """One slot's top-level ``Ref`` nodes, each once, and ``()`` or its
     distinct other expressions with their program.
 
-    Walks each expression once, without recursion, and compiles a part that
-    several parents share once, found by ``id``.  Raises a PolicyError
-    naming policy ``name`` for a part within MAX_NESTING levels that is not
-    a ``Ref``, a ``Not``, or an ``And``/``Or`` of a tuple, and then
-    ConditionTooDeepError if a path is longer than MAX_NESTING: a part's
-    height is taken over all its children, so the deepest path counts
-    wherever a shared part was first met.  Hashes no expression, and no node
-    that is not an ``int``: such a node is keyed by the ``id`` of its
-    ``Ref``, for ``create_policy`` to reject."""
+    Walks each expression without recursion and compiles a part that
+    several parents share once, found by ``id``; a part met again nearer
+    the root than before is walked again from there, so every part within
+    MAX_NESTING levels on some path is checked.  Raises a PolicyError
+    naming policy ``name`` for such a part that is not a ``Ref``, a
+    ``Not``, or an ``And``/``Or`` of a tuple, and then ConditionTooDeepError
+    if a path is longer than MAX_NESTING: a part's height is taken over all
+    its children, so the deepest path counts wherever a shared part was
+    first met.  Hashes no expression, and no node that is not an ``int``:
+    such a node is keyed by the ``id`` of its ``Ref``, for ``create_policy``
+    to reject."""
     plain: dict[object, object] = {}  # node, or id(Ref) -> node
     index: dict[object, tuple[int, tuple]] = {}  # op, or id(Ref) -> (position, op)
-    done: dict[int, tuple[int, int]] = {}  # id(part) -> (position, height)
+    # id(part) -> (position, height, the least depth it was walked from)
+    done: dict[int, tuple[int, int, int]] = {}
     roots: dict[int, object] = {}  # root position -> the first expression compiled to it
     for expr in exprs:
         if isinstance(expr, Ref):
@@ -232,17 +236,19 @@ def _compile_slot(name: str, exprs: Sequence[object]) -> tuple[tuple[NodeRef, ..
         stack = [(expr, 0, False)]
         while stack:
             part, depth, ready = stack.pop()
-            # A part below the bound is left out; its parent counts it as a
-            # leaf there, so the expression is too deep.
-            if id(part) in done or depth > MAX_NESTING:
+            # A part not yet walked counts as walked from just below the
+            # bound.  So a part below the bound is left out, and its parent
+            # counts it as a leaf there, so the expression is too deep; and
+            # so is a part already walked from as near the root.
+            if not ready and done.get(id(part), (0, 0, MAX_NESTING + 1))[2] <= depth:
                 continue
             if isinstance(part, Ref):
                 op, height = (REF, part.node), 0
             elif ready:
-                kids = [done.get(id(c), (-1, 0)) for c in _children(part)]
-                height = 1 + max(h for _, h in kids)
+                kids = [done.get(id(c), (-1, 0, 0)) for c in _children(part)]
+                height = 1 + max(h for _, h, _ in kids)
                 code = NOT if isinstance(part, Not) else AND if isinstance(part, And) else OR
-                op = (code, kids[0][0] if code == NOT else tuple(i for i, _ in kids))
+                op = (code, kids[0][0] if code == NOT else tuple(i for i, _, _ in kids))
             elif isinstance(part, (Not, And, Or)) and type(_children(part)) is tuple:
                 stack.append((part, depth, True))
                 stack.extend((c, depth + 1, False) for c in reversed(_children(part)))
@@ -253,8 +259,8 @@ def _compile_slot(name: str, exprs: Sequence[object]) -> tuple[tuple[NodeRef, ..
                     "not a Ref, a Not, or an And or Or of a tuple"
                 )
             key = op if op[0] != REF or type(op[1]) is int else id(part)
-            done[id(part)] = (index.setdefault(key, (len(index), op))[0], height)
-        position, height = done[id(expr)]
+            done[id(part)] = (index.setdefault(key, (len(index), op))[0], height, depth)
+        position, height, _ = done[id(expr)]
         if height > MAX_NESTING:
             raise ConditionTooDeepError(
                 f"policy {name!r} nests conditions deeper than {MAX_NESTING} levels"
@@ -267,16 +273,15 @@ def _compile_slot(name: str, exprs: Sequence[object]) -> tuple[tuple[NodeRef, ..
 
 
 def compile_conditions(
-    conditions: Mapping[ConditionType, Collection[ConditionExpr]], name: str = "?"
-) -> tuple[Slots, CompoundSlots]:
+    conditions: Mapping[ConditionType, Collection[ConditionExpr]],
+) -> tuple[Slots, tuple[CompiledSlot, ...]]:
     """A conditions mapping as a policy's ``nodes`` and ``compound`` fields,
     as in ``Policy(name, decision, score, seq, *compile_conditions(c))``,
     each slot compiled by ``_compile_slot`` and raising as it does."""
-    nodes, compound = zip(*(_compile_slot(name, tuple(conditions.get(t, ()))) for t in _SLOTS))
-    return nodes, compound if any(compound) else _NO_COMPOUND
+    return tuple(zip(*(_compile_slot("?", tuple(conditions.get(t, ()))) for t in _SLOTS)))
 
 
-def leaf_nodes(compiled: tuple) -> list[NodeRef]:
+def leaf_nodes(compiled: CompiledSlot) -> list[NodeRef]:
     """The nodes of a compiled compound slot's ``REF`` ops: the leaves of its
     expressions, those under ``Not`` included, each once."""
     return [arg for op, arg in compiled[1] if op == REF] if compiled else []
@@ -289,7 +294,7 @@ class Policy:
     score: int
     seq: int
     nodes: Slots
-    compound: CompoundSlots
+    compound: tuple[CompiledSlot, ...]
 
     @property
     def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:
@@ -396,7 +401,7 @@ class PolicyStore:
             raise PolicyError(
                 f"policy {name!r} has conditions that are not a mapping of collections"
             ) from None
-        nodes, compound = compile_conditions(dict(zip(_SLOTS, slots)), name)
+        nodes, compound = zip(*(_compile_slot(name, exprs) for exprs in slots))
         missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)
@@ -413,6 +418,7 @@ class PolicyStore:
             raise DanglingConditionRefError(
                 f"policy {name!r} references non-condition nodes: {names}"
             )
+        compound = compound if any(compound) else _NO_COMPOUND
         policy = Policy(name, decision, score or 0, len(self._policies), nodes, compound)
         self._policies[name] = policy
         return policy

@@ -247,12 +247,18 @@ class TestNestingBound:
     def test_part_types_are_checked_within_the_bound(self, healthcare):
         # A part of the wrong type within MAX_NESTING levels is reported
         # before the depth; one further down makes the condition too deep.
+        # So is one within the bound only through a shared part that is met
+        # first at the bound.  Of several, the first in depth-first,
+        # left-to-right order is named.
         g = healthcare.graph
         store = PolicyStore(g)
         too_deep = _nested(ref_to(g, "Doctor"), MAX_NESTING + 5, "not")
+        shared = Not(5)
         for expr, error in (
             (_nested(5, MAX_NESTING, "not"), "condition part of type int"),
             (And((too_deep, Not(5))), "condition part of type int"),
+            (And((_nested(shared, MAX_NESTING - 1, "not"), shared)), "condition part of type int"),
+            (And((Not(5), "x")), "condition part of type int"),
             (_nested(5, MAX_NESTING + 1, "not"), "deeper than"),
         ):
             with pytest.raises(PolicyError, match=error):
