@@ -25,7 +25,6 @@ import sys
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .combine import ALGORITHM_NAMES, CombiningAlgorithm, EvaluationResult, evaluate
-from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_policies
 from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, query_closures
@@ -135,6 +134,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export_cypher(args) -> int:
+    # Imported here: no other command writes Cypher.
+    from .cypher import emit_cypher_data, emit_cypher_decision_query, emit_cypher_policies
+
     model = _load(args.model)
     try:
         if args.what == "data":

@@ -32,6 +32,12 @@ one (a policy's keyword after the names inside it); no table of line
 starts is kept.  Lines end at ``\\n`` and count from 1, and every other
 character, ``\\r`` and tab included, is one column.
 
+The syntax tree and the load records are slotted records (see
+``records.py``): ``NameRef``, ``NotExpr``, ``AndExpr`` and ``OrExpr`` are
+frozen and hash by their fields; the declarations, ``ModelError``,
+``ModelDocument`` and ``LoadedModel`` compare by their fields but do not
+hash.
+
 The parser hands each declaration, as soon as it is complete, to a sink.
 ``parse_model`` appends them to a ``ModelDocument``.  ``load_model`` and
 ``load_model_file`` hand them to ``_ModelBuilder``, which loads the model
@@ -51,8 +57,6 @@ has none.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from importlib import resources
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -74,6 +78,7 @@ from .policy import (
     PolicyStore,
     Ref,
 )
+from .records import FrozenRecord, Record, _set
 
 MODEL_FILE_EXTENSION = ".abac"
 
@@ -95,76 +100,90 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # -- syntax tree ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
-    line: int = 0
-    col: int = 0
+class NameRef(FrozenRecord):
+    __slots__ = ("name", "line", "col")
+
+    def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
+        _set(self, "name", name)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
-@dataclass(frozen=True)
-class NotExpr:
-    inner: "ExprDecl"
+class NotExpr(FrozenRecord):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: ExprDecl) -> None:
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class AndExpr:
-    children: tuple["ExprDecl", ...]
+class AndExpr(FrozenRecord):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[ExprDecl, ...]) -> None:
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class OrExpr:
-    children: tuple["ExprDecl", ...]
+class OrExpr(FrozenRecord):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[ExprDecl, ...]) -> None:
+        _set(self, "children", children)
 
 
 ExprDecl = Union[NameRef, NotExpr, AndExpr, OrExpr]
 
 
-@dataclass
-class NodeDecl:
-    name: str
-    labels: tuple[str, ...]
-    properties: dict[str, Scalar]
-    line: int = 0
-    col: int = 0
+class NodeDecl(Record):
+    __slots__ = ("name", "labels", "properties", "line", "col")
+
+    def __init__(
+        self, name: str, labels: tuple[str, ...], properties: dict, line: int = 0, col: int = 0
+    ) -> None:
+        self.name, self.labels, self.properties = name, labels, properties
+        self.line, self.col = line, col
 
 
-@dataclass
-class EdgeDecl:
-    src: str
-    rel_type: str
-    dst: str
-    line: int = 0
-    col: int = 0
+class EdgeDecl(Record):
+    __slots__ = ("src", "rel_type", "dst", "line", "col")
+
+    def __init__(self, src: str, rel_type: str, dst: str, line: int = 0, col: int = 0) -> None:
+        self.src, self.rel_type, self.dst, self.line, self.col = src, rel_type, dst, line, col
 
 
-@dataclass
-class PolicyDecl:
-    name: str
-    decision: Decision
-    score: Optional[int]
-    slots: dict[ConditionType, list[ExprDecl]]
-    line: int = 0
-    col: int = 0
+class PolicyDecl(Record):
+    __slots__ = ("name", "decision", "score", "slots", "line", "col")
+
+    def __init__(
+        self,
+        name: str,
+        decision: Decision,
+        score: Optional[int],
+        slots: dict[ConditionType, list[ExprDecl]],
+        line: int = 0,
+        col: int = 0,
+    ) -> None:
+        self.name, self.decision, self.score, self.slots = name, decision, score, slots
+        self.line, self.col = line, col
 
 
-@dataclass
-class ModelError:
-    line: int
-    col: int
-    message: str
-    kind: str = "syntax"  # syntax | graph | policy
+class ModelError(Record):
+    __slots__ = ("line", "col", "message", "kind")
+
+    def __init__(self, line: int, col: int, message: str, kind: str = "syntax") -> None:
+        # kind: syntax | graph | policy
+        self.line, self.col, self.message, self.kind = line, col, message, kind
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass
-class ModelDocument:
-    nodes: list[NodeDecl] = field(default_factory=list)
-    edges: list[EdgeDecl] = field(default_factory=list)
-    policies: list[PolicyDecl] = field(default_factory=list)
-    errors: list[ModelError] = field(default_factory=list)
+class ModelDocument(Record):
+    __slots__ = ("nodes", "edges", "policies", "errors")
+
+    def __init__(self, nodes=None, edges=None, policies=None, errors=None) -> None:
+        # A list not given is the document's own.
+        lists = ([] if given is None else given for given in (nodes, edges, policies, errors))
+        self.nodes, self.edges, self.policies, self.errors = lists
 
 
 class ModelLoadError(AbacError):
@@ -173,10 +192,11 @@ class ModelLoadError(AbacError):
         self.errors = errors
 
 
-@dataclass
-class LoadedModel:
-    graph: Graph
-    policies: PolicyStore
+class LoadedModel(Record):
+    __slots__ = ("graph", "policies")
+
+    def __init__(self, graph: Graph, policies: PolicyStore) -> None:
+        self.graph, self.policies = graph, policies
 
 
 # -- lexer and parser -------------------------------------------------
@@ -719,6 +739,9 @@ def serialize_model(doc: ModelDocument) -> str:
 
 
 def bundled_model_text(name: str = "healthcare") -> str:
+    # Imported here: only the bundled model reads package data.
+    from importlib import resources
+
     return (
         resources.files("graphabac.data")
         .joinpath(name + MODEL_FILE_EXTENSION)

@@ -9,10 +9,10 @@ The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
 concurrently.
 
-A ``Node`` is a slotted, frozen record.  Nodes with equal label lists
-share one labels tuple, and a node's properties are a read-only
-``MappingProxyType`` over the graph's own copy of them; every node
-declared without properties shares one empty mapping.
+A ``Node`` is a slotted, frozen record (see ``records.py``).  Nodes with
+equal label lists share one labels tuple, and a node's properties are a
+read-only ``MappingProxyType`` over the graph's own copy of them; every
+node declared without properties shares one empty mapping.
 
 Each ``HAS_ATTR`` edge is stored once, in a per-node list of children
 indexed by ref.  While the graph is built a node's children are a set;
@@ -37,7 +37,6 @@ for that slot's condition nodes, and no query changes them (see
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
@@ -51,6 +50,7 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
+from .records import FrozenRecord, _set
 
 NodeRef = int
 Scalar = Union[str, int, float, bool]
@@ -68,13 +68,21 @@ POLICY_LABEL = "Policy"
 _NO_PROPERTIES: Mapping[str, Scalar] = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    ref: NodeRef
-    name: str
-    labels: tuple[str, ...]
-    # Read-only: a MappingProxyType over the graph's own copy.
-    properties: Mapping[str, Scalar] = field(default_factory=lambda: _NO_PROPERTIES)
+class Node(FrozenRecord):
+    __slots__ = ("ref", "name", "labels", "properties")
+
+    def __init__(
+        self,
+        ref: NodeRef,
+        name: str,
+        labels: tuple[str, ...],
+        # Read-only: a MappingProxyType over the graph's own copy.
+        properties: Mapping[str, Scalar] = _NO_PROPERTIES,
+    ) -> None:
+        _set(self, "ref", ref)
+        _set(self, "name", name)
+        _set(self, "labels", labels)
+        _set(self, "properties", properties)
 
     def has_label(self, label: str) -> bool:
         return label in self.labels

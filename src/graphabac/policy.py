@@ -83,7 +83,9 @@ built by one ``Graph.trimmed_adjacency`` call.  A snapshot holds only what
 a query reads: ``keys``, ``residual`` and ``adjacency``, besides the
 policies themselves.
 ``Ref``, ``Not``, ``And``, ``Or`` and ``Policy`` are slotted records, with
-no per-instance dict.
+no per-instance dict (see ``records.py``): the condition expressions are
+frozen and hash by their fields, and a ``Policy`` compares by its fields
+but does not hash.
 
 ``create_policy`` validates and compiles before it inserts, so a rejected
 policy leaves no trace.  ``policies()`` builds the snapshot, which needs a
@@ -103,7 +105,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -116,6 +117,7 @@ from .errors import (
     UnknownPolicyError,
 )
 from .graph import Graph, NodeRef, POLICY_LABEL
+from .records import FrozenRecord, Record, _set
 
 # The deepest nesting of Not/And/Or one condition may have: a Ref alone is
 # 0 levels, Not(Ref) is 1.  The .abac parser counts `not` and `(` the same.
@@ -147,37 +149,41 @@ class Decision(enum.Enum):
     DENY = "Deny"
 
 
-class ConditionExpr:
+class ConditionExpr(FrozenRecord):
     """Base of the condition expression tree."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Ref(ConditionExpr):
-    node: NodeRef
+    __slots__ = ("node",)
+
+    def __init__(self, node: NodeRef) -> None:
+        _set(self, "node", node)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(ConditionExpr):
-    inner: ConditionExpr
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: ConditionExpr) -> None:
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
 class And(ConditionExpr):
-    children: tuple[ConditionExpr, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[ConditionExpr, ...]) -> None:
+        _set(self, "children", children)
+        if len(children) < 2:
             raise ValueError("And requires at least two children")
 
 
-@dataclass(frozen=True, slots=True)
 class Or(ConditionExpr):
-    children: tuple[ConditionExpr, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[ConditionExpr, ...]) -> None:
+        _set(self, "children", children)
+        if len(children) < 2:
             raise ValueError("Or requires at least two children")
 
 
@@ -287,14 +293,14 @@ def leaf_nodes(compiled: CompiledSlot) -> list[NodeRef]:
     return [arg for op, arg in compiled[1] if op == REF] if compiled else []
 
 
-@dataclass(slots=True)
-class Policy:
-    name: str
-    decision: Decision
-    score: int
-    seq: int
-    nodes: Slots
-    compound: tuple[CompiledSlot, ...]
+class Policy(Record):
+    __slots__ = ("name", "decision", "score", "seq", "nodes", "compound")
+
+    def __init__(
+        self, name: str, decision: Decision, score: int, seq: int, nodes: Slots, compound: tuple
+    ) -> None:
+        self.name, self.decision, self.score, self.seq = name, decision, score, seq
+        self.nodes, self.compound = nodes, compound
 
     @property
     def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:

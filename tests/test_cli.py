@@ -113,6 +113,33 @@ runpy.run_module("graphabac", run_name="__main__")
         assert modules <= set(proc.stderr.split()), proc.stderr
         assert (proc.returncode, proc.stdout.strip()) == (0, "Permit")
 
+    def test_start_up_imports_only_what_a_decision_needs(self):
+        # Under -I -S nothing outside the standard library and the package
+        # is imported first, so the modules left out are left out by the
+        # package itself; those that read the bundled model or write Cypher
+        # still work when asked.
+        package = os.path.dirname(cli.__file__)
+        model = os.path.join(package, "data", "healthcare.abac")
+        script = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(package)!r})
+import graphabac.cli
+unused = ["dataclasses", "inspect", "importlib.resources", "graphabac.cypher"]
+print(*[m for m in unused if m in sys.modules])
+from graphabac.dsl import load_bundled_model
+print(len(load_bundled_model().policies), flush=True)
+sys.exit(graphabac.cli.main(["export-cypher", {model!r}, "--what", "policies"]))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        loaded, bundled, cypher = proc.stdout.split("\n", 2)
+        assert loaded == "", f"imported at start-up: {loaded}"
+        assert bundled == "3"
+        code, expected, _ = run_cli(["export-cypher", model, "--what", "policies"])
+        assert (code, cypher) == (0, expected)
+
 
 class TestExplain:
     def test_reports_lengths(self, model_path, capsys):

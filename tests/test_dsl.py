@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from bisect import bisect_right
 import tracemalloc
@@ -17,7 +19,16 @@ from graphabac import (
     parse_model,
     serialize_model,
 )
-from graphabac.dsl import MAX_NESTING, NameRef, NotExpr, OrExpr, _locator, load_document
+from graphabac.dsl import (
+    MAX_NESTING,
+    ModelError,
+    NameRef,
+    NotExpr,
+    OrExpr,
+    _locator,
+    load_document,
+)
+from graphabac.policy import And, Not, Or, Ref
 
 from randdocs import MALFORMED_CORPUS, random_document
 
@@ -521,3 +532,25 @@ def test_position_parity_with_bisect(order):
         offsets = rng.sample(offsets, len(offsets)) + rng.choices(offsets, k=200)
     where = _locator(text)
     assert [where(o) for o in offsets] == [_bisect_position(text, o) for o in offsets]
+
+
+def test_syntax_tree_and_load_records_have_no_instance_dict(healthcare_text):
+    doc = parse_model(healthcare_text)
+    records = [doc, doc.nodes[0], doc.edges[0], doc.policies[0], load_model(healthcare_text)]
+    records += [ModelError(1, 1, "m"), NameRef("a"), NotExpr(NameRef("a"))]
+    records.append(OrExpr((NameRef("a"), NameRef("b"))))
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_records_survive_copy_and_pickle(healthcare_text):
+    doc = parse_model(healthcare_text)
+    policy = load_model(healthcare_text).policies.get("Policy2")
+    records = [doc, doc.policies[0], ModelError(1, 2, "m", "graph"), NameRef("a", 1, 2)]
+    records += [OrExpr((NameRef("a"), NotExpr(NameRef("b")))), policy]
+    records.append(And((Ref(1), Not(Or((Ref(2), Ref(3)))))))
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
+    frozen = NameRef("a", 1, 2)
+    assert copy.copy(frozen) == frozen and hash(copy.deepcopy(frozen)) == hash(frozen)
