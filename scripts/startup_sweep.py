@@ -12,6 +12,10 @@ puts the copy first on `sys.path` and then does one of:
 - `import`: `import graphabac.cli`;
 - `check`: `graphabac check` on the bundled healthcare model, `John Write
   MR_1234`, which must print `Permit`;
+- `check_graph_deep`, `check_policy_scan`: `graphabac check` on the seed-1
+  model of that benchmark workload, built with `bench/workloads.build`, for
+  the first of its requests that `bench/reference.py` answers `Permit` under
+  the default algorithm; it must print `Permit`;
 - `serve`: `graphabac serve` on the same model, timed from spawn to its
   reply to one request, which must be a Permit; then its peak resident
   set, `VmHWM`, is read before its input is closed.
@@ -32,7 +36,8 @@ loop timed before and after, so a later run can be scaled to this one.
 
 It times whichever graphabac is first on PYTHONPATH, so pointing
 PYTHONPATH at another source tree times that tree.  The default run takes
-about 10 s on a 2-vCPU VM with CPython 3.11.
+about 80 s on a 2-vCPU VM with CPython 3.11, most of it in the two
+benchmark models' `check`s.
 """
 
 from __future__ import annotations
@@ -52,24 +57,52 @@ import graphabac
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "bench")]
+import workloads  # noqa: E402
+from reference import Reference  # noqa: E402
 from run import Serve, calib_ms, percentile, pin_to_one_cpu  # noqa: E402
 
 MODES = {"isolated": ["-B", "-I", "-S"], "site": ["-B"]}
 QUERY = ["John", "Write", "MR_1234"]
+BENCH_MODELS = ("graph-deep", "policy-scan")
+BENCH_SEED = 1
 REQUEST = json.dumps({"id": "1", "subject": "John", "action": "Write", "object": "MR_1234"})
 
 
-def scripts(src: str, model: str) -> dict[str, str]:
+def bench_models(work: str, healthcare_text: str) -> dict[str, tuple[str, list[str]]]:
+    """Each benchmark model written to ``work``: its path, and the first of
+    its requests that the reference answers Permit under the default
+    algorithm."""
+    models = {}
+    for name in BENCH_MODELS:
+        wl = workloads.build(name, BENCH_SEED, healthcare_text)
+        ref = Reference(wl.spec)
+        query = next(
+            list(r.query[:3]) for r in wl.requests
+            if r.query and ref.decide(*r.query[:3], "deny-overrides")[0] == "Permit"
+        )
+        path = os.path.join(work, f"{name}.abac")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(wl.model_text)
+        models[name] = (path, query)
+    return models
+
+
+def scripts(src: str, model: str, bench: dict[str, tuple[str, list[str]]]) -> dict[str, str]:
     """The `-c` program of each case, over the copy of the package in ``src``."""
     prefix = f"import sys; sys.path.insert(0, {src!r})"
     main = "from graphabac.cli import main; sys.exit(main({}))"
-    return {
+    programs = {
         "bare": prefix,
         "typing": f"{prefix}; import typing",
         "import": f"{prefix}; import graphabac.cli",
         "check": f"{prefix}; {main.format(['check', model, *QUERY])}",
         "serve": f"{prefix}; {main.format(['serve', model])}",
     }
+    for name, (path, query) in bench.items():
+        programs["check_" + name.replace("-", "_")] = (
+            f"{prefix}; {main.format(['check', path, *query])}"
+        )
+    return programs
 
 
 def run_once(flags: list[str], program: str) -> float:
@@ -105,8 +138,8 @@ def spread(values: list[float]) -> dict:
     }
 
 
-def measure(src: str, model: str, runs: int) -> dict:
-    programs = scripts(src, model)
+def measure(src: str, model: str, bench: dict[str, tuple[str, list[str]]], runs: int) -> dict:
+    programs = scripts(src, model, bench)
     times = {mode: {case: [] for case in programs} for mode in MODES}
     rss: dict[str, list[float]] = {mode: [] for mode in MODES}
     # One untimed round, so the interpreter's own files are in the page cache.
@@ -144,11 +177,17 @@ def main(argv: list[str] | None = None) -> int:
         copy = os.path.join(work, "graphabac")
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
         model = os.path.join(copy, "data", "healthcare.abac")
-        modes = measure(work, model, args.runs)
+        with open(model, encoding="utf-8") as fh:
+            bench = bench_models(work, fh.read())
+        modes = measure(work, model, bench, args.runs)
     calib.append(calib_ms())
     report = {
         "script": "scripts/startup_sweep.py",
         "model": "bundled healthcare model, check and serve on John Write MR_1234",
+        "bench_models": {
+            name: f"seed {BENCH_SEED}, check on {' '.join(query)}"
+            for name, (_, query) in bench.items()
+        },
         "runs": args.runs,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -161,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{mode}: bare {figures['bare_ms']['p50']} ms, import {figures['import_ms']['p50']} ms, "
             f"check {figures['check_ms']['p50']} ms, serve {figures['serve_ms']['p50']} ms, "
-            f"serve VmHWM {figures['serve_vmhwm_mb']['p50']} MB",
+            f"serve VmHWM {figures['serve_vmhwm_mb']['p50']} MB, check graph-deep "
+            f"{figures['check_graph_deep_ms']['p50']} ms, check policy-scan "
+            f"{figures['check_policy_scan_ms']['p50']} ms",
             file=sys.stderr,
         )
     out = json.dumps(report, indent=2) + "\n"

@@ -32,6 +32,26 @@ one (a policy's keyword after the names inside it); no table of line
 starts is kept.  Lines end at ``\\n`` and count from 1, and every other
 character, ``\\r`` and tab included, is one column.
 
+Most statements are never lexed.  At each statement keyword the parser first
+tries one anchored ``re.match`` of the statement's plain form:
+
+    node NAME : LABEL
+    edge NAME -[TYPE]-> NAME
+    policy NAME (permit | deny) [score INT] { slot: NAME; ... }
+
+where every condition is a name, bare or quoted with no backslash, and only
+whitespace separates the tokens.  A plain statement is taken only when it
+is followed, after whitespace and comments,
+by a whole-word ``node``, ``edge`` or ``policy`` or by the end of input,
+where the token parser would end it too.  A match makes the declaration the
+token parser would, with the same positions, and hands it to the same
+sink; the lexer restarts after the last statement read this way.  Anything
+else goes to the token parser from the statement's keyword: properties, a
+second label, ``not``/``and``/``or``, a string with a backslash, a keyword
+where a name goes, a comment inside the statement, and all malformed text,
+so every error comes from the token parser.  The input alone picks the
+path.
+
 The syntax tree and the load records are slotted records (see
 ``records.py``): ``NameRef``, ``NotExpr``, ``AndExpr`` and ``OrExpr`` are
 frozen and hash by their fields; the declarations, ``ModelError``,
@@ -222,6 +242,79 @@ _TOKEN_RE = re.compile(
 # group 1 is a valid escaped character, group 2 an invalid one.
 _ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 
+# The plain statement forms, each read with one anchored match (see the
+# module docstring).  A pattern is tried only where its keyword is a whole
+# word: at a keyword token, or where the last match's lookahead found one.
+# Under re.ASCII, \w is the lexer's identifier character and \b ends a word
+# where the lexer's IDENT ends, so a match splits the text into the lexer's
+# tokens, and it matches no text the lexer reports an error in.  A comment
+# runs to the end of its line whatever backtracking tries.  No pattern nests
+# a repeat, so a failing match backtracks in linear time.  A name may match a
+# keyword; the declaration functions check that, and a quoted name holds no
+# quote, so strip('"') unquotes it.
+_WS = r"[ \t\r\n]*"
+_NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
+_NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>node|edge|policy)\b|\Z)"
+_SLOT = rf"(?:subject|action|object){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
+_PLAIN_NODE_RE = re.compile(
+    rf"node{_WS}(?P<name>{_NAME}){_WS}:{_WS}(?P<label>[A-Za-z_]\w*\b){_NEXT}", re.ASCII
+)
+_PLAIN_EDGE_RE = re.compile(
+    rf"edge{_WS}(?P<src>{_NAME}){_WS}-\[{_WS}(?P<rel>[A-Za-z_]\w*){_WS}\]->{_WS}"
+    rf"(?P<dst>{_NAME}){_NEXT}",
+    re.ASCII,
+)
+_PLAIN_POLICY_RE = re.compile(
+    rf"policy{_WS}(?P<name>{_NAME}){_WS}(?P<decision>permit|deny)\b{_WS}"
+    rf"(?:score\b{_WS}(?P<score>-?[0-9]+){_WS})?"
+    rf"\{{(?P<body>(?:{_WS}{_SLOT}(?:{_WS};)?)+){_WS}\}}{_NEXT}",
+    re.ASCII,
+)
+# In a matched policy body, a slot keyword is the word before a colon; every
+# other word or string is a name.
+_BODY_ITEM_RE = re.compile(r'(subject|action|object)[ \t\r\n]*:|(\w+)|"([^"\\\n]*)"', re.ASCII)
+
+
+def _plain_node(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[NodeDecl]:
+    name, label = m.group("name", "label")
+    if name in KEYWORDS or label in KEYWORDS:
+        return None
+    return NodeDecl(name.strip('"'), (label,), {}, *where(m.start()))
+
+
+def _plain_edge(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[EdgeDecl]:
+    src, rel, dst = m.group("src", "rel", "dst")
+    if src in KEYWORDS or dst in KEYWORDS:
+        return None
+    return EdgeDecl(src.strip('"'), rel, dst.strip('"'), *where(m.start()))
+
+
+def _plain_policy(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[PolicyDecl]:
+    name = m["name"]
+    if name in KEYWORDS:
+        return None
+    slots: dict[ConditionType, list[ExprDecl]] = {}
+    for item in _BODY_ITEM_RE.finditer(m.string, m.start("body"), m.end("body")):
+        slot, word, quoted = item.groups()
+        if slot is not None:
+            exprs = slots.setdefault(_SLOT_TYPES[slot], [])
+        elif word in KEYWORDS:
+            return None
+        else:
+            exprs.append(NameRef(word or quoted, *where(item.start())))
+    decision = Decision.PERMIT if m["decision"] == "permit" else Decision.DENY
+    score = None if m["score"] is None else int(m["score"])
+    return PolicyDecl(name.strip('"'), decision, score, slots, *where(m.start()))
+
+
+# Statement keyword -> (its pattern's match, the declaration a match makes,
+# or None if a name in it is a keyword).
+_PLAIN_FORMS = {
+    "node": (_PLAIN_NODE_RE.match, _plain_node),
+    "edge": (_PLAIN_EDGE_RE.match, _plain_edge),
+    "policy": (_PLAIN_POLICY_RE.match, _plain_policy),
+}
+
 
 def _locator(text: str) -> Callable[[int], tuple[int, int]]:
     """Map a character offset into ``text`` to its 1-based (line, column).
@@ -252,11 +345,11 @@ def _locator(text: str) -> Callable[[int], tuple[int, int]]:
 
 
 def _lex(
-    text: str, errors: list[ModelError], where: Callable[[int], tuple[int, int]]
+    text: str, errors: list[ModelError], where: Callable[[int], tuple[int, int]], pos: int = 0
 ) -> Iterator[tuple[str, str, int]]:
-    """Yield ``(kind, value, offset)`` per token, then ``EOF``; lexer errors
-    go to ``errors`` as the scan reaches them."""
-    for m in _TOKEN_RE.finditer(text):
+    """Yield ``(kind, value, offset)`` per token from ``pos``, then ``EOF``;
+    lexer errors go to ``errors`` as the scan reaches them."""
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind == "SKIP":
             continue
@@ -292,11 +385,16 @@ class _TooDeep(Exception):
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.errors: list[ModelError] = []
         self.where = _locator(text)
+        self.lex_from(0)
+
+    def lex_from(self, pos: int) -> None:
+        """(Re)start the token stream at ``pos`` and read its first token."""
         # The token stream holds no reference back to the parser, so the
         # scan state is freed with the parser, not at a cyclic collection.
-        self._next = _lex(text, self.errors, self.where).__next__
+        self._next = _lex(self.text, self.errors, self.where, pos).__next__
         self.tok = self._next()
 
     def advance(self) -> tuple[str, str, int]:
@@ -352,7 +450,11 @@ class _Parser:
     ) -> list[ModelError]:
         """Hand each complete declaration to its callback, in source order,
         and return the syntax errors sorted by position."""
-        while self.tok[0] != "EOF":
+        sinks = {"node": on_node, "edge": on_edge, "policy": on_policy}
+        while True:
+            self.parse_plain(sinks)
+            if self.tok[0] == "EOF":
+                break
             try:
                 if self.at_keyword("node"):
                     on_node(self.parse_node())
@@ -374,6 +476,23 @@ class _Parser:
         # could fail on the token there.
         self.errors.sort(key=lambda e: (e.line, e.col))
         return self.errors
+
+    def parse_plain(self, sinks: dict[str, Callable]) -> None:
+        """Read the statements from the lookahead on, while each has a plain
+        form, with one match each, and restart the lexer after the last one
+        read; the lookahead then starts no plain statement."""
+        kind, word, start = self.tok
+        end = start
+        while kind == "IDENT" and word in _PLAIN_FORMS:
+            match, declare = _PLAIN_FORMS[word]
+            m = match(self.text, end)
+            decl = None if m is None else declare(m, self.where)
+            if decl is None:
+                break
+            sinks[word](decl)
+            end, word = m.end(), m["next"]
+        if end != start:
+            self.lex_from(end)
 
     def parse_node(self) -> NodeDecl:
         kw = self.expect_keyword("node")

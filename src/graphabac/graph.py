@@ -9,7 +9,8 @@ The graph is built single-threaded, then frozen.  After ``freeze()`` every
 mutator raises and any number of threads may run reachability queries
 concurrently.
 
-A ``Node`` is a slotted, frozen record (see ``records.py``).  Nodes with
+A ``Node`` is a slotted, frozen record (see ``records.py``) that hashes by
+its ref, name and labels, since its properties do not hash.  Nodes with
 equal label lists share one labels tuple, and a node's properties are a
 read-only ``MappingProxyType`` over the graph's own copy of them; every
 node declared without properties shares one empty mapping.
@@ -83,6 +84,11 @@ class Node(FrozenRecord):
         _set(self, "name", name)
         _set(self, "labels", labels)
         _set(self, "properties", properties)
+
+    def __hash__(self) -> int:
+        # The properties are a mappingproxy, which does not hash; nodes equal
+        # by every field are equal by these.
+        return hash((self.ref, self.name, self.labels))
 
     def has_label(self, label: str) -> bool:
         return label in self.labels
@@ -178,6 +184,11 @@ class Graph:
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes)
+
+    def node_table(self) -> Sequence[Node]:
+        """Every node, indexed by ref, with no check per read: the graph's
+        own list, which callers must not change."""
+        return self._nodes
 
     def edges(self) -> Iterator[tuple[NodeRef, str, NodeRef]]:
         """Every edge as (source, type, target), by source ref, then type, then target ref."""

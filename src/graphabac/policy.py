@@ -411,14 +411,15 @@ class PolicyStore:
         missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
         if missing:
             raise MissingConditionTypeError(name, missing)
-        graph = self.graph
+        table = self.graph.node_table()
+        count = len(table)
         dangling: set[str] = set()
         for node in itertools.chain(*nodes, *map(leaf_nodes, compound)):
             # A bool is an int, and 1.0 == 1; neither names a node.
-            if type(node) is not int or not 0 <= node < graph.node_count():
+            if type(node) is not int or not 0 <= node < count:
                 dangling.add(f"node#{node!r}")
-            elif graph.node(node).has_label(POLICY_LABEL):
-                dangling.add(graph.node(node).name)
+            elif POLICY_LABEL in table[node].labels:
+                dangling.add(table[node].name)
         if dangling:
             names = ", ".join(sorted(dangling))
             raise DanglingConditionRefError(

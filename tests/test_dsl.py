@@ -5,6 +5,7 @@ import random
 from bisect import bisect_right
 import tracemalloc
 import weakref
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from graphabac import (
     parse_model,
     serialize_model,
 )
+from graphabac import dsl
 from graphabac.dsl import (
     MAX_NESTING,
     ModelError,
@@ -198,6 +200,73 @@ class TestMalformedInputs:
             assert err.message
 
 
+# Texts that start with a plain statement form but must not be read as one
+# (see the dsl module docstring), with the errors the token parser reports.
+PLAIN_FORM_PITFALLS = [
+    pytest.param(
+        "node a : L\npolicypol10 permit { subject: a; action: a; object: a; }\n",
+        [(2, 1, "expected 'node', 'edge' or 'policy', found 'policypol10'")],
+        id="keyword-ends-at-word-boundary",
+    ),
+    pytest.param(
+        "node a : Lnode\n"
+        "policy P denyscore 5 { subject: a; action: a; object: a; }\n"
+        "policy Q permit score5 { subject: a; action: a; object: a; }\n"
+        "edge a -[T]-> bedge\n",
+        [
+            (2, 10, "expected 'permit' or 'deny', found 'denyscore'"),
+            (3, 17, "expected '{', found 'score5'"),
+        ],
+        id="words-end-where-the-lexer-ends-them",
+    ),
+    pytest.param(
+        "node #cp12 : L\nnode b : M #node\n: c\n",
+        [
+            (2, 1, "expected a name, found 'node'"),
+            (3, 1, "expected 'node', 'edge' or 'policy', found ':'"),
+        ],
+        id="comment-runs-to-newline",
+    ),
+    pytest.param(
+        "node John : SubjectATTR]-, User, Primitive\n",
+        [(1, 24, "unexpected character ']'"), (1, 25, "unexpected character '-'")],
+        id="lexer-error-after-plain-prefix",
+    ),
+    pytest.param(
+        "node aé : L\nedge a -[T]-> bé\npolicy P permit { subject: aé; action: a; object: a; }\n",
+        [
+            (1, 7, "unexpected character 'é'"),
+            (2, 16, "unexpected character 'é'"),
+            (3, 29, "unexpected character 'é'"),
+        ],
+        id="non-ascii-letter-ends-a-word",
+    ),
+    pytest.param(
+        'node a : L\n"a\\qb" node b : M\n',
+        [
+            (2, 1, "invalid escape sequence \\q"),
+            (2, 1, "expected 'node', 'edge' or 'policy', found 'ab'"),
+        ],
+        id="escape-error-in-lookahead-once",
+    ),
+    pytest.param(
+        "node score : M\nnode a : not\nedge b -[node]-> node\nnode c : L\n"
+        "policy subject permit { subject: a; action: b; object: c; }\n"
+        "policy P permit { subject: a; true; }\npolicy Q permit { subject: a; subject; }\n",
+        [
+            (1, 6, "expected a name, found 'score'"),
+            (2, 10, "expected a label, found 'not'"),
+            (3, 18, "expected a name, found 'node'"),
+            (4, 1, "expected a name, found 'node'"),
+            (5, 8, "expected a name, found 'subject'"),
+            (6, 31, "expected 'subject' or 'action' or 'object', found 'true'"),
+            (7, 38, "expected ':', found ';'"),
+        ],
+        id="keyword-as-name",
+    ),
+]
+
+
 class TestErrorPositions:
     # (line, col, message) of every error, in order.  Lines end at "\n"
     # only; "\r" and tab are one column each.
@@ -244,6 +313,7 @@ class TestErrorPositions:
                 ],
                 id="lexer-error-first",
             ),
+            *PLAIN_FORM_PITFALLS,
         ],
     )
     def test_exact_positions(self, text, expected):
@@ -502,6 +572,105 @@ def _traced_peak(fn, arg):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# -- plain statements, one match each ------------------------------------
+
+
+def _parse_and_load(text):
+    return parse_model(text), _load_outcome(load_model, text)
+
+
+def _token_parser_only(text):
+    # With no plain forms, every statement goes through the token parser.
+    with mock.patch.dict(dsl._PLAIN_FORMS, clear=True):
+        return _parse_and_load(text)
+
+
+def _counting_plain_forms(taken):
+    """The plain forms, each counting in ``taken`` the statements it reads."""
+
+    def counted(match, declare):
+        def declare_and_count(m, where):
+            taken[0] += 1
+            return declare(m, where)
+
+        return match, declare_and_count
+
+    return {word: counted(*form) for word, form in dsl._PLAIN_FORMS.items()}
+
+
+def _bench_layout_text(rng):
+    """A small model laid out as the benchmark's generator writes one: one
+    label a node, and policies with a score and one slot a line, some of
+    them compound."""
+    names = [f"p{i}" for i in range(4)] + [f"a{i}_{i * 7}" for i in range(6)]
+    lines = [f"node {n} : {'Primitive' if n[0] == 'p' else 'Attribute'}" for n in names]
+    for _ in range(12):
+        i, j = sorted(rng.sample(range(len(names)), 2))
+        lines.append(f"edge {names[i]} -[HAS_ATTR]-> {names[j]}")
+    for p in range(3):
+        lines.append(f"policy pol{p} {rng.choice(('permit', 'deny'))} score {p} {{")
+        for slot in ("subject", "action", "object"):
+            exprs = rng.sample(names, rng.randint(1, 3))
+            if rng.random() < 0.1:
+                exprs[-1] = f"({exprs[-1]} or {rng.choice(names)})"
+            lines.append(f"    {slot}: " + "; ".join(exprs) + ";")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# Spliced into texts by _spliced: statement and other keywords, a word that
+# starts with one, comments, quotes and escapes, punctuation, whitespace the
+# lexer skips and some it rejects, and nothing (a deletion).
+_FRAGMENTS = [
+    "node", "edge", "policy", "policypol10", "not", "and", "or", "score 3", "score",
+    "permit", "deny", "subject:", "true", "#", "# c\n", '"', '"a\\qb"', '""', "\\",
+    ",", ":", ";", "{", "}", "(", ")", "-", "-[", "]->", "]-", "=", "\n", "\r\n",
+    "\t", " ", "\x0c", "é", "7", "_x", "Doctor", "",
+]
+
+
+def _spliced(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.choice((0, 0, 1, 2, 5)))
+        text = text[:i] + rng.choice(_FRAGMENTS) + text[j:]
+    return text
+
+
+def test_plain_forms_agree_with_the_token_parser(healthcare_text):
+    # The same documents, positions, errors and loads as the token parser
+    # alone, on the pitfalls and on mutated healthcare and generated models.
+    rng = random.Random(23)
+    texts = [param.values[0] for param in PLAIN_FORM_PITFALLS]
+    for k in range(2000):
+        text = healthcare_text if k % 2 else _bench_layout_text(rng)
+        if rng.random() < 0.5:
+            text = _mutated(rng, text)
+        texts.append(_spliced(rng, text) if rng.random() < 0.7 else text)
+    taken, statements, failed = [0], 0, 0
+    for text in texts:
+        with mock.patch.dict(dsl._PLAIN_FORMS, _counting_plain_forms(taken)):
+            doc, outcome = _parse_and_load(text)
+        assert (doc, outcome) == _token_parser_only(text), text
+        statements += len(doc.nodes) + len(doc.edges) + len(doc.policies)
+        failed += isinstance(outcome, list)
+    # Each text is read twice, by parse_model and by load_model: over half
+    # of the statements were plain, and both paths saw texts that load and
+    # texts that do not.
+    assert taken[0] > statements
+    assert 200 < failed < len(texts) - 200
+
+
+def test_plain_forms_share_of_the_healthcare_model(healthcare_text):
+    # Its 14 edges, 3 policies and 2 one-label nodes are plain; its other
+    # 15 nodes have more labels.
+    taken = [0]
+    with mock.patch.dict(dsl._PLAIN_FORMS, _counting_plain_forms(taken)):
+        doc = parse_model(healthcare_text)
+    assert doc == _token_parser_only(healthcare_text)[0]
+    assert taken[0] == 19
 
 
 def test_load_peak_below_parse_peak():
