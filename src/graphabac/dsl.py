@@ -52,11 +52,13 @@ where a name goes, a comment inside the statement, and all malformed text,
 so every error comes from the token parser.  The input alone picks the
 path.
 
+A parsed condition is the engine's own ``Not``/``And``/``Or`` (see
+``policy.py``) over ``NameRef`` leaves, so the parser, the loader and the
+store share one expression type; loading swaps each leaf for a ``Ref``.
 The syntax tree and the load records are slotted records (see
-``records.py``): ``NameRef``, ``NotExpr``, ``AndExpr`` and ``OrExpr`` are
-frozen and hash by their fields; the declarations, ``ModelError``,
-``ModelDocument`` and ``LoadedModel`` compare by their fields but do not
-hash.
+``records.py``): ``NameRef`` is frozen and hashes by its fields; the
+declarations, ``ModelError``, ``ModelDocument`` and ``LoadedModel`` compare
+by their fields but do not hash.
 
 The parser hands each declaration, as soon as it is complete, to a sink.
 ``parse_model`` appends them to a ``ModelDocument``.  ``load_model`` and
@@ -97,6 +99,7 @@ from .policy import (
     Or,
     PolicyStore,
     Ref,
+    _children,
 )
 from .records import FrozenRecord, Record, _set
 
@@ -129,28 +132,8 @@ class NameRef(FrozenRecord):
         _set(self, "col", col)
 
 
-class NotExpr(FrozenRecord):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: ExprDecl) -> None:
-        _set(self, "inner", inner)
-
-
-class AndExpr(FrozenRecord):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[ExprDecl, ...]) -> None:
-        _set(self, "children", children)
-
-
-class OrExpr(FrozenRecord):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple[ExprDecl, ...]) -> None:
-        _set(self, "children", children)
-
-
-ExprDecl = Union[NameRef, NotExpr, AndExpr, OrExpr]
+# A condition as parsed: the engine's own expression over NameRef leaves.
+ExprDecl = Union[NameRef, Not, And, Or]
 
 
 class NodeDecl(Record):
@@ -596,7 +579,7 @@ class _Parser:
             if not room:
                 raise _TooDeep
             self.advance()
-            return NotExpr(self.parse_expr(room - 1))
+            return Not(self.parse_expr(room - 1))
         if self.at_punct("("):
             if not room:
                 raise _TooDeep
@@ -617,9 +600,7 @@ class _Parser:
                     self.tok[2], "expected 'and' or 'or' inside parentheses"
                 )
             self.expect_punct(")")
-            if op == "and":
-                return AndExpr(tuple(children))
-            return OrExpr(tuple(children))
+            return (And if op == "and" else Or)(tuple(children))
         _, name, offset = self.parse_name()
         return NameRef(name, *self.where(offset))
 
@@ -751,15 +732,10 @@ def _resolve_expr(
             )
             return None
         return Ref(ref)
-    if isinstance(decl, NotExpr):
-        inner = _resolve_expr(graph, pd, decl.inner, errors)
-        return None if inner is None else Not(inner)
-    children = [_resolve_expr(graph, pd, c, errors) for c in decl.children]
-    if any(c is None for c in children):
+    parts = [_resolve_expr(graph, pd, c, errors) for c in _children(decl)]
+    if any(part is None for part in parts):
         return None
-    if isinstance(decl, AndExpr):
-        return And(tuple(children))
-    return Or(tuple(children))
+    return Not(parts[0]) if isinstance(decl, Not) else type(decl)(tuple(parts))
 
 
 def load_model(text: str) -> LoadedModel:
@@ -790,12 +766,30 @@ def load_model_file(path) -> LoadedModel:
 # -- serialization ----------------------------------------------------
 
 
+def _quote(text: str, what: str) -> str:
+    """``text`` as a double-quoted string; ValueError if it holds a newline,
+    which no string literal can."""
+    if "\n" in text:
+        raise ValueError(f"{what} {text!r} holds a newline")
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def format_name(name: str) -> str:
     """Bare identifier when possible, double-quoted otherwise."""
     if _IDENT_RE.match(name) and name not in KEYWORDS:
         return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _quote(name, "name")
+
+
+def _format_word(word: str, what: str, keyword_ok: bool = True) -> str:
+    """A label, relationship type or property key as the parser reads it;
+    ValueError if it is not an identifier, or a keyword where none goes."""
+    if not _IDENT_RE.match(word):
+        raise ValueError(f"{what} {word!r} is not an identifier")
+    if not keyword_ok and word in KEYWORDS:
+        raise ValueError(f"{what} {word!r} is a keyword")
+    return word
 
 
 def _format_scalar(value: Scalar) -> str:
@@ -804,51 +798,80 @@ def _format_scalar(value: Scalar) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return repr(value)
+        return _quote(value, "string")
+    raise ValueError(f"property value {value!r} is not a bool, int or str")
 
 
 def format_expr(decl: ExprDecl) -> str:
     if isinstance(decl, NameRef):
         return format_name(decl.name)
-    if isinstance(decl, NotExpr):
+    if isinstance(decl, Not):
         return f"not {format_expr(decl.inner)}"
-    op = " and " if isinstance(decl, AndExpr) else " or "
+    op = " and " if isinstance(decl, And) else " or "
     return "(" + op.join(format_expr(c) for c in decl.children) + ")"
+
+
+def _format_node(nd: NodeDecl) -> str:
+    if not nd.labels:
+        raise ValueError("it has no label")
+    text = f"node {format_name(nd.name)} : "
+    text += ", ".join(_format_word(label, "label", keyword_ok=False) for label in nd.labels)
+    if nd.properties:
+        body = ", ".join(
+            f"{_format_word(k, 'property key')} = {_format_scalar(v)}"
+            for k, v in sorted(nd.properties.items())
+        )
+        text += " {" + body + "}"
+    return text
+
+
+def _format_edge(ed: EdgeDecl) -> str:
+    rel_type = _format_word(ed.rel_type, "relationship type")
+    return f"edge {format_name(ed.src)} -[{rel_type}]-> {format_name(ed.dst)}"
+
+
+def _format_policy(pd: PolicyDecl) -> str:
+    head = f"policy {format_name(pd.name)} {pd.decision.value.lower()}"
+    if pd.score is not None:
+        head += f" score {pd.score}"
+    lines = [head + " {"]
+    for ctype in ConditionType:
+        decls = pd.slots.get(ctype)
+        if decls:
+            rendered = sorted(set(format_expr(d) for d in decls))
+            lines.append(f"    {ctype.value}: " + "; ".join(rendered) + ";")
+    if len(lines) == 1:
+        raise ValueError("it has no condition")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _format(decl, what: str, format_decl: Callable) -> str:
+    try:
+        return format_decl(decl)
+    except ValueError as exc:
+        raise ValueError(f"cannot serialize {what}: {exc}") from None
 
 
 def serialize_model(doc: ModelDocument) -> str:
     """Canonical text form: declarations sorted within kind, normalized
-    quoting and whitespace.  Round-trips to an isomorphic model."""
-    lines: list[str] = []
-    for nd in sorted(doc.nodes, key=lambda d: d.name):
-        decl = f"node {format_name(nd.name)} : " + ", ".join(nd.labels)
-        if nd.properties:
-            body = ", ".join(
-                f"{k} = {_format_scalar(v)}" for k, v in sorted(nd.properties.items())
-            )
-            decl += " {" + body + "}"
-        lines.append(decl)
+    quoting and whitespace.  Round-trips to an isomorphic model.
+
+    Raises ValueError, naming the declaration, for one that no text parses
+    back to: a name or string that holds a newline, a property value that is
+    not a ``bool``, ``int`` or ``str``, a node with no label, a label that
+    is a keyword, a label, relationship type or property key that is not an
+    identifier, or a policy with no condition."""
+    lines = [
+        _format(nd, f"node {nd.name!r}", _format_node)
+        for nd in sorted(doc.nodes, key=lambda d: d.name)
+    ]
     if doc.nodes and doc.edges:
         lines.append("")
     for ed in sorted(doc.edges, key=lambda d: (d.src, d.rel_type, d.dst)):
-        lines.append(
-            f"edge {format_name(ed.src)} -[{ed.rel_type}]-> {format_name(ed.dst)}"
-        )
+        lines.append(_format(ed, f"edge {ed.src!r} -[{ed.rel_type!r}]-> {ed.dst!r}", _format_edge))
     for pd in sorted(doc.policies, key=lambda d: d.name):
-        lines.append("")
-        head = f"policy {format_name(pd.name)} {pd.decision.value.lower()}"
-        if pd.score is not None:
-            head += f" score {pd.score}"
-        lines.append(head + " {")
-        for ctype in ConditionType:
-            decls = pd.slots.get(ctype)
-            if not decls:
-                continue
-            rendered = sorted(set(format_expr(d) for d in decls))
-            lines.append(f"    {ctype.value}: " + "; ".join(rendered) + ";")
-        lines.append("}")
+        lines += ["", _format(pd, f"policy {pd.name!r}", _format_policy)]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -857,16 +880,16 @@ def serialize_model(doc: ModelDocument) -> str:
 # -- bundled sample ---------------------------------------------------
 
 
-def bundled_model_text(name: str = "healthcare") -> str:
+# The one model shipped in ``graphabac.data``.
+_BUNDLED_MODEL = "healthcare" + MODEL_FILE_EXTENSION
+
+
+def bundled_model_text() -> str:
     # Imported here: only the bundled model reads package data.
     from importlib import resources
 
-    return (
-        resources.files("graphabac.data")
-        .joinpath(name + MODEL_FILE_EXTENSION)
-        .read_text(encoding="utf-8")
-    )
+    return resources.files("graphabac.data").joinpath(_BUNDLED_MODEL).read_text(encoding="utf-8")
 
 
-def load_bundled_model(name: str = "healthcare") -> LoadedModel:
-    return load_model(bundled_model_text(name))
+def load_bundled_model() -> LoadedModel:
+    return load_model(bundled_model_text())

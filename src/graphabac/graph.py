@@ -155,7 +155,13 @@ class Graph:
         topological order for the passes over the frozen graph.  A cycle
         raises before anything changes, leaving the graph unfrozen."""
         order = self._topological_order()
-        self._attr_depth = self._longest_chain(order)
+        # Each node's longest HAS_ATTR chain from a source, parents first.
+        longest = [0] * len(self._children)
+        for r in order:
+            for dst in self._children[r]:
+                if longest[r] + 1 > longest[dst]:
+                    longest[dst] = longest[r] + 1
+        self._attr_depth = max(longest, default=0)
         self._children = tuple(tuple(children) for children in self._children)
         self._order = array("l", order)
         self._frozen = True
@@ -297,24 +303,7 @@ class Graph:
                 counts[m] += c
         return counts
 
-    def attribute_depth(self) -> int:
-        """Length of the longest simple HAS_ATTR path (longest path on a DAG).
-
-        Raises AttributeCycleError, naming one node on the cycle, if the
-        HAS_ATTR subgraph is not acyclic.
-        """
-        return self._longest_chain(self._topological_order())
-
     # -- internal -----------------------------------------------------
-
-    def _longest_chain(self, order: Sequence[NodeRef]) -> int:
-        adj = self._children
-        longest = [0] * len(adj)
-        for r in order:
-            for dst in adj[r]:
-                if longest[r] + 1 > longest[dst]:
-                    longest[dst] = longest[r] + 1
-        return max(longest, default=0)
 
     def _topological_order(self) -> list[NodeRef]:
         """Every node, each after all of its HAS_ATTR parents (Kahn's

@@ -13,11 +13,11 @@ condition part that is not a ``Ref``, a ``Not``, or an
 ``And``/``Or`` of a tuple, a condition that does not name an attribute or
 primitive node, or a condition that nests ``Not``/``And``/``Or`` more than
 ``MAX_NESTING`` levels deep, so every stored policy is well-formed.
-The oracle, ``Policy.conditions`` and ``dnf_expand`` walk an expression
-recursively, so the bound keeps each of those walks far below the
-interpreter's recursion limit.  ``create_policy`` checks each part's type,
-the depth and the leaf nodes before anything hashes a node, so an
-unhashable node is a dangling condition.
+The oracle and ``Policy.conditions`` walk an expression recursively, so
+the bound keeps each of those walks far below the interpreter's recursion
+limit.  ``create_policy`` checks each part's type, the depth and the leaf
+nodes before anything hashes a node, so an unhashable node is a dangling
+condition.
 
 A policy holds each slot once, compiled by ``_compile_slot``, the one
 place that tells a plain ``Ref`` from a compound expression: ``nodes`` has
@@ -25,12 +25,12 @@ one tuple per slot, in ``_SLOTS`` order, of the nodes its top-level
 ``Ref``s name, and ``compound`` one entry per slot, ``()`` when the slot
 has no ``Not``/``And``/``Or`` expression, else ``(expressions,
 program)``.  The expressions are the slot's distinct compound expressions
-as given, for the readers that want the trees (the oracle,
-``Policy.conditions`` and ``dnf_expand``).  The program is the slot's one
-compiled form: a tuple of ``(op, arg)`` in post order, ``(REF, node)``,
-``(NOT, i)``, ``(AND, (i, ...))`` or ``(OR, (i, ...))``, where each ``i``
-is the position of an earlier op, and whose last op is the ``AND`` of the
-slot's expressions.  Each distinct subexpression is one op, keyed by its
+as given, for the readers that want the trees: the oracle and
+``Policy.conditions``.  The program is the slot's one compiled form: a
+tuple of ``(op, arg)`` in post order, ``(REF, node)``, ``(NOT, i)``,
+``(AND, (i, ...))`` or ``(OR, (i, ...))``, where each ``i`` is the
+position of an earlier op, and whose last op is the ``AND`` of the slot's
+expressions.  Each distinct subexpression is one op, keyed by its
 own tuple, so equal expressions made of distinct objects compile to the
 same op and count as one expression, and the ``REF`` ops' nodes are the
 leaves of the expressions, those under ``Not`` included, each once.
@@ -39,11 +39,11 @@ checks the part types and the depth and builds the program; a part that
 several parents share is compiled once, found by ``id`` (hash-consing,
 Filliâtre and Conchon, ML 2006), and walked again only when met nearer the
 root, so a condition whose paths double at each level costs time linear in
-its objects.  Matching runs the program in one loop, and the snapshot
-build and ``explain`` read the ``REF`` ops' nodes (``leaf_nodes``); none
-of them walks an expression.  A top-level ``Ref`` skips the compiler.  No
-slot holds a repeat, and a stored policy with no compound expression
-shares the one ``_NO_COMPOUND`` tuple.
+its objects.  Matching and ``dnf_expand`` run the program in one loop,
+and the snapshot build and ``explain`` read the ``REF`` ops' nodes
+(``leaf_nodes``); none of them walks an expression.  A top-level ``Ref``
+skips the compiler.  No slot holds a repeat, and a stored policy with no
+compound expression shares the one ``_NO_COMPOUND`` tuple.
 ``create_policy`` makes each slot a tuple once and compiles the tuples it
 checked, so a slot given as a one-shot iterable is read once.
 ``Policy.conditions`` rebuilds the ``{type: frozenset}`` mapping, which
@@ -459,34 +459,35 @@ class PolicyStore:
         return len(self._policies)
 
 
-def _dnf_terms(expr: ConditionExpr) -> list[tuple[NodeRef, ...]]:
-    if isinstance(expr, Ref):
-        return [(expr.node,)]
-    if isinstance(expr, Not):
-        raise NegationNotExpandableError(
-            "cannot expand a NOT condition; rewrite with an explicit Deny policy"
-        )
-    if isinstance(expr, Or):
-        return [t for child in expr.children for t in _dnf_terms(child)]
-    terms: list[tuple[NodeRef, ...]] = [()]
-    for child in expr.children:
-        terms = [a + b for a in terms for b in _dnf_terms(child)]
-    return terms
-
-
 def dnf_expand(policy: Policy) -> list[Policy]:
     """Rewrite a Not-free compound policy into simple conjunctive policies.
 
     Each output covers one combination of DNF terms across the three slots;
-    output count is the product of per-slot term counts.  Names get a
-    ``#index`` suffix; decision, score, and seq are copied.
+    output count is the product of per-slot term counts.  A slot's terms are
+    read off its program in one loop, one term list per op, so a part that
+    several parents share is expanded once.  Each term holds the slot's
+    plain nodes, then the nodes of its expressions in the order they were
+    given, each once.  Names get a ``#index`` suffix; decision, score, and
+    seq are copied.
     """
     slots: list[list[tuple[NodeRef, ...]]] = []
     for nodes, compiled in zip(policy.nodes, policy.compound):
-        terms = [nodes]
-        for expr in sorted(compiled[0] if compiled else (), key=repr):
-            terms = [a + b for a in terms for b in _dnf_terms(expr)]
-        slots.append([tuple(dict.fromkeys(term)) for term in terms])
+        # The terms of each op, by position; the last op is the AND of the
+        # slot's expressions.
+        terms: list[list[tuple[NodeRef, ...]]] = []
+        for op, arg in compiled[1] if compiled else ():
+            if op == REF:
+                terms.append([(arg,)])
+            elif op == OR:
+                terms.append([t for i in arg for t in terms[i]])
+            elif op == AND:
+                combos = itertools.product(*(terms[i] for i in arg))
+                terms.append([tuple(dict.fromkeys(itertools.chain(*c))) for c in combos])
+            else:
+                raise NegationNotExpandableError(
+                    "cannot expand a NOT condition; rewrite with an explicit Deny policy"
+                )
+        slots.append([tuple(dict.fromkeys(nodes + t)) for t in (terms[-1] if terms else [()])])
     name, decision, score, seq = policy.name, policy.decision, policy.score, policy.seq
     return [
         Policy(f"{name}#{i}", decision, score, seq, combo, _NO_COMPOUND)

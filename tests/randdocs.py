@@ -5,17 +5,8 @@ from __future__ import annotations
 import random
 import string
 
-from graphabac.dsl import (
-    AndExpr,
-    EdgeDecl,
-    ModelDocument,
-    NameRef,
-    NodeDecl,
-    NotExpr,
-    OrExpr,
-    PolicyDecl,
-)
-from graphabac.policy import ConditionType, Decision
+from graphabac.dsl import EdgeDecl, ModelDocument, NameRef, NodeDecl, PolicyDecl
+from graphabac.policy import And, ConditionType, Decision, Not, Or
 
 _NAME_CHARS = string.ascii_letters + string.digits + "_ '"
 
@@ -39,8 +30,8 @@ def random_expr(rng: random.Random, names: list[str], depth: int = 2):
     if depth == 0 or roll < 0.5:
         return NameRef(rng.choice(names))
     if roll < 0.65:
-        return NotExpr(random_expr(rng, names, depth - 1))
-    kind = AndExpr if rng.random() < 0.5 else OrExpr
+        return Not(random_expr(rng, names, depth - 1))
+    kind = And if rng.random() < 0.5 else Or
     return kind(
         tuple(random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 3)))
     )

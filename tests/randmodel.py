@@ -7,6 +7,7 @@ construction and their attribute depth never exceeds the layer count.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -106,6 +107,16 @@ def random_notfree_expr(
         random_notfree_expr(rng, nodes, max_depth - 1) for _ in range(width)
     )
     return kind(children)
+
+
+def dnf_term_count(expr: ConditionExpr) -> int:
+    """The number of DNF terms of a Not-free tree, counted over the tree as
+    given, apart from the program ``dnf_expand`` reads: a ``Ref`` is one
+    term, an ``Or`` the sum of its children's and an ``And`` their product."""
+    if isinstance(expr, Ref):
+        return 1
+    counts = [dnf_term_count(c) for c in expr.children]
+    return sum(counts) if isinstance(expr, Or) else math.prod(counts)
 
 
 def primitives_reaching(model: RandomModel) -> dict[NodeRef, set[NodeRef]]:

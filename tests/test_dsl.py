@@ -23,10 +23,12 @@ from graphabac import (
 from graphabac import dsl
 from graphabac.dsl import (
     MAX_NESTING,
+    EdgeDecl,
+    ModelDocument,
     ModelError,
     NameRef,
-    NotExpr,
-    OrExpr,
+    NodeDecl,
+    PolicyDecl,
     _locator,
     load_document,
 )
@@ -395,8 +397,84 @@ class TestSerializeModel:
     def test_expr_formatting(self):
         from graphabac.dsl import format_expr
 
-        expr = OrExpr((NameRef("Manager"), NotExpr(NameRef("On Leave"))))
+        expr = Or((NameRef("Manager"), Not(NameRef("On Leave"))))
         assert format_expr(expr) == '(Manager or not "On Leave")'
+
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            pytest.param(
+                NodeDecl("a\nb", ("L",), {}),
+                "node 'a\\nb': name 'a\\nb' holds a newline",
+                id="name-newline",
+            ),
+            pytest.param(
+                NodeDecl("n", ("L",), {"k": "x\ny"}),
+                "node 'n': string 'x\\ny' holds a newline",
+                id="string-newline",
+            ),
+            pytest.param(
+                NodeDecl("n", ("L",), {"k": 1.5}),
+                "node 'n': property value 1.5 is not a bool, int or str",
+                id="float",
+            ),
+            pytest.param(NodeDecl("n", (), {}), "node 'n': it has no label", id="no-label"),
+            pytest.param(
+                NodeDecl("n", ("L", "node"), {}),
+                "node 'n': label 'node' is a keyword",
+                id="keyword-label",
+            ),
+            pytest.param(
+                NodeDecl("n", ("Senior Staff",), {}),
+                "node 'n': label 'Senior Staff' is not an identifier",
+                id="label-not-identifier",
+            ),
+            pytest.param(
+                EdgeDecl("a", "HAS-ATTR", "b"),
+                "edge 'a' -['HAS-ATTR']-> 'b': relationship type 'HAS-ATTR' is not an identifier",
+                id="rel-type-not-identifier",
+            ),
+            pytest.param(
+                NodeDecl("n", ("L",), {"k 2": 1}),
+                "node 'n': property key 'k 2' is not an identifier",
+                id="key-not-identifier",
+            ),
+            pytest.param(
+                EdgeDecl("a", "R", "b\nc"),
+                "edge 'a' -['R']-> 'b\\nc': name 'b\\nc' holds a newline",
+                id="edge-end-newline",
+            ),
+            pytest.param(
+                PolicyDecl(
+                    "p", Decision.PERMIT, None, {SUB: [Or((NameRef("a"), NameRef("b\nc")))]}
+                ),
+                "policy 'p': name 'b\\nc' holds a newline",
+                id="condition-newline",
+            ),
+            pytest.param(
+                PolicyDecl("p", Decision.PERMIT, None, {SUB: []}),
+                "policy 'p': it has no condition",
+                id="no-condition",
+            ),
+        ],
+    )
+    def test_unparseable_declaration_raises(self, decl, message):
+        kind = {NodeDecl: "nodes", EdgeDecl: "edges", PolicyDecl: "policies"}[type(decl)]
+        doc = ModelDocument(**{kind: [decl]})
+        with pytest.raises(ValueError) as exc:
+            serialize_model(doc)
+        assert str(exc.value) == "cannot serialize " + message
+
+    def test_keywords_where_the_parser_takes_them(self):
+        # A property key and a relationship type may be keywords.
+        doc = ModelDocument(
+            nodes=[NodeDecl("a", ("L",), {"true": 1}), NodeDecl("b", ("L",), {})],
+            edges=[EdgeDecl("a", "node", "b")],
+        )
+        text = serialize_model(doc)
+        assert text == "node a : L {true = 1}\nnode b : L\n\nedge a -[node]-> b\n"
+        reparsed = parse_model(text)
+        assert not reparsed.errors and serialize_model(reparsed) == text
 
 
 # -- one-pass load ------------------------------------------------------
@@ -706,8 +784,8 @@ def test_position_parity_with_bisect(order):
 def test_syntax_tree_and_load_records_have_no_instance_dict(healthcare_text):
     doc = parse_model(healthcare_text)
     records = [doc, doc.nodes[0], doc.edges[0], doc.policies[0], load_model(healthcare_text)]
-    records += [ModelError(1, 1, "m"), NameRef("a"), NotExpr(NameRef("a"))]
-    records.append(OrExpr((NameRef("a"), NameRef("b"))))
+    records += [ModelError(1, 1, "m"), NameRef("a"), Not(NameRef("a"))]
+    records.append(Or((NameRef("a"), NameRef("b"))))
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
 
@@ -716,7 +794,7 @@ def test_records_survive_copy_and_pickle(healthcare_text):
     doc = parse_model(healthcare_text)
     policy = load_model(healthcare_text).policies.get("Policy2")
     records = [doc, doc.policies[0], ModelError(1, 2, "m", "graph"), NameRef("a", 1, 2)]
-    records += [OrExpr((NameRef("a"), NotExpr(NameRef("b")))), policy]
+    records += [Or((NameRef("a"), Not(NameRef("b")))), policy]
     records.append(And((Ref(1), Not(Or((Ref(2), Ref(3)))))))
     for record in records:
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):

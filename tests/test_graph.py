@@ -179,13 +179,14 @@ class TestAttributeDepth:
     def test_no_edges_depth_zero(self):
         g = Graph()
         g.add_node("a")
-        assert g.attribute_depth() == 0
+        g.freeze()
+        assert g.attr_depth == 0
 
     def test_cycle_reported_with_node_name(self):
         g, (a, b) = chain_graph("A", "B")
         g.add_edge(b, HAS_ATTR, a)
         with pytest.raises(AttributeCycleError) as exc:
-            g.attribute_depth()
+            g.freeze()
         assert exc.value.node_name in ("A", "B")
 
     def test_cycle_leaves_graph_unfrozen(self):
@@ -357,8 +358,9 @@ def test_depth_equals_longest_simple_path(gr):
     max_hops = max(
         max(g.attribute_closure(r, n).values(), default=0) for r in refs
     )
-    assert g.attribute_depth() == expected
-    assert g.attribute_depth() >= max_hops
+    g.freeze()
+    assert g.attr_depth == expected
+    assert g.attr_depth >= max_hops
 
 
 @given(small_dags())

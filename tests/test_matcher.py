@@ -32,7 +32,7 @@ from graphabac.errors import (
 from graphabac.matcher import match_single, match_single_oracle, query_closures
 from graphabac.policy import PolicySnapshot, ref_leaves
 
-from randmodel import RandomModelConfig, random_model, random_query
+from randmodel import RandomModelConfig, dnf_term_count, random_model, random_query
 
 SUB = ConditionType.SUB_CON
 ACT = ConditionType.ACT_CON
@@ -254,7 +254,6 @@ class TestSharedSubtrees:
         # equal trees made of distinct objects, which are one expression.
         from graphabac import dnf_expand
         from graphabac.errors import NegationNotExpandableError
-        from graphabac.policy import _dnf_terms
 
         rng = random.Random(2106)
         expanded = 0
@@ -282,7 +281,7 @@ class TestSharedSubtrees:
                     count = len(dnf_expand(pol))
                 except NegationNotExpandableError:
                     continue
-                terms = [len(_dnf_terms(e)) for exprs in distinct.values() for e in exprs]
+                terms = [dnf_term_count(e) for exprs in distinct.values() for e in exprs]
                 assert count == math.prod(terms)
                 expanded += 1
             for _ in range(8):

@@ -430,9 +430,43 @@ class TestDnfExpand:
         with pytest.raises(NegationNotExpandableError):
             dnf_expand(pol)
 
+    def test_doubling_chain_at_the_nesting_bound_is_one_policy(self, healthcare):
+        # The chain has 2**MAX_NESTING paths to John; expanding the program
+        # builds each level's terms once, from its one child's.
+        import time
+
+        g = healthcare.graph
+        chain = ref_to(g, "John")
+        for _ in range(MAX_NESTING):
+            chain = And((chain, chain))
+        conditions = {SUB: [chain], ACT: [ref_to(g, "Write")], OBJ: [ref_to(g, "MR_1234")]}
+        pol = PolicyStore(g).create_policy("Chain", Decision.PERMIT, conditions)
+        start = time.perf_counter()
+        expanded = dnf_expand(pol)
+        assert time.perf_counter() - start < 0.5
+        assert [p.name for p in expanded] == ["Chain#0"]
+        assert expanded[0].nodes[0] == (g.find_node("John"),)
+        assert expanded[0].compound == ((), (), ())
+
+    def test_terms_hold_plain_nodes_then_expressions_in_given_order(self):
+        g = reporting_graph()
+        names = ("Manager", "Senior", "Employee", "View", "Monthly Reports")
+        m, s, e, v, r = (g.find_node(n) for n in names)
+        conditions = {
+            SUB: [Or((Ref(s), Ref(e))), Ref(v), And((Ref(m), Ref(s)))],
+            ACT: [Ref(v)],
+            OBJ: [Ref(r)],
+        }
+        pol = Policy("P", Decision.PERMIT, 0, 0, *compile_conditions(conditions))
+        expanded = dnf_expand(pol)
+        assert [p.name for p in expanded] == ["P#0", "P#1"]
+        assert [p.nodes for p in expanded] == [
+            ((v, s, m), (v,), (r,)),
+            ((v, e, m, s), (v,), (r,)),
+        ]
+
     def test_output_count_matches_term_product(self):
-        from graphabac.policy import _dnf_terms
-        from randmodel import random_notfree_expr
+        from randmodel import dnf_term_count, random_notfree_expr
 
         g = Graph()
         nodes = [g.add_node(f"n{i}", ("Attribute",)) for i in range(6)]
@@ -448,7 +482,7 @@ class TestDnfExpand:
                 }
                 slot_terms = 1
                 for e in exprs:
-                    slot_terms *= len(_dnf_terms(e))
+                    slot_terms *= dnf_term_count(e)
                 expected *= slot_terms
                 conditions[t] = frozenset(exprs)
             pol = Policy("P", Decision.PERMIT, 0, 0, *compile_conditions(conditions))

@@ -1,9 +1,11 @@
 """The contract of the model's record classes: the condition tree and
-``Policy`` (policy.py), ``Node`` (graph.py) and the syntax tree and load
-records (dsl.py).
+``Policy`` (policy.py), ``Node`` (graph.py) and the syntax tree's
+``NameRef`` and the load records (dsl.py).  A parsed condition is the
+engine's own ``Not``/``And``/``Or`` over ``NameRef`` leaves, so the
+condition tree's cases cover it.
 
-``dnf_expand`` sorts expressions by ``repr`` and error texts print it, so a
-record's ``repr`` is pinned byte for byte.  Records compare equal only to a
+Error texts and failing assertions print a record's ``repr``, so it is
+pinned byte for byte.  Records compare equal only to a
 record of the same class with equal fields, in field order.  A frozen record
 hashes as the tuple of its fields (a ``Node`` as that of all but its
 properties), so set and frozenset orders follow from the field values alone,
@@ -16,15 +18,12 @@ from types import MappingProxyType
 import pytest
 
 from graphabac.dsl import (
-    AndExpr,
     EdgeDecl,
     LoadedModel,
     ModelDocument,
     ModelError,
     NameRef,
     NodeDecl,
-    NotExpr,
-    OrExpr,
     PolicyDecl,
 )
 from graphabac.graph import Node, _NO_PROPERTIES
@@ -71,22 +70,6 @@ REPRS = [
     ),
     (NameRef("x"), "NameRef(name='x', line=0, col=0)", ("x", 0, 0)),
     (
-        NotExpr(NameRef("x", 1, 2)),
-        "NotExpr(inner=NameRef(name='x', line=1, col=2))",
-        (NameRef("x", 1, 2),),
-    ),
-    (
-        AndExpr((NameRef("a"), NameRef("b"))),
-        "AndExpr(children=(NameRef(name='a', line=0, col=0), NameRef(name='b', line=0, col=0)))",
-        ((NameRef("a"), NameRef("b")),),
-    ),
-    (
-        OrExpr((NameRef("a"), NotExpr(NameRef("b")))),
-        "OrExpr(children=(NameRef(name='a', line=0, col=0), "
-        "NotExpr(inner=NameRef(name='b', line=0, col=0))))",
-        ((NameRef("a"), NotExpr(NameRef("b"))),),
-    ),
-    (
         NodeDecl("n", ("L",), {"k": 1}),
         "NodeDecl(name='n', labels=('L',), properties={'k': 1}, line=0, col=0)",
         ("n", ("L",), {"k": 1}, 0, 0),
@@ -127,9 +110,6 @@ FROZEN = [
     And((Ref(1), Ref(2))),
     Or((Ref(1), Ref(2))),
     NameRef("x", 1, 2),
-    NotExpr(NameRef("x")),
-    AndExpr((NameRef("a"), NameRef("b"))),
-    OrExpr((NameRef("a"), NameRef("b"))),
 ]
 
 UNHASHABLE = [
@@ -165,9 +145,6 @@ def test_equality_is_within_one_class():
     children = (Ref(1), Ref(2))
     assert Ref(1) != Not(Ref(1))
     assert And(children) != Or(children) and Or(children) != And(children)
-    names = (NameRef("a"), NameRef("b"))
-    assert AndExpr(names) != OrExpr(names)
-    assert NotExpr(NameRef("a")) != Not(Ref(1))
     assert Ref(1) != NameRef(1)
     assert NodeDecl("a", (), {}, 1, 2) != EdgeDecl("a", (), {}, 1, 2)
 
@@ -186,7 +163,6 @@ def test_frozen_records_hash_as_their_field_tuple():
     children = (Ref(1), Ref(2))
     assert hash(And(children)) == hash(Or(children)) == hash((children,))
     assert hash(NameRef("a", 1, 2)) == hash(("a", 1, 2))
-    assert hash(NotExpr(NameRef("a"))) == hash((NameRef("a"),))
     assert len({Ref(1), Ref(1), Ref(2)}) == 2
 
 
@@ -221,9 +197,6 @@ def _fields(record):
         And: ("children",),
         Or: ("children",),
         NameRef: ("name", "line", "col"),
-        NotExpr: ("inner",),
-        AndExpr: ("children",),
-        OrExpr: ("children",),
     }[type(record)]
 
 
