@@ -24,12 +24,12 @@ tuples: kind is ``IDENT``, ``STRING``, ``INT``, ``PUNCT`` or, last,
 ``EOF``; value is the token text (a string's unescaped contents); offset is
 the character index where the token starts.  Tokens stream to the parser,
 which holds one lookahead token, and lexer errors go straight into the
-parser's error list.  Line and column are computed only where they are
-recorded, on a ``ModelError``, ``NodeDecl``, ``EdgeDecl``, ``PolicyDecl``
-or ``NameRef``, by counting the newlines between the previous position
-asked for and this one, backwards when the parser asks for an earlier
-one (a policy's keyword after the names inside it); no table of line
-starts is kept.  Lines end at ``\\n`` and count from 1, and every other
+parser's error list.  The parser passes positions on as offsets.  A line
+and column are computed only where they are recorded: on every record
+``parse_model`` makes, and, when loading, on a ``ModelError`` alone.  The
+first one asked for builds a list of the text's line starts, and each is
+then one ``bisect``, so a load without errors never scans the text for
+newlines.  Lines end at ``\\n`` and count from 1, and every other
 character, ``\\r`` and tab included, is one column.
 
 Most statements are never lexed.  At each statement keyword the parser first
@@ -43,9 +43,9 @@ where every condition is a name, bare or quoted with no backslash, and only
 whitespace separates the tokens.  A plain statement is taken only when it
 is followed, after whitespace and comments,
 by a whole-word ``node``, ``edge`` or ``policy`` or by the end of input,
-where the token parser would end it too.  A match makes the declaration the
-token parser would, with the same positions, and hands it to the same
-sink; the lexer restarts after the last statement read this way.  Anything
+where the token parser would end it too.  A match hands the sink the same
+declaration, at the same offset, as the token parser would; the lexer
+restarts after the last statement read this way.  Anything
 else goes to the token parser from the statement's keyword: properties, a
 second label, ``not``/``and``/``or``, a string with a backslash, a keyword
 where a name goes, a comment inside the statement, and all malformed text,
@@ -53,24 +53,30 @@ so every error comes from the token parser.  The input alone picks the
 path.
 
 A parsed condition is the engine's own ``Not``/``And``/``Or`` (see
-``policy.py``) over ``NameRef`` leaves, so the parser, the loader and the
-store share one expression type; loading swaps each leaf for a ``Ref``.
+``policy.py``), so the parser, the loader and the store share one
+expression type; its leaves are whatever the sink makes of each name:
+``NameRef``s in a document, ``Ref``s when loading.
 The syntax tree and the load records are slotted records (see
 ``records.py``): ``NameRef`` is frozen and hashes by its fields; the
 declarations, ``ModelError``, ``ModelDocument`` and ``LoadedModel`` compare
 by their fields but do not hash.
 
-The parser hands each declaration, as soon as it is complete, to a sink.
-``parse_model`` appends them to a ``ModelDocument``.  ``load_model`` and
-``load_model_file`` hand them to ``_ModelBuilder``, which loads the model
-in the same pass, so no document exists on that path: a node goes into the
-graph at once, an edge when both of its ends are known, and a policy is
-created when every name it uses is known.  Declarations may refer to nodes
-declared later; such an edge or policy, and every later one of its kind,
-waits until the end of input, so edges and policies still go in in source
-order, which fixes child order, policy ``seq`` and first-applicable
-results.  ``load_document`` feeds a document's declarations to the same
-builder.  Either way a ``ModelLoadError`` lists the errors in one order:
+The parser hands each declaration's fields and its offset, as soon as it
+is complete, to a sink, and asks the sink for each condition leaf.
+``parse_model``'s sink, ``_DocumentSink``, makes the records of a
+``ModelDocument``.  ``load_model`` and ``load_model_file`` hand them to
+``_ModelBuilder``, which loads the model in the same pass and makes no
+record: a node goes into the graph at once, an edge when both of its ends
+are known, and a policy is created when every name it uses is known.  Each
+name is looked up once, as its leaf is parsed, and a known one becomes a
+``Ref``.  Declarations may refer to nodes declared later: a name not known
+yet becomes a ``NameRef`` holding its offset, and such an edge or policy,
+and every later one of its kind, waits as its argument tuple until the end
+of input, when the names still left are looked up again.  So edges and
+policies still go in in source order, which fixes child order, policy
+``seq`` and first-applicable results.  ``load_document`` replays a
+document into the same builder, each record's (line, column) standing for
+its offset.  Either way a ``ModelLoadError`` lists the errors in one order:
 any syntax errors, and then nothing else; otherwise node errors, then edge
 errors, then a ``HAS_ATTR`` cycle; and policy errors only when the graph
 has none.
@@ -79,6 +85,7 @@ has none.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -92,7 +99,6 @@ from .graph import Graph, Scalar
 from .policy import (
     MAX_NESTING,
     And,
-    ConditionExpr,
     ConditionType,
     Decision,
     Not,
@@ -116,6 +122,7 @@ KEYWORDS = frozenset(
 # Slot keyword -> type, derived from ConditionType so the parser pays one
 # dict lookup per slot instead of an enum call.
 _SLOT_TYPES = {t.value: t for t in ConditionType}
+_DECISIONS = {"permit": Decision.PERMIT, "deny": Decision.DENY}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -258,40 +265,44 @@ _PLAIN_POLICY_RE = re.compile(
 _BODY_ITEM_RE = re.compile(r'(subject|action|object)[ \t\r\n]*:|(\w+)|"([^"\\\n]*)"', re.ASCII)
 
 
-def _plain_node(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[NodeDecl]:
+def _plain_node(m: re.Match, sink) -> bool:
     name, label = m.group("name", "label")
     if name in KEYWORDS or label in KEYWORDS:
-        return None
-    return NodeDecl(name.strip('"'), (label,), {}, *where(m.start()))
+        return False
+    sink.node(m.start(), name.strip('"'), (label,), {})
+    return True
 
 
-def _plain_edge(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[EdgeDecl]:
+def _plain_edge(m: re.Match, sink) -> bool:
     src, rel, dst = m.group("src", "rel", "dst")
     if src in KEYWORDS or dst in KEYWORDS:
-        return None
-    return EdgeDecl(src.strip('"'), rel, dst.strip('"'), *where(m.start()))
+        return False
+    sink.edge(m.start(), src.strip('"'), rel, dst.strip('"'))
+    return True
 
 
-def _plain_policy(m: re.Match, where: Callable[[int], tuple[int, int]]) -> Optional[PolicyDecl]:
+def _plain_policy(m: re.Match, sink) -> bool:
     name = m["name"]
     if name in KEYWORDS:
-        return None
-    slots: dict[ConditionType, list[ExprDecl]] = {}
+        return False
+    leaf = sink.leaf
+    slots: dict[ConditionType, list] = {}
     for item in _BODY_ITEM_RE.finditer(m.string, m.start("body"), m.end("body")):
         slot, word, quoted = item.groups()
         if slot is not None:
             exprs = slots.setdefault(_SLOT_TYPES[slot], [])
         elif word in KEYWORDS:
-            return None
+            return False
         else:
-            exprs.append(NameRef(word or quoted, *where(item.start())))
-    decision = Decision.PERMIT if m["decision"] == "permit" else Decision.DENY
+            exprs.append(leaf(item.start(), word or quoted))
     score = None if m["score"] is None else int(m["score"])
-    return PolicyDecl(name.strip('"'), decision, score, slots, *where(m.start()))
+    sink.policy(m.start(), name.strip('"'), _DECISIONS[m["decision"]], score, slots)
+    return True
 
 
-# Statement keyword -> (its pattern's match, the declaration a match makes,
-# or None if a name in it is a keyword).
+# Statement keyword -> (its pattern's match, a function that hands a match's
+# declaration to the sink and returns True, or returns False, handing
+# nothing, if a name in it is a keyword).
 _PLAIN_FORMS = {
     "node": (_PLAIN_NODE_RE.match, _plain_node),
     "edge": (_PLAIN_EDGE_RE.match, _plain_edge),
@@ -302,27 +313,16 @@ _PLAIN_FORMS = {
 def _locator(text: str) -> Callable[[int], tuple[int, int]]:
     """Map a character offset into ``text`` to its 1-based (line, column).
 
-    Each call counts the newlines between the previous offset asked for and
-    this one, in either direction, so a parse that asks for positions
-    roughly in text order scans the text about once and keeps no table of
-    line starts."""
-    # The line of the last offset asked for, and the offset its line starts at.
-    line, start, last = 1, 0, 0
+    The table of line starts is built at the first call, so a text whose
+    positions are never asked for is never scanned for newlines."""
+    starts: list[int] = []
 
     def where(offset: int) -> tuple[int, int]:
-        nonlocal line, start, last
-        if offset >= last:
-            crossed = text.count("\n", last, offset)
-            if crossed:
-                line += crossed
-                start = text.rfind("\n", last, offset) + 1
-        else:
-            crossed = text.count("\n", offset, last)
-            if crossed:
-                line -= crossed
-                start = text.rfind("\n", 0, offset) + 1
-        last = offset
-        return line, offset - start + 1
+        if not starts:
+            starts.append(0)
+            starts.extend([m.end() for m in re.finditer("\n", text)])
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
 
     return where
 
@@ -356,10 +356,7 @@ def _lex(
 
 
 class _SyntaxFailure(Exception):
-    def __init__(self, offset: int, message: str):
-        super().__init__(message)
-        self.offset = offset
-        self.message = message
+    """A syntax error; its args are its offset and its message."""
 
 
 class _TooDeep(Exception):
@@ -367,17 +364,24 @@ class _TooDeep(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Parses ``text`` into calls on ``sink``: ``node(pos, name, labels,
+    props)``, ``edge(pos, src, rel_type, dst)`` and ``policy(pos, name,
+    decision, score, slots)`` per declaration, in source order, and
+    ``leaf(pos, name)`` per condition name, whose result is the leaf of the
+    condition.  Each ``pos`` is a character offset, and ``sink.where`` maps
+    one to (line, column) for a syntax error."""
+
+    def __init__(self, text: str, sink) -> None:
         self.text = text
+        self.sink = sink
         self.errors: list[ModelError] = []
-        self.where = _locator(text)
         self.lex_from(0)
 
     def lex_from(self, pos: int) -> None:
         """(Re)start the token stream at ``pos`` and read its first token."""
         # The token stream holds no reference back to the parser, so the
         # scan state is freed with the parser, not at a cyclic collection.
-        self._next = _lex(self.text, self.errors, self.where, pos).__next__
+        self._next = _lex(self.text, self.errors, self.sink.where, pos).__next__
         self.tok = self._next()
 
     def advance(self) -> tuple[str, str, int]:
@@ -420,35 +424,20 @@ class _Parser:
         while self.tok[0] != "EOF" and not self.at_keyword("node", "edge", "policy"):
             self.advance()
 
-    def parse_model(self) -> ModelDocument:
-        doc = ModelDocument()
-        doc.errors = self.parse(doc.nodes.append, doc.edges.append, doc.policies.append)
-        return doc
-
-    def parse(
-        self,
-        on_node: Callable[[NodeDecl], None],
-        on_edge: Callable[[EdgeDecl], None],
-        on_policy: Callable[[PolicyDecl], None],
-    ) -> list[ModelError]:
-        """Hand each complete declaration to its callback, in source order,
-        and return the syntax errors sorted by position."""
-        sinks = {"node": on_node, "edge": on_edge, "policy": on_policy}
+    def parse(self) -> list[ModelError]:
+        """Hand the declarations to the sink and return the syntax errors
+        sorted by position."""
         while True:
-            self.parse_plain(sinks)
+            self.parse_plain()
             if self.tok[0] == "EOF":
                 break
             try:
-                if self.at_keyword("node"):
-                    on_node(self.parse_node())
-                elif self.at_keyword("edge"):
-                    on_edge(self.parse_edge())
-                elif self.at_keyword("policy"):
-                    on_policy(self.parse_policy())
-                else:
+                if not self.at_keyword("node", "edge", "policy"):
                     raise self.unexpected("'node', 'edge' or 'policy'")
+                getattr(self, "parse_" + self.tok[1])()
             except _SyntaxFailure as fail:
-                self.errors.append(ModelError(*self.where(fail.offset), fail.message))
+                offset, message = fail.args
+                self.errors.append(ModelError(*self.sink.where(offset), message))
                 # Keep the token when it can start the next statement; the
                 # statement's own keyword is consumed before any failure, so
                 # this always makes progress.
@@ -460,7 +449,7 @@ class _Parser:
         self.errors.sort(key=lambda e: (e.line, e.col))
         return self.errors
 
-    def parse_plain(self, sinks: dict[str, Callable]) -> None:
+    def parse_plain(self) -> None:
         """Read the statements from the lookahead on, while each has a plain
         form, with one match each, and restart the lexer after the last one
         read; the lookahead then starts no plain statement."""
@@ -469,15 +458,13 @@ class _Parser:
         while kind == "IDENT" and word in _PLAIN_FORMS:
             match, declare = _PLAIN_FORMS[word]
             m = match(self.text, end)
-            decl = None if m is None else declare(m, self.where)
-            if decl is None:
+            if m is None or not declare(m, self.sink):
                 break
-            sinks[word](decl)
             end, word = m.end(), m["next"]
         if end != start:
             self.lex_from(end)
 
-    def parse_node(self) -> NodeDecl:
+    def parse_node(self) -> None:
         kw = self.expect_keyword("node")
         name = self.parse_name()[1]
         self.expect_punct(":")
@@ -486,7 +473,7 @@ class _Parser:
             self.advance()
             labels.append(self.expect_label())
         props = self.parse_props() if self.at_punct("{") else {}
-        return NodeDecl(name, tuple(labels), props, *self.where(kw[2]))
+        self.sink.node(kw[2], name, tuple(labels), props)
 
     def expect_label(self) -> str:
         kind, value, _ = self.tok
@@ -520,7 +507,7 @@ class _Parser:
             return self.advance()[1] == "true"
         raise self.unexpected("a scalar value")
 
-    def parse_edge(self) -> EdgeDecl:
+    def parse_edge(self) -> None:
         kw = self.expect_keyword("edge")
         src = self.parse_name()[1]
         self.expect_punct("-[")
@@ -530,13 +517,12 @@ class _Parser:
         self.advance()
         self.expect_punct("]->")
         dst = self.parse_name()[1]
-        return EdgeDecl(src, rel, dst, *self.where(kw[2]))
+        self.sink.edge(kw[2], src, rel, dst)
 
-    def parse_policy(self) -> PolicyDecl:
+    def parse_policy(self) -> None:
         kw = self.expect_keyword("policy")
         name = self.parse_name()[1]
-        permit = self.expect_keyword("permit", "deny")[1] == "permit"
-        decision = Decision.PERMIT if permit else Decision.DENY
+        decision = _DECISIONS[self.expect_keyword(*_DECISIONS)[1]]
         score: Optional[int] = None
         if self.at_keyword("score"):
             self.advance()
@@ -546,7 +532,7 @@ class _Parser:
             self.advance()
             score = int(value)
         self.expect_punct("{")
-        slots: dict[ConditionType, list[ExprDecl]] = {}
+        slots: dict[ConditionType, list] = {}
         try:
             while not self.at_punct("}"):
                 ctype = _SLOT_TYPES[self.expect_keyword(*_SLOT_TYPES)[1]]
@@ -565,7 +551,7 @@ class _Parser:
         self.expect_punct("}")
         if not slots:
             raise _SyntaxFailure(kw[2], f"policy {name!r} declares no condition slots")
-        return PolicyDecl(name, decision, score, slots, *self.where(kw[2]))
+        self.sink.policy(kw[2], name, decision, score, slots)
 
     def _at_expr_start(self) -> bool:
         kind, value, _ = self.tok
@@ -573,7 +559,7 @@ class _Parser:
             return value == "not" or value not in KEYWORDS
         return kind == "STRING" or self.at_punct("(")
 
-    def parse_expr(self, room: int = MAX_NESTING) -> ExprDecl:
+    def parse_expr(self, room: int = MAX_NESTING):
         """One expression, with at most ``room`` levels of `not` and `(`."""
         if self.at_keyword("not"):
             if not room:
@@ -602,24 +588,60 @@ class _Parser:
             self.expect_punct(")")
             return (And if op == "and" else Or)(tuple(children))
         _, name, offset = self.parse_name()
-        return NameRef(name, *self.where(offset))
+        return self.sink.leaf(offset, name)
+
+
+class _DocumentSink:
+    """The parser's sink for ``parse_model``: a record per declaration and a
+    ``NameRef`` per condition name, each with its line and column."""
+
+    def __init__(self, text: str) -> None:
+        self.doc = ModelDocument()
+        self.where = _locator(text)
+
+    def node(self, pos: int, name: str, labels: tuple[str, ...], props: dict) -> None:
+        self.doc.nodes.append(NodeDecl(name, labels, props, *self.where(pos)))
+
+    def edge(self, pos: int, src: str, rel_type: str, dst: str) -> None:
+        self.doc.edges.append(EdgeDecl(src, rel_type, dst, *self.where(pos)))
+
+    def policy(self, pos: int, name: str, decision: Decision, score, slots: dict) -> None:
+        self.doc.policies.append(PolicyDecl(name, decision, score, slots, *self.where(pos)))
+
+    def leaf(self, pos: int, name: str) -> NameRef:
+        return NameRef(name, *self.where(pos))
 
 
 def parse_model(text: str) -> ModelDocument:
     """Parse source text into a ModelDocument; syntax errors land in
     ``document.errors`` with line/column positions."""
-    return _Parser(text).parse_model()
+    sink = _DocumentSink(text)
+    sink.doc.errors = _Parser(text, sink).parse()
+    return sink.doc
 
 
 # -- loading ----------------------------------------------------------
 
 
-class _ModelBuilder:
-    """Loads declarations into a graph and policy store as they arrive, in
-    source order, and holds back those that name a node not declared yet
-    (see the module docstring)."""
+def _swap_names(expr, swap: Callable[[NameRef], object]):
+    """``expr`` with ``swap(leaf)`` in place of each ``NameRef`` leaf."""
+    if isinstance(expr, NameRef):
+        return swap(expr)
+    if isinstance(expr, Ref):
+        return expr
+    parts = tuple([_swap_names(part, swap) for part in _children(expr)])
+    return Not(parts[0]) if isinstance(expr, Not) else type(expr)(parts)
 
-    def __init__(self) -> None:
+
+class _ModelBuilder:
+    """The parser's sink for ``load_model``: loads each declaration into a
+    graph and policy store as it arrives, in source order, and holds back,
+    as its argument tuple, each edge or policy that names a node not
+    declared yet (see the module docstring).  A position is kept as it
+    comes, and ``where`` turns it into (line, column) only for an error."""
+
+    def __init__(self, where: Callable) -> None:
+        self.where = where
         self.graph = Graph()
         self.store = PolicyStore(self.graph)
         self.node_errors: list[ModelError] = []
@@ -627,30 +649,50 @@ class _ModelBuilder:
         self.policy_errors: list[ModelError] = []
         # The first edge (policy) that named an unknown node, and every later
         # one, left for finish().
-        self.waiting_edges: list[EdgeDecl] = []
-        self.waiting_policies: list[PolicyDecl] = []
+        self.waiting_edges: list[tuple] = []
+        self.waiting_policies: list[tuple] = []
+        # The leaves made for unknown names since the last policy.
+        self.unknown: list[NameRef] = []
 
-    def node(self, nd: NodeDecl) -> None:
+    def error(self, pos, message: str, kind: str) -> ModelError:
+        return ModelError(*self.where(pos), message, kind)
+
+    def node(self, pos, name: str, labels: tuple[str, ...], props: dict) -> None:
         try:
-            self.graph.add_node(nd.name, nd.labels, nd.properties)
+            self.graph.add_node(name, labels, props)
         except (DuplicateNameError, EmptyNameError, ValueError) as exc:
-            self.node_errors.append(ModelError(nd.line, nd.col, str(exc), "graph"))
+            self.node_errors.append(self.error(pos, str(exc), "graph"))
 
-    def edge(self, ed: EdgeDecl) -> None:
-        if self.waiting_edges or self._load_edge(ed):
-            self.waiting_edges.append(ed)
+    def edge(self, pos, src: str, rel_type: str, dst: str) -> None:
+        if self.waiting_edges or not self._add_edge(pos, src, rel_type, dst):
+            self.waiting_edges.append((pos, src, rel_type, dst))
 
-    def policy(self, pd: PolicyDecl) -> None:
-        if self.waiting_policies or self._load_policy(pd):
-            self.waiting_policies.append(pd)
+    def leaf(self, pos, name: str):
+        """A ``Ref`` to the node ``name`` or, for a node not declared yet, a
+        ``NameRef`` that holds the leaf's position in ``line``."""
+        node = self.graph.find_node(name)
+        if node is not None:
+            return Ref(node)
+        ref = NameRef(name, pos)
+        self.unknown.append(ref)
+        return ref
+
+    def policy(self, pos, name: str, decision: Decision, score, slots: dict) -> None:
+        if self.unknown or self.waiting_policies:
+            self.waiting_policies.append((pos, name, decision, score, slots))
+        else:
+            self._create(pos, name, decision, score, slots)
+        self.unknown.clear()
 
     def finish(self, syntax_errors: list[ModelError]) -> LoadedModel:
         """Load what waited, freeze, and return the model, or raise
         ModelLoadError carrying every positioned error."""
         if syntax_errors:
             raise ModelLoadError(list(syntax_errors))
-        for ed in self.waiting_edges:
-            self.edge_errors += self._load_edge(ed)
+        for pos, src, rel_type, dst in self.waiting_edges:
+            if not self._add_edge(pos, src, rel_type, dst):
+                unknown = [name for name in (src, dst) if self.graph.find_node(name) is None]
+                self.edge_errors += [self.error(pos, f"unknown node {n!r}", "graph") for n in unknown]
         errors = self.node_errors + self.edge_errors
         if not errors:
             try:
@@ -659,91 +701,67 @@ class _ModelBuilder:
                 errors.append(ModelError(0, 0, str(exc), "graph"))
         if errors:
             raise ModelLoadError(errors)
-        for pd in self.waiting_policies:
-            self.policy_errors += self._load_policy(pd)
+        for pos, name, decision, score, slots in self.waiting_policies:
+            # Each leaf still a NameRef is looked up again.
+            self.unknown.clear()
+            slots = {t: [_swap_names(e, self._leaf_again) for e in es] for t, es in slots.items()}
+            for ref in self.unknown:
+                message = f"policy {name!r} references unknown node {ref.name!r}"
+                self.policy_errors.append(self.error(ref.line, message, "policy"))
+            if not self.unknown:
+                self._create(pos, name, decision, score, slots)
         if self.policy_errors:
             raise ModelLoadError(self.policy_errors)
         return LoadedModel(self.graph, self.store)
 
-    def _load_edge(self, ed: EdgeDecl) -> list[ModelError]:
-        """Add the edge, recording a rejection, unless it names an unknown
-        node: then add nothing and return one error per unknown end."""
-        src = self.graph.find_node(ed.src)
-        dst = self.graph.find_node(ed.dst)
-        if src is None or dst is None:
-            return [
-                ModelError(ed.line, ed.col, f"unknown node {name!r}", "graph")
-                for name, ref in ((ed.src, src), (ed.dst, dst))
-                if ref is None
-            ]
+    def _add_edge(self, pos, src: str, rel_type: str, dst: str) -> bool:
+        """Add the edge, recording a rejection, and return True; or return
+        False, adding nothing, if it names an unknown node."""
+        src_ref = self.graph.find_node(src)
+        dst_ref = self.graph.find_node(dst)
+        if src_ref is None or dst_ref is None:
+            return False
         try:
-            self.graph.add_edge(src, ed.rel_type, dst)
+            self.graph.add_edge(src_ref, rel_type, dst_ref)
         except SelfLoopError as exc:
-            self.edge_errors.append(ModelError(ed.line, ed.col, str(exc), "graph"))
-        return []
+            self.edge_errors.append(self.error(pos, str(exc), "graph"))
+        return True
 
-    def _load_policy(self, pd: PolicyDecl) -> list[ModelError]:
-        """Create the policy, recording a rejection, unless it names an
-        unknown node: then create nothing and return one error per unknown
-        name."""
-        unknown: list[ModelError] = []
-        conditions: dict[ConditionType, list[ConditionExpr]] = {}
-        for t, decls in pd.slots.items():
-            resolved: list[ConditionExpr] = []
-            for decl in decls:
-                expr = _resolve_expr(self.graph, pd, decl, unknown)
-                if expr is not None:
-                    resolved.append(expr)
-            conditions[t] = resolved
-        if not unknown:
-            try:
-                self.store.create_policy(pd.name, pd.decision, conditions, pd.score)
-            except AbacError as exc:
-                self.policy_errors.append(ModelError(pd.line, pd.col, str(exc), "policy"))
-        return unknown
+    def _leaf_again(self, ref: NameRef):
+        return self.leaf(ref.line, ref.name)
+
+    def _create(self, pos, name: str, decision: Decision, score, conditions: dict) -> None:
+        try:
+            self.store.create_policy(name, decision, conditions, score)
+        except AbacError as exc:
+            self.policy_errors.append(self.error(pos, str(exc), "policy"))
 
 
 def load_document(doc: ModelDocument) -> LoadedModel:
     """Build the frozen graph and policy store, or raise ModelLoadError
     carrying every positioned error.  Never yields a partial model."""
-    builder = _ModelBuilder()
+    # A record's (line, col) is its position, already what errors report.
+    builder = _ModelBuilder(lambda pos: pos)
     if not doc.errors:
         for nd in doc.nodes:
-            builder.node(nd)
+            builder.node((nd.line, nd.col), nd.name, nd.labels, nd.properties)
         for ed in doc.edges:
-            builder.edge(ed)
+            builder.edge((ed.line, ed.col), ed.src, ed.rel_type, ed.dst)
         for pd in doc.policies:
-            builder.policy(pd)
+            # A leaf without a position of its own is placed at its policy.
+            def leaf(ref: NameRef):
+                return builder.leaf((ref.line or pd.line, ref.col or pd.col), ref.name)
+
+            slots = {t: [_swap_names(e, leaf) for e in exprs] for t, exprs in pd.slots.items()}
+            builder.policy((pd.line, pd.col), pd.name, pd.decision, pd.score, slots)
     return builder.finish(doc.errors)
-
-
-def _resolve_expr(
-    graph: Graph, pd: PolicyDecl, decl: ExprDecl, errors: list[ModelError]
-) -> Optional[ConditionExpr]:
-    if isinstance(decl, NameRef):
-        ref = graph.find_node(decl.name)
-        if ref is None:
-            errors.append(
-                ModelError(
-                    decl.line or pd.line, decl.col or pd.col,
-                    f"policy {pd.name!r} references unknown node {decl.name!r}",
-                    "policy",
-                )
-            )
-            return None
-        return Ref(ref)
-    parts = [_resolve_expr(graph, pd, c, errors) for c in _children(decl)]
-    if any(part is None for part in parts):
-        return None
-    return Not(parts[0]) if isinstance(decl, Not) else type(decl)(tuple(parts))
 
 
 def load_model(text: str) -> LoadedModel:
     """Parse and load source text in one pass; the same model, or the same
     ModelLoadError, as ``load_document(parse_model(text))``."""
-    builder = _ModelBuilder()
-    errors = _Parser(text).parse(builder.node, builder.edge, builder.policy)
-    return builder.finish(errors)
+    builder = _ModelBuilder(_locator(text))
+    return builder.finish(_Parser(text, builder).parse())
 
 
 def read_model_file(path) -> str:
@@ -830,14 +848,29 @@ def _format_edge(ed: EdgeDecl) -> str:
     return f"edge {format_name(ed.src)} -[{rel_type}]-> {format_name(ed.dst)}"
 
 
+def _nests_too_deep(expr) -> bool:
+    """Whether ``expr`` nests ``Not``/``And``/``Or`` more than ``MAX_NESTING``
+    levels deep: the parts one level further down, by ``id`` so a shared
+    part counts once, taken ``MAX_NESTING + 1`` times, without recursion."""
+    level = {id(expr): expr}
+    for _ in range(MAX_NESTING + 1):
+        compound = [e for e in level.values() if isinstance(e, (Not, And, Or))]
+        level = {id(part): part for e in compound for part in _children(e)}
+    return bool(level)
+
+
 def _format_policy(pd: PolicyDecl) -> str:
     head = f"policy {format_name(pd.name)} {pd.decision.value.lower()}"
     if pd.score is not None:
+        if type(pd.score) is not int:
+            raise ValueError(f"score {pd.score!r} is not an int")
         head += f" score {pd.score}"
     lines = [head + " {"]
     for ctype in ConditionType:
         decls = pd.slots.get(ctype)
         if decls:
+            if any(map(_nests_too_deep, decls)):
+                raise ValueError(f"a condition nests deeper than {MAX_NESTING} levels")
             rendered = sorted(set(format_expr(d) for d in decls))
             lines.append(f"    {ctype.value}: " + "; ".join(rendered) + ";")
     if len(lines) == 1:
@@ -861,7 +894,9 @@ def serialize_model(doc: ModelDocument) -> str:
     back to: a name or string that holds a newline, a property value that is
     not a ``bool``, ``int`` or ``str``, a node with no label, a label that
     is a keyword, a label, relationship type or property key that is not an
-    identifier, or a policy with no condition."""
+    identifier, a policy with no condition, a score that is not an ``int``
+    (a ``bool`` included), or a condition that nests ``Not``/``And``/``Or``
+    deeper than ``MAX_NESTING`` levels."""
     lines = [
         _format(nd, f"node {nd.name!r}", _format_node)
         for nd in sorted(doc.nodes, key=lambda d: d.name)

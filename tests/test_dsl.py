@@ -168,12 +168,12 @@ class TestParseModel:
     def test_parser_freed_without_cycle_collection(self, healthcare_text):
         # A reference cycle through the token stream would keep the scan
         # state alive after parsing, until the next cyclic collection.
-        from graphabac.dsl import _Parser
+        from graphabac.dsl import _DocumentSink, _Parser
 
         gc.disable()
         try:
-            parser = _Parser(healthcare_text)
-            assert not parser.parse_model().errors
+            parser = _Parser(healthcare_text, _DocumentSink(healthcare_text))
+            assert not parser.parse()
             alive = weakref.ref(parser)
             del parser
             assert alive() is None
@@ -358,6 +358,13 @@ class TestNestingLimit:
         assert decision is Decision.PERMIT
 
 
+def _not_chain(depth):
+    expr = NameRef("a")
+    for _ in range(depth):
+        expr = Not(expr)
+    return expr
+
+
 class TestSerializeModel:
     def test_empty_document(self):
         from graphabac.dsl import ModelDocument
@@ -456,6 +463,26 @@ class TestSerializeModel:
                 "policy 'p': it has no condition",
                 id="no-condition",
             ),
+            pytest.param(
+                PolicyDecl("p", Decision.PERMIT, True, {SUB: [NameRef("a")]}),
+                "policy 'p': score True is not an int",
+                id="bool-score",
+            ),
+            pytest.param(
+                PolicyDecl("p", Decision.PERMIT, 1.5, {SUB: [NameRef("a")]}),
+                "policy 'p': score 1.5 is not an int",
+                id="float-score",
+            ),
+            pytest.param(
+                PolicyDecl("p", Decision.PERMIT, None, {SUB: [_not_chain(MAX_NESTING + 1)]}),
+                f"policy 'p': a condition nests deeper than {MAX_NESTING} levels",
+                id="nested-one-too-deep",
+            ),
+            pytest.param(
+                PolicyDecl("p", Decision.PERMIT, None, {SUB: [_not_chain(5000)]}),
+                f"policy 'p': a condition nests deeper than {MAX_NESTING} levels",
+                id="nested-5000-deep",
+            ),
         ],
     )
     def test_unparseable_declaration_raises(self, decl, message):
@@ -464,6 +491,24 @@ class TestSerializeModel:
         with pytest.raises(ValueError) as exc:
             serialize_model(doc)
         assert str(exc.value) == "cannot serialize " + message
+
+    def test_nesting_at_the_limit_round_trips(self):
+        doc = ModelDocument(
+            nodes=[NodeDecl("a", ("L",), {})],
+            policies=[PolicyDecl("p", Decision.PERMIT, None, {SUB: [_not_chain(MAX_NESTING)]})],
+        )
+        text = serialize_model(doc)
+        reparsed = parse_model(text)
+        assert not reparsed.errors and serialize_model(reparsed) == text
+
+    def test_depth_check_takes_a_shared_part_once(self):
+        # 2 ** 101 paths, but 102 distinct parts: the check is linear in them.
+        expr = NameRef("a")
+        for _ in range(MAX_NESTING + 1):
+            expr = And((expr, expr))
+        doc = ModelDocument(policies=[PolicyDecl("p", Decision.PERMIT, None, {SUB: [expr]})])
+        with pytest.raises(ValueError, match="nests deeper than"):
+            serialize_model(doc)
 
     def test_keywords_where_the_parser_takes_them(self):
         # A property key and a relationship type may be keywords.
@@ -749,6 +794,30 @@ def test_plain_forms_share_of_the_healthcare_model(healthcare_text):
         doc = parse_model(healthcare_text)
     assert doc == _token_parser_only(healthcare_text)[0]
     assert taken[0] == 19
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("called on a clean load")
+
+
+def _clean_load_texts(healthcare_text):
+    return [healthcare_text, _generated_model_text(random.Random(5), 400, 1200, 400)]
+
+
+def test_clean_load_makes_no_declaration_records(healthcare_text):
+    # Every name is declared before use, so no record and no NameRef is made.
+    records = {name: _raises for name in ("NodeDecl", "EdgeDecl", "PolicyDecl", "NameRef")}
+    for text in _clean_load_texts(healthcare_text):
+        expected = _load_outcome(load_model, text)
+        with mock.patch.multiple(dsl, **records):
+            assert _load_outcome(load_model, text) == expected
+
+
+def test_clean_load_computes_no_position(healthcare_text):
+    for text in _clean_load_texts(healthcare_text):
+        expected = _load_outcome(load_model, text)
+        with mock.patch.object(dsl, "_locator", lambda text: _raises):
+            assert _load_outcome(load_model, text) == expected
 
 
 def test_load_peak_below_parse_peak():
