@@ -12,7 +12,7 @@ sample of primitives, it times four closures in turns, start by start:
 - the full closure: `Graph.attribute_closure(p, depth)` over the whole graph;
 - per slot, the trimmed closure: the same call over that slot's copy in the
   `adjacency` of the store's snapshot (`PolicyStore.policies()`), which is
-  what `matcher.query_closures` walks for that slot.
+  what `PolicySnapshot.closures` walks for that slot.
 
 It records their median and p90 in microseconds, the mean node counts, the
 condition nodes each start reaches, the build time of the snapshot that

@@ -24,10 +24,10 @@ import json
 import sys
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .combine import ALGORITHM_NAMES, CombiningAlgorithm, EvaluationResult, evaluate
+from .combine import ALGORITHM_NAMES, CombiningAlgorithm, combine, evaluate
 from .dsl import LoadedModel, ModelLoadError, load_model_file
 from .errors import AbacError
-from .matcher import AccessQuery, query_closures
+from .matcher import AccessQuery, matches
 from .policy import ConditionType, Decision, leaf_nodes
 
 EXIT_PERMIT = 0
@@ -65,24 +65,22 @@ def _resolve_query(model: LoadedModel, subject: str, action: str, obj: str) -> A
     return AccessQuery(*refs)
 
 
-def _evaluate(args, model: LoadedModel) -> tuple[AccessQuery, EvaluationResult]:
-    q = _resolve_query(model, args.subject, args.action, args.object)
-    alg = CombiningAlgorithm(args.algorithm)
-    return q, evaluate(model.policies, q, alg, depth=args.depth)
-
-
 def cmd_check(args) -> int:
     model = _load(args.model)
-    _, result = _evaluate(args, model)
+    q = _resolve_query(model, args.subject, args.action, args.object)
+    result = evaluate(model.policies, q, CombiningAlgorithm(args.algorithm), depth=args.depth)
     print(result.decision.value)
     return EXIT_PERMIT if result.decision is Decision.PERMIT else EXIT_DENY
 
 
 def cmd_explain(args) -> int:
     model = _load(args.model)
-    q, result = _evaluate(args, model)
-    depth = args.depth if args.depth is not None else model.graph.attr_depth
-    closures = query_closures(model.policies, q, depth)
+    q = _resolve_query(model, args.subject, args.action, args.object)
+    # One pass, as ``evaluate`` makes it, whose closures the report reuses.
+    snapshot = model.policies.policies()
+    depth = snapshot.attr_depth if args.depth is None else args.depth
+    closures = snapshot.closures(q, depth)
+    result = combine(matches(snapshot, closures, depth), CombiningAlgorithm(args.algorithm))
     print(f"query: subject={args.subject} action={args.action} object={args.object}")
     print(f"algorithm: {result.algorithm.value} (attribute depth {depth})")
     if not result.matches:

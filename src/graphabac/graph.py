@@ -10,10 +10,12 @@ mutator raises and any number of threads may run reachability queries
 concurrently.
 
 A ``Node`` is a slotted, frozen record (see ``records.py``) that hashes by
-its ref, name and labels, since its properties do not hash.  Nodes with
-equal label lists share one labels tuple, and a node's properties are a
-read-only ``MappingProxyType`` over the graph's own copy of them; every
-node declared without properties shares one empty mapping.
+its ref, name and labels, since its properties do not hash.  A node's
+labels are given as a list or tuple of ``str``, and ``add_node`` checks a
+label list the first time it sees it.  Nodes with equal label lists share
+one labels tuple, and a node's properties are a read-only
+``MappingProxyType`` over the graph's own copy of them; every node
+declared without properties shares one empty mapping.
 
 Each ``HAS_ATTR`` edge is stored once, in a per-node list of children
 indexed by ref.  While the graph is built a node's children are a set;
@@ -127,13 +129,23 @@ class Graph:
             raise EmptyNameError("node name must be non-empty")
         if name in self._by_name:
             raise DuplicateNameError(f"node {name!r} already exists")
-        ordered = tuple(dict.fromkeys(labels))
-        if PRIMITIVE_LABEL in ordered and POLICY_LABEL in ordered:
-            raise ValueError(f"node {name!r} cannot be both Primitive and Policy")
-        ordered = self._labels.setdefault(ordered, ordered)
+        # A str is iterable, but as labels it would give one per character.
+        if isinstance(labels, str):
+            raise GraphError(f"node {name!r} has labels {labels!r}, a str, not a list of str")
+        try:
+            ordered = tuple(dict.fromkeys(labels))
+        except TypeError:
+            raise GraphError(f"node {name!r} has labels {labels!r}, not a list of str") from None
+        # A label list already in the table passed these checks.
+        if (shared := self._labels.get(ordered)) is None:
+            if not all(isinstance(label, str) for label in ordered):
+                raise GraphError(f"node {name!r} has labels {labels!r}, not a list of str")
+            if PRIMITIVE_LABEL in ordered and POLICY_LABEL in ordered:
+                raise ValueError(f"node {name!r} cannot be both Primitive and Policy")
+            shared = self._labels[ordered] = ordered
         props = MappingProxyType(dict(properties)) if properties else _NO_PROPERTIES
         ref = len(self._nodes)
-        self._nodes.append(Node(ref, name, ordered, props))
+        self._nodes.append(Node(ref, name, shared, props))
         self._by_name[name] = ref
         self._children.append(set())
         return ref
@@ -175,7 +187,7 @@ class Graph:
     @property
     def attr_depth(self) -> int:
         if self._attr_depth is None:
-            raise FrozenGraphError("attr_depth is only available after freeze()")
+            raise NotFrozenError("attr_depth is only available after freeze()")
         return self._attr_depth
 
     def find_node(self, name: str) -> Optional[NodeRef]:

@@ -3,21 +3,24 @@
 ``matching_policies`` is the production path, and it runs the paper's
 three-stage Cypher decision statement (``cypher.emit_cypher_decision_query``)
 in memory.  It reads ``PolicyStore.policies()`` once per query: the
-store's compiled ``PolicySnapshot``, which holds the policies, the
-per-slot adjacencies the closures walk and the key index.
+store's compiled ``PolicySnapshot``, which holds the frozen graph and its
+``attr_depth`` (the default depth), the policies, the per-slot
+adjacencies the closures walk and the key index.  A snapshot is only ever
+built over a frozen graph (the build raises ``NotFrozenError``), so
+nothing on the decision path checks the graph again.
 
-1. ``query_closures`` runs one bounded BFS per query primitive: the
-   ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.  Like
-   the Cypher pattern, it only needs to reach the condition nodes ``c``
-   that its own stage joins on: ``SUB_CON`` nodes for the subject,
+1. ``PolicySnapshot.closures`` runs one bounded BFS per query primitive:
+   the ``(x)-[:HAS_ATTR*0..depth]->(c)`` stage, with minimal hop counts.
+   Like the Cypher pattern, it only needs to reach the condition nodes
+   ``c`` that its own stage joins on: ``SUB_CON`` nodes for the subject,
    ``ACT_CON`` for the action and ``OBJ_CON`` for the object.  So slot
    ``t``'s BFS walks slot ``t``'s copy in the snapshot's ``adjacency``:
    the frozen graph with every node that cannot reach a condition node of
    slot ``t`` left out.  Each of those condition nodes is found at the
    same minimal hop count as in the full graph, within the same depth
-   bound; nodes that lead to none are never visited.  On an unfrozen
-   graph it raises ``NotFrozenError``.
-2. ``PolicySnapshot.candidates`` looks up the closure nodes among the
+   bound; nodes that lead to none are never visited.
+2. ``matches`` takes the snapshot and the closures.
+   ``PolicySnapshot.candidates`` looks up the closure nodes among the
    keys of the snapshot's condition index (one ``(sc)-[:SUB_CON]->(pol)``
    edge per policy, see ``policy``) and keeps each policy found there
    whose other plain nodes are all in their slots' closures: the rest of
@@ -32,9 +35,11 @@ closure and its compiled program, the conjunction of its compound
 expressions, evaluates true over it.  The program runs in one loop over
 its ops, so no code on the decision path recurses over an expression, and
 a part that several expressions share is evaluated once.
-Every front end that needs closures gets them from ``query_closures``;
-slot ``t``'s closure is exact at slot ``t``'s condition nodes of the
-store and says nothing about any other node.
+``PolicySnapshot.closures`` is the one place that starts a query's
+closures: ``matching_policies`` passes them to ``matches``, and ``cli
+explain`` keeps them for its report.  Slot ``t``'s closure is exact at
+slot ``t``'s condition nodes of the store and says nothing about any
+other node.
 
 The closures are a triple in ``_SLOTS`` order (subject, action, object),
 the order of ``AccessQuery``'s fields and of every other per-slot value:
@@ -64,9 +69,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import NotFrozenError
-from .graph import Adjacency, Graph, HAS_ATTR, NodeRef
-from .policy import AND, NOT, REF, And, CompiledSlot, ConditionExpr, Not, Or, Policy, PolicyStore
-from .policy import Ref, ref_leaves
+from .graph import Graph, HAS_ATTR, NodeRef
+from .policy import AND, NOT, REF, And, Closure, Closures, CompiledSlot, ConditionExpr, Not, Or
+from .policy import Policy, PolicySnapshot, PolicyStore, Ref, ref_leaves
 
 
 class AccessQuery(NamedTuple):
@@ -91,24 +96,6 @@ class PolicyMatch(NamedTuple):
 
 
 # -- closure-based evaluation (production path) -----------------------
-
-Closure = dict[NodeRef, int]
-Closures = tuple[Closure, Closure, Closure]
-
-
-def query_closures(store: PolicyStore, q: AccessQuery, depth: int) -> Closures:
-    """Minimal hop counts from each query primitive to every condition node
-    of its slot in ``store`` that it reaches within ``depth``, one dict per
-    slot in ``_SLOTS`` order, like the query's own fields."""
-    return _closures(store.graph, store.policies().adjacency, q, depth)
-
-
-def _closures(
-    graph: Graph, adjacency: tuple[Adjacency, ...], q: AccessQuery, depth: int
-) -> Closures:
-    sub, act, obj = adjacency
-    closure = graph.attribute_closure
-    return closure(q.sub, depth, sub), closure(q.act, depth, act), closure(q.obj, depth, obj)
 
 
 def _slot_length(
@@ -172,25 +159,26 @@ def match_single(
     return PolicyMatch(policy, *lengths)
 
 
+def matches(snapshot: PolicySnapshot, closures: Closures, depth: int) -> list[PolicyMatch]:
+    """The policies of ``snapshot`` that match a query whose closures, taken
+    at ``depth``, these are, ordered by insertion sequence.  Only the
+    snapshot's candidates are walked."""
+    return [
+        m
+        for p in snapshot.candidates(closures)
+        if (m := match_single(p, closures, depth)) is not None
+    ]
+
+
 def matching_policies(
     store: PolicyStore, q: AccessQuery, depth: Optional[int] = None
 ) -> list[PolicyMatch]:
-    """All policies matching ``q``, ordered by insertion sequence.
-
-    Only the store's candidates for the query's closures are walked.
-    """
-    graph = store.graph
-    if not graph.frozen:
-        raise NotFrozenError("freeze the graph before matching")
+    """All policies matching ``q``, ordered by insertion sequence, at the
+    graph's attribute depth unless ``depth`` is given."""
+    snapshot = store.policies()
     if depth is None:
-        depth = graph.attr_depth
-    policies = store.policies()
-    closures = _closures(graph, policies.adjacency, q, depth)
-    return [
-        m
-        for p in policies.candidates(closures)
-        if (m := match_single(p, closures, depth)) is not None
-    ]
+        depth = snapshot.attr_depth
+    return matches(snapshot, snapshot.closures(q, depth), depth)
 
 
 # -- path-enumeration oracle ------------------------------------------

@@ -46,9 +46,8 @@ skips the compiler.  No slot holds a repeat, and a stored policy with no
 compound expression shares the one ``_NO_COMPOUND`` tuple.
 ``create_policy`` makes each slot a tuple once and compiles the tuples it
 checked, so a slot given as a one-shot iterable is read once.
-``Policy.conditions`` rebuilds the ``{type: frozenset}`` mapping, which
-hashes whole trees, once per path through a shared part: it is meant for
-the oracle and small trees.
+``Policy.conditions`` rebuilds the ``{type: frozenset}`` mapping, for the
+oracle and other readers of the trees.
 
 ``PolicyStore.policies()`` compiles the stored policies into one
 ``PolicySnapshot``: a tuple of them in ``seq`` order that also carries the
@@ -80,12 +79,18 @@ nodes, so the snapshot's ``adjacency`` is a tuple of three copies of the
 frozen graph's ``HAS_ATTR`` children, one per slot in ``_SLOTS`` order,
 each trimmed to the nodes that can reach a condition node of its slot, all
 built by one ``Graph.trimmed_adjacency`` call.  A snapshot holds only what
-a query reads: ``keys``, ``residual`` and ``adjacency``, besides the
-policies themselves.
+a query reads: ``keys``, ``residual`` and ``adjacency``, the frozen
+``graph`` and its ``attr_depth``, the default traversal depth, besides the
+policies themselves.  It runs each stage a query needs:
+``PolicySnapshot.closures`` makes one bounded BFS per slot over that
+slot's copy, through ``graph.attribute_closure``, and ``candidates`` reads
+the index; ``matcher.matches`` checks the candidates.
 ``Ref``, ``Not``, ``And``, ``Or`` and ``Policy`` are slotted records, with
 no per-instance dict (see ``records.py``): the condition expressions are
 frozen and hash by their fields, and a ``Policy`` compares by its fields
-but does not hash.
+but does not hash.  ``Not``, ``And`` and ``Or`` keep their hash after its
+first use, in a slot that is not a field, so hashing a tree hashes each
+distinct part once.
 
 ``create_policy`` validates and compiles before it inserts, so a rejected
 policy leaves no trace.  ``policies()`` builds the snapshot, which needs a
@@ -162,14 +167,29 @@ class Ref(ConditionExpr):
         _set(self, "node", node)
 
 
-class Not(ConditionExpr):
+class _Compound(ConditionExpr):
+    """Base of ``Not``, ``And`` and ``Or``.  Keeps its hash, that of its
+    field tuple, after the first use, in a slot that is not one of its
+    fields, so hashing a tree hashes each distinct part once."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._values()))
+            return self._hash
+
+
+class Not(_Compound):
     __slots__ = ("inner",)
 
     def __init__(self, inner: ConditionExpr) -> None:
         _set(self, "inner", inner)
 
 
-class And(ConditionExpr):
+class And(_Compound):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[ConditionExpr, ...]) -> None:
@@ -178,7 +198,7 @@ class And(ConditionExpr):
             raise ValueError("And requires at least two children")
 
 
-class Or(ConditionExpr):
+class Or(_Compound):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[ConditionExpr, ...]) -> None:
@@ -304,9 +324,8 @@ class Policy(Record):
 
     @property
     def conditions(self) -> dict[ConditionType, frozenset[ConditionExpr]]:
-        """Each slot's expressions as one set, keyed by condition type.
-        Hashes each tree whole, once per path through a shared part, so it
-        is meant for the oracle and small trees, not for the decision
+        """Each slot's expressions as one set, keyed by condition type, for
+        the oracle and other readers of the trees, not for the decision
         path."""
         return {
             t: frozenset(map(Ref, nodes)).union(compiled[0] if compiled else ())
@@ -317,15 +336,21 @@ class Policy(Record):
         return all(nodes or exprs for nodes, exprs in zip(self.nodes, self.compound))
 
 
+# One slot's closure: minimal hop counts from a query primitive.
+Closure = dict[NodeRef, int]
+Closures = tuple[Closure, Closure, Closure]
+
+
 class PolicySnapshot(tuple):
     """The stored policies in ``seq`` order, compiled over the frozen graph:
-    the key index of the policies themselves and one trimmed adjacency per
-    slot (see the module docstring).  Raises NotFrozenError on an unfrozen
-    graph."""
+    the graph and its ``attr_depth``, the key index of the policies
+    themselves and one trimmed adjacency per slot (see the module
+    docstring).  Raises NotFrozenError on an unfrozen graph."""
 
     def __new__(cls, graph: Graph, policies: tuple[Policy, ...]) -> PolicySnapshot:
         self = super().__new__(cls, policies)
         counts = graph.path_counts()
+        self.graph, self.attr_depth = graph, graph.attr_depth
         # Per slot, in _SLOTS order: every condition node of the slot, and
         # key node -> the policies posted under it, in seq order.
         conditions: tuple[set[NodeRef], ...] = (set(), set(), set())
@@ -343,6 +368,17 @@ class PolicySnapshot(tuple):
         self.keys, self.residual = keys, residual
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
+
+    def closures(self, q: Sequence[NodeRef], depth: int) -> Closures:
+        """Minimal hop counts from each node of the query ``q`` (subject,
+        action, object) to every condition node of its slot that it reaches
+        within ``depth``: one bounded BFS per slot over the slot's trimmed
+        adjacency, one dict per slot in ``_SLOTS`` order."""
+        sub, act, obj = self.adjacency
+        # Looked up on each call, so a wrapper set on ``Graph`` sees every
+        # closure.
+        closure = self.graph.attribute_closure
+        return closure(q[0], depth, sub), closure(q[1], depth, act), closure(q[2], depth, obj)
 
     def candidates(self, closures: Sequence[Mapping[NodeRef, int]]) -> list[Policy]:
         """The policies, in ``seq`` order, that can match a query whose

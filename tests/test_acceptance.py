@@ -33,7 +33,7 @@ from graphabac import (
 )
 from graphabac.cypher import emit_cypher_data, emit_cypher_decision_query
 from graphabac.errors import MissingConditionTypeError
-from graphabac.matcher import match_single, query_closures
+from graphabac.matcher import match_single
 from graphabac.policy import compile_conditions
 
 from randdocs import MALFORMED_CORPUS, random_document
@@ -279,7 +279,7 @@ def test_6_dnf_expansion():
         store.create_policy(pol.name, pol.decision, pol.conditions)
         for _ in range(3):
             q = AccessQuery(*(rng.choice(nodes) for _ in range(3)))
-            closures = query_closures(store, q, rg.attr_depth)
+            closures = store.policies().closures(q, rg.attr_depth)
             whole = match_single(pol, closures, rg.attr_depth) is not None
             split = any(
                 match_single(p, closures, rg.attr_depth) is not None for p in parts

@@ -65,6 +65,19 @@ class TestCheck:
         assert "UTF-8" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["check", "validate"])
+    def test_unreadable_model_exit_two(self, command, tmp_path, capsys):
+        query = ["a", "b", "c"] if command == "check" else []
+        missing = tmp_path / "missing.abac"
+        assert main([command, str(missing), *query]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"graphabac: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert captured.out == ""
+        assert main([command, str(tmp_path), *query]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("graphabac: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_algorithm_flag(self, model_path, capsys):
         code = main(
             [
@@ -156,6 +169,20 @@ class TestExplain:
         assert code == 1
         out = capsys.readouterr().out
         assert "no matching policies; default Deny" in out
+
+    def test_closures_taken_once(self, model_path, monkeypatch, capsys):
+        # The report reads the closures the decision was made from.
+        calls = []
+        closure = Graph.attribute_closure
+
+        def counting(self, *args):
+            calls.append(args)
+            return closure(self, *args)
+
+        monkeypatch.setattr(Graph, "attribute_closure", counting)
+        assert main(["explain", model_path, "John", "Write", "MR_1234"]) == 0
+        assert "Policy2" in capsys.readouterr().out
+        assert len(calls) == 3
 
     def test_shows_restriction_step(self, model_path, capsys):
         main(

@@ -137,6 +137,10 @@ class TestDecisionQuery:
         assert "SUBJECT_NAME" in script and "OBJECT_NAME" in script
         assert "ACTION_NAME" in script
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            emit_cypher_decision_query(DENY, -1)
+
     def test_permit_overrides_clause(self):
         script = emit_cypher_decision_query(PERMIT, 3)
         assert "[:HAS_ATTR*0..3]" in script

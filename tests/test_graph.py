@@ -49,6 +49,17 @@ class TestAddNode:
                 g.add_node(name, ["Primitive"])
         assert g.node_count() == 0
 
+    def test_labels_not_a_list_of_str_rejected(self):
+        # A str would give one label per character, so ``"Policy"`` would
+        # make a node that create_policy accepts as a condition.
+        g = Graph()
+        bad = ("Policy", ("Primitive", 1), ["Primitive", None], (b"Policy",), [["x"]], None)
+        for labels in bad:
+            with pytest.raises(GraphError, match="not a list of str"):
+                g.add_node("x", labels)
+        assert g.node_count() == 0
+        assert g.node(g.add_node("x", ["Policy"])).labels == ("Policy",)
+
     def test_primitive_policy_label_clash_rejected(self):
         g = Graph()
         with pytest.raises(ValueError):
@@ -151,6 +162,11 @@ class TestAttributeClosure:
         with pytest.raises(UnknownNodeError):
             Graph().attribute_closure(0, 3)
 
+    def test_negative_depth_rejected(self, healthcare):
+        g = healthcare.graph
+        with pytest.raises(ValueError, match="non-negative"):
+            g.attribute_closure(g.find_node("MR_1234"), -1)
+
     def test_keys_in_discovery_order(self):
         # Random models are drawn from list(attribute_closure(...)), so the
         # key order is part of what fixes seeded test data: breadth-first,
@@ -175,6 +191,12 @@ class TestAttributeClosure:
 class TestAttributeDepth:
     def test_healthcare_depth_is_two(self, healthcare):
         assert healthcare.graph.attr_depth == 2
+
+    def test_unfrozen_graph_has_no_depth(self):
+        g = Graph()
+        g.add_node("a")
+        with pytest.raises(NotFrozenError):
+            g.attr_depth
 
     def test_no_edges_depth_zero(self):
         g = Graph()

@@ -16,6 +16,7 @@ from graphabac import (
     HAS_ATTR,
     Not,
     Or,
+    Policy,
     PolicyStore,
     Ref,
     combine,
@@ -29,7 +30,7 @@ from graphabac.errors import (
     MissingConditionTypeError,
     NotFrozenError,
 )
-from graphabac.matcher import match_single, match_single_oracle, query_closures
+from graphabac.matcher import match_single, match_single_oracle
 from graphabac.policy import PolicySnapshot, ref_leaves
 
 from randmodel import RandomModelConfig, dnf_term_count, random_model, random_query
@@ -45,7 +46,7 @@ def satisfies(g, x, expr, depth):
     of a store that holds only the probe policy."""
     store = PolicyStore(g)
     pol = store.create_policy("probe", Decision.PERMIT, {t: {expr} for t in ConditionType})
-    closures = query_closures(store, AccessQuery(x, x, x), depth)
+    closures = store.policies().closures(AccessQuery(x, x, x), depth)
     return match_single(pol, closures, depth) is not None
 
 
@@ -125,7 +126,7 @@ class TestMatchingPolicies:
 
 
 def policy_length(store, q, name):
-    closures = query_closures(store, q, store.graph.attr_depth)
+    closures = store.policies().closures(q, store.graph.attr_depth)
     return match_single(store.get(name), closures, store.graph.attr_depth).total_len
 
 
@@ -170,6 +171,19 @@ class TestOracle:
     def test_empty_store(self, healthcare, query):
         store = PolicyStore(healthcare.graph)
         assert matching_policies_oracle(store, query("John", "Write", "MR_1234")) == []
+
+    def test_requires_frozen_graph(self):
+        g = Graph()
+        a = g.add_node("a", ("Primitive",))
+        with pytest.raises(NotFrozenError):
+            matching_policies_oracle(PolicyStore(g), AccessQuery(a, a, a))
+
+    def test_policy_with_an_empty_slot_never_matches(self, healthcare, query):
+        # create_policy rejects such a policy, so it is built by hand.
+        g = healthcare.graph
+        q = query("John", "Write", "MR_1234")
+        pol = Policy("Empty", Decision.PERMIT, 0, 0, ((q.sub,), (), (q.obj,)), ((), (), ()))
+        assert match_single_oracle(g, pol, q, g.attr_depth) is None
 
     def test_random_10_node_models(self):
         rng = random.Random(42)
@@ -411,7 +425,7 @@ class TestCompoundMatching:
         pol = store.get("ActiveEmployees")
         for s in (s1, s2):
             q = AccessQuery(s, browse, portal)
-            closures = query_closures(store, q, g.attr_depth)
+            closures = store.policies().closures(q, g.attr_depth)
             assert match_single(pol, closures, g.attr_depth) == match_single_oracle(
                 g, pol, q, g.attr_depth
             )
@@ -421,7 +435,7 @@ def scan_matches(store, q, depth=None):
     """Test-local full scan: ``match_single`` over every stored policy."""
     if depth is None:
         depth = store.graph.attr_depth
-    closures = query_closures(store, q, depth)
+    closures = store.policies().closures(q, depth)
     return [m for p in store.policies() if (m := match_single(p, closures, depth))]
 
 
@@ -497,7 +511,7 @@ class TestIndexDifferential:
                 store.create_policy(f"extra{k}", Decision.PERMIT, slots)
             for _ in range(6):
                 q = random_query(rng, model)
-                closures = query_closures(store, q, rng.randint(0, g.attr_depth))
+                closures = store.policies().closures(q, rng.randint(0, g.attr_depth))
                 expected = [
                     p.seq
                     for p in store.policies()
@@ -603,7 +617,7 @@ class TestIndexEdgeCases:
         snapshot = store.policies()
         assert snapshot == () and snapshot.keys == ({}, {}, {}) and snapshot.residual == []
         q = AccessQuery(s, act, obj)
-        assert snapshot.candidates(query_closures(store, q, g.attr_depth)) == []
+        assert snapshot.candidates(snapshot.closures(q, g.attr_depth)) == []
         assert matching_policies(store, q) == []
 
     def test_rejected_policy_leaves_no_trace(self):
@@ -696,9 +710,10 @@ class TestIndexEdgeCases:
             {SUB: {Ref(a2), Or((Ref(a1), Ref(obj)))}, ACT: {Ref(act)}, OBJ: {Ref(obj)}},
         )
         q = AccessQuery(s, act, obj)
-        assert store.policies().candidates(query_closures(store, q, 1)) == []
+        snapshot = store.policies()
+        assert snapshot.candidates(snapshot.closures(q, 1)) == []
         assert matching_policies(store, q, 1) == [] == matching_policies_oracle(store, q, 1)
-        assert [p.seq for p in store.policies().candidates(query_closures(store, q, 2))] == [0]
+        assert [p.seq for p in snapshot.candidates(snapshot.closures(q, 2))] == [0]
         (m,) = matching_policies(store, q, 2)
         assert [m] == matching_policies_oracle(store, q, 2)
 
@@ -715,9 +730,10 @@ class TestIndexEdgeCases:
             },
         )
         queries = (AccessQuery(s, act, obj), AccessQuery(act, act, act), AccessQuery(obj, s, a1))
+        snapshot = store.policies()
         for depth in range(g.attr_depth + 1):
             for q in queries:
-                candidates = store.policies().candidates(query_closures(store, q, depth))
+                candidates = snapshot.candidates(snapshot.closures(q, depth))
                 assert [p.seq for p in candidates] == [0]
                 got = matching_policies(store, q, depth)
                 assert got == matching_policies_oracle(store, q, depth)
@@ -755,7 +771,7 @@ class TestTrimmedClosures:
             reach = {n: g.attribute_closure(n, g.attr_depth).keys() for n in nodes}
             for depth in range(g.attr_depth + 1):
                 q = random_query(rng, model)
-                closures = query_closures(store, q, depth)
+                closures = store.policies().closures(q, depth)
                 for t, start, closure in zip(ConditionType, q, closures):
                     full = g.attribute_closure(start, depth)
                     assert closure == {
@@ -832,7 +848,7 @@ class TestTrimmedClosures:
         g, store, s, sink, act, obj, pol = self.build()
         q = AccessQuery(s, act, obj)
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
-        assert sink not in query_closures(store, q, g.attr_depth)[0]
+        assert sink not in store.policies().closures(q, g.attr_depth)[0]
         store.create_policy(
             "OnSink", Decision.DENY, {SUB: {Ref(sink)}, ACT: {Ref(act)}, OBJ: {Ref(obj)}}
         )
@@ -865,7 +881,7 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in matching_policies(store, q)] == ["OnA"]
         adjacency = store.policies().adjacency
         a = g.find_node("a")
-        assert a not in query_closures(store, AccessQuery(s, act, s), g.attr_depth)[2]
+        assert a not in store.policies().closures(AccessQuery(s, act, s), g.attr_depth)[2]
         store.create_policy(
             "OnAToo", Decision.DENY, {SUB: {Ref(a)}, ACT: {Ref(act)}, OBJ: {Ref(obj), Ref(a)}}
         )
@@ -873,7 +889,7 @@ class TestTrimmedClosures:
         assert [m.policy.name for m in got] == ["OnA"]
         assert got == matching_policies_oracle(store, q)
         assert store.policies().adjacency != adjacency
-        assert query_closures(store, AccessQuery(s, act, s), g.attr_depth)[2] == {s: 0, a: 1}
+        assert store.policies().closures(AccessQuery(s, act, s), g.attr_depth)[2] == {s: 0, a: 1}
         for q in (AccessQuery(s, act, s), AccessQuery(a, act, a), AccessQuery(s, act, sink)):
             assert matching_policies(store, q) == matching_policies_oracle(store, q)
 
@@ -941,10 +957,10 @@ class TestTrimmedClosures:
         store.create_policy("OnZ", Decision.PERMIT, {t: {Ref(z)} for t in ConditionType})
         q = AccessQuery(s, s, s)
         with pytest.raises(NotFrozenError):
-            query_closures(store, q, 2)
+            store.policies().closures(q, 2)
         g.add_edge(a, HAS_ATTR, z)
         g.freeze()
-        assert query_closures(store, q, 2)[0] == {s: 0, a: 1, z: 2}
+        assert store.policies().closures(q, 2)[0] == {s: 0, a: 1, z: 2}
 
     def test_concurrent_first_queries_build_one_copy(self, monkeypatch):
         rng = random.Random(88)

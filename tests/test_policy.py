@@ -23,7 +23,6 @@ from graphabac import (
     matching_policies_oracle,
 )
 from graphabac import matcher, policy
-from graphabac.matcher import query_closures
 from graphabac.policy import AND, MAX_NESTING, REF, compile_conditions, leaf_nodes, ref_leaves
 from graphabac.errors import (
     ConditionTooDeepError,
@@ -295,6 +294,20 @@ class TestSharedSubexpressions:
         assert program[0] == (REF, g.find_node("John"))
         assert program[-1] == (AND, (MAX_NESTING,))
 
+    def test_conditions_hash_a_shared_part_once(self, healthcare):
+        import time
+
+        g = healthcare.graph
+        chain = ref_to(g, "John")
+        for _ in range(24):
+            chain = And((chain, chain))
+        conditions = {SUB: [chain], ACT: [ref_to(g, "Write")], OBJ: [ref_to(g, "MR_1234")]}
+        pol = PolicyStore(g).create_policy("Chain", Decision.PERMIT, conditions)
+        start = time.perf_counter()
+        got = pol.conditions
+        assert time.perf_counter() - start < 0.1
+        assert got == {t: frozenset(exprs) for t, exprs in conditions.items()}
+
     @pytest.mark.parametrize("shallow_first", [True, False])
     def test_deepest_path_to_a_shared_part_counts(self, healthcare, shallow_first):
         g = healthcare.graph
@@ -546,7 +559,7 @@ class TestCompiledSlots:
             nodes = [n for n in range(g.node_count()) if not g.node(n).has_label("Policy")]
             for _ in range(100):
                 q = AccessQuery(*rng.choices(nodes, k=3))
-                closures = query_closures(store, q, g.attr_depth)
+                closures = store.policies().closures(q, g.attr_depth)
                 seqs = [p.seq for p in store.policies().candidates(closures)]
                 assert all(a < b for a, b in zip(seqs, seqs[1:]))
                 longest = max(longest, len(seqs))
