@@ -18,7 +18,9 @@ puts the copy first on `sys.path` and then does one of:
   the default algorithm; it must print `Permit`;
 - `serve`: `graphabac serve` on the same model, timed from spawn to its
   reply to one request, which must be a Permit; then its peak resident
-  set, `VmHWM`, is read before its input is closed.
+  set, `VmHWM`, is read before its input is closed;
+- `serve_graph_deep`, `serve_policy_scan`: the same on the seed-1 model of
+  that workload, asked the request its `check` case decides.
 
 Each case runs under two interpreter modes: `isolated` (`-I -S`, no
 site-packages and no environment, so nothing outside the standard library
@@ -27,17 +29,19 @@ files may already import some of what graphabac needs).  One round runs
 every case in both modes, and rounds repeat, so all figures see the same
 host speed; like `bench/run.py`, the script pins itself and its children
 to one CPU.  Per mode and case it reports the median and quartiles
-(nearest rank) of the wall times in milliseconds, and of `serve`'s
-`VmHWM` in MB.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed
-loop timed before and after, so a later run can be scaled to this one.
+(nearest rank) of the wall times in milliseconds, and of each `serve`
+case's `VmHWM` in MB (`serve_vmhwm_mb`, `serve_graph_deep_vmhwm_mb`,
+`serve_policy_scan_vmhwm_mb`).  ``calib_ms`` is the mean of
+`bench/run.py`'s host-speed loop timed before and after, so a later run
+can be scaled to this one.
 
     PYTHONPATH=src python3 scripts/startup_sweep.py               # 21 rounds
     PYTHONPATH=src python3 scripts/startup_sweep.py --runs 3 --out -
 
 It times whichever graphabac is first on PYTHONPATH, so pointing
 PYTHONPATH at another source tree times that tree.  The default run takes
-about 80 s on a 2-vCPU VM with CPython 3.11, most of it in the two
-benchmark models' `check`s.
+about 2 minutes on a 2-vCPU VM with CPython 3.11, most of it in the
+benchmark models' `check` and `serve` cases.
 """
 
 from __future__ import annotations
@@ -65,7 +69,12 @@ MODES = {"isolated": ["-B", "-I", "-S"], "site": ["-B"]}
 QUERY = ["John", "Write", "MR_1234"]
 BENCH_MODELS = ("graph-deep", "policy-scan")
 BENCH_SEED = 1
-REQUEST = json.dumps({"id": "1", "subject": "John", "action": "Write", "object": "MR_1234"})
+
+
+def request(query: list[str]) -> bytes:
+    """The one `serve` request line for (subject, action, object)."""
+    fields = dict(zip(("subject", "action", "object"), query))
+    return json.dumps({"id": "1", **fields}).encode() + b"\n"
 
 
 def bench_models(work: str, healthcare_text: str) -> dict[str, tuple[str, list[str]]]:
@@ -87,8 +96,11 @@ def bench_models(work: str, healthcare_text: str) -> dict[str, tuple[str, list[s
     return models
 
 
-def scripts(src: str, model: str, bench: dict[str, tuple[str, list[str]]]) -> dict[str, str]:
-    """The `-c` program of each case, over the copy of the package in ``src``."""
+def scripts(
+    src: str, model: str, bench: dict[str, tuple[str, list[str]]]
+) -> tuple[dict[str, str], dict[str, bytes]]:
+    """The `-c` program of each case, over the copy of the package in
+    ``src``, and the request line of each `serve` case."""
     prefix = f"import sys; sys.path.insert(0, {src!r})"
     main = "from graphabac.cli import main; sys.exit(main({}))"
     programs = {
@@ -98,11 +110,13 @@ def scripts(src: str, model: str, bench: dict[str, tuple[str, list[str]]]) -> di
         "check": f"{prefix}; {main.format(['check', model, *QUERY])}",
         "serve": f"{prefix}; {main.format(['serve', model])}",
     }
+    requests = {"serve": request(QUERY)}
     for name, (path, query) in bench.items():
-        programs["check_" + name.replace("-", "_")] = (
-            f"{prefix}; {main.format(['check', path, *query])}"
-        )
-    return programs
+        case = name.replace("-", "_")
+        programs["check_" + case] = f"{prefix}; {main.format(['check', path, *query])}"
+        programs["serve_" + case] = f"{prefix}; {main.format(['serve', path])}"
+        requests["serve_" + case] = request(query)
+    return programs, requests
 
 
 def run_once(flags: list[str], program: str) -> float:
@@ -116,11 +130,11 @@ def run_once(flags: list[str], program: str) -> float:
     return took
 
 
-def serve_once(flags: list[str], program: str) -> tuple[float, float]:
-    """Wall milliseconds from spawn to the first reply, and VmHWM in MB."""
+def serve_once(flags: list[str], program: str, line: bytes) -> tuple[float, float]:
+    """Wall milliseconds from spawn to the reply to ``line``, and VmHWM in MB."""
     proc = Serve([*flags, "-c", program], dict(os.environ))
     try:
-        reply = proc.ask(REQUEST.encode() + b"\n")
+        reply = proc.ask(line)
         took = (time.perf_counter() - proc.started) * 1e3
         if reply is None or json.loads(reply)["decision"] != "Permit":
             raise RuntimeError(f"serve replied {reply!r}")
@@ -139,18 +153,18 @@ def spread(values: list[float]) -> dict:
 
 
 def measure(src: str, model: str, bench: dict[str, tuple[str, list[str]]], runs: int) -> dict:
-    programs = scripts(src, model, bench)
+    programs, requests = scripts(src, model, bench)
     times = {mode: {case: [] for case in programs} for mode in MODES}
-    rss: dict[str, list[float]] = {mode: [] for mode in MODES}
+    rss = {mode: {case: [] for case in requests} for mode in MODES}
     # One untimed round, so the interpreter's own files are in the page cache.
     for flags in MODES.values():
         run_once(flags, programs["import"])
     for _ in range(runs):
         for mode, flags in MODES.items():
             for case, program in programs.items():
-                if case == "serve":
-                    took, peak = serve_once(flags, program)
-                    rss[mode].append(peak)
+                if case in requests:
+                    took, peak = serve_once(flags, program, requests[case])
+                    rss[mode][case].append(peak)
                 else:
                     took = run_once(flags, program)
                 times[mode][case].append(took)
@@ -158,7 +172,7 @@ def measure(src: str, model: str, bench: dict[str, tuple[str, list[str]]], runs:
         mode: {
             "flags": " ".join(flags),
             **{f"{case}_ms": spread(times[mode][case]) for case in programs},
-            "serve_vmhwm_mb": spread(rss[mode]),
+            **{f"{case}_vmhwm_mb": spread(rss[mode][case]) for case in requests},
         }
         for mode, flags in MODES.items()
     }
@@ -185,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         "script": "scripts/startup_sweep.py",
         "model": "bundled healthcare model, check and serve on John Write MR_1234",
         "bench_models": {
-            name: f"seed {BENCH_SEED}, check on {' '.join(query)}"
+            name: f"seed {BENCH_SEED}, check and serve on {' '.join(query)}"
             for name, (_, query) in bench.items()
         },
         "runs": args.runs,
@@ -202,7 +216,9 @@ def main(argv: list[str] | None = None) -> int:
             f"check {figures['check_ms']['p50']} ms, serve {figures['serve_ms']['p50']} ms, "
             f"serve VmHWM {figures['serve_vmhwm_mb']['p50']} MB, check graph-deep "
             f"{figures['check_graph_deep_ms']['p50']} ms, check policy-scan "
-            f"{figures['check_policy_scan_ms']['p50']} ms",
+            f"{figures['check_policy_scan_ms']['p50']} ms, serve VmHWM graph-deep "
+            f"{figures['serve_graph_deep_vmhwm_mb']['p50']} MB, policy-scan "
+            f"{figures['serve_policy_scan_vmhwm_mb']['p50']} MB",
             file=sys.stderr,
         )
     out = json.dumps(report, indent=2) + "\n"

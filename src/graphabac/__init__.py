@@ -15,7 +15,6 @@ from .dsl import (
     load_model,
     load_model_file,
     parse_model,
-    serialize_model,
 )
 from .graph import Graph, HAS_ATTR, Node, NodeRef
 from .matcher import (
@@ -38,6 +37,16 @@ from .policy import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Imported on first use, like graphabac.dsl's own serializer names.
+    if name == "serialize_model":
+        from .serialize import serialize_model
+
+        return serialize_model
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALGORITHM_NAMES",

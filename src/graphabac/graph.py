@@ -1,8 +1,8 @@
 """In-memory directed labeled property graph with attribute-chain reachability.
 
 Nodes are addressed by a unique, case-sensitive, non-empty ``str`` name;
-edges are typed and have set semantics (re-adding an existing edge is a
-no-op).  Attribute inheritance runs along outgoing ``HAS_ATTR`` edges,
+edges are typed and have set semantics (re-adding an existing edge adds no
+edge).  Attribute inheritance runs along outgoing ``HAS_ATTR`` edges,
 which must form a DAG.
 
 The graph is built single-threaded, then frozen.  After ``freeze()`` every
@@ -17,12 +17,17 @@ one labels tuple, and a node's properties are a read-only
 ``MappingProxyType`` over the graph's own copy of them; every node
 declared without properties shares one empty mapping.
 
-Each ``HAS_ATTR`` edge is stored once, in a per-node list of children
-indexed by ref.  While the graph is built a node's children are a set;
-``freeze()`` turns each set into a tuple in the set's own iteration order,
-so a closure's keys come out in the same breadth-first discovery order
-before and after freezing, and every query shares the immutable tuples.
-Other relationship types keep their own map; reachability never reads it.
+``HAS_ATTR`` children are kept in a per-node sequence indexed by ref.
+While the graph is built a node's children are a plain list, each edge
+appended as it is added, so a repeated edge may appear twice; a list costs
+far less memory than a set.  ``freeze()`` turns each list into
+``tuple(set(children))``: a set built by that sequence of adds iterates in
+the same order as one the edges were added to one by one, and the tuple
+keeps that order with every edge once.  Every reader before ``freeze()``
+sees the children in that order and without repeats, so a closure's keys
+come out in the same breadth-first discovery order before and after
+freezing, and every query shares the immutable tuples.  Other relationship
+types keep their own map; reachability never reads it.
 
 ``trimmed_adjacency`` derives, from a frozen graph, one copy of the
 children per given set of targets, each keeping only the nodes that can
@@ -104,8 +109,9 @@ class Graph:
         self._by_name: dict[str, NodeRef] = {}
         # One tuple per distinct label list, shared by every node with it.
         self._labels: dict[tuple[str, ...], tuple[str, ...]] = {}
-        # HAS_ATTR children by ref: sets while the graph is built, tuples
-        # after freeze().
+        # HAS_ATTR children by ref: lists, in the order the edges were
+        # added and with any repeat, while the graph is built; after
+        # freeze(), a tuple of tuple(set(children)).
         self._children: Adjacency = []
         # ref -> rel_type -> set of target refs, for every type but HAS_ATTR
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
@@ -147,34 +153,46 @@ class Graph:
         ref = len(self._nodes)
         self._nodes.append(Node(ref, name, shared, props))
         self._by_name[name] = ref
-        self._children.append(set())
+        self._children.append([])
         return ref
 
     def add_edge(self, src: NodeRef, rel_type: str, dst: NodeRef) -> None:
         self._check_mutable()
         self._check_ref(src)
         self._check_ref(dst)
+        self._link(src, rel_type, dst)
+
+    def _link(self, src: NodeRef, rel_type: str, dst: NodeRef) -> None:
+        """Add the edge between two refs already checked, on a graph not
+        yet frozen: the one place an edge is routed by its type."""
         if rel_type != HAS_ATTR:
             self._out.setdefault(src, {}).setdefault(rel_type, set()).add(dst)
         elif src == dst:
             raise SelfLoopError(f"HAS_ATTR self-loop on {self._nodes[src].name!r}")
         else:
-            self._children[src].add(dst)
+            self._children[src].append(dst)
 
     def freeze(self) -> None:
         """Finish the build phase: fix the traversal bound at the longest
         HAS_ATTR chain, turn each node's children into a tuple and keep the
         topological order for the passes over the frozen graph.  A cycle
         raises before anything changes, leaving the graph unfrozen."""
-        order = self._topological_order()
+        # The cycle check, over the lists, before anything changes.
+        self._topological_order(self._children)
+        # Every tuple is made before any list is freed.  Made one by one in
+        # the memory of the lists freed before them, they would lie
+        # scattered, and every walk over the frozen graph would run slower.
+        children = self._children = tuple([tuple(set(kids)) for kids in self._children])
+        # Taken again over the tuples, so it follows their order, not the
+        # order the edges were added in.
+        order = self._topological_order(children)
         # Each node's longest HAS_ATTR chain from a source, parents first.
-        longest = [0] * len(self._children)
+        longest = [0] * len(children)
         for r in order:
-            for dst in self._children[r]:
+            for dst in children[r]:
                 if longest[r] + 1 > longest[dst]:
                     longest[dst] = longest[r] + 1
         self._attr_depth = max(longest, default=0)
-        self._children = tuple(tuple(children) for children in self._children)
         self._order = array("l", order)
         self._frozen = True
 
@@ -211,7 +229,7 @@ class Graph:
     def edges(self) -> Iterator[tuple[NodeRef, str, NodeRef]]:
         """Every edge as (source, type, target), by source ref, then type, then target ref."""
         for src, children in enumerate(self._children):
-            rels = {HAS_ATTR: children, **self._out.get(src, {})}
+            rels = {HAS_ATTR: set(children), **self._out.get(src, {})}
             for rel_type in sorted(rels):
                 for dst in sorted(rels[rel_type]):
                     yield src, rel_type, dst
@@ -241,7 +259,13 @@ class Graph:
         self._check_ref(start)
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        adj = self._children if adjacency is None else adjacency
+        if adjacency is not None:
+            adj = adjacency
+        elif self._frozen:
+            adj = self._children
+        else:
+            # Each node's children as freeze() will order them, once each.
+            adj = [set(children) for children in self._children]
         dist = {start: 0}
         frontier = [start]
         for d in range(1, max_depth + 1):
@@ -317,11 +341,11 @@ class Graph:
 
     # -- internal -----------------------------------------------------
 
-    def _topological_order(self) -> list[NodeRef]:
-        """Every node, each after all of its HAS_ATTR parents (Kahn's
-        algorithm); raises AttributeCycleError, naming one node on a cycle,
-        if there is none."""
-        adj = self._children
+    def _topological_order(self, adj: Adjacency) -> list[NodeRef]:
+        """Every node, each after all of its HAS_ATTR parents in ``adj``
+        (Kahn's algorithm; a repeated child is counted as often as it
+        appears); raises AttributeCycleError, naming one node on a cycle, if
+        there is none."""
         indeg = [0] * len(adj)
         for children in adj:
             for dst in children:

@@ -130,26 +130,32 @@ runpy.run_module("graphabac", run_name="__main__")
         # Under -I -S nothing outside the standard library and the package
         # is imported first, so the modules left out are left out by the
         # package itself; those that read the bundled model or write Cypher
-        # still work when asked.
+        # still work when asked.  No front end writes model text, so the
+        # serializer is never imported.
         package = os.path.dirname(cli.__file__)
         model = os.path.join(package, "data", "healthcare.abac")
         script = f"""
 import sys
 sys.path.insert(0, {os.path.dirname(package)!r})
 import graphabac.cli
-unused = ["dataclasses", "inspect", "importlib.resources", "graphabac.cypher"]
+unused = [
+    "dataclasses", "inspect", "importlib.resources", "graphabac.cypher", "graphabac.serialize"
+]
 print(*[m for m in unused if m in sys.modules])
 from graphabac.dsl import load_bundled_model
 print(len(load_bundled_model().policies), flush=True)
+code = graphabac.cli.main(["check", {model!r}, "John", "Write", "MR_1234"])
+print(code, "graphabac.serialize" in sys.modules, flush=True)
 sys.exit(graphabac.cli.main(["export-cypher", {model!r}, "--what", "policies"]))
 """
         proc = subprocess.run(
             [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
         )
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        loaded, bundled, cypher = proc.stdout.split("\n", 2)
+        loaded, bundled, decided, checked, cypher = proc.stdout.split("\n", 4)
         assert loaded == "", f"imported at start-up: {loaded}"
         assert bundled == "3"
+        assert (decided, checked) == ("Permit", "0 False")
         code, expected, _ = run_cli(["export-cypher", model, "--what", "policies"])
         assert (code, cypher) == (0, expected)
 

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +286,103 @@ class TestFreeze:
                 g.out_neighbors(bad, HAS_ATTR)
             with pytest.raises(UnknownNodeError):
                 g.out_neighbors(bad, "RELATES_TO")
+
+
+class TestChildrenUntilFreeze:
+    """While the graph is built a node's children are a list that may repeat
+    an edge; every reader, and freeze(), must see what a set built by the
+    same adds would hold, in that set's iteration order."""
+
+    @staticmethod
+    def reference_closure(children, start, depth):
+        dist, frontier = {start: 0}, [start]
+        for d in range(1, depth + 1):
+            found = []
+            for n in frontier:
+                for m in children[n]:
+                    if m not in dist:
+                        dist[m] = d
+                        found.append(m)
+            frontier = found
+        return list(dist.items())
+
+    @staticmethod
+    def reference_trim(children, targets):
+        reaches = {}
+
+        def reach(n):
+            if n not in reaches:
+                reaches[n] = n in targets or any([reach(m) for m in children[n]])
+            return reaches[n]
+
+        return tuple(
+            tuple(m for m in kids if reach(m)) if reach(n) else ()
+            for n, kids in enumerate(children)
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_incremental_sets(self, seed):
+        rng = random.Random(seed)
+        # Large refs among few children collide in a small set table, so a
+        # set's order is neither insertion nor ascending order.
+        n = rng.choice((8, 40, 300))
+        g = Graph()
+        refs = [g.add_node(f"n{i}") for i in range(n)]
+        sets = [set() for _ in refs]
+        added = []
+        for _ in range(rng.randrange(4 * n)):
+            # Mostly HAS_ATTR edges up the ref order (so no cycle), some of
+            # them repeats, and some self-loops and other relationship types.
+            src, roll = rng.randrange(n - 1), rng.random()
+            dst = rng.randrange(src + 1, n)
+            if roll < 0.1:
+                with pytest.raises(SelfLoopError):
+                    g.add_edge(src, HAS_ATTR, src)
+            elif roll < 0.25:
+                g.add_edge(src, "RELATES_TO", dst)
+            else:
+                if roll < 0.4 and added:
+                    src, dst = rng.choice(added)
+                added.append((src, dst))
+                g.add_edge(src, HAS_ATTR, dst)
+                sets[src].add(dst)
+        expected = [tuple(kids) for kids in sets]
+        depth = rng.randrange(1, 6)
+        starts = rng.sample(refs, min(n, 10))
+        closures = [self.reference_closure(expected, r, depth) for r in starts]
+
+        def observe():
+            return [list(g.attribute_closure(r, depth).items()) for r in starts]
+
+        assert observe() == closures
+        assert [sorted(g.out_neighbors(r, HAS_ATTR)) for r in refs] == [sorted(k) for k in sets]
+        assert g.edge_count(HAS_ATTR) == sum(map(len, sets))
+        edges = list(g.edges())
+        g.freeze()
+        assert list(g._children) == expected
+        assert observe() == closures
+        assert list(g.edges()) == edges
+        targets = [set(rng.sample(refs, rng.randrange(1, 4))) for _ in range(3)]
+        assert g.trimmed_adjacency(targets) == tuple(
+            self.reference_trim(expected, t) for t in targets
+        )
+
+    def test_building_holds_few_bytes_per_edge(self):
+        # 2 000 nodes with 6 children each: a set per node costs about 85
+        # bytes per edge (CPython 3.10-3.13), a list about 11.
+        rng = random.Random(7)
+        g = Graph()
+        refs = [g.add_node(f"n{i}") for i in range(2006)]
+        plan = [(r, dst) for r in refs[:2000] for dst in rng.sample(refs[r + 1:], 6)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for src, dst in plan:
+                g.add_edge(src, HAS_ATTR, dst)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(plan) <= 24, f"{held / len(plan):.1f} bytes per edge"
 
 
 # -- randomized properties -------------------------------------------
