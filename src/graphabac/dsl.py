@@ -17,7 +17,9 @@ Multiple expressions in one slot form that slot's conjunctive condition
 set.  An expression nests ``not`` and ``(`` at most ``MAX_NESTING`` levels
 deep.  Parsing is total: malformed input yields positioned errors, never an
 exception, and the parser resynchronizes at the next statement keyword.  A
-policy that nests deeper is one error, at the policy.
+policy that nests deeper is one error, at the policy; an integer with more
+digits than ``int()`` converts (``sys.get_int_max_str_digits()``, CPython
+3.11 and later) is one error, at the integer.
 
 The text is lexed in one ``finditer`` pass into ``(kind, value, offset)``
 tuples: kind is ``IDENT``, ``STRING``, ``INT``, ``PUNCT`` or, last,
@@ -48,9 +50,9 @@ declaration, at the same offset, as the token parser would; the lexer
 restarts after the last statement read this way.  Anything
 else goes to the token parser from the statement's keyword: properties, a
 second label, ``not``/``and``/``or``, a string with a backslash, a keyword
-where a name goes, a comment inside the statement, and all malformed text,
-so every error comes from the token parser.  The input alone picks the
-path.
+where a name goes, a comment inside the statement, a score too long for
+``int()``, and all malformed text, so every error comes from the token
+parser.  The input alone picks the path.
 
 A parsed condition is the engine's own ``Not``/``And``/``Or`` (see
 ``policy.py``), so the parser, the loader and the store share one
@@ -238,7 +240,9 @@ _ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 # runs to the end of its line whatever backtracking tries.  No pattern nests
 # a repeat, so a failing match backtracks in linear time.  A name may match a
 # keyword; the declaration functions check that, and a quoted name holds no
-# quote, so strip('"') unquotes it.
+# quote, so strip('"') unquotes it.  A plain score has at most 640 digits, the
+# least limit sys.set_int_max_str_digits() accepts, so int() always converts
+# it; a longer one goes to the token parser.
 _WS = r"[ \t\r\n]*"
 _NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
 _NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>node|edge|policy)\b|\Z)"
@@ -253,7 +257,7 @@ _PLAIN_EDGE_RE = re.compile(
 )
 _PLAIN_POLICY_RE = re.compile(
     rf"policy{_WS}(?P<name>{_NAME}){_WS}(?P<decision>permit|deny)\b{_WS}"
-    rf"(?:score\b{_WS}(?P<score>-?[0-9]+){_WS})?"
+    rf"(?:score\b{_WS}(?P<score>-?[0-9]{{1,640}}){_WS})?"
     rf"\{{(?P<body>(?:{_WS}{_SLOT}(?:{_WS};)?)+){_WS}\}}{_NEXT}",
     re.ASCII,
 )
@@ -499,10 +503,20 @@ class _Parser:
         if kind == "STRING":
             return self.advance()[1]
         if kind == "INT":
-            return int(self.advance()[1])
+            return self.parse_int()
         if kind == "IDENT" and value in ("true", "false"):
             return self.advance()[1] == "true"
         raise self.unexpected("a scalar value")
+
+    def parse_int(self) -> int:
+        """The lookahead, an ``INT`` token, as an int."""
+        _, value, offset = self.advance()
+        try:
+            return int(value)
+        except ValueError:
+            # CPython 3.11 and later refuse a literal longer than
+            # sys.get_int_max_str_digits() allows.
+            raise _SyntaxFailure(offset, f"integer too long: {len(value)} characters") from None
 
     def parse_edge(self) -> None:
         kw = self.expect_keyword("edge")
@@ -523,11 +537,9 @@ class _Parser:
         score: Optional[int] = None
         if self.at_keyword("score"):
             self.advance()
-            kind, value, offset = self.tok
-            if kind != "INT":
-                raise _SyntaxFailure(offset, "expected an integer score")
-            self.advance()
-            score = int(value)
+            if self.tok[0] != "INT":
+                raise _SyntaxFailure(self.tok[2], "expected an integer score")
+            score = self.parse_int()
         self.expect_punct("{")
         slots: dict[ConditionType, list] = {}
         try:

@@ -173,25 +173,36 @@ class Graph:
             self._children[src].append(dst)
 
     def freeze(self) -> None:
-        """Finish the build phase: fix the traversal bound at the longest
-        HAS_ATTR chain, turn each node's children into a tuple and keep the
-        topological order for the passes over the frozen graph.  A cycle
-        raises before anything changes, leaving the graph unfrozen."""
-        # The cycle check, over the lists, before anything changes.
-        self._topological_order(self._children)
+        """Finish the build phase: turn each node's children into a tuple,
+        and keep a topological order of the tuples for the passes over the
+        frozen graph and the longest HAS_ATTR chain as the traversal bound.
+
+        One pass of Kahn's algorithm over the tuples gives the order, each
+        node's longest chain from a source and the cycle check.  A cycle
+        raises AttributeCycleError, naming the first node by ref still left
+        with a parent, before anything is assigned: the graph stays
+        unfrozen, its children still the lists."""
         # Every tuple is made before any list is freed.  Made one by one in
         # the memory of the lists freed before them, they would lie
         # scattered, and every walk over the frozen graph would run slower.
-        children = self._children = tuple([tuple(set(kids)) for kids in self._children])
-        # Taken again over the tuples, so it follows their order, not the
-        # order the edges were added in.
-        order = self._topological_order(children)
-        # Each node's longest HAS_ATTR chain from a source, parents first.
+        children = tuple([tuple(set(kids)) for kids in self._children])
+        indeg = [0] * len(children)
+        for kids in children:
+            for dst in kids:
+                indeg[dst] += 1
+        order = [r for r, d in enumerate(indeg) if not d]
         longest = [0] * len(children)
         for r in order:
             for dst in children[r]:
                 if longest[r] + 1 > longest[dst]:
                     longest[dst] = longest[r] + 1
+                indeg[dst] -= 1
+                if not indeg[dst]:
+                    order.append(dst)
+        if len(order) < len(children):
+            culprit = next(r for r, d in enumerate(indeg) if d)
+            raise AttributeCycleError(self._nodes[culprit].name)
+        self._children = children
         self._attr_depth = max(longest, default=0)
         self._order = array("l", order)
         self._frozen = True
@@ -340,26 +351,6 @@ class Graph:
         return counts
 
     # -- internal -----------------------------------------------------
-
-    def _topological_order(self, adj: Adjacency) -> list[NodeRef]:
-        """Every node, each after all of its HAS_ATTR parents in ``adj``
-        (Kahn's algorithm; a repeated child is counted as often as it
-        appears); raises AttributeCycleError, naming one node on a cycle, if
-        there is none."""
-        indeg = [0] * len(adj)
-        for children in adj:
-            for dst in children:
-                indeg[dst] += 1
-        order = [r for r in range(len(adj)) if indeg[r] == 0]
-        for r in order:
-            for dst in adj[r]:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    order.append(dst)
-        if len(order) < len(adj):
-            culprit = next(r for r in range(len(adj)) if indeg[r] > 0)
-            raise AttributeCycleError(self._nodes[culprit].name)
-        return order
 
     def _targets(self, src: NodeRef, rel_type: str) -> Collection[NodeRef]:
         self._check_ref(src)

@@ -348,6 +348,28 @@ class TestValidate:
         assert main(["check", str(path), "a", "a", "a"]) == 2
         assert "nests conditions deeper" in capsys.readouterr().err
 
+    def test_too_long_score_exit_two(self, tmp_path, capsys, monkeypatch):
+        # CPython 3.11 and later convert at most sys.get_int_max_str_digits()
+        # digits; where the score has more, every front end reports a syntax
+        # error at it, and elsewhere the model loads.
+        path = tmp_path / "m.abac"
+        path.write_text(
+            "node a : Attribute, Primitive\n"
+            f"policy P permit score {'9' * 5000} {{ subject: a; action: a; object: a; }}\n",
+            encoding="utf-8",
+        )
+        if not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert main(["validate", str(path)]) == 0
+            return
+        error = f"{path}:2:23: integer too long: 5000 characters\n"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == error
+        # serve fails at start-up, before it reads a request.
+        monkeypatch.setattr(sys, "stdin", None)
+        for args in (["check", str(path), "a", "a", "a"], ["serve", str(path)]):
+            assert main(args) == 2
+            assert capsys.readouterr().err == "graphabac: failed to load model:\n" + error
+
     def test_non_utf8_model_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.abac"
         path.write_bytes(b"node \xff\xfe : Attribute\n")

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 from bisect import bisect_right
 import tracemalloc
 import weakref
@@ -14,7 +15,10 @@ from graphabac import (
     CombiningAlgorithm,
     ConditionType,
     Decision,
+    Graph,
+    LoadedModel,
     ModelLoadError,
+    PolicyStore,
     evaluate,
     load_model,
     parse_model,
@@ -32,6 +36,7 @@ from graphabac.dsl import (
     _locator,
     load_document,
 )
+from graphabac.errors import AbacError, AttributeCycleError, GraphError, SelfLoopError
 from graphabac.policy import And, Not, Or, Ref
 
 from randdocs import MALFORMED_CORPUS, random_document
@@ -358,6 +363,46 @@ class TestNestingLimit:
         assert decision is Decision.PERMIT
 
 
+def _long_integer_model(where):
+    """A model with a 5 000-digit integer, as a score read by the plain form,
+    as a score the token parser reads, or as a negative property value,
+    followed by a policy Q that parses; and the error the integer makes."""
+    big = "9" * 5000
+    slots = "{ subject: a; action: a; object: a; }"
+    node, score = "node a : Attribute\n", ""
+    if where == "property":
+        node, position, size = f"node a : Attribute {{k = -{big}}}\n", (1, 25), 5001
+    else:
+        score, position, size = f"score {big} ", (2, 23), 5000
+    if where == "token-score":
+        slots = "{ subject: not not a; action: a; object: a; }"
+    text = node + f"policy P permit {score}{slots}\npolicy Q deny {slots}\n"
+    return text, (*position, f"integer too long: {size} characters", "syntax")
+
+
+class TestIntegerLimit:
+    """CPython 3.11 and later convert at most ``sys.get_int_max_str_digits()``
+    digits (4 300 by default); a longer integer is a syntax error at its
+    position, never an exception.  Elsewhere the model loads."""
+
+    @pytest.mark.parametrize("where", ["plain-score", "token-score", "property"])
+    def test_refused_integer_is_a_syntax_error(self, where):
+        text, error = _long_integer_model(where)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        doc = parse_model(text)
+        if 0 < limit < 5000:
+            errors = [error]
+            assert [(e.line, e.col, e.message, e.kind) for e in doc.errors] == errors
+            # Only the statement holding the integer is dropped.
+            assert len(doc.nodes) + len(doc.policies) == 2
+            with pytest.raises(ModelLoadError) as exc:
+                load_model(text)
+            assert [(e.line, e.col, e.message, e.kind) for e in exc.value.errors] == errors
+        else:
+            assert not doc.errors
+            load_model(text)
+
+
 def _not_chain(depth):
     expr = NameRef("a")
     for _ in range(depth):
@@ -544,12 +589,72 @@ def _load_outcome(load, text):
     )
 
 
-def _document_load(text):
-    return load_document(parse_model(text))
+def _reference_load(text):
+    """``parse_model(text)`` loaded through the public Graph and PolicyStore
+    API alone, in four steps: add the nodes; add the edges in order, an
+    unknown name or a self-loop being an error at its edge; freeze; resolve
+    and create the policies in order.  Errors are reported as the dsl module
+    docstring orders them."""
+    doc = parse_model(text)
+    if doc.errors:
+        raise ModelLoadError(doc.errors)
+    g = Graph()
+    errors = []
+    for nd in doc.nodes:
+        try:
+            g.add_node(nd.name, nd.labels, nd.properties)
+        except (GraphError, ValueError) as exc:
+            errors.append(ModelError(nd.line, nd.col, str(exc), "graph"))
+    for ed in doc.edges:
+        src, dst = g.find_node(ed.src), g.find_node(ed.dst)
+        if src is None or dst is None:
+            for name, ref in ((ed.src, src), (ed.dst, dst)):
+                if ref is None:
+                    errors.append(ModelError(ed.line, ed.col, f"unknown node {name!r}", "graph"))
+            continue
+        try:
+            g.add_edge(src, ed.rel_type, dst)
+        except SelfLoopError as exc:
+            errors.append(ModelError(ed.line, ed.col, str(exc), "graph"))
+    if not errors:
+        try:
+            g.freeze()
+        except AttributeCycleError as exc:
+            errors.append(ModelError(0, 0, str(exc), "graph"))
+    if errors:
+        raise ModelLoadError(errors)
+    store = PolicyStore(g)
+    for pd in doc.policies:
+        unknown = []
+
+        def resolve(expr):
+            if isinstance(expr, Not):
+                return Not(resolve(expr.inner))
+            if isinstance(expr, (And, Or)):
+                return type(expr)(tuple([resolve(part) for part in expr.children]))
+            ref = g.find_node(expr.name)
+            if ref is not None:
+                return Ref(ref)
+            unknown.append(expr)
+            return expr
+
+        conditions = {t: [resolve(e) for e in exprs] for t, exprs in pd.slots.items()}
+        for leaf in unknown:
+            message = f"policy {pd.name!r} references unknown node {leaf.name!r}"
+            errors.append(ModelError(leaf.line, leaf.col, message, "policy"))
+        if unknown:
+            continue
+        try:
+            store.create_policy(pd.name, pd.decision, conditions, pd.score)
+        except AbacError as exc:
+            errors.append(ModelError(pd.line, pd.col, str(exc), "policy"))
+    if errors:
+        raise ModelLoadError(errors)
+    return LoadedModel(g, store)
 
 
 def _assert_one_pass_agrees(text):
-    expected = _load_outcome(_document_load, text)
+    expected = _load_outcome(_reference_load, text)
     assert _load_outcome(load_model, text) == expected, text
     return expected
 
@@ -587,7 +692,7 @@ def _mutated(rng, text):
 
 class TestOnePassLoad:
     """``load_model`` builds while it parses; it must decide exactly what
-    ``load_document(parse_model(text))`` decides."""
+    ``_reference_load`` decides, loading the parsed document step by step."""
 
     def test_random_documents_in_any_order(self):
         rng = random.Random(2024)

@@ -320,6 +320,22 @@ class TestChildrenUntilFreeze:
             for n, kids in enumerate(children)
         )
 
+    @staticmethod
+    def reference_order(children):
+        """Kahn's algorithm: the sources in ref order, then each node as its
+        last parent is taken."""
+        indeg = [0] * len(children)
+        for kids in children:
+            for m in kids:
+                indeg[m] += 1
+        order = [n for n, d in enumerate(indeg) if not d]
+        for n in order:
+            for m in children[n]:
+                indeg[m] -= 1
+                if not indeg[m]:
+                    order.append(m)
+        return order
+
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_incremental_sets(self, seed):
         rng = random.Random(seed)
@@ -366,6 +382,32 @@ class TestChildrenUntilFreeze:
         assert g.trimmed_adjacency(targets) == tuple(
             self.reference_trim(expected, t) for t in targets
         )
+        assert list(g._order) == self.reference_order(expected)
+        # Every edge goes up the ref order, so refs are a topological order
+        # too: a node's longest chain down, and its paths from the sources.
+        down, paths = [0] * n, [0] * n
+        for r in reversed(refs):
+            down[r] = max([down[m] + 1 for m in expected[r]], default=0)
+        for r in refs:
+            paths[r] = sum(paths[p] for p in refs[:r] if r in sets[p]) or 1
+        assert g.attr_depth == max(down)
+        assert g.path_counts() == paths
+
+        # The same adds, one edge repeated, and a back edge closing a cycle
+        # u -> v -> u: every node the cycle reaches has a ref of at least u,
+        # so freeze() names u and leaves the lists as they were built.
+        u, v = rng.choice(added) if added else (0, 1)
+        h = Graph()
+        for i in range(n):
+            h.add_node(f"n{i}")
+        lists = [[] for _ in refs]
+        for src, dst in added + [(u, v), (u, v), (v, u)]:
+            h.add_edge(src, HAS_ATTR, dst)
+            lists[src].append(dst)
+        with pytest.raises(AttributeCycleError) as exc:
+            h.freeze()
+        assert exc.value.node_name == f"n{u}"
+        assert h._children == lists and not h.frozen
 
     def test_building_holds_few_bytes_per_edge(self):
         # 2 000 nodes with 6 children each: a set per node costs about 85
