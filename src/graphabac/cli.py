@@ -273,9 +273,12 @@ def _add_common(parser: argparse.ArgumentParser, with_query: bool) -> None:
 
 
 def _depth(text: str) -> int:
-    depth = int(text)
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
     if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {depth}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return depth
 
 

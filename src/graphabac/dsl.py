@@ -28,11 +28,13 @@ the character index where the token starts.  Tokens stream to the parser,
 which holds one lookahead token, and lexer errors go straight into the
 parser's error list.  The parser passes positions on as offsets.  A line
 and column are computed only where they are recorded: on every record
-``parse_model`` makes, and, when loading, on a ``ModelError`` alone.  The
-first one asked for builds a list of the text's line starts, and each is
-then one ``bisect``, so a load without errors never scans the text for
-newlines.  Lines end at ``\\n`` and count from 1, and every other
-character, ``\\r`` and tab included, is one column.
+``parse_model`` makes, and, when loading, on a ``ModelError`` and on what
+waits for a later declaration (see below).  The first one asked for builds
+a list of the text's line starts, and each is then one ``bisect``, so a
+load without errors and without forward references builds no such list;
+it only counts each piece's newlines, with one ``str.count``.  Lines end
+at ``\\n`` and count from 1, and every other character, ``\\r`` and tab
+included, is one column.
 
 Most statements are never lexed.  At each statement keyword the parser first
 tries one anchored ``re.match`` of the statement's plain form:
@@ -72,16 +74,34 @@ record: a node goes into the graph at once, an edge when both of its ends
 are known, and a policy is created when every name it uses is known.  Each
 name is looked up once, as its leaf is parsed, and a known one becomes a
 ``Ref``.  Declarations may refer to nodes declared later: a name not known
-yet becomes a ``NameRef`` holding its offset, and such an edge or policy,
-and every later one of its kind, waits as its argument tuple until the end
-of input, when the names still left are looked up again.  So edges and
-policies still go in in source order, which fixes child order, policy
-``seq`` and first-applicable results.  ``load_document`` replays a
-document into the same builder, each record's (line, column) standing for
-its offset.  Either way a ``ModelLoadError`` lists the errors in one order:
-any syntax errors, and then nothing else; otherwise node errors, then edge
-errors, then a ``HAS_ATTR`` cycle; and policy errors only when the graph
-has none.
+yet becomes a ``NameRef`` placed at its line and column, and such an edge
+or policy, and every later one of its kind, waits, placed the same way, as
+its argument tuple until the end of input, when the names still left are
+looked up again.  So edges and policies still go in in source order, which
+fixes child order, policy ``seq`` and first-applicable results.
+``load_document`` replays a document into the same builder, each record's
+(line, column) standing for its offset.  Either way a ``ModelLoadError``
+lists the errors in one order: any syntax errors, and then nothing else;
+otherwise node errors, then edge errors, then a ``HAS_ATTR`` cycle; and
+policy errors only when the graph has none.
+
+``load_model`` and ``load_model_file`` read the text in pieces of about
+``PIECE_CHARS`` characters, so a load holds the model and one piece, never
+the whole text.  A piece is cut just before a ``node``, ``edge`` or
+``policy`` that starts a line and is followed by a character that ends the
+word, and it keeps that keyword as its last token, the stop; the next
+piece starts at it.  A line start is never inside a comment or a string,
+so up to the stop a piece lexes and matches as the whole text does.  The
+parser ends a piece when its lookahead reaches the stop, so the plain
+forms' lookahead and every message (``found 'node'``, not ``found 'end of
+input'``) see what the whole text shows them.  Only a property key or a
+relationship type reads the stop as a word of its own; such a statement
+runs on past the cut, so its errors are taken back and it is parsed again
+from its keyword, in front of the next piece.  Offsets count from the
+start of their piece: each piece has its own ``where``, whose lines go on
+from the lines before the piece, which is why whatever waits past its
+piece is placed when it starts to wait.  A file that does not decode is
+read again whole, so its error names the byte ``read_model_file`` names.
 """
 
 from __future__ import annotations
@@ -364,6 +384,11 @@ class _TooDeep(Exception):
     """An expression nests deeper than MAX_NESTING."""
 
 
+class _PastStop(Exception):
+    """A statement reads the stop keyword as a word of its own, so it runs
+    on into the next piece."""
+
+
 class _Parser:
     """Parses ``text`` into calls on ``sink``: ``node(pos, name, labels,
     props)``, ``edge(pos, src, rel_type, dst)`` and ``policy(pos, name,
@@ -372,10 +397,19 @@ class _Parser:
     condition.  Each ``pos`` is a character offset, and ``sink.where`` maps
     one to (line, column) for a syntax error."""
 
-    def __init__(self, text: str, sink) -> None:
+    def __init__(
+        self,
+        text: str,
+        sink,
+        errors: Optional[list[ModelError]] = None,
+        stop: Optional[int] = None,
+    ) -> None:
         self.text = text
         self.sink = sink
-        self.errors: list[ModelError] = []
+        self.errors: list[ModelError] = [] if errors is None else errors
+        # The offset of the token that ends the parse: a statement keyword
+        # that the next piece starts with, or the end of input.
+        self.stop = len(text) if stop is None else stop
         self.lex_from(0)
 
     def lex_from(self, pos: int) -> None:
@@ -428,10 +462,21 @@ class _Parser:
     def parse(self) -> list[ModelError]:
         """Hand the declarations to the sink and return the syntax errors
         sorted by position."""
+        self.parse_to_stop()
+        _by_position(self.errors)
+        return self.errors
+
+    def parse_to_stop(self) -> int:
+        """Hand the declarations before ``stop`` to the sink, adding syntax
+        errors to ``errors`` as they are found, and return ``stop``; or, if
+        a statement runs on past ``stop``, return that statement's offset,
+        its errors taken back out."""
         while True:
             self.parse_plain()
-            if self.tok[0] == "EOF":
-                break
+            start = self.tok[2]
+            if start >= self.stop:
+                return start
+            recorded = len(self.errors)
             try:
                 if not self.at_keyword("node", "edge", "policy"):
                     raise self.unexpected("'node', 'edge' or 'policy'")
@@ -445,10 +490,15 @@ class _Parser:
                 if not self.at_keyword("node", "edge", "policy"):
                     self.advance()
                 self.resync()
-        # Stable: at one position a lexer error was recorded before the parser
-        # could fail on the token there.
-        self.errors.sort(key=lambda e: (e.line, e.col))
-        return self.errors
+            except _PastStop:
+                del self.errors[recorded:]
+                return start
+
+    def past_stop(self, offset: int) -> None:
+        """Raise _PastStop if the word at ``offset``, about to be read as a
+        property key or a relationship type, is the stop keyword."""
+        if offset == self.stop:
+            raise _PastStop
 
     def parse_plain(self) -> None:
         """Read the statements from the lookahead on, while each has a plain
@@ -489,6 +539,7 @@ class _Parser:
             kind, key, offset = self.tok
             if kind != "IDENT":
                 raise _SyntaxFailure(offset, "expected a property key")
+            self.past_stop(offset)
             self.advance()
             self.expect_punct("=")
             props[key] = self.parse_scalar()
@@ -525,6 +576,7 @@ class _Parser:
         kind, rel, offset = self.tok
         if kind != "IDENT":
             raise _SyntaxFailure(offset, "expected a relationship type")
+        self.past_stop(offset)
         self.advance()
         self.expect_punct("]->")
         dst = self.parse_name()[1]
@@ -629,6 +681,12 @@ def parse_model(text: str) -> ModelDocument:
     return sink.doc
 
 
+def _by_position(errors: list[ModelError]) -> None:
+    # Stable: at one position a lexer error was recorded before the parser
+    # could fail on the token there.
+    errors.sort(key=lambda e: (e.line, e.col))
+
+
 # -- loading ----------------------------------------------------------
 
 
@@ -647,7 +705,10 @@ class _ModelBuilder:
     graph and policy store as it arrives, in source order, and holds back,
     as its argument tuple, each edge or policy that names a node not
     declared yet (see the module docstring).  A position is kept as it
-    comes, and ``where`` turns it into (line, column) only for an error."""
+    comes, and ``where`` turns it into (line, column) only for an error or
+    for a declaration or leaf that waits: while a piece is parsed,
+    ``where`` maps an offset into it; outside one, every position is
+    already a (line, column) and ``where`` is ``_placed``."""
 
     def __init__(self, where: Callable) -> None:
         self.where = where
@@ -674,21 +735,21 @@ class _ModelBuilder:
 
     def edge(self, pos, src: str, rel_type: str, dst: str) -> None:
         if self.waiting_edges or not self._add_edge(pos, src, rel_type, dst):
-            self.waiting_edges.append((pos, src, rel_type, dst))
+            self.waiting_edges.append((self.where(pos), src, rel_type, dst))
 
     def leaf(self, pos, name: str):
         """A ``Ref`` to the node ``name`` or, for a node not declared yet, a
-        ``NameRef`` that holds the leaf's position in ``line``."""
+        ``NameRef`` placed at the leaf."""
         node = self.graph.find_node(name)
         if node is not None:
             return Ref(node)
-        ref = NameRef(name, pos)
+        ref = NameRef(name, *self.where(pos))
         self.unknown.append(ref)
         return ref
 
     def policy(self, pos, name: str, decision: Decision, score, slots: dict) -> None:
         if self.unknown or self.waiting_policies:
-            self.waiting_policies.append((pos, name, decision, score, slots))
+            self.waiting_policies.append((self.where(pos), name, decision, score, slots))
         else:
             self._create(pos, name, decision, score, slots)
         self.unknown.clear()
@@ -716,7 +777,7 @@ class _ModelBuilder:
             slots = {t: [_swap_names(e, self._leaf_again) for e in es] for t, es in slots.items()}
             for ref in self.unknown:
                 message = f"policy {name!r} references unknown node {ref.name!r}"
-                self.policy_errors.append(self.error(ref.line, message, "policy"))
+                self.policy_errors.append(ModelError(ref.line, ref.col, message, "policy"))
             if not self.unknown:
                 self._create(pos, name, decision, score, slots)
         if self.policy_errors:
@@ -738,7 +799,7 @@ class _ModelBuilder:
         return True
 
     def _leaf_again(self, ref: NameRef):
-        return self.leaf(ref.line, ref.name)
+        return self.leaf((ref.line, ref.col), ref.name)
 
     def _create(self, pos, name: str, decision: Decision, score, conditions: dict) -> None:
         try:
@@ -751,7 +812,7 @@ def load_document(doc: ModelDocument) -> LoadedModel:
     """Build the frozen graph and policy store, or raise ModelLoadError
     carrying every positioned error.  Never yields a partial model."""
     # A record's (line, col) is its position, already what errors report.
-    builder = _ModelBuilder(lambda pos: pos)
+    builder = _ModelBuilder(_placed)
     if not doc.errors:
         for nd in doc.nodes:
             builder.node((nd.line, nd.col), nd.name, nd.labels, nd.properties)
@@ -767,11 +828,103 @@ def load_document(doc: ModelDocument) -> LoadedModel:
     return builder.finish(doc.errors)
 
 
+def _placed(pos: tuple[int, int]) -> tuple[int, int]:
+    """The position of a record or of a waiting declaration: already a
+    (line, column)."""
+    return pos
+
+
+# The characters read at a time when loading: a piece is this much text
+# and what is left of the last one, cut before the last statement keyword
+# that starts a line.
+PIECE_CHARS = 1 << 18
+
+# A statement keyword and the character after it, which ends the word.
+_CUT_RE = re.compile(r"(?:node|edge|policy)[^A-Za-z0-9_]")
+
+
+def _pieces(read: Callable[[int], str]) -> Iterator[tuple[str, int]]:
+    """The text that ``read(n)`` returns, ``n`` characters or fewer at a
+    time and ``""`` at its end, as ``(piece, stop)`` pairs: ``piece[:stop]``
+    is the next part of the text, and the rest of ``piece`` is the
+    statement keyword that starts both a line and the next part.  The last
+    piece's ``stop`` is its length.
+
+    The cut is the last line-start keyword that the text read so far
+    shows whole, with the character after it; text with none is read on
+    until one shows or the text ends."""
+    text = ""
+    while chunk := read(PIECE_CHARS):
+        # Every line start with room for a keyword and the character after
+        # it before this chunk came was searched then.
+        searched = max(len(text) - 8, 0)
+        text += chunk
+        del chunk
+        stop, end = _cut(text, searched)
+        if stop:
+            piece, text = text[:end], text[stop:]
+            yield piece, stop
+            del piece
+    yield text, len(text)
+
+
+def _cut(text: str, searched: int) -> tuple[int, int]:
+    """``(stop, end)`` for the last statement keyword in ``text`` that
+    starts a line after offset ``searched`` and has a character after it,
+    where ``stop`` is the keyword's offset and ``end`` where it ends; or
+    ``(0, 0)`` for none."""
+    end = len(text)
+    while (end := text.rfind("\n", searched, end)) >= 0:
+        if m := _CUT_RE.match(text, end + 1):
+            return end + 1, m.end() - 1
+    return 0, 0
+
+
+def _load(read: Callable[[int], str]) -> LoadedModel:
+    """Parse and load the text that ``read`` returns (see ``_pieces``) one
+    piece at a time, so no more of it is held than one piece."""
+    builder = _ModelBuilder(_placed)
+    errors: list[ModelError] = []
+    lines = 0  # the lines before the piece
+    # The text of a statement that ran on past the last piece's stop.
+    carried = ""
+    for piece, stop in _pieces(read):
+        if carried:
+            piece, stop = carried + piece, stop + len(carried)
+        builder.where = _at_line(_locator(piece), lines)
+        end = _Parser(piece, builder, errors, stop).parse_to_stop()
+        carried = piece[end:stop]
+        lines += piece.count("\n", 0, end)
+        # Nothing holds a piece while the next one is read.
+        del piece
+        builder.where = _placed
+    _by_position(errors)
+    return builder.finish(errors)
+
+
+def _at_line(where: Callable[[int], tuple[int, int]], lines: int) -> Callable:
+    """``where``, its line numbers moved on by ``lines``."""
+    if not lines:
+        return where
+
+    def placed(offset: int) -> tuple[int, int]:
+        line, col = where(offset)
+        return line + lines, col
+
+    return placed
+
+
 def load_model(text: str) -> LoadedModel:
     """Parse and load source text in one pass; the same model, or the same
     ModelLoadError, as ``load_document(parse_model(text))``."""
-    builder = _ModelBuilder(_locator(text))
-    return builder.finish(_Parser(text, builder).parse())
+    read_to = 0
+
+    def read(n: int) -> str:
+        nonlocal read_to
+        read_to += n
+        return text[read_to - n : read_to]
+
+    return _load(read)
 
 
 def read_model_file(path) -> str:
@@ -787,8 +940,16 @@ def read_model_file(path) -> str:
 
 
 def load_model_file(path) -> LoadedModel:
-    """Read and load a model file (see ``read_model_file``)."""
-    return load_model(read_model_file(path))
+    """Read and load a model file (see ``read_model_file``), one piece at a
+    time: the same model, or the same ModelLoadError, as
+    ``load_model(read_model_file(path))``."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return _load(fh.read)
+    except UnicodeDecodeError:
+        # A decoder fed block by block places a bad byte within its block,
+        # so the error comes from one read of the whole file.
+        return load_model(read_model_file(path))
 
 
 # -- serialization ----------------------------------------------------

@@ -330,7 +330,12 @@ class Graph:
                 elif some & bit:
                     kept = tuple(m for m, mask in zip(children, masks) if mask & bit)
                     copy[n] = kept_once.setdefault(kept, kept)
-        return tuple(tuple(copy) for _, copy in slots)
+        # Each copy's list is freed as soon as its tuple is made.
+        copies = [copy for _, copy in slots]
+        del slots
+        for i, copy in enumerate(copies):
+            copies[i] = tuple(copy)
+        return tuple(copies)
 
     def path_counts(self) -> list[int]:
         """For each node of the frozen graph, the number of HAS_ATTR paths

@@ -110,6 +110,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from operator import attrgetter
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -147,6 +148,9 @@ class ConditionType(enum.Enum):
 # lengths.  Iterating the enum class runs a Python-level generator, so the
 # load path iterates this tuple instead.
 _SLOTS = tuple(ConditionType)
+
+# The sort key of policies in insertion order.
+_BY_SEQ = attrgetter("seq")
 
 
 class Decision(enum.Enum):
@@ -351,9 +355,10 @@ class PolicySnapshot(tuple):
         self = super().__new__(cls, policies)
         counts = graph.path_counts()
         self.graph, self.attr_depth = graph, graph.attr_depth
-        # Per slot, in _SLOTS order: every condition node of the slot, and
-        # key node -> the policies posted under it, in seq order.
-        conditions: tuple[set[NodeRef], ...] = (set(), set(), set())
+        # Per slot, in _SLOTS order: every condition node of the slot, with
+        # repeats, and key node -> the policies posted under it, in seq
+        # order.
+        conditions: tuple[list[NodeRef], ...] = ([], [], [])
         keys: tuple[dict[NodeRef, list[Policy]], ...] = ({}, {}, {})
         residual: list[Policy] = []
         for p in policies:
@@ -364,8 +369,12 @@ class PolicySnapshot(tuple):
             else:
                 residual.append(p)
             for slot_conditions, nodes, compiled in zip(conditions, p.nodes, p.compound):
-                slot_conditions.update(nodes, compiled and leaf_nodes(compiled))
+                slot_conditions += nodes
+                if compiled:
+                    slot_conditions += leaf_nodes(compiled)
         self.keys, self.residual = keys, residual
+        # Freed before the trimming adds its own scratch.
+        del counts
         self.adjacency = graph.trimmed_adjacency(conditions)
         return self
 
@@ -387,14 +396,18 @@ class PolicySnapshot(tuple):
         without one.
 
         A simple candidate is a match; ``matcher.match_single`` still
-        supplies its path lengths, and decides the other candidates.
+        supplies its path lengths, and decides the other candidates.  The
+        list may be the snapshot's own, which callers must not change.
         """
         # A keys-view intersection walks the smaller side, so tiny stores and
-        # large closures both stay cheap.
+        # large closures both stay cheap; a slot with no keys is skipped.
         hits: list[Policy] = []
         for closure, keys in zip(closures, self.keys):
-            for n in closure.keys() & keys.keys():
-                hits += keys[n]
+            if keys:
+                for n in closure.keys() & keys.keys():
+                    hits += keys[n]
+        if not hits:
+            return self.residual
         sub_closure, act_closure, obj_closure = closures
         sub, act, obj = sub_closure.__contains__, act_closure.__contains__, obj_closure.__contains__
         found = [
@@ -405,7 +418,8 @@ class PolicySnapshot(tuple):
             and all(map(obj, nodes[2]))
         ]
         found += self.residual
-        found.sort(key=lambda p: p.seq)
+        if len(found) > 1:
+            found.sort(key=_BY_SEQ)
         return found
 
 

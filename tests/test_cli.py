@@ -95,6 +95,29 @@ class TestCheck:
         assert "--depth" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", "John", "Write", "MR_1234"],
+            ["explain", "John", "Write", "MR_1234"],
+            ["serve"],
+            ["export-cypher"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize("value", ["x", "1.5", "-1"])
+    def test_bad_depth_names_the_value(self, model_path, capsys, command, value):
+        # Every bad value gets the same message, naming no function of the
+        # program.
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], model_path, *command[1:], "--depth", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        expected = f"argument --depth: must be a non-negative integer, got {value!r}"
+        assert last == f"graphabac {command[0]}: error: {expected}"
+
     def test_subprocess_entry_point(self, model_path):
         code, out, _ = run_cli(["check", model_path, "John", "Write", "MR_1234"])
         assert (code, out.strip()) == (0, "Permit")

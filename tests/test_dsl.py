@@ -1,5 +1,6 @@
 import copy
 import gc
+import io
 import pickle
 import random
 import sys
@@ -930,6 +931,177 @@ def test_load_peak_below_parse_peak():
     # lower than parsing into a document alone.
     text = _generated_model_text(random.Random(5), 400, 1200, 400)
     assert _traced_peak(load_model, text) < _traced_peak(parse_model, text)
+
+
+# -- loading in pieces ---------------------------------------------------
+
+# Piece sizes small enough that a statement, a keyword, a comment or a
+# string often spans a read.
+PIECE_SIZES = [1, 7, 64]
+
+_FILLER = "".join(f"node f{i} : Attribute\n" for i in range(12))
+
+# Texts whose statements meet the cuts in every way a cut can fall, each
+# with a statement that loads and one that fails where that matters.
+PIECE_CASES = [
+    pytest.param(
+        "node a : X\r\nnode b : Y\r\nedge a -[HAS_ATTR]-> b\r\n"
+        "policy P permit { subject: a; action: b; object: a; }\r\nnode c : @\r\nnode d :\r\n",
+        id="crlf",
+    ),
+    pytest.param("node a : X\rnode b : Y\r\nnode c : Z\rnode d :\r", id="lone-cr"),
+    pytest.param("\ufeffnode a : X\nnode b : Y\n", id="bom"),
+    pytest.param(
+        'node "a\u00e9\u20ac\U0001f600" : X\nnode b : Y\nedge "a\u00e9\u20ac\U0001f600" -[T]-> b\n',
+        id="multi-byte",
+    ),
+    pytest.param(
+        "node a : X # node b : Y\nnode b : Y #\n# edge a -[HAS_ATTR]-> b\nedge a -[T]-> b\n",
+        id="comment-before-cut",
+    ),
+    pytest.param(
+        'node "a#node" : X\nnode b : Y {k = "v\\"node"}\nnode c : Z {k = "open\nnode d : W\n',
+        id="string-before-cut",
+    ),
+    pytest.param(
+        "node a : X\npolicy Early permit { subject: late; action: a; object: a; }\n"
+        "edge a -[HAS_ATTR]-> late\n" + _FILLER + "node late : X\n",
+        id="forward-reference-resolved",
+    ),
+    pytest.param(
+        "node a : X\npolicy Early permit { subject: late; action: a; object: ghost; }\n"
+        + _FILLER
+        + "node late : X\n",
+        id="forward-reference-unknown",
+    ),
+    pytest.param(
+        "node a : X {\nnode = 1,\nedge = 2}\nnode b : Y\nedge a -[\nnode]-> b\n"
+        "edge a\n-[\npolicy\n]->\nb\n",
+        id="keyword-read-as-a-word",
+    ),
+    pytest.param("node a : X {\nnode\nnode b : Y\nedge a -[\nedge\n", id="keyword-word-malformed"),
+    pytest.param(
+        "node a : X\npolicy P permit {\nsubject: a;\nnode\n}\nnode\nedge\npolicy\n",
+        id="keyword-in-a-policy",
+    ),
+]
+
+
+def _whole_outcome(load, arg, text):
+    """The outcome of ``load(arg)`` with the text in one piece."""
+    assert len(text) < dsl.PIECE_CHARS
+    return _load_outcome(load, arg)
+
+
+def _in_pieces(size, load, arg):
+    with mock.patch.object(dsl, "PIECE_CHARS", size):
+        return _load_outcome(load, arg)
+
+
+def _write_model(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _load_whole_file(path):
+    return load_model(dsl.read_model_file(path))
+
+
+def _assert_pieces_agree(tmp_path, text):
+    """Loading ``text`` in pieces of every size, from a string and from a
+    file, decides what loading it whole decides; returns that outcome."""
+    path = _write_model(tmp_path / "model.abac", text)
+    whole = _whole_outcome(load_model, text, text)
+    whole_file = _whole_outcome(_load_whole_file, path, text)
+    for size in PIECE_SIZES:
+        assert _in_pieces(size, load_model, text) == whole, (size, text)
+        assert _in_pieces(size, dsl.load_model_file, path) == whole_file, (size, text)
+    return whole
+
+
+def _read_by(size, text):
+    """``text`` as ``_pieces`` reads it, ``size`` characters at a time."""
+    with mock.patch.object(dsl, "PIECE_CHARS", size):
+        return list(dsl._pieces(io.StringIO(text).read))
+
+
+class TestLoadInPieces:
+    @pytest.mark.parametrize("text", PIECE_CASES)
+    def test_cases_at_every_cut(self, tmp_path, text):
+        _assert_pieces_agree(tmp_path, text)
+
+    @pytest.mark.parametrize("text, expected", PLAIN_FORM_PITFALLS)
+    def test_plain_form_pitfalls(self, tmp_path, text, expected):
+        outcome = _assert_pieces_agree(tmp_path, text)
+        assert [(line, col, message) for line, col, message, _ in outcome] == expected
+
+    def test_mutated_and_generated_texts(self, tmp_path, healthcare_text):
+        rng = random.Random(31)
+        failed = 0
+        for k in range(90):
+            if k % 3 == 0:
+                text = _mutated(rng, healthcare_text)
+            elif k % 3 == 1:
+                text = _spliced(rng, _bench_layout_text(rng))
+            else:
+                text = serialize_model(random_document(rng))
+                stmts = _statements(text)
+                text = "\n".join(rng.sample(stmts, len(stmts))) + "\n"
+            failed += isinstance(_assert_pieces_agree(tmp_path, text), list)
+        assert 10 < failed < 80
+
+    def test_pieces_end_at_line_start_keywords(self, healthcare_text):
+        text = healthcare_text + "\r\nnode x : Y\rnode z : Y\nnodes\nedge_\n"
+        for size in PIECE_SIZES:
+            pieces = _read_by(size, text)
+            assert "".join(piece[:stop] for piece, stop in pieces) == text
+            assert pieces[-1][1] == len(pieces[-1][0])
+            for (piece, stop), (after, _) in zip(pieces, pieces[1:]):
+                assert piece[stop - 1] == "\n" and piece[stop:] in ("node", "edge", "policy")
+                assert after.startswith(piece[stop:] + " ")
+            assert len(pieces) > len(text) // 200
+
+    def test_forward_reference_across_a_cut_is_placed(self, tmp_path):
+        text = PIECE_CASES[7].values[0]
+        assert _assert_pieces_agree(tmp_path, text) == [
+            (2, 57, "policy 'Early' references unknown node 'ghost'", "policy")
+        ]
+
+    def test_multi_byte_character_across_a_decoder_read(self, tmp_path):
+        # The file decoder reads 8 KiB at a time; the 4-byte character
+        # starts 2 bytes before the first such boundary.
+        head = "node a : X\n"
+        pad = "#" * (8183 - len(head)) + "\n"
+        name = "\U0001f600\u00e9"
+        text = head + pad + f'node "{name}" : X\nedge a -[HAS_ATTR]-> "{name}"\n'
+        assert text.encode().index(name.encode()) == 8190
+        nodes, children, _, _ = _assert_pieces_agree(tmp_path, text)
+        assert [node[1] for node in nodes] == ["a", name] and children == [(1,), ()]
+
+    @pytest.mark.parametrize("at", [0, 40, 9000])
+    def test_undecodable_bytes_are_the_whole_file_error(self, tmp_path, at):
+        data = bytearray(b"node a : X\n" * 1000)
+        data[at:at] = b"\xff"
+        path = tmp_path / "bad.abac"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelLoadError) as whole:
+            dsl.read_model_file(path)
+        for size in PIECE_SIZES:
+            with mock.patch.object(dsl, "PIECE_CHARS", size), pytest.raises(ModelLoadError) as got:
+                dsl.load_model_file(path)
+            assert got.value.errors == whole.value.errors
+            assert f"position {at}:" in got.value.errors[0].message
+
+    def test_file_peak_below_whole_text_peak(self, tmp_path):
+        # About 1 MB of text: the file is loaded holding one piece of it at a
+        # time, so its peak is lower by most of the text.
+        text = _generated_model_text(random.Random(5), 7000, 18000, 3500)
+        assert 0.9e6 < len(text) < 1.3e6
+        path = _write_model(tmp_path / "big.abac", text)
+        in_pieces = _traced_peak(dsl.load_model_file, path)
+        whole = _traced_peak(_load_whole_file, path)
+        assert in_pieces < whole - len(text) // 2
 
 
 # Empty lines (leading, inner and last), "\r\n", tabs, and no final newline.
