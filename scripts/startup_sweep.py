@@ -39,15 +39,9 @@ can be scaled to this one.
     PYTHONPATH=src python3 scripts/startup_sweep.py --runs 3 --out -
 
 It times whichever graphabac is first on PYTHONPATH, so pointing
-PYTHONPATH at another source tree times that tree.  `--before REPORT`
-copies the `VmHWM` figures of such an earlier report, say the parent
-commit's, into this one under `before`, so one file carries both:
-
-    PYTHONPATH=../parent/src python3 scripts/startup_sweep.py --out /tmp/before.json
-    PYTHONPATH=src python3 scripts/startup_sweep.py --before /tmp/before.json
-
-The default run takes about 2 minutes on a 2-vCPU VM with CPython 3.11,
-most of it in the benchmark models' `check` and `serve` cases.
+PYTHONPATH at another source tree times that tree.  The default run takes
+about 2 minutes on a 2-vCPU VM with CPython 3.11, most of it in the
+benchmark models' `check` and `serve` cases.
 """
 
 from __future__ import annotations
@@ -188,11 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=21, help="rounds over every case and mode")
     ap.add_argument("--out", default="BENCH_startup.json", help="path, or - for stdout")
-    ap.add_argument(
-        "--before",
-        help="a report of this script on another source tree, whose VmHWM figures are "
-        "copied into this one under 'before'",
-    )
     args = ap.parse_args(argv)
 
     cpu = pin_to_one_cpu()
@@ -221,13 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         "calib_ms": round(statistics.fmean(calib), 2),
         "modes": modes,
     }
-    if args.before:
-        with open(args.before, encoding="utf-8") as fh:
-            before = json.load(fh)
-        report["before"] = {
-            mode: {case: v for case, v in figures.items() if case.endswith("_vmhwm_mb")}
-            for mode, figures in before["modes"].items()
-        }
     for mode, figures in modes.items():
         print(
             f"{mode}: bare {figures['bare_ms']['p50']} ms, import {figures['import_ms']['p50']} ms, "

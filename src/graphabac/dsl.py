@@ -85,30 +85,31 @@ lists the errors in one order: any syntax errors, and then nothing else;
 otherwise node errors, then edge errors, then a ``HAS_ATTR`` cycle; and
 policy errors only when the graph has none.
 
-``load_model`` and ``load_model_file`` read the text in pieces of about
-``PIECE_CHARS`` characters, so a load holds the model and one piece, never
-the whole text.  A piece is cut just before a ``node``, ``edge`` or
-``policy`` that starts a line and is followed by a character that ends the
-word, and it keeps that keyword as its last token, the stop; the next
-piece starts at it.  A line start is never inside a comment or a string,
-so up to the stop a piece lexes and matches as the whole text does.  The
-parser ends a piece when its lookahead reaches the stop, so the plain
-forms' lookahead and every message (``found 'node'``, not ``found 'end of
-input'``) see what the whole text shows them.  Only a property key or a
-relationship type reads the stop as a word of its own; such a statement
-runs on past the cut, so its errors are taken back and it is parsed again
-from its keyword, in front of the next piece.  Offsets count from the
+``load_model_file`` reads the text in pieces of about ``PIECE_CHARS``
+characters, so a load holds the model and one piece, never the whole
+text; ``load_model`` loads its string, already held, as one piece.  A piece
+is cut just before a ``node``, ``edge`` or ``policy`` that starts a line
+and is followed by a character that ends the word, and it keeps that
+keyword as its last token, the stop; the next piece starts at it.  A line
+start is never inside a comment or a string, so up to the stop a piece
+lexes and matches as the whole text does.  The parser ends a piece when its
+lookahead reaches the stop, so the plain forms' lookahead and every message
+(``found 'node'``, not ``found 'end of input'``) see what the whole text
+shows them.  Only a property key or a relationship type reads the stop as a
+word of its own; such a statement runs on past the cut, so its errors are
+taken back and it is parsed again from its keyword, its line carried whole
+in front of the next piece so that its columns hold.  Offsets count from the
 start of their piece: each piece has its own ``where``, whose lines go on
-from the lines before the piece, which is why whatever waits past its
-piece is placed when it starts to wait.  A file that does not decode is
-read again whole, so its error names the byte ``read_model_file`` names.
+from the lines before the piece, which is why whatever waits past its piece
+is placed when it starts to wait.  A file that does not decode is read again
+whole, so its error names the byte ``read_model_file`` names.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
     AbacError,
@@ -403,6 +404,7 @@ class _Parser:
         sink,
         errors: Optional[list[ModelError]] = None,
         stop: Optional[int] = None,
+        start: int = 0,
     ) -> None:
         self.text = text
         self.sink = sink
@@ -410,7 +412,7 @@ class _Parser:
         # The offset of the token that ends the parse: a statement keyword
         # that the next piece starts with, or the end of input.
         self.stop = len(text) if stop is None else stop
-        self.lex_from(0)
+        self.lex_from(start)
 
     def lex_from(self, pos: int) -> None:
         """(Re)start the token stream at ``pos`` and read its first token."""
@@ -880,21 +882,24 @@ def _cut(text: str, searched: int) -> tuple[int, int]:
     return 0, 0
 
 
-def _load(read: Callable[[int], str]) -> LoadedModel:
-    """Parse and load the text that ``read`` returns (see ``_pieces``) one
-    piece at a time, so no more of it is held than one piece."""
+def _load(pieces: Iterable[tuple[str, int]]) -> LoadedModel:
+    """Parse and load the text of ``pieces`` (see ``_pieces``) one piece at
+    a time, so no more of it is held than the piece being parsed."""
     builder = _ModelBuilder(_placed)
     errors: list[ModelError] = []
     lines = 0  # the lines before the piece
-    # The text of a statement that ran on past the last piece's stop.
-    carried = ""
-    for piece, stop in _pieces(read):
+    # A statement that ran on past the last piece's stop: the text from the
+    # start of its line up to that stop, and the statement's offset in it.
+    carried, resume = "", 0
+    for piece, stop in pieces:
         if carried:
             piece, stop = carried + piece, stop + len(carried)
         builder.where = _at_line(_locator(piece), lines)
-        end = _Parser(piece, builder, errors, stop).parse_to_stop()
-        carried = piece[end:stop]
-        lines += piece.count("\n", 0, end)
+        end = _Parser(piece, builder, errors, stop, resume).parse_to_stop()
+        # The line is carried whole, so its columns count from its start.
+        line_start = piece.rfind("\n", 0, end) + 1 if end < stop else stop
+        carried, resume = piece[line_start:stop], end - line_start
+        lines += piece.count("\n", 0, line_start)
         # Nothing holds a piece while the next one is read.
         del piece
         builder.where = _placed
@@ -915,16 +920,10 @@ def _at_line(where: Callable[[int], tuple[int, int]], lines: int) -> Callable:
 
 
 def load_model(text: str) -> LoadedModel:
-    """Parse and load source text in one pass; the same model, or the same
-    ModelLoadError, as ``load_document(parse_model(text))``."""
-    read_to = 0
-
-    def read(n: int) -> str:
-        nonlocal read_to
-        read_to += n
-        return text[read_to - n : read_to]
-
-    return _load(read)
+    """Parse and load source text in one pass, as one piece; the same
+    model, or the same ModelLoadError, as
+    ``load_document(parse_model(text))``."""
+    return _load([(text, len(text))])
 
 
 def read_model_file(path) -> str:
@@ -945,7 +944,7 @@ def load_model_file(path) -> LoadedModel:
     ``load_model(read_model_file(path))``."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return _load(fh.read)
+            return _load(_pieces(fh.read))
     except UnicodeDecodeError:
         # A decoder fed block by block places a bad byte within its block,
         # so the error comes from one read of the whole file.

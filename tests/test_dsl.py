@@ -984,13 +984,21 @@ PIECE_CASES = [
         "node a : X\npolicy P permit {\nsubject: a;\nnode\n}\nnode\nedge\npolicy\n",
         id="keyword-in-a-policy",
     ),
+    pytest.param(
+        "node b : X node b : Y {\nnode = 1}\nnode a : Z edge a -[\nnode]-> late\n"
+        "node c : Z edge c -[\nedge]-> ghost\nnode d : Z node e : Y @ {k = 1,\nnode = 2}\n"
+        "node late : Z\n",
+        id="keyword-read-as-a-word-mid-line",
+    ),
 ]
 
 
-def _whole_outcome(load, arg, text):
-    """The outcome of ``load(arg)`` with the text in one piece."""
-    assert len(text) < dsl.PIECE_CHARS
-    return _load_outcome(load, arg)
+def _load_string_in_pieces(text):
+    return dsl._load(dsl._pieces(io.StringIO(text).read))
+
+
+def _reference_load_file(path):
+    return _reference_load(dsl.read_model_file(path))
 
 
 def _in_pieces(size, load, arg):
@@ -1010,12 +1018,14 @@ def _load_whole_file(path):
 
 def _assert_pieces_agree(tmp_path, text):
     """Loading ``text`` in pieces of every size, from a string and from a
-    file, decides what loading it whole decides; returns that outcome."""
+    file, decides what ``_reference_load``, which never cuts, decides;
+    returns that outcome."""
     path = _write_model(tmp_path / "model.abac", text)
-    whole = _whole_outcome(load_model, text, text)
-    whole_file = _whole_outcome(_load_whole_file, path, text)
+    whole = _load_outcome(_reference_load, text)
+    whole_file = _load_outcome(_reference_load_file, path)
+    assert _load_outcome(load_model, text) == whole, text
     for size in PIECE_SIZES:
-        assert _in_pieces(size, load_model, text) == whole, (size, text)
+        assert _in_pieces(size, _load_string_in_pieces, text) == whole, (size, text)
         assert _in_pieces(size, dsl.load_model_file, path) == whole_file, (size, text)
     return whole
 
@@ -1066,6 +1076,17 @@ class TestLoadInPieces:
         text = PIECE_CASES[7].values[0]
         assert _assert_pieces_agree(tmp_path, text) == [
             (2, 57, "policy 'Early' references unknown node 'ghost'", "policy")
+        ]
+
+    def test_statement_that_runs_on_from_mid_line_keeps_its_columns(self, tmp_path):
+        text = PIECE_CASES[-1].values[0]
+        assert _assert_pieces_agree(tmp_path, text) == [
+            (7, 23, "unexpected character '@'", "syntax")
+        ]
+        text = text.replace("@ ", "")
+        assert _assert_pieces_agree(tmp_path, text) == [
+            (1, 12, "node 'b' already exists", "graph"),
+            (5, 12, "unknown node 'ghost'", "graph"),
         ]
 
     def test_multi_byte_character_across_a_decoder_read(self, tmp_path):
