@@ -209,12 +209,28 @@ def _deny(req_id: str, error: str) -> str:
     return _reply(req_id, _DECISIONS[Decision.DENY], "", _quote(error))
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # CPython 3.11 and later refuse a literal longer than
+        # sys.get_int_max_str_digits() allows; say so as the loader does.
+        raise ValueError(f"integer too long: {len(text)} characters") from None
+
+
+# json.loads' own decoder but for its integers, made once.
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
 def _serve_one(
     model: LoadedModel, default_alg: CombiningAlgorithm, line: str, depth: Optional[int]
 ) -> str:
     req_id = ""
     try:
-        record = json.loads(line)
+        if line.startswith("\ufeff"):
+            # As json.loads refuses a str that starts with a byte-order mark.
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        record = _DECODER.decode(line)
         if not isinstance(record, dict):
             raise ValueError("request must be a JSON object")
         raw_id = record.get("id")

@@ -14,6 +14,8 @@ non-zero.
 
 from __future__ import annotations
 
+import re
+
 from .combine import CombiningAlgorithm
 from .errors import UnsupportedAlgorithmError, UnsupportedExportError
 from .graph import Graph
@@ -38,17 +40,31 @@ def quote(value) -> str:
     return f"'{text}'"
 
 
+# A label, relationship type or property key that Cypher reads unquoted.
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def quote_name(value) -> str:
+    """A label, relationship type or property key as Cypher reads it: as it
+    is when it is a plain name, or else backtick-quoted with each embedded
+    backtick doubled, so no name can end its statement or start another."""
+    text = str(value)
+    if _PLAIN_NAME.fullmatch(text):
+        return text
+    return "`" + text.replace("`", "``") + "`"
+
+
 def emit_cypher_data(graph: Graph) -> str:
     """One create statement per node, one merge per edge."""
     lines: list[str] = []
     for nd in graph.nodes():
-        labels = "".join(f":{lab}" for lab in nd.labels)
+        labels = "".join(f":{quote_name(lab)}" for lab in nd.labels)
         props = [f"name:{quote(nd.name)}"]
-        props += [f"{k}:{quote(v)}" for k, v in sorted(nd.properties.items())]
+        props += [f"{quote_name(k)}:{quote(v)}" for k, v in sorted(nd.properties.items())]
         lines.append(f"create ({labels} {{{', '.join(props)}}});")
     edges = [
         f"match (a {{name:{quote(graph.node(src).name)}}}), "
-        f"(b {{name:{quote(graph.node(dst).name)}}}) merge (a)-[:{rel_type}]->(b);"
+        f"(b {{name:{quote(graph.node(dst).name)}}}) merge (a)-[:{quote_name(rel_type)}]->(b);"
         for src, rel_type, dst in graph.edges()
     ]
     if lines and edges:

@@ -89,16 +89,16 @@ policy errors only when the graph has none.
 characters, so a load holds the model and one piece, never the whole
 text; ``load_model`` loads its string, already held, as one piece.  A piece
 is cut just before a ``node``, ``edge`` or ``policy`` that starts a line
-and is followed by a character that ends the word, and it keeps that
-keyword as its last token, the stop; the next piece starts at it.  A line
-start is never inside a comment or a string, so up to the stop a piece
-lexes and matches as the whole text does.  The parser ends a piece when its
-lookahead reaches the stop, so the plain forms' lookahead and every message
-(``found 'node'``, not ``found 'end of input'``) see what the whole text
-shows them.  Only a property key or a relationship type reads the stop as a
-word of its own; such a statement runs on past the cut, so its errors are
-taken back and it is parsed again from its keyword, its line carried whole
-in front of the next piece so that its columns hold.  Offsets count from the
+and is followed by a character that ends the word, unless the last token
+before that line is ``{``, ``,`` or ``-[``: only there, as a property key
+or a relationship type, is the keyword read as a word, so no statement
+runs on past a cut.  The piece keeps the keyword as its last token, the
+stop; the next piece starts at it.  A line start is never inside a comment
+or a string, so each line lexes alone as it does in the whole text, and up
+to the stop a piece lexes and matches as the whole text does.  The parser
+ends a piece when its lookahead reaches the stop, so the plain forms'
+lookahead and every message (``found 'node'``, not ``found 'end of
+input'``) see what the whole text shows them.  Offsets count from the
 start of their piece: each piece has its own ``where``, whose lines go on
 from the lines before the piece, which is why whatever waits past its piece
 is placed when it starts to wait.  A file that does not decode is read again
@@ -385,11 +385,6 @@ class _TooDeep(Exception):
     """An expression nests deeper than MAX_NESTING."""
 
 
-class _PastStop(Exception):
-    """A statement reads the stop keyword as a word of its own, so it runs
-    on into the next piece."""
-
-
 class _Parser:
     """Parses ``text`` into calls on ``sink``: ``node(pos, name, labels,
     props)``, ``edge(pos, src, rel_type, dst)`` and ``policy(pos, name,
@@ -404,7 +399,6 @@ class _Parser:
         sink,
         errors: Optional[list[ModelError]] = None,
         stop: Optional[int] = None,
-        start: int = 0,
     ) -> None:
         self.text = text
         self.sink = sink
@@ -412,7 +406,7 @@ class _Parser:
         # The offset of the token that ends the parse: a statement keyword
         # that the next piece starts with, or the end of input.
         self.stop = len(text) if stop is None else stop
-        self.lex_from(start)
+        self.lex_from(0)
 
     def lex_from(self, pos: int) -> None:
         """(Re)start the token stream at ``pos`` and read its first token."""
@@ -468,17 +462,13 @@ class _Parser:
         _by_position(self.errors)
         return self.errors
 
-    def parse_to_stop(self) -> int:
+    def parse_to_stop(self) -> None:
         """Hand the declarations before ``stop`` to the sink, adding syntax
-        errors to ``errors`` as they are found, and return ``stop``; or, if
-        a statement runs on past ``stop``, return that statement's offset,
-        its errors taken back out."""
+        errors to ``errors`` as they are found."""
         while True:
             self.parse_plain()
-            start = self.tok[2]
-            if start >= self.stop:
-                return start
-            recorded = len(self.errors)
+            if self.tok[2] >= self.stop:
+                return
             try:
                 if not self.at_keyword("node", "edge", "policy"):
                     raise self.unexpected("'node', 'edge' or 'policy'")
@@ -492,15 +482,6 @@ class _Parser:
                 if not self.at_keyword("node", "edge", "policy"):
                     self.advance()
                 self.resync()
-            except _PastStop:
-                del self.errors[recorded:]
-                return start
-
-    def past_stop(self, offset: int) -> None:
-        """Raise _PastStop if the word at ``offset``, about to be read as a
-        property key or a relationship type, is the stop keyword."""
-        if offset == self.stop:
-            raise _PastStop
 
     def parse_plain(self) -> None:
         """Read the statements from the lookahead on, while each has a plain
@@ -541,7 +522,6 @@ class _Parser:
             kind, key, offset = self.tok
             if kind != "IDENT":
                 raise _SyntaxFailure(offset, "expected a property key")
-            self.past_stop(offset)
             self.advance()
             self.expect_punct("=")
             props[key] = self.parse_scalar()
@@ -578,7 +558,6 @@ class _Parser:
         kind, rel, offset = self.tok
         if kind != "IDENT":
             raise _SyntaxFailure(offset, "expected a relationship type")
-        self.past_stop(offset)
         self.advance()
         self.expect_punct("]->")
         dst = self.parse_name()[1]
@@ -838,11 +817,16 @@ def _placed(pos: tuple[int, int]) -> tuple[int, int]:
 
 # The characters read at a time when loading: a piece is this much text
 # and what is left of the last one, cut before the last statement keyword
-# that starts a line.
+# that starts a line and can start a statement there.
 PIECE_CHARS = 1 << 18
 
 # A statement keyword and the character after it, which ends the word.
 _CUT_RE = re.compile(r"(?:node|edge|policy)[^A-Za-z0-9_]")
+
+# After one of these tokens a word is read as a property key ("{" and ",")
+# or a relationship type ("-["), a statement keyword too; after any other,
+# a statement keyword starts a statement or ends one that failed.
+_RUNS_ON = ("{", ",", "-[")
 
 
 def _pieces(read: Callable[[int], str]) -> Iterator[tuple[str, int]]:
@@ -853,8 +837,9 @@ def _pieces(read: Callable[[int], str]) -> Iterator[tuple[str, int]]:
     piece's ``stop`` is its length.
 
     The cut is the last line-start keyword that the text read so far
-    shows whole, with the character after it; text with none is read on
-    until one shows or the text ends."""
+    shows whole, with the character after it, and whose last token before
+    it is none of ``_RUNS_ON``; text with none is read on until one shows
+    or the text ends."""
     text = ""
     while chunk := read(PIECE_CHARS):
         # Every line start with room for a keyword and the character after
@@ -872,14 +857,32 @@ def _pieces(read: Callable[[int], str]) -> Iterator[tuple[str, int]]:
 
 def _cut(text: str, searched: int) -> tuple[int, int]:
     """``(stop, end)`` for the last statement keyword in ``text`` that
-    starts a line after offset ``searched`` and has a character after it,
-    where ``stop`` is the keyword's offset and ``end`` where it ends; or
-    ``(0, 0)`` for none."""
+    starts a line after offset ``searched``, has a character after it and
+    can start a statement, where ``stop`` is the keyword's offset and
+    ``end`` where it ends; or ``(0, 0)`` for none."""
     end = len(text)
     while (end := text.rfind("\n", searched, end)) >= 0:
-        if m := _CUT_RE.match(text, end + 1):
+        if (m := _CUT_RE.match(text, end + 1)) and _last_token(text, end) not in _RUNS_ON:
             return end + 1, m.end() - 1
     return 0, 0
+
+
+def _last_token(text: str, end: int) -> str:
+    """The text of the last token in ``text`` before the line end at
+    ``end``, or ``""`` for none.  A line start is never inside a string or
+    a comment, so each line, lexed alone, has the tokens it has in the
+    whole text; lines without one are passed over."""
+    while end >= 0:
+        start = text.rfind("\n", 0, end) + 1
+        tokens = [
+            m.group()
+            for m in _TOKEN_RE.finditer(text, start, end)
+            if m.lastgroup in ("IDENT", "PUNCT", "STRING", "INT")
+        ]
+        if tokens:
+            return tokens[-1]
+        end = start - 1
+    return ""
 
 
 def _load(pieces: Iterable[tuple[str, int]]) -> LoadedModel:
@@ -888,18 +891,10 @@ def _load(pieces: Iterable[tuple[str, int]]) -> LoadedModel:
     builder = _ModelBuilder(_placed)
     errors: list[ModelError] = []
     lines = 0  # the lines before the piece
-    # A statement that ran on past the last piece's stop: the text from the
-    # start of its line up to that stop, and the statement's offset in it.
-    carried, resume = "", 0
     for piece, stop in pieces:
-        if carried:
-            piece, stop = carried + piece, stop + len(carried)
         builder.where = _at_line(_locator(piece), lines)
-        end = _Parser(piece, builder, errors, stop, resume).parse_to_stop()
-        # The line is carried whole, so its columns count from its start.
-        line_start = piece.rfind("\n", 0, end) + 1 if end < stop else stop
-        carried, resume = piece[line_start:stop], end - line_start
-        lines += piece.count("\n", 0, line_start)
+        _Parser(piece, builder, errors, stop).parse_to_stop()
+        lines += piece.count("\n")
         # Nothing holds a piece while the next one is read.
         del piece
         builder.where = _placed

@@ -753,6 +753,42 @@ class TestReplyBytes:
             self.check(reply, json.loads(reply))
             assert json.loads(reply)["error"]
 
+    def test_over_long_integer_error_text(self):
+        # CPython 3.11 and later convert at most sys.get_int_max_str_digits()
+        # digits.  A longer integer anywhere in a request gets a Deny in the
+        # loader's words, never CPython's advice to raise that limit.
+        digits = "9" * 5000
+        query = '"subject": "John", "action": "Write", "object": "MR_1234"'
+        lines = [
+            f"{digits}\n",
+            f'{{"id": "q", "subject": -{digits}}}\n',
+            f'[{{"a": [1, {digits}]}}]\n',
+            f'{{"id": {digits}, {query}}}\n',
+            f'{{"id": "q", {query}, "n": {"9" * 50}}}\n',
+        ]
+        replies = serve_text(_MODEL, lines)
+        for reply in replies:
+            self.check(reply, json.loads(reply))
+        replies = [json.loads(reply) for reply in replies]
+        assert [r["decision"] for r in replies] == ["Deny"] * 4 + ["Permit"]
+        assert not any("set_int_max_str_digits" in (r["error"] or "") for r in replies)
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert [r["error"] for r in replies[:4]] == [
+                "integer too long: 5000 characters",
+                "integer too long: 5001 characters",
+                "integer too long: 5000 characters",
+                "integer too long: 5000 characters",
+            ]
+
+    @pytest.mark.parametrize("line", ["\ufeff{}", '\ufeff{"id": "q"}', '{"id": "q", bad', "[1, 2"])
+    def test_json_error_text_is_json_loads_own(self, line):
+        line += "\n"
+        with pytest.raises(ValueError) as refused:
+            json.loads(line)
+        assert serve_text(_MODEL, [line]) == [
+            json.dumps(response("", error=str(refused.value))) + "\n"
+        ]
+
     def test_permit_reply_line(self):
         line = json.dumps({"id": "q1", "subject": "John", "action": "Write", "object": "MR_1234"})
         assert serve_text(_MODEL, [line]) == [

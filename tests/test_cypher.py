@@ -8,6 +8,7 @@ from graphabac.cypher import (
     emit_cypher_decision_query,
     emit_cypher_policies,
     quote,
+    quote_name,
 )
 from graphabac.errors import UnsupportedAlgorithmError, UnsupportedExportError
 
@@ -16,25 +17,36 @@ PERMIT = CombiningAlgorithm.PERMIT_OVERRIDES
 SHORTEST = CombiningAlgorithm.SHORTEST_PATH_DENY_OVERRIDES
 
 
+# A label or relationship type as the script writes it: a plain name, or
+# backtick-quoted with each embedded backtick doubled.
+_NAME = r"(?:\w+|`(?:[^`]|``)*`)"
+
+
+def _unquoted(name):
+    return name[1:-1].replace("``", "`") if name.startswith("`") else name
+
+
 def script_structure(script):
-    """(labels, name) per create plus (src, rel, dst) per merge, order-free."""
+    """(labels, name) per create plus (src, rel, dst) per merge, order-free;
+    labels and relationship types unquoted."""
     nodes = set()
     edges = set()
     for line in script.splitlines():
-        m = re.match(r"create \((:[^ ]+) \{name:'((?:[^']|'')*)'", line)
+        m = re.match(rf"create \(((?::{_NAME})+) \{{name:'((?:[^']|'')*)'", line)
         if m:
-            nodes.add((m.group(1), m.group(2).replace("''", "'")))
+            labels = "".join(":" + _unquoted(lab) for lab in re.findall(f":({_NAME})", m.group(1)))
+            nodes.add((labels, m.group(2).replace("''", "'")))
             continue
         m = re.match(
             r"match \(a \{name:'((?:[^']|'')*)'\}\), \(b \{name:'((?:[^']|'')*)'\}\) "
-            r"merge \(a\)-\[:(\w+)\]->\(b\);",
+            rf"merge \(a\)-\[:({_NAME})\]->\(b\);",
             line,
         )
         if m:
             edges.add(
                 (
                     m.group(1).replace("''", "'"),
-                    m.group(3),
+                    _unquoted(m.group(3)),
                     m.group(2).replace("''", "'"),
                 )
             )
@@ -62,6 +74,47 @@ class TestEmitData:
 
     def test_empty_model(self):
         assert emit_cypher_data(Graph()) == ""
+
+    def test_names_that_are_not_plain_are_backtick_quoted(self):
+        # Written bare, each name here would end its statement and start a
+        # second one that deletes nodes.
+        g = Graph()
+        label, key = "X}) detach delete n //", "k}) detach delete n //"
+        rel = "T]->(b) detach delete b //"
+        a = g.add_node("a", [label, "Plain", "back`tick"], {key: 1, "ok": 2})
+        b = g.add_node("b", ["Y"])
+        g.add_edge(a, rel, b)
+        g.freeze()
+        script = emit_cypher_data(g)
+        assert script_structure(script) == (
+            {(f":{label}:Plain:back`tick", "a"), (":Y", "b")},
+            {("a", rel, "b")},
+        )
+        assert script.splitlines()[0] == (
+            "create (:`X}) detach delete n //`:Plain:`back``tick` "
+            "{name:'a', `k}) detach delete n //`:1, ok:2});"
+        )
+        assert script.splitlines()[-1] == (
+            "match (a {name:'a'}), (b {name:'b'}) "
+            "merge (a)-[:`T]->(b) detach delete b //`]->(b);"
+        )
+
+    @pytest.mark.parametrize(
+        "name, quoted",
+        [
+            ("HAS_ATTR", "HAS_ATTR"),
+            ("_x1", "_x1"),
+            ("1x", "`1x`"),
+            ("a b", "`a b`"),
+            ("a:b", "`a:b`"),
+            ("a`b", "`a``b`"),
+            ("`", "````"),
+            ("\u00e9", "`\u00e9`"),
+            ("", "``"),
+        ],
+    )
+    def test_quote_name(self, name, quoted):
+        assert quote_name(name) == quoted
 
     def test_single_node(self):
         model = load_model("node a : Attribute\n")

@@ -985,6 +985,25 @@ PIECE_CASES = [
         id="keyword-in-a-policy",
     ),
     pytest.param(
+        "node a : X {\n\n\r\n\nnode = 1}\nnode b : Y\nedge a -[T]-> b\n", id="brace-blank-lines"
+    ),
+    pytest.param(
+        "node a : X { # comment {\nedge = 1}\nnode b : Y {\n# c\nedge = 1, k = 2}\n",
+        id="brace-comment",
+    ),
+    pytest.param(
+        'node a : X {k = 1,\n# comment\n\nnode = 2}\nnode b : Y {k = "#",\n  # c\nnode = 3}\n',
+        id="comma-comment-line",
+    ),
+    pytest.param(
+        "node a : X\nnode b : Y\nedge a -[\n\npolicy]-> b\nedge b -[ # c\n\r\nnode]-> a\n",
+        id="bracket-blank-line",
+    ),
+    pytest.param(
+        'node a : X {\n"open\nnode = 1}\nnode b : Y {\n@\nedge = 2}\nnode c : Z { "x\nnode = 1}\n',
+        id="brace-lexer-error-line",
+    ),
+    pytest.param(
         "node b : X node b : Y {\nnode = 1}\nnode a : Z edge a -[\nnode]-> late\n"
         "node c : Z edge c -[\nedge]-> ghost\nnode d : Z node e : Y @ {k = 1,\nnode = 2}\n"
         "node late : Z\n",
@@ -1036,6 +1055,55 @@ def _read_by(size, text):
         return list(dsl._pieces(io.StringIO(text).read))
 
 
+def _cut_offsets(pieces):
+    """The offsets in the whole text where ``pieces`` were cut."""
+    offsets, at = [], 0
+    for _, stop in pieces[:-1]:
+        at += stop
+        offsets.append(at)
+    return offsets
+
+
+# Separators for run-on texts: mostly a space, and otherwise a line end, a
+# blank line or a comment line, none of which stops a line-start keyword
+# after "{", "," or "-[" from being a word; some texts also use the broken
+# ones, which leave a lexer error on a line.
+_RUN_ON_SEPARATORS = [" "] * 8 + ["\n", "\r\n", "\n\n", "\n# node {\n", "\n \t\n", " # ,\n"]
+_BROKEN_SEPARATORS = ["\n@\n", '\n"open\n', ' "x\n']
+
+
+def _run_on_text(rng):
+    """Nodes n0-n3, some with properties, edges among them and policies on
+    them, in any order, with statement keywords as property keys and
+    relationship types and strings that hold "#"; a token may be dropped."""
+    names = [f"n{i}" for i in range(4)]
+    word = ["node", "edge", "policy", "k"]
+    statements = []
+    for name in names:
+        tokens = ["node", name, ":", "X"]
+        if rng.random() < 0.7:
+            tokens.append("{")
+            for i in range(rng.randint(1, 3)):
+                value = rng.choice(["1", '"#node"', '"a # b"', "true"])
+                tokens += [","] * (i > 0) + [rng.choice(word), "=", value]
+            tokens.append("}")
+        statements.append(tokens)
+    for _ in range(rng.randint(1, 5)):
+        src, dst = rng.sample(names, 2)
+        statements.append(["edge", src, "-[", rng.choice(word[:3] + ["T"]), "]->", dst])
+    for p in range(rng.randint(0, 2)):
+        tokens = ["policy", f"P{p}", "permit", "{"]
+        for slot in ("subject", "action", "object"):
+            tokens += [slot, ":", rng.choice(names), ";"]
+        statements.append(tokens + ["}"])
+    rng.shuffle(statements)
+    tokens = sum(statements, [])
+    if rng.random() < 0.2:
+        del tokens[rng.randrange(len(tokens))]
+    separators = _RUN_ON_SEPARATORS + (_BROKEN_SEPARATORS if rng.random() < 0.3 else [])
+    return "".join(token + rng.choice(separators) for token in tokens)
+
+
 class TestLoadInPieces:
     @pytest.mark.parametrize("text", PIECE_CASES)
     def test_cases_at_every_cut(self, tmp_path, text):
@@ -1060,6 +1128,13 @@ class TestLoadInPieces:
                 text = "\n".join(rng.sample(stmts, len(stmts))) + "\n"
             failed += isinstance(_assert_pieces_agree(tmp_path, text), list)
         assert 10 < failed < 80
+        # Run-on texts, from a generator of their own so the texts above stay
+        # what they were.
+        rng = random.Random(37)
+        failed = 0
+        for _ in range(60):
+            failed += isinstance(_assert_pieces_agree(tmp_path, _run_on_text(rng)), list)
+        assert 10 < failed < 50
 
     def test_pieces_end_at_line_start_keywords(self, healthcare_text):
         text = healthcare_text + "\r\nnode x : Y\rnode z : Y\nnodes\nedge_\n"
@@ -1071,6 +1146,20 @@ class TestLoadInPieces:
                 assert piece[stop - 1] == "\n" and piece[stop:] in ("node", "edge", "policy")
                 assert after.startswith(piece[stop:] + " ")
             assert len(pieces) > len(text) // 200
+
+    def test_no_cut_after_a_token_that_runs_on(self):
+        # Past blank, comment and lexer-error lines, the keyword lines here
+        # follow a "{", "," or "-[", but for three: "node b" follows a "}",
+        # and "edge a" and "edge b" follow a name.  Read a character at a
+        # time, the text is cut at each of those three and nowhere else.
+        text = (
+            'node a : X {\n\nnode = 1,\n# c\n@\nedge = 2,\n"open\npolicy = 3}\n'
+            "node b : Y\nedge a -[ # c\n\r\nnode]-> b\nedge b -[T]-> a\n"
+        )
+        cuts = [text.index(line) for line in ("node b", "edge a", "edge b")]
+        assert _cut_offsets(_read_by(1, text)) == cuts
+        for size in PIECE_SIZES:
+            assert set(_cut_offsets(_read_by(size, text))) <= set(cuts)
 
     def test_forward_reference_across_a_cut_is_placed(self, tmp_path):
         text = PIECE_CASES[7].values[0]
