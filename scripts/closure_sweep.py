@@ -21,7 +21,8 @@ share of nodes its copy keeps.  A check that each slot's closure agrees
 with the full closure at every condition node of that slot runs outside
 the timed region.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed
 loop timed before and after the sweep, so a later run can be scaled to
-this one.
+this one.  ``commit`` and ``src_sha256`` name the graphabac tree swept, as
+`bench/run.py` prints them.
 
     PYTHONPATH=src python3 scripts/closure_sweep.py
     PYTHONPATH=src python3 scripts/closure_sweep.py --depths 5 8 --shares 0.1 --out -
@@ -43,6 +44,7 @@ import statistics
 import sys
 import time
 
+import graphabac
 from graphabac import HAS_ATTR, Graph
 from graphabac.graph import Adjacency
 from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
@@ -50,7 +52,7 @@ from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 from randmodel import RandomModelConfig, random_model  # noqa: E402
-from run import calib_ms  # noqa: E402
+from run import calib_ms, commit_id, source_digest  # noqa: E402
 
 N_PRIMITIVES = 1000
 N_ATTRIBUTES = 10000
@@ -178,8 +180,11 @@ def main(argv: list[str] | None = None) -> int:
             )
             rows.append(row)
     calib.append(calib_ms())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphabac.__file__)))
     report = {
         "script": "scripts/closure_sweep.py",
+        "commit": commit_id(src),
+        "src_sha256": source_digest(src),
         "seed": args.seed,
         "graph_shape": {
             "n_primitives": N_PRIMITIVES,

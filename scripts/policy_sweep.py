@@ -20,6 +20,8 @@ size's timings and ``peak_rss_mb``, so that ``build_s`` and the query
 timings run untraced and no size's reading depends on the sizes before
 it.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed loop timed
 before and after the sweep, so a later run can be scaled to this one.
+``commit`` and ``src_sha256`` name the graphabac tree swept, as
+`bench/run.py` prints them.
 
     PYTHONPATH=src python3 scripts/policy_sweep.py            # 1k, 10k, 100k
     PYTHONPATH=src python3 scripts/policy_sweep.py --sizes 1000 10000 --out -
@@ -45,6 +47,7 @@ import sys
 import time
 import tracemalloc
 
+import graphabac
 from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -57,7 +60,7 @@ from randmodel import (  # noqa: E402
     random_model,
     random_query,
 )
-from run import calib_ms  # noqa: E402
+from run import calib_ms, commit_id, source_digest  # noqa: E402
 
 GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
 
@@ -139,8 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
     calib.append(calib_ms())
     first, last = rows[0], rows[-1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphabac.__file__)))
     report = {
         "script": "scripts/policy_sweep.py",
+        "commit": commit_id(src),
+        "src_sha256": source_digest(src),
         "seed": args.seed,
         "graph_shape": GRAPH_SHAPE,
         "algorithm": CombiningAlgorithm.DENY_OVERRIDES.value,

@@ -15,7 +15,8 @@ second (requests over their summed round-trip time).  The echo child is
 the floor: what any line-for-line service costs over this
 pipe from this client.  ``calib_ms`` is the mean of `bench/run.py`'s
 host-speed loop timed before and after, so a later run can be scaled to
-this one.
+this one.  ``commit`` and ``src_sha256`` name the graphabac tree timed, as
+`bench/run.py` prints them.
 
     PYTHONPATH=src python3 scripts/serve_sweep.py                 # 20 000 requests
     PYTHONPATH=src python3 scripts/serve_sweep.py --requests 500 --out -
@@ -42,7 +43,14 @@ from graphabac.dsl import bundled_model_text
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
-from run import Serve, calib_ms, percentile, pin_to_one_cpu  # noqa: E402
+from run import (  # noqa: E402
+    Serve,
+    calib_ms,
+    commit_id,
+    percentile,
+    pin_to_one_cpu,
+    source_digest,
+)
 
 # Requests per alternating block.
 BLOCK = 500
@@ -134,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         report = measure(requests, model_path, env, args.warmup)
     report = {
         "script": "scripts/serve_sweep.py",
+        "commit": commit_id(src),
+        "src_sha256": source_digest(src),
         "seed": args.seed,
         "model": "bundled healthcare model, serve-small request stream",
         "block": BLOCK,

@@ -1,10 +1,14 @@
 """Time graphabac's start-up: the interpreter, the import, `check` and `serve`.
 
-Copies the graphabac package that this script imports, without any
-`__pycache__`, into a temporary directory, and starts fresh children with
-`-B`, so every child compiles the package's sources on import as the
-benchmark's `serve` does under `PYTHONDONTWRITEBYTECODE=1`.  Each child
-puts the copy first on `sys.path` and then does one of:
+Starts fresh children with `-B` on the graphabac package that this script
+imports, read where it is.  Each child puts the package's parent directory
+first on `sys.path`, with a finder there and in the package that compiles
+every graphabac source on import and never reads or writes its
+`__pycache__`, as the benchmark's `serve` does in a fresh checkout under
+`PYTHONDONTWRITEBYTECODE=1`.  The standard library keeps its bytecode
+cache: `-X pycache_prefix` would also compile every standard module the
+child imports, which triples the import time.  Each child then does one
+of:
 
 - `bare`: nothing more, the interpreter's own start and exit;
 - `typing`: `import typing`, the one import of the named tuples' module
@@ -33,7 +37,8 @@ to one CPU.  Per mode and case it reports the median and quartiles
 case's `VmHWM` in MB (`serve_vmhwm_mb`, `serve_graph_deep_vmhwm_mb`,
 `serve_policy_scan_vmhwm_mb`).  ``calib_ms`` is the mean of
 `bench/run.py`'s host-speed loop timed before and after, so a later run
-can be scaled to this one.
+can be scaled to this one.  ``commit`` and ``src_sha256`` name the tree
+timed, as `bench/run.py` prints them.
 
     PYTHONPATH=src python3 scripts/startup_sweep.py               # 21 rounds
     PYTHONPATH=src python3 scripts/startup_sweep.py --runs 3 --out -
@@ -50,7 +55,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -63,7 +67,14 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path[:0] = [os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
 from reference import Reference  # noqa: E402
-from run import Serve, calib_ms, percentile, pin_to_one_cpu  # noqa: E402
+from run import (  # noqa: E402
+    Serve,
+    calib_ms,
+    commit_id,
+    percentile,
+    pin_to_one_cpu,
+    source_digest,
+)
 
 MODES = {"isolated": ["-B", "-I", "-S"], "site": ["-B"]}
 QUERY = ["John", "Write", "MR_1234"]
@@ -99,9 +110,19 @@ def bench_models(work: str, healthcare_text: str) -> dict[str, tuple[str, list[s
 def scripts(
     src: str, model: str, bench: dict[str, tuple[str, list[str]]]
 ) -> tuple[dict[str, str], dict[str, bytes]]:
-    """The `-c` program of each case, over the copy of the package in
-    ``src``, and the request line of each `serve` case."""
-    prefix = f"import sys; sys.path.insert(0, {src!r})"
+    """The `-c` program of each case, over the package in ``src``, and the
+    request line of each `serve` case."""
+    # A loader whose source has no stat reads no bytecode and writes none.
+    # The frozen module is already loaded at start, so the finder costs the
+    # child no import.
+    prefix = (
+        "import sys, _frozen_importlib_external as ext\n"
+        "class Uncached(ext.SourceFileLoader):\n"
+        "    def path_stats(self, path): raise OSError\n"
+        f"for d in {(src, os.path.join(src, 'graphabac'))!r}:\n"
+        "    sys.path_importer_cache[d] = ext.FileFinder(d, (Uncached, ext.SOURCE_SUFFIXES))\n"
+        f"sys.path.insert(0, {src!r})"
+    )
     main = "from graphabac.cli import main; sys.exit(main({}))"
     programs = {
         "bare": prefix,
@@ -186,17 +207,18 @@ def main(argv: list[str] | None = None) -> int:
 
     cpu = pin_to_one_cpu()
     package = os.path.dirname(os.path.abspath(graphabac.__file__))
+    src = os.path.dirname(package)
+    model = os.path.join(package, "data", "healthcare.abac")
     calib = [calib_ms()]
     with tempfile.TemporaryDirectory() as work:
-        copy = os.path.join(work, "graphabac")
-        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        model = os.path.join(copy, "data", "healthcare.abac")
         with open(model, encoding="utf-8") as fh:
             bench = bench_models(work, fh.read())
-        modes = measure(work, model, bench, args.runs)
+        modes = measure(src, model, bench, args.runs)
     calib.append(calib_ms())
     report = {
         "script": "scripts/startup_sweep.py",
+        "commit": commit_id(src),
+        "src_sha256": source_digest(src),
         "model": "bundled healthcare model, check and serve on John Write MR_1234",
         "bench_models": {
             name: f"seed {BENCH_SEED}, check and serve on {' '.join(query)}"

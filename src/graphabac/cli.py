@@ -19,13 +19,12 @@ string, and an ``id`` of ``""`` when the request has no usable one.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .combine import ALGORITHM_NAMES, CombiningAlgorithm, combine, evaluate
-from .dsl import LoadedModel, ModelLoadError, load_model_file
+from .dsl import LoadedModel, ModelLoadError, int_literal, load_model_file
 from .errors import AbacError
 from .matcher import AccessQuery, matches
 from .policy import ConditionType, Decision, leaf_nodes
@@ -209,17 +208,9 @@ def _deny(req_id: str, error: str) -> str:
     return _reply(req_id, _DECISIONS[Decision.DENY], "", _quote(error))
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        # CPython 3.11 and later refuse a literal longer than
-        # sys.get_int_max_str_digits() allows; say so as the loader does.
-        raise ValueError(f"integer too long: {len(text)} characters") from None
-
-
-# json.loads' own decoder but for its integers, made once.
-_DECODER = json.JSONDecoder(parse_int=_parse_int)
+# json.loads' own decoder but for its integers, which it reads as the
+# loader does, made once.
+_DECODER = json.JSONDecoder(parse_int=int_literal)
 
 
 def _serve_one(
@@ -261,9 +252,6 @@ def _serve_one(
 
 def cmd_serve(args) -> int:
     model = _load(args.model)
-    # The loaded model is immutable and lives as long as the process, so
-    # keep the cyclic collector from walking it at every full collection.
-    gc.freeze()
     default_alg = CombiningAlgorithm(args.algorithm)
     # Requests are UTF-8 JSON.  Bytes that do not decode become U+FFFD, so
     # their line fails as JSON and gets a Deny instead of ending the process.

@@ -54,6 +54,12 @@ def quote_name(value) -> str:
     return "`" + text.replace("`", "``") + "`"
 
 
+# The line boundaries of ``str.splitlines()``.  A policy name in a ``//``
+# comment has each one replaced by a space, so no name can end its comment
+# and have the rest of it read as Cypher.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def emit_cypher_data(graph: Graph) -> str:
     """One create statement per node, one merge per edge."""
     lines: list[str] = []
@@ -96,7 +102,7 @@ def emit_cypher_policies(store: PolicyStore) -> str:
         if pol.score:
             props.append(f"score:{pol.score}")
         chunk = [
-            f"// {pol.name} - {pol.decision.value}",
+            f"// {_LINE_BREAK.sub(' ', pol.name)} - {pol.decision.value}",
             "match " + ", ".join(match_parts),
             f"create (pol:Policy {{{', '.join(props)}}})",
         ]

@@ -377,6 +377,16 @@ def _lex(
     yield "EOF", "", len(text)
 
 
+def int_literal(text: str) -> int:
+    """``text``, a decimal integer literal, as an int.  Raises ValueError
+    for a literal longer than ``int()`` reads: CPython 3.11 and later refuse
+    one longer than sys.get_int_max_str_digits() allows."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer too long: {len(text)} characters") from None
+
+
 class _SyntaxFailure(Exception):
     """A syntax error; its args are its offset and its message."""
 
@@ -545,11 +555,9 @@ class _Parser:
         """The lookahead, an ``INT`` token, as an int."""
         _, value, offset = self.advance()
         try:
-            return int(value)
-        except ValueError:
-            # CPython 3.11 and later refuse a literal longer than
-            # sys.get_int_max_str_digits() allows.
-            raise _SyntaxFailure(offset, f"integer too long: {len(value)} characters") from None
+            return int_literal(value)
+        except ValueError as exc:
+            raise _SyntaxFailure(offset, str(exc)) from None
 
     def parse_edge(self) -> None:
         kw = self.expect_keyword("edge")

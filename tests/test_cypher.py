@@ -11,6 +11,7 @@ from graphabac.cypher import (
     quote_name,
 )
 from graphabac.errors import UnsupportedAlgorithmError, UnsupportedExportError
+from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
 
 DENY = CombiningAlgorithm.DENY_OVERRIDES
 PERMIT = CombiningAlgorithm.PERMIT_OVERRIDES
@@ -51,6 +52,33 @@ def script_structure(script):
                 )
             )
     return nodes, edges
+
+
+def statements(script):
+    """The statements of ``script``, split at each ``;`` outside a string
+    literal, with each ``//`` comment dropped.  A comment is taken to end at
+    any line boundary of ``str.splitlines()``, a superset of the ones a
+    Cypher reader ends it at."""
+    found, current, i = [], [], 0
+    while i < len(script):
+        c = script[i]
+        if c == "'":
+            # A string literal; a backslash escapes the character after it.
+            end = i + 1
+            while script[end] != "'":
+                end += 2 if script[end] == "\\" else 1
+            current.append(script[i : end + 1])
+            i = end + 1
+        elif script.startswith("//", i):
+            i += len(script[i:].splitlines()[0])
+        elif c == ";":
+            found.append("".join(current).strip())
+            current, i = [], i + 1
+        else:
+            current.append(c)
+            i += 1
+    assert not "".join(current).strip(), "text after the last statement"
+    return found
 
 
 class TestEmitData:
@@ -141,6 +169,24 @@ class TestEmitPolicies:
         assert script.count("merge (pol)<-[:SUB_CON]-") == 5  # 1 + 2 + 2
         assert script.count("merge (pol)<-[:ACT_CON]-") == 3
         assert script.count("merge (pol)<-[:OBJ_CON]-") == 3
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x85", "\u2028"])
+    def test_line_break_in_name_stays_in_its_comment(self, brk):
+        # Written bare, the name's line break would end the comment and the
+        # rest of the name would run as a second statement.
+        g = Graph()
+        a = g.add_node("a", ["Attribute"])
+        g.freeze()
+        store = PolicyStore(g)
+        slots = {t: [Ref(a)] for t in ConditionType}
+        names = [f"P{brk}match (n) detach delete n; //", "Q", f"R{brk}"]
+        for name in names:
+            store.create_policy(name, Decision.PERMIT, slots)
+        found = statements(emit_cypher_policies(store))
+        assert len(found) == len(names)
+        for name, statement in zip(names, found):
+            assert statement.startswith("match (sub1 {name:'a'})")
+            assert f"create (pol:Policy {{name:{quote(name)}, " in statement
 
     def test_compound_policy_rejected(self):
         model = load_model(
