@@ -19,6 +19,7 @@ string, and an ``id`` of ``""`` when the request has no usable one.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Iterable, Iterator, Optional, TextIO
@@ -45,6 +46,12 @@ class _CliError(Exception):
 
 
 def _load(path: str) -> LoadedModel:
+    # A model holds no cycles (tests/test_lifetime.py), so the cyclic
+    # collector is paused while one loads: its young collections and its
+    # full ones would walk every object the load has made so far and free
+    # nothing.  Its state is restored whatever the load does.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return load_model_file(path)
     except ModelLoadError as exc:
@@ -52,6 +59,9 @@ def _load(path: str) -> LoadedModel:
         raise _CliError(f"failed to load model:\n{lines}") from exc
     except OSError as exc:
         raise _CliError(str(exc)) from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _resolve_query(model: LoadedModel, subject: str, action: str, obj: str) -> AccessQuery:

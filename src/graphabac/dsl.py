@@ -47,14 +47,18 @@ where every condition is a name, bare or quoted with no backslash, and only
 whitespace separates the tokens.  A plain statement is taken only when it
 is followed, after whitespace and comments,
 by a whole-word ``node``, ``edge`` or ``policy`` or by the end of input,
-where the token parser would end it too.  A match hands the sink the same
-declaration, at the same offset, as the token parser would; the lexer
-restarts after the last statement read this way.  Anything
-else goes to the token parser from the statement's keyword: properties, a
-second label, ``not``/``and``/``or``, a string with a backslash, a keyword
-where a name goes, a comment inside the statement, a score too long for
-``int()``, and all malformed text, so every error comes from the token
-parser.  The input alone picks the path.
+where the token parser would end it too.  A plain node or edge hands the
+sink the declaration the token parser would, at the same offset.  A plain
+policy is taken only when no name is quoted (one may hold ``;`` or ``:``)
+and the sink's ``find`` knows every name: ``str.split`` cuts its body into
+slots, one ``map`` over ``find`` looks up each slot, and the sink gets one
+node tuple per slot, each node once, in the order first named.  The lexer
+restarts after the last statement read this way.  Anything else goes to
+the token parser from the statement's keyword: properties, a second label,
+``not``/``and``/``or``, a string with a backslash, a keyword where a name
+goes, a comment inside the statement, a score too long for ``int()``, all
+malformed text, and a policy with a name not declared yet or read into a
+document, so every syntax error comes from the token parser.
 
 A parsed condition is the engine's own ``Not``/``And``/``Or`` (see
 ``policy.py``), so the parser, the loader and the store share one
@@ -65,20 +69,26 @@ The syntax tree and the load records are slotted records (see
 declarations, ``ModelError``, ``ModelDocument`` and ``LoadedModel`` compare
 by their fields but do not hash.
 
-The parser hands each declaration's fields and its offset, as soon as it
-is complete, to a sink, and asks the sink for each condition leaf.
-``parse_model``'s sink, ``_DocumentSink``, makes the records of a
-``ModelDocument``.  ``load_model`` and ``load_model_file`` hand them to
-``_ModelBuilder``, which loads the model in the same pass and makes no
-record: a node goes into the graph at once, an edge when both of its ends
-are known, and a policy is created when every name it uses is known.  Each
-name is looked up once, as its leaf is parsed, and a known one becomes a
-``Ref``.  Declarations may refer to nodes declared later: a name not known
-yet becomes a ``NameRef`` placed at its line and column, and such an edge
-or policy, and every later one of its kind, waits, placed the same way, as
-its argument tuple until the end of input, when the names still left are
-looked up again.  So edges and policies still go in in source order, which
-fixes child order, policy ``seq`` and first-applicable results.
+The parser hands each declaration's fields and its offset to a sink, as
+soon as it is complete: ``node(pos, name, labels, props)``, ``edge(pos,
+src, rel_type, dst)`` or ``policy(pos, name, decision, score, slots)``,
+whose ``slots`` maps condition types to expressions, or, from a plain
+policy, holds one node tuple per slot in ``_SLOTS`` order.  The token
+parser asks ``leaf(pos, name)`` for each condition leaf.  A sink also has
+``where``, which places an offset, and ``find``, a lookup of a name's node
+or None.  ``parse_model``'s sink, ``_DocumentSink``, has no ``find`` and
+makes the records of a ``ModelDocument``.  ``load_model`` and
+``load_model_file`` hand them to ``_ModelBuilder``, which loads the model
+in the same pass and makes no record: a node goes into the graph at once,
+an edge when both of its ends are known, and a policy when every name it
+uses is known, node tuples through ``PolicyStore._add``, with no ``Ref``
+and nothing to compile.  Each name is looked up once.  Declarations may
+refer to nodes declared later: a name not known yet becomes a ``NameRef``
+placed at its line and column, and such an edge or policy, and every later
+one of its kind, waits, placed the same way, as its argument tuple until
+the end of input, when the names still left are looked up again.  So
+edges and policies still go in in source order, which fixes child order,
+policy ``seq`` and first-applicable results.
 ``load_document`` replays a document into the same builder, each record's
 (line, column) standing for its offset.  Either way a ``ModelLoadError``
 lists the errors in one order: any syntax errors, and then nothing else;
@@ -128,6 +138,7 @@ from .policy import (
     Or,
     PolicyStore,
     Ref,
+    _NO_COMPOUND,
     _children,
 )
 from .records import FrozenRecord, Record, _set
@@ -282,9 +293,6 @@ _PLAIN_POLICY_RE = re.compile(
     rf"\{{(?P<body>(?:{_WS}{_SLOT}(?:{_WS};)?)+){_WS}\}}{_NEXT}",
     re.ASCII,
 )
-# In a matched policy body, a slot keyword is the word before a colon; every
-# other word or string is a name.
-_BODY_ITEM_RE = re.compile(r'(subject|action|object)[ \t\r\n]*:|(\w+)|"([^"\\\n]*)"', re.ASCII)
 
 
 def _plain_node(m: re.Match, sink) -> bool:
@@ -304,27 +312,34 @@ def _plain_edge(m: re.Match, sink) -> bool:
 
 
 def _plain_policy(m: re.Match, sink) -> bool:
-    name = m["name"]
-    if name in KEYWORDS:
+    name, decision, score, body = m.group("name", "decision", "score", "body")
+    find = sink.find
+    # A quoted condition name may hold ";" or ":", and a sink without
+    # ``find`` takes each name as a leaf: both go to the token parser.
+    if find is None or name in KEYWORDS or '"' in body:
         return False
-    leaf = sink.leaf
-    slots: dict[ConditionType, list] = {}
-    for item in _BODY_ITEM_RE.finditer(m.string, m.start("body"), m.end("body")):
-        slot, word, quoted = item.groups()
-        if slot is not None:
-            exprs = slots.setdefault(_SLOT_TYPES[slot], [])
-        elif word in KEYWORDS:
+    # Without a quoted name, the match leaves a word just before a ":" as a
+    # slot keyword and every other word as a name.  So each piece between
+    # two colons holds one slot's names and then the next slot's keyword.
+    pieces = [piece.split() for piece in body.replace(";", " ").split(":")]
+    keywords = [piece.pop() for piece in pieces[:-1]]
+    slots: dict[str, list] = {}
+    for keyword, names in zip(keywords, pieces[1:]):
+        found = list(map(find, names))
+        # A keyword where a name goes is a syntax error, and a name not
+        # declared yet waits as a leaf.
+        if None in found or not KEYWORDS.isdisjoint(names):
             return False
-        else:
-            exprs.append(leaf(item.start(), word or quoted))
-    score = None if m["score"] is None else int(m["score"])
-    sink.policy(m.start(), name.strip('"'), _DECISIONS[m["decision"]], score, slots)
+        slots.setdefault(keyword, []).extend(found)
+    nodes = tuple([tuple(dict.fromkeys(slots.get(word, ()))) for word in _SLOT_TYPES])
+    score = None if score is None else int(score)
+    sink.policy(m.start(), name.strip('"'), _DECISIONS[decision], score, nodes)
     return True
 
 
 # Statement keyword -> (its pattern's match, a function that hands a match's
 # declaration to the sink and returns True, or returns False, handing
-# nothing, if a name in it is a keyword).
+# nothing, if a name in it is a keyword or the sink cannot take it as it is).
 _PLAIN_FORMS = {
     "node": (_PLAIN_NODE_RE.match, _plain_node),
     "edge": (_PLAIN_EDGE_RE.match, _plain_edge),
@@ -396,12 +411,11 @@ class _TooDeep(Exception):
 
 
 class _Parser:
-    """Parses ``text`` into calls on ``sink``: ``node(pos, name, labels,
-    props)``, ``edge(pos, src, rel_type, dst)`` and ``policy(pos, name,
-    decision, score, slots)`` per declaration, in source order, and
-    ``leaf(pos, name)`` per condition name, whose result is the leaf of the
-    condition.  Each ``pos`` is a character offset, and ``sink.where`` maps
-    one to (line, column) for a syntax error."""
+    """Parses ``text`` into calls on ``sink`` (see the module docstring):
+    ``node``, ``edge`` and ``policy`` per declaration, in source order, and
+    ``leaf`` per condition name the token parser reads.  Each ``pos`` is a
+    character offset, and ``sink.where`` maps one to (line, column) for a
+    syntax error."""
 
     def __init__(
         self,
@@ -645,6 +659,10 @@ class _DocumentSink:
     """The parser's sink for ``parse_model``: a record per declaration and a
     ``NameRef`` per condition name, each with its line and column."""
 
+    # Every condition name is a leaf of its own, so no policy is read as
+    # names alone.
+    find = None
+
     def __init__(self, text: str) -> None:
         self.doc = ModelDocument()
         self.where = _locator(text)
@@ -712,6 +730,8 @@ class _ModelBuilder:
         self.waiting_policies: list[tuple] = []
         # The leaves made for unknown names since the last policy.
         self.unknown: list[NameRef] = []
+        # A name's node, or None, for the plain policy form.
+        self.find = self.graph._by_name.get
 
     def error(self, pos, message: str, kind: str) -> ModelError:
         return ModelError(*self.where(pos), message, kind)
@@ -736,7 +756,10 @@ class _ModelBuilder:
         self.unknown.append(ref)
         return ref
 
-    def policy(self, pos, name: str, decision: Decision, score, slots: dict) -> None:
+    def policy(self, pos, name: str, decision: Decision, score, slots) -> None:
+        """Create the policy, from its conditions mapping or, from the plain
+        form, one node tuple per slot in ``_SLOTS`` order, or hold it back
+        as it is while a name in it or an earlier policy waits."""
         if self.unknown or self.waiting_policies:
             self.waiting_policies.append((self.where(pos), name, decision, score, slots))
         else:
@@ -761,14 +784,17 @@ class _ModelBuilder:
         if errors:
             raise ModelLoadError(errors)
         for pos, name, decision, score, slots in self.waiting_policies:
-            # Each leaf still a NameRef is looked up again.
-            self.unknown.clear()
-            slots = {t: [_swap_names(e, self._leaf_again) for e in es] for t, es in slots.items()}
-            for ref in self.unknown:
-                message = f"policy {name!r} references unknown node {ref.name!r}"
-                self.policy_errors.append(ModelError(ref.line, ref.col, message, "policy"))
-            if not self.unknown:
-                self._create(pos, name, decision, score, slots)
+            if type(slots) is dict:
+                # Each leaf still a NameRef is looked up again.
+                self.unknown.clear()
+                swap = self._leaf_again
+                slots = {t: [_swap_names(e, swap) for e in es] for t, es in slots.items()}
+                for ref in self.unknown:
+                    message = f"policy {name!r} references unknown node {ref.name!r}"
+                    self.policy_errors.append(ModelError(ref.line, ref.col, message, "policy"))
+                if self.unknown:
+                    continue
+            self._create(pos, name, decision, score, slots)
         if self.policy_errors:
             raise ModelLoadError(self.policy_errors)
         return LoadedModel(self.graph, self.store)
@@ -790,9 +816,14 @@ class _ModelBuilder:
     def _leaf_again(self, ref: NameRef):
         return self.leaf((ref.line, ref.col), ref.name)
 
-    def _create(self, pos, name: str, decision: Decision, score, conditions: dict) -> None:
+    def _create(self, pos, name: str, decision: Decision, score, slots) -> None:
+        """Create the policy from its conditions mapping, or store it from
+        its node tuples, and record a rejection."""
         try:
-            self.store.create_policy(name, decision, conditions, score)
+            if type(slots) is dict:
+                self.store.create_policy(name, decision, slots, score)
+            else:
+                self.store._add(name, decision, score, slots, _NO_COMPOUND)
         except AbacError as exc:
             self.policy_errors.append(self.error(pos, str(exc), "policy"))
 

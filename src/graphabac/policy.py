@@ -5,14 +5,18 @@ sequence number, and one non-empty set of condition expressions per
 condition type (subject / action / object).  The expressions in one slot
 are conjunctive; disjunction lives only inside ``Or`` trees.
 
-``PolicyStore.create_policy`` is the validity gate: it is the only code
-that rejects a policy with a name that is not a ``str``, a decision that
+``PolicyStore.create_policy`` is the public validity gate: it rejects a
+policy with a name that is not a ``str``, a decision that
 is not a ``Decision`` member, a score that is neither an ``int`` nor None,
-conditions that are not a mapping of collections, an empty slot, a
+conditions that are not a mapping of collections, a
 condition part that is not a ``Ref``, a ``Not``, or an
-``And``/``Or`` of a tuple, a condition that does not name an attribute or
-primitive node, or a condition that nests ``Not``/``And``/``Or`` more than
-``MAX_NESTING`` levels deep, so every stored policy is well-formed.
+``And``/``Or`` of a tuple, or a condition that nests ``Not``/``And``/``Or``
+more than ``MAX_NESTING`` levels deep.  It ends in ``PolicyStore._add``,
+the one insertion, which rejects a name already stored, an empty slot and
+a condition that does not name an attribute or primitive node.  The model
+loader calls ``_add`` straight with the node tuples of a policy whose
+conditions are all names it found in the graph, the only fields the other
+checks could fault, so every stored policy is well-formed.
 The oracle and ``Policy.conditions`` walk an expression recursively, so
 the bound keeps each of those walks far below the interpreter's recursion
 limit.  ``create_policy`` checks each part's type, the depth and the leaf
@@ -92,17 +96,18 @@ but does not hash.  ``Not``, ``And`` and ``Or`` keep their hash after its
 first use, in a slot that is not a field, so hashing a tree hashes each
 distinct part once.
 
-``create_policy`` validates and compiles before it inserts, so a rejected
-policy leaves no trace.  ``policies()`` builds the snapshot, which needs a
-frozen graph, at its first call and again at the first call after an
-insertion.  Each build reads the store's policies and the frozen graph
-alone, so a rebuilt snapshot equals one built fresh from the same store.
+``create_policy`` and ``_add`` validate and compile before they insert,
+so a rejected policy leaves no trace.  ``policies()`` builds the snapshot,
+which needs a frozen graph, at its first call and again at the first call
+after an insertion.  Each build reads the store's policies and the frozen
+graph alone, so a rebuilt snapshot equals one built fresh from the same
+store.
 Every front end creates all its policies before its first query, so it
 builds one snapshot.  A snapshot is built to one side, under a lock, and
 published by one assignment, so concurrent first queries build it once; it
 never changes after that, and any number of threads may match against it.
-Like the graph, a store is filled single-threaded: ``create_policy`` must
-not run while another thread matches against the same store.
+Like the graph, a store is filled single-threaded: no policy may go in
+while another thread matches against the same store.
 """
 
 from __future__ import annotations
@@ -442,8 +447,6 @@ class PolicyStore:
     ) -> Policy:
         if not isinstance(name, str):
             raise PolicyError(f"policy name {name!r} is not a str")
-        if name in self._policies:
-            raise DuplicatePolicyError(f"policy {name!r} already exists")
         if not isinstance(decision, Decision):
             raise PolicyError(f"policy {name!r} has decision {decision!r}, not a Decision")
         # A bool is an int, but no score.
@@ -458,24 +461,53 @@ class PolicyStore:
                 f"policy {name!r} has conditions that are not a mapping of collections"
             ) from None
         nodes, compound = zip(*(_compile_slot(name, exprs) for exprs in slots))
-        missing = [t for t, exprs in zip(_SLOTS, slots) if not exprs]
-        if missing:
-            raise MissingConditionTypeError(name, missing)
+        return self._add(name, decision, score, nodes, compound if any(compound) else _NO_COMPOUND)
+
+    def _add(
+        self, name: str, decision: Decision, score: Optional[int], nodes: Slots, compound: tuple
+    ) -> Policy:
+        """Store a policy with these fields, ``nodes`` and ``compound`` as
+        ``_compile_slot`` makes them and ``compound`` ``_NO_COMPOUND`` when
+        no slot has a compound expression: the one way a policy goes in.
+        ``create_policy`` ends here, and the model loader comes here
+        straight with the node tuples of a policy whose conditions are all
+        names it found in the graph.
+        Raises DuplicatePolicyError for a name already stored,
+        MissingConditionTypeError for an empty slot, and
+        DanglingConditionRefError for a condition node that is not a node
+        of the graph or has the Policy label; a rejected policy leaves no
+        trace."""
+        if name in self._policies:
+            raise DuplicatePolicyError(f"policy {name!r} already exists")
+        if not all(nodes):
+            # A slot without plain nodes may still have a compound expression.
+            missing = [
+                t for t, plain, compiled in zip(_SLOTS, nodes, compound) if not (plain or compiled)
+            ]
+            if missing:
+                raise MissingConditionTypeError(name, missing)
         table = self.graph.node_table()
         count = len(table)
-        dangling: set[str] = set()
-        for node in itertools.chain(*nodes, *map(leaf_nodes, compound)):
+        # The plain nodes, then the leaves of the compound expressions.
+        groups = nodes if compound is _NO_COMPOUND else (*nodes, *map(leaf_nodes, compound))
+        dangling = [
+            node
+            for group in groups
+            for node in group
             # A bool is an int, and 1.0 == 1; neither names a node.
-            if type(node) is not int or not 0 <= node < count:
-                dangling.add(f"node#{node!r}")
-            elif POLICY_LABEL in table[node].labels:
-                dangling.add(table[node].name)
+            if type(node) is not int or not 0 <= node < count or POLICY_LABEL in table[node].labels
+        ]
         if dangling:
-            names = ", ".join(sorted(dangling))
-            raise DanglingConditionRefError(
-                f"policy {name!r} references non-condition nodes: {names}"
+            names = sorted(
+                {
+                    f"node#{node!r}" if type(node) is not int or not 0 <= node < count
+                    else table[node].name
+                    for node in dangling
+                }
             )
-        compound = compound if any(compound) else _NO_COMPOUND
+            raise DanglingConditionRefError(
+                f"policy {name!r} references non-condition nodes: {', '.join(names)}"
+            )
         policy = Policy(name, decision, score or 0, len(self._policies), nodes, compound)
         self._policies[name] = policy
         return policy

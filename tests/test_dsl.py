@@ -26,6 +26,7 @@ from graphabac import (
     serialize_model,
 )
 from graphabac import dsl
+from graphabac import policy as policy_module
 from graphabac.dsl import (
     MAX_NESTING,
     EdgeDecl,
@@ -900,6 +901,165 @@ def test_plain_forms_share_of_the_healthcare_model(healthcare_text):
         doc = parse_model(healthcare_text)
     assert doc == _token_parser_only(healthcare_text)[0]
     assert taken[0] == 19
+
+
+# -- plain policies, read as names ----------------------------------------
+
+
+def _stored_outcome(load, text):
+    """The exact error list, or the nodes, each node's children in order and
+    every policy's fields as the store holds them."""
+    try:
+        model = load(text)
+    except ModelLoadError as exc:
+        return [(e.line, e.col, e.message, e.kind) for e in exc.errors]
+    g = model.graph
+    return (
+        [(n.name, n.labels) for n in g.nodes()],
+        list(g._children),
+        [(p.name, p.seq, p.decision, p.score, p.nodes, p.compound) for p in model.policies],
+    )
+
+
+def _assert_loads_as_the_document(text):
+    expected = _stored_outcome(lambda t: load_document(parse_model(t)), text)
+    assert _stored_outcome(load_model, text) == expected, text
+    return expected
+
+
+_DECLARED = (
+    "node a : Attribute\nnode b : Attribute\nnode c : Primitive\nnode Rule : Policy\n"
+    "edge a -[HAS_ATTR]-> b\n"
+)
+
+DIRECT_CASES = [
+    pytest.param(
+        _DECLARED + "policy P permit { subject: a; action: Rule; object: b; }\n",
+        [(6, 1, "policy 'P' references non-condition nodes: Rule", "policy")],
+        id="policy-labelled-node",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit { subject: a; action: a; object: a; }\n"
+        "policy P deny { subject: b; action: b; object: b; }\n",
+        [(7, 1, "policy 'P' already exists", "policy")],
+        id="duplicate-name",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit { subject: a; action: b; }\n",
+        [(6, 1, "policy 'P' has no condition of type: OBJ_CON", "policy")],
+        id="missing-slot",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit { subject: a; subject: b; action: c; object: a; }\n",
+        [("P", ((0, 1), (2,), (0,)))],
+        id="slot-listed-twice",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit { subject: b; a; b; c; a; action: c;c; object: a }\n",
+        [("P", ((1, 0, 2), (2,), (0,)))],
+        id="name-repeated-in-a-slot",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit { subject: object; action: a; object: b; }\n",
+        [(6, 28, "expected a name, found 'object'", "syntax")],
+        id="keyword-as-a-name",
+    ),
+    pytest.param(
+        'node "x;y:z" : Attribute\n' + _DECLARED
+        + 'policy P permit { subject: "x;y:z"; a; action: "a"; object:b }\n',
+        [("P", ((0, 1), (1,), (2,)))],
+        id="quoted-name",
+    ),
+    pytest.param(
+        _DECLARED + "policy P permit score 7 {\n  subject: a;\n  action: b;\n  object: c;\n}\n"
+        "policy Q deny score -3 { subject: c; action: c; object: c; }\n",
+        [("P", ((0,), (1,), (2,))), ("Q", ((2,), (2,), (2,)))],
+        id="score",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", DIRECT_CASES)
+def test_plain_policies_load_as_the_document_does(text, expected):
+    # A plain policy whose names are all declared goes into the store as
+    # node tuples; it must give the model, or the errors, that the document
+    # path gives, which reads every policy with the token parser.
+    outcome = _assert_loads_as_the_document(text)
+    if isinstance(outcome, tuple):
+        outcome = [(name, nodes) for name, _, _, _, nodes, _ in outcome[2]]
+    assert outcome == expected
+
+
+def test_random_documents_load_as_the_document_does():
+    # Random documents, whose policies are mostly quoted or compound, and
+    # small models laid out as the benchmark's, whose policies are mostly
+    # plain, each with its statements in order and shuffled, so that names
+    # come late.
+    rng = random.Random(2025)
+    as_nodes, loaded = [0], 0
+    create = dsl._ModelBuilder._create
+
+    def counted(builder, pos, name, decision, score, slots):
+        as_nodes[0] += type(slots) is tuple
+        return create(builder, pos, name, decision, score, slots)
+
+    for k in range(120):
+        text = serialize_model(random_document(rng)) if k % 2 else _bench_layout_text(rng)
+        stmts = _statements(text)
+        for order in (stmts, rng.sample(stmts, len(stmts))):
+            text = "\n".join(order) + "\n"
+            loaded += isinstance(_assert_loads_as_the_document(text), tuple)
+            with mock.patch.object(dsl._ModelBuilder, "_create", counted):
+                load_model(text)
+    assert loaded > 100 and as_nodes[0] > 100
+
+
+def test_plain_policy_makes_no_ref_and_compiles_nothing():
+    text = _DECLARED + "policy P deny score 2 { subject: b; a; b; action: c; object: a; }\n"
+    expected = _stored_outcome(load_model, text)
+    with mock.patch.object(dsl, "Ref", _raises), mock.patch.object(
+        policy_module, "_compile_slot", _raises
+    ):
+        assert _stored_outcome(load_model, text) == expected
+    model = load_model(_generated_model_text(random.Random(3), 50, 80, 200))
+    assert len(model.policies) == 200
+    assert all(p.compound is policy_module._NO_COMPOUND for p in model.policies)
+
+
+def test_plain_policies_after_a_forward_reference_wait_as_nodes():
+    # Early names a node declared last, so it and every later policy wait.
+    # The later ones are plain, so only Early's names become leaves, and its
+    # unknown one is looked up again at the end of input.  The policies
+    # still go in in source order, and an error in a waiting plain policy
+    # is placed at that policy.
+    text = (
+        _DECLARED
+        + "policy Early permit { subject: late; action: a; object: a; }\n"
+        + "policy Next deny score 4 { subject: a; b; action: a; object: c; }\n"
+        + "policy Third permit { subject: b; action: b; object: b; }\n"
+        + "node late : Attribute\n"
+    )
+    leaves = []
+    leaf = dsl._ModelBuilder.leaf
+
+    def counted(builder, pos, name):
+        leaves.append(name)
+        return leaf(builder, pos, name)
+
+    _, _, policies = _assert_loads_as_the_document(text)
+    with mock.patch.object(dsl._ModelBuilder, "leaf", counted):
+        load_model(text)
+    assert leaves == ["late", "a", "a", "late"]
+    assert [(name, seq) for name, seq, *_ in policies] == [("Early", 0), ("Next", 1), ("Third", 2)]
+    assert policies[1][2:5] == (Decision.DENY, 4, ((0, 1), (0,), (2,)))
+    failing = text.replace("policy Third permit { subject: b;", "policy Next permit { subject: Rule;")
+    assert _assert_loads_as_the_document(failing) == [
+        (8, 1, "policy 'Next' already exists", "policy")
+    ]
+    labelled = text.replace("policy Third permit { subject: b;", "policy Third permit { subject: Rule;")
+    assert _assert_loads_as_the_document(labelled) == [
+        (8, 1, "policy 'Third' references non-condition nodes: Rule", "policy")
+    ]
 
 
 def _raises(*args, **kwargs):

@@ -6,21 +6,26 @@ the last reference, not at some later cyclic collection.  So every test here
 runs with the cyclic collector off: a model must be gone the moment it is
 deleted, after each load path and each way of deciding on it, and a
 collection afterwards must find nothing.  Failed loads must leave nothing
-either, and ``serve`` must leave the collector's state as it found it.
+either, and ``serve`` must leave the collector's state as it found it.  The
+command line front ends pause the collector while they load a model, so
+``serve`` on the benchmark's largest model runs no full collection before
+it replies.
 """
 
 import contextlib
 import gc
 import io
 import json
+import pathlib
 import random
+import subprocess
 import sys
 import weakref
 from unittest import mock
 
 import pytest
 
-from graphabac import AccessQuery, CombiningAlgorithm, combine, dsl, evaluate, load_model
+from graphabac import AccessQuery, CombiningAlgorithm, cli, combine, dsl, evaluate, load_model
 from graphabac.cli import main, serve_loop
 from graphabac.dsl import (
     EdgeDecl,
@@ -219,3 +224,78 @@ def test_serve_leaves_the_collector_alone(tmp_path, monkeypatch, capsys):
         if gc.get_freeze_count() != frozen:
             # Keep a serve that froze the heap from changing later tests.
             gc.unfreeze()
+
+
+LOAD_CASES = {
+    "loads": bundled_model_text(),
+    "model-error": FAILED_LOADS["unknown-policy-node"],
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_cli_load_restores_the_collector_state(case, enabled, tmp_path):
+    # The collector is paused while the command line front ends load a
+    # model, and left as it was found, whether the load works or raises.
+    path = tmp_path / "model.abac"
+    if LOAD_CASES[case] is not None:
+        path.write_text(LOAD_CASES[case], encoding="utf-8")
+    seen = []
+    def load(p):
+        seen.append(gc.isenabled())
+        return load_model_file(p)
+
+    with mock.patch.object(cli, "load_model_file", load):
+        was_on = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                cli._load(str(path))
+            except cli._CliError:
+                assert case != "loads"
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_on else gc.disable)()
+    assert seen == [False]
+
+
+# Counts the collections of each generation in a fresh process that serves
+# one request line from the model file named by its argument.
+_COUNT_COLLECTIONS = """
+import gc, sys
+from graphabac.cli import main
+counts = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        counts[info["generation"]] += 1
+gc.callbacks.append(count)
+code = main(["serve", sys.argv[1]])
+print(code, *counts, file=sys.stderr)
+"""
+
+
+def test_serve_on_policy_scan_runs_no_full_collection_before_it_replies(tmp_path):
+    # The benchmark's largest model: with the collector on while it loaded,
+    # one full collection walked every object the load had made, and over a
+    # hundred young ones walked the newest.  Stdin holds one request, so
+    # every collection up to the end of ``main`` ran before or for the
+    # reply.
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    load = workloads.build("policy-scan", 1, bundled_model_text())
+    path = tmp_path / "policy-scan.abac"
+    path.write_text(load.model_text, encoding="utf-8")
+    line = next(r.line for r in load.requests if r.kind == "valid")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_COLLECTIONS, str(path)],
+        input=line + "\n",
+        capture_output=True,
+        text=True,
+    )
+    code, young, middle, full = map(int, proc.stderr.split())
+    assert json.loads(proc.stdout)["error"] is None
+    assert (code, full) == (0, 0), proc.stderr
