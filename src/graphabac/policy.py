@@ -490,23 +490,17 @@ class PolicyStore:
         count = len(table)
         # The plain nodes, then the leaves of the compound expressions.
         groups = nodes if compound is _NO_COMPOUND else (*nodes, *map(leaf_nodes, compound))
-        dangling = [
-            node
-            for group in groups
-            for node in group
+        dangling: set[str] = set()
+        for node in itertools.chain(*groups):
             # A bool is an int, and 1.0 == 1; neither names a node.
-            if type(node) is not int or not 0 <= node < count or POLICY_LABEL in table[node].labels
-        ]
+            if type(node) is not int or not 0 <= node < count:
+                dangling.add(f"node#{node!r}")
+            elif POLICY_LABEL in table[node].labels:
+                dangling.add(table[node].name)
         if dangling:
-            names = sorted(
-                {
-                    f"node#{node!r}" if type(node) is not int or not 0 <= node < count
-                    else table[node].name
-                    for node in dangling
-                }
-            )
+            names = ", ".join(sorted(dangling))
             raise DanglingConditionRefError(
-                f"policy {name!r} references non-condition nodes: {', '.join(names)}"
+                f"policy {name!r} references non-condition nodes: {names}"
             )
         policy = Policy(name, decision, score or 0, len(self._policies), nodes, compound)
         self._policies[name] = policy

@@ -242,6 +242,7 @@ def test_cli_load_restores_the_collector_state(case, enabled, tmp_path):
     if LOAD_CASES[case] is not None:
         path.write_text(LOAD_CASES[case], encoding="utf-8")
     seen = []
+
     def load(p):
         seen.append(gc.isenabled())
         return load_model_file(p)
