@@ -45,23 +45,28 @@ class _CliError(Exception):
     pass
 
 
-def _load(path: str) -> LoadedModel:
-    # A model holds no cycles (tests/test_lifetime.py), so the cyclic
-    # collector is paused while one loads: its young collections and its
-    # full ones would walk every object the load has made so far and free
-    # nothing.  Its state is restored whatever the load does.
+def _load_paused(path: str) -> LoadedModel:
+    """``load_model_file(path)`` with the cyclic collector paused.  A model
+    holds no cycles (tests/test_lifetime.py), and the collector's young and
+    full collections would walk every object the load has made so far and
+    free nothing.  Its state is restored whatever the load does."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         return load_model_file(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(path: str) -> LoadedModel:
+    try:
+        return _load_paused(path)
     except ModelLoadError as exc:
         lines = "\n".join(f"{path}:{e}" for e in exc.errors)
         raise _CliError(f"failed to load model:\n{lines}") from exc
     except OSError as exc:
         raise _CliError(str(exc)) from exc
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _resolve_query(model: LoadedModel, subject: str, action: str, obj: str) -> AccessQuery:
@@ -123,7 +128,7 @@ def cmd_validate(args) -> int:
     """Exit 0 when the model loads, 1 when only policies are rejected, 2 on
     any other load error."""
     try:
-        model = load_model_file(args.model)
+        model = _load_paused(args.model)
     except ModelLoadError as exc:
         for err in exc.errors:
             print(f"{args.model}:{err}", file=sys.stderr)

@@ -36,19 +36,19 @@ it only counts each piece's newlines, with one ``str.count``.  Lines end
 at ``\\n`` and count from 1, and every other character, ``\\r`` and tab
 included, is one column.
 
-Most statements are never lexed.  At each statement keyword the parser first
-tries one anchored ``re.match`` of the statement's plain form:
+Most statements are never lexed.  At each statement keyword the parser
+first tries the statement's plain form:
 
     node NAME : LABEL
     edge NAME -[TYPE]-> NAME
     policy NAME (permit | deny) [score INT] { slot: NAME; ... }
 
-where every condition is a name, bare or quoted with no backslash, and only
-whitespace separates the tokens.  A plain statement is taken only when it
-is followed, after whitespace and comments,
-by a whole-word ``node``, ``edge`` or ``policy`` or by the end of input,
-where the token parser would end it too.  A plain node or edge hands the
-sink the declaration the token parser would, at the same offset.  A plain
+where every name is bare or quoted with no backslash, and only whitespace
+separates the tokens.  A plain statement is taken only when it is
+followed, after whitespace and comments, by a whole-word ``node``,
+``edge`` or ``policy`` or by the end of input, where the token parser would
+end it too.  Plain nodes and edges, no bare name or label a keyword, are
+read in runs of up to ``RUN_STATEMENTS``, one scanner pass each.  A plain
 policy is taken only when no name is quoted (one may hold ``;`` or ``:``)
 and the sink's ``find`` knows every name: ``str.split`` cuts its body into
 slots, one ``map`` over ``find`` looks up each slot, and the sink gets one
@@ -73,22 +73,25 @@ The parser hands each declaration's fields and its offset to a sink, as
 soon as it is complete: ``node(pos, name, labels, props)``, ``edge(pos,
 src, rel_type, dst)`` or ``policy(pos, name, decision, score, slots)``,
 whose ``slots`` maps condition types to expressions, or, from a plain
-policy, holds one node tuple per slot in ``_SLOTS`` order.  The token
-parser asks ``leaf(pos, name)`` for each condition leaf.  A sink also has
-``where``, which places an offset, and ``find``, a lookup of a name's node
-or None.  ``parse_model``'s sink, ``_DocumentSink``, has no ``find`` and
-makes the records of a ``ModelDocument``.  ``load_model`` and
+policy, holds one node tuple per slot in ``_SLOTS`` order; a run goes to
+``nodes(run, names, labels)`` or ``edges(run, srcs, rels, dsts)``.  The
+token parser asks ``leaf(pos, name)`` for each condition leaf.  A sink
+also has ``where``, which places an offset, and ``find``, a lookup of a
+name's node or None.  ``parse_model``'s sink, ``_DocumentSink``, has no
+``find`` and makes the records of a ``ModelDocument``.  ``load_model`` and
 ``load_model_file`` hand them to ``_ModelBuilder``, which loads the model
 in the same pass and makes no record: a node goes into the graph at once,
 an edge when both of its ends are known, and a policy when every name it
 uses is known, node tuples through ``PolicyStore._add``, with no ``Ref``
-and nothing to compile.  Each name is looked up once.  Declarations may
-refer to nodes declared later: a name not known yet becomes a ``NameRef``
-placed at its line and column, and such an edge or policy, and every later
-one of its kind, waits, placed the same way, as its argument tuple until
-the end of input, when the names still left are looked up again.  So
-edges and policies still go in in source order, which fixes child order,
-policy ``seq`` and first-applicable results.
+and nothing to compile, and a run in one step, unless a name is taken or
+unknown, or an edge waits, loops or is not ``HAS_ATTR``.  Each name is
+looked up once.  Declarations may refer to nodes declared later: a name
+not known yet becomes a ``NameRef`` placed at its line and column, and
+such an edge or policy, and every later one of its kind, waits, placed
+the same way, as its argument tuple until the end of input, when the
+names still left are looked up again.  So edges and policies still go in
+in source order, which fixes child order, policy ``seq`` and
+first-applicable results.
 ``load_document`` replays a document into the same builder, each record's
 (line, column) standing for its offset.  Either way a ``ModelLoadError``
 lists the errors in one order: any syntax errors, and then nothing else;
@@ -119,6 +122,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import islice
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -128,7 +133,7 @@ from .errors import (
     EmptyNameError,
     SelfLoopError,
 )
-from .graph import Graph, Scalar
+from .graph import HAS_ATTR, Graph, Scalar
 from .policy import (
     MAX_NESTING,
     And,
@@ -263,28 +268,30 @@ _TOKEN_RE = re.compile(
 # group 1 is a valid escaped character, group 2 an invalid one.
 _ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 
-# The plain statement forms, each read with one anchored match (see the
-# module docstring).  A pattern is tried only where its keyword is a whole
-# word: at a keyword token, or where the last match's lookahead found one.
-# Under re.ASCII, \w is the lexer's identifier character and \b ends a word
-# where the lexer's IDENT ends, so a match splits the text into the lexer's
-# tokens, and it matches no text the lexer reports an error in.  A comment
-# runs to the end of its line whatever backtracking tries.  No pattern nests
-# a repeat, so a failing match backtracks in linear time.  A name may match a
-# keyword; the declaration functions check that, and a quoted name holds no
-# quote, so strip('"') unquotes it.  A plain score has at most 640 digits, the
-# least limit sys.set_int_max_str_digits() accepts, so int() always converts
-# it; a longer one goes to the token parser.
+# The plain statement forms (see the module docstring).  A pattern is tried
+# only where its keyword is a whole word: at a keyword token, or where the
+# last match's lookahead found one.  Under re.ASCII, \w is the lexer's
+# identifier character and \b ends a word where the lexer's IDENT ends, so a
+# match splits the text into the lexer's tokens, and it matches no text the
+# lexer reports an error in.  A comment runs to the end of its line whatever
+# backtracking tries.  No pattern nests a repeat, so a failing match
+# backtracks in linear time.  A node's or an edge's name or label never
+# matches a keyword; a policy's names may, and _plain_policy checks them.  A
+# quoted name holds no quote, so strip('"') unquotes it.  A plain score has
+# at most 640 digits, the least limit sys.set_int_max_str_digits() accepts,
+# so int() always converts it; a longer one goes to the token parser.
 _WS = r"[ \t\r\n]*"
 _NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
+_WORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)[A-Za-z_]\w*\b"
+_RUN_NAME = rf'(?:{_WORD}|"[^"\\\n]*")'
 _NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>node|edge|policy)\b|\Z)"
 _SLOT = rf"(?:subject|action|object){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
-_PLAIN_NODE_RE = re.compile(
-    rf"node{_WS}(?P<name>{_NAME}){_WS}:{_WS}(?P<label>[A-Za-z_]\w*\b){_NEXT}", re.ASCII
+_NODE_RUN_RE = re.compile(
+    rf"node{_WS}(?P<name>{_RUN_NAME}){_WS}:{_WS}(?P<label>{_WORD}){_NEXT}", re.ASCII
 )
-_PLAIN_EDGE_RE = re.compile(
-    rf"edge{_WS}(?P<src>{_NAME}){_WS}-\[{_WS}(?P<rel>[A-Za-z_]\w*){_WS}\]->{_WS}"
-    rf"(?P<dst>{_NAME}){_NEXT}",
+_EDGE_RUN_RE = re.compile(
+    rf"edge{_WS}(?P<src>{_RUN_NAME}){_WS}-\[{_WS}(?P<rel>[A-Za-z_]\w*){_WS}\]->{_WS}"
+    rf"(?P<dst>{_RUN_NAME}){_NEXT}",
     re.ASCII,
 )
 _PLAIN_POLICY_RE = re.compile(
@@ -294,24 +301,49 @@ _PLAIN_POLICY_RE = re.compile(
     re.ASCII,
 )
 
+# The most statements of a run of plain nodes or edges read at a time.
+RUN_STATEMENTS = 256
 
-def _plain_node(m: re.Match, sink) -> bool:
-    name, label = m.group("name", "label")
-    if name in KEYWORDS or label in KEYWORDS:
-        return False
-    sink.node(m.start(), name.strip('"'), (label,), {})
+
+# The groups of a run's fields; its last group, ``next``, is read once.
+_NODE_FIELDS = itemgetter(1, 2)
+_EDGE_FIELDS = itemgetter(1, 2, 3)
+
+
+def _columns(run: list[re.Match], fields: Callable) -> list[tuple[str, ...]]:
+    """The ``fields`` of each match of ``run`` as columns, names unquoted."""
+    columns = list(zip(*map(fields, run)))
+    text, start, end = run[0].string, run[0].start(), run[-1].end()
+    if text.find('"', start, end) >= 0:
+        # Only a quoted name holds a quote, and its only ones are its own.
+        columns = [tuple([value.strip('"') for value in column]) for column in columns]
+    return columns
+
+
+def _plain_nodes(run: list[re.Match], sink) -> bool:
+    sink.nodes(run, *_columns(run, _NODE_FIELDS))
     return True
 
 
-def _plain_edge(m: re.Match, sink) -> bool:
-    src, rel, dst = m.group("src", "rel", "dst")
-    if src in KEYWORDS or dst in KEYWORDS:
-        return False
-    sink.edge(m.start(), src.strip('"'), rel, dst.strip('"'))
+def _plain_edges(run: list[re.Match], sink) -> bool:
+    sink.edges(run, *_columns(run, _EDGE_FIELDS))
     return True
 
 
-def _plain_policy(m: re.Match, sink) -> bool:
+def _each_node(sink, run: list[re.Match], names: tuple, labels: tuple) -> None:
+    """Hand each node of a run to ``sink.node``, at its own offset."""
+    for m, name, label in zip(run, names, labels):
+        sink.node(m.start(), name, (label,), {})
+
+
+def _each_edge(sink, run: list[re.Match], srcs: tuple, rels: tuple, dsts: tuple) -> None:
+    """Hand each edge of a run to ``sink.edge``, at its own offset."""
+    for m, src, rel, dst in zip(run, srcs, rels, dsts):
+        sink.edge(m.start(), src, rel, dst)
+
+
+def _plain_policy(run: list[re.Match], sink) -> bool:
+    (m,) = run
     name, decision, score, body = m.group("name", "decision", "score", "body")
     find = sink.find
     # A quoted condition name may hold ";" or ":", and a sink without
@@ -337,13 +369,14 @@ def _plain_policy(m: re.Match, sink) -> bool:
     return True
 
 
-# Statement keyword -> (its pattern's match, a function that hands a match's
-# declaration to the sink and returns True, or returns False, handing
-# nothing, if a name in it is a keyword or the sink cannot take it as it is).
+# Statement keyword -> (its pattern, the most statements a run of it holds,
+# a function that hands a run's declarations to the sink and returns True,
+# or returns False, handing nothing, if a name in a policy is a keyword or
+# the sink cannot take it as it is).
 _PLAIN_FORMS = {
-    "node": (_PLAIN_NODE_RE.match, _plain_node),
-    "edge": (_PLAIN_EDGE_RE.match, _plain_edge),
-    "policy": (_PLAIN_POLICY_RE.match, _plain_policy),
+    "node": (_NODE_RUN_RE, RUN_STATEMENTS, _plain_nodes),
+    "edge": (_EDGE_RUN_RE, RUN_STATEMENTS, _plain_edges),
+    "policy": (_PLAIN_POLICY_RE, 1, _plain_policy),
 }
 
 
@@ -509,16 +542,17 @@ class _Parser:
 
     def parse_plain(self) -> None:
         """Read the statements from the lookahead on, while each has a plain
-        form, with one match each, and restart the lexer after the last one
+        form, in runs of one form, and restart the lexer after the last one
         read; the lookahead then starts no plain statement."""
         kind, word, start = self.tok
         end = start
         while kind == "IDENT" and word in _PLAIN_FORMS:
-            match, declare = _PLAIN_FORMS[word]
-            m = match(self.text, end)
-            if m is None or not declare(m, self.sink):
+            pattern, most, declare = _PLAIN_FORMS[word]
+            # Each match of the scanner starts where the last one ended.
+            run = list(islice(iter(pattern.scanner(self.text, end).match, None), most))
+            if not run or not declare(run, self.sink):
                 break
-            end, word = m.end(), m["next"]
+            end, word = run[-1].end(), run[-1]["next"]
         if end != start:
             self.lex_from(end)
 
@@ -673,6 +707,10 @@ class _DocumentSink:
     def edge(self, pos: int, src: str, rel_type: str, dst: str) -> None:
         self.doc.edges.append(EdgeDecl(src, rel_type, dst, *self.where(pos)))
 
+    # A run is recorded one declaration at a time.
+    nodes = _each_node
+    edges = _each_edge
+
     def policy(self, pos: int, name: str, decision: Decision, score, slots: dict) -> None:
         self.doc.policies.append(PolicyDecl(name, decision, score, slots, *self.where(pos)))
 
@@ -745,6 +783,27 @@ class _ModelBuilder:
     def edge(self, pos, src: str, rel_type: str, dst: str) -> None:
         if self.waiting_edges or not self._add_edge(pos, src, rel_type, dst):
             self.waiting_edges.append((self.where(pos), src, rel_type, dst))
+
+    def nodes(self, run: list[re.Match], names: tuple, labels: tuple) -> None:
+        """Add a run of one-label nodes in one insert or, if a name in it is
+        empty, taken or repeated, one at a time."""
+        if not self.graph._add_nodes(names, labels):
+            _each_node(self, run, names, labels)
+
+    def edges(self, run: list[re.Match], srcs: tuple, rels: tuple, dsts: tuple) -> None:
+        """Add a run of edges in one loop when no edge waits and each is a
+        HAS_ATTR edge between two known, distinct nodes; else one at a time."""
+        src_refs, dst_refs = list(map(self.find, srcs)), list(map(self.find, dsts))
+        if (
+            self.waiting_edges
+            or None in src_refs
+            or None in dst_refs
+            or rels.count(HAS_ATTR) < len(rels)
+            or any(map(eq, src_refs, dst_refs))
+        ):
+            _each_edge(self, run, srcs, rels, dsts)
+        else:
+            self.graph._link_attrs(src_refs, dst_refs)
 
     def leaf(self, pos, name: str):
         """A ``Ref`` to the node ``name`` or, for a node not declared yet, a

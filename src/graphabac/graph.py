@@ -156,6 +156,24 @@ class Graph:
         self._children.append([])
         return ref
 
+    def _add_nodes(self, names: Sequence[str], labels: Sequence[str]) -> bool:
+        """``add_node`` each str name with the str label at its place, and
+        return True; or, if a name is empty, taken or repeated, add none
+        and return False."""
+        self._check_mutable()
+        unique = set(names)
+        if len(unique) < len(names) or "" in unique or not self._by_name.keys().isdisjoint(unique):
+            return False
+        # A one-label list passes add_node's label checks.
+        table = self._labels
+        shared = {label: table.setdefault((label,), (label,)) for label in set(labels)}
+        # One int per ref, held by its node and the name table alike.
+        refs = list(range(len(self._nodes), len(self._nodes) + len(names)))
+        self._nodes += map(Node, refs, names, map(shared.__getitem__, labels))
+        self._by_name.update(zip(names, refs))
+        self._children += [[] for _ in refs]
+        return True
+
     def add_edge(self, src: NodeRef, rel_type: str, dst: NodeRef) -> None:
         self._check_mutable()
         self._check_ref(src)
@@ -171,6 +189,12 @@ class Graph:
             raise SelfLoopError(f"HAS_ATTR self-loop on {self._nodes[src].name!r}")
         else:
             self._children[src].append(dst)
+
+    def _link_attrs(self, srcs: Sequence[NodeRef], dsts: Sequence[NodeRef]) -> None:
+        """``_link`` a HAS_ATTR edge from each src to its dst, no self-loop."""
+        children = self._children
+        for src, dst in zip(srcs, dsts):
+            children[src].append(dst)
 
     def freeze(self) -> None:
         """Finish the build phase: turn each node's children into a tuple,

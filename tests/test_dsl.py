@@ -820,12 +820,12 @@ def _token_parser_only(text):
 def _counting_plain_forms(taken):
     """The plain forms, each counting in ``taken`` the statements it reads."""
 
-    def counted(match, declare):
-        def declare_and_count(m, where):
-            taken[0] += 1
-            return declare(m, where)
+    def counted(pattern, most, declare):
+        def declare_and_count(run, sink):
+            taken[0] += len(run)
+            return declare(run, sink)
 
-        return match, declare_and_count
+        return pattern, most, declare_and_count
 
     return {word: counted(*form) for word, form in dsl._PLAIN_FORMS.items()}
 
@@ -901,6 +901,136 @@ def test_plain_forms_share_of_the_healthcare_model(healthcare_text):
         doc = parse_model(healthcare_text)
     assert doc == _token_parser_only(healthcare_text)[0]
     assert taken[0] == 19
+
+
+# -- runs of plain nodes and edges ----------------------------------------
+
+_BOUND = dsl.RUN_STATEMENTS
+
+
+def _runs_text(nodes, edges, node_line="", edge_line="", tail=""):
+    """Plain nodes n0, n1, ... and then plain HAS_ATTR edges among them, one
+    a line, with ``node_line`` amid the nodes, ``edge_line`` amid the edges
+    and ``tail`` after them."""
+    lines = [f"node n{i} : L{i % 3}" for i in range(nodes)]
+    ends = [i % (nodes - 1) for i in range(edges)]
+    edge_lines = [f"edge n{i} -[HAS_ATTR]-> n{i + 1}" for i in ends]
+    if node_line:
+        lines.insert(nodes // 2, node_line)
+    if edge_line:
+        edge_lines.insert(edges // 2, edge_line)
+    return "\n".join(lines + edge_lines) + "\n" + tail
+
+
+def _run_lengths(text):
+    """The length of each run ``load_model(text)`` reads, by keyword."""
+    lengths = {word: [] for word in dsl._PLAIN_FORMS}
+
+    def recorded(word, pattern, most, declare):
+        def declare_and_record(run, sink):
+            lengths[word].append(len(run))
+            return declare(run, sink)
+
+        return pattern, most, declare_and_record
+
+    forms = {word: recorded(word, *form) for word, form in dsl._PLAIN_FORMS.items()}
+    with mock.patch.dict(dsl._PLAIN_FORMS, forms):
+        _load_outcome(load_model, text)
+    return lengths
+
+
+_LONG = (_BOUND + 9, 2 * _BOUND + 5)
+
+# (node count, edge count, node line, edge line, tail, whether it loads),
+# each odd line amid a run longer than the bound.
+RUN_CASES = [
+    pytest.param(_BOUND, _BOUND, "", "", "", True, id="at-the-bound"),
+    pytest.param(_BOUND + 1, 2 * _BOUND + 1, "", "", "", True, id="past-the-bound"),
+    pytest.param(
+        *_LONG, "# node n0 : L0", '# a "quoted" comment\n\n#', "", True, id="comment-lines"
+    ),
+    pytest.param(*_LONG, "node crlf : L1\r", "edge n1 -[HAS_ATTR]-> crlf\r", "", True, id="crlf"),
+    pytest.param(
+        *_LONG, 'node "q n" : L0', 'edge "q n" -[HAS_ATTR]-> n9 edge n2 -[HAS_ATTR]-> "q n"',
+        "", True, id="quoted-name",
+    ),
+    pytest.param(
+        *_LONG, "node n1 : not", "edge node -[HAS_ATTR]-> n3", "", False, id="keyword-as-a-name"
+    ),
+    pytest.param(
+        *_LONG, "node nodenot4 : edgenode", "edge nodenot4 -[HAS_ATTR]-> n3", "", True,
+        id="keyword-run-into-a-name",
+    ),
+    pytest.param(
+        *_LONG, "nodenot4 : L0", "edgenot4 -[HAS_ATTR]-> n3", "", False,
+        id="keyword-run-into-a-word",
+    ),
+    pytest.param(
+        *_LONG, "", "edge n4 -[HAS_ATTR]-> n5 edge n3 -[HAS_ATTR]-> n3", "", False, id="self-loop"
+    ),
+    pytest.param(*_LONG, "node n5 : L2", "", "", False, id="duplicate-node"),
+    pytest.param(*_LONG, "", "edge n1 -[OWNER_OF]-> n2", "", True, id="other-type"),
+    # n1's children late (ref 265) and n9 share a slot in a small set, so
+    # the child tuple's order shows that n9 went in after late.
+    pytest.param(
+        *_LONG, "", "edge n1 -[HAS_ATTR]-> late", "edge n1 -[HAS_ATTR]-> n9\nnode late : L0\n",
+        True, id="declared-later",
+    ),
+    pytest.param(
+        *_LONG, "", "edge n1 -[HAS_ATTR]-> late edge n3 -[HAS_ATTR]-> n3", "node late : L0\n",
+        False, id="declared-later-then-self-loop",
+    ),
+]
+
+
+@pytest.mark.parametrize("nodes, edges, node_line, edge_line, tail, loads", RUN_CASES)
+def test_runs_agree_with_the_token_parser(
+    tmp_path, nodes, edges, node_line, edge_line, tail, loads
+):
+    # Whole and in pieces of every size, the runs give the model, or the
+    # errors, that the reference load and the token parser alone give.
+    text = _runs_text(nodes, edges, node_line, edge_line, tail)
+    assert _parse_and_load(text) == _token_parser_only(text)
+    assert isinstance(_assert_pieces_agree(tmp_path, text), tuple) is loads
+    assert max(_run_lengths(text)["edge"]) == _BOUND
+
+
+def test_runs_are_bounded():
+    assert _run_lengths(_runs_text(_BOUND, _BOUND)) == {
+        "node": [_BOUND], "edge": [_BOUND], "policy": []
+    }
+    assert _run_lengths(_runs_text(_BOUND + 1, 2 * _BOUND + 1)) == {
+        "node": [_BOUND, 1], "edge": [_BOUND, _BOUND, 1], "policy": []
+    }
+
+
+def _at(text, statement):
+    """The (line, column) where the last ``statement`` in ``text`` starts."""
+    offset = text.rindex(statement)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def test_odd_statements_in_runs_are_placed():
+    # An error or a waiting edge amid a run is placed at its own statement,
+    # also where it follows another on its line.
+    text = _runs_text(*_LONG, "node n5 : L2", "edge n4 -[HAS_ATTR]-> n5 edge n3 -[HAS_ATTR]-> n3")
+    assert _load_outcome(load_model, text) == [
+        (*_at(text, "node n5 : L2"), "node 'n5' already exists", "graph"),
+        (*_at(text, "edge n3 -[HAS_ATTR]-> n3"), "HAS_ATTR self-loop on 'n3'", "graph"),
+    ]
+    waits = "edge n1 -[HAS_ATTR]-> late edge n3 -[HAS_ATTR]-> n3"
+    text = _runs_text(*_LONG, "", waits, "node late : L0\n")
+    assert _load_outcome(load_model, text) == [
+        (*_at(text, "edge n3 -[HAS_ATTR]-> n3"), "HAS_ATTR self-loop on 'n3'", "graph")
+    ]
+    text = _runs_text(*_LONG, "", "edge n1 -[HAS_ATTR]-> late")
+    assert _load_outcome(load_model, text) == [
+        (*_at(text, "edge n1 -[HAS_ATTR]-> late"), "unknown node 'late'", "graph")
+    ]
+    # Every edge after the waiting one waits too, and all go in in order.
+    text = _runs_text(*_LONG, "", "edge n1 -[HAS_ATTR]-> late", "node late : L0\n")
+    nodes, children, _, _ = _load_outcome(load_model, text)
+    assert nodes[-1][:2] == (len(nodes) - 1, "late") and len(nodes) - 1 in children[1]
 
 
 # -- plain policies, read as names ----------------------------------------

@@ -99,6 +99,35 @@ class TestNodeRecords:
         assert g.node(a).labels is g.node(b).labels
         assert g.node(c).labels == ("Attribute", "Role")
 
+    def test_bulk_insert_adds_as_add_node_does(self):
+        # One insert of one-label nodes gives the refs, names, labels and
+        # shared tuples that add_node would, and shares its label table.
+        g, one_by_one = Graph(), Graph()
+        g.add_node("x", ["Role"])
+        one_by_one.add_node("x", ["Role"])
+        assert g._add_nodes(("a", "b", "c"), ("Role", "Attribute", "Role"))
+        for name, label in zip("abc", ("Role", "Attribute", "Role")):
+            one_by_one.add_node(name, [label])
+        assert list(g.nodes()) == list(one_by_one.nodes())
+        assert g.find_node("c") == 3 and g.node(3).labels is g.node(0).labels
+        assert g.node(g.add_node("d", ("Attribute",))).labels is g.node(2).labels
+        assert g.node(3).properties is g.node(0).properties
+        # A ref past the small ints CPython caches is one int, held by its
+        # node and by the name table alike.
+        names = [f"n{i}" for i in range(300)]
+        assert g._add_nodes(names, ("Role",) * 300)
+        assert g.node(g.find_node("n299")).ref is g._by_name["n299"]
+
+    @pytest.mark.parametrize(
+        "names", [("a", "x"), ("a", "b", "a"), ("a", "")], ids=["taken", "repeated", "empty"]
+    )
+    def test_bulk_insert_refuses_a_bad_name_whole(self, names):
+        g = Graph()
+        g.add_node("x", ["Role"])
+        assert not g._add_nodes(names, ("Role",) * len(names))
+        assert [n.name for n in g.nodes()] == ["x"] and g.find_node("a") is None
+        assert len(g._children) == 1
+
 
 class TestAddEdge:
     def test_idempotent(self):

@@ -261,6 +261,37 @@ def test_cli_load_restores_the_collector_state(case, enabled, tmp_path):
     assert seen == [False]
 
 
+# validate's exit code for each case; a missing file is a usage error.
+VALIDATE_EXITS = {
+    "loads": cli.EXIT_PERMIT, "model-error": cli.EXIT_DENY, "missing-file": cli.EXIT_ERROR
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_validate_restores_the_collector_state(case, enabled, tmp_path, capsys):
+    # validate loads with the collector paused, as the other front ends do,
+    # and leaves it as it was found, whether the load works or raises.
+    path = tmp_path / "model.abac"
+    if LOAD_CASES[case] is not None:
+        path.write_text(LOAD_CASES[case], encoding="utf-8")
+    seen = []
+
+    def load(p):
+        seen.append(gc.isenabled())
+        return load_model_file(p)
+
+    with mock.patch.object(cli, "load_model_file", load):
+        was_on = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["validate", str(path)]) == VALIDATE_EXITS[case]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_on else gc.disable)()
+    assert seen == [False]
+
+
 # Counts the collections of each generation in a fresh process that serves
 # one request line from the model file named by its argument.
 _COUNT_COLLECTIONS = """
