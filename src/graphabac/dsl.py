@@ -282,7 +282,8 @@ _ESCAPE_RE = re.compile(r'\\(?:(["\\])|(.))')
 # so int() always converts it; a longer one goes to the token parser.
 _WS = r"[ \t\r\n]*"
 _NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
-_WORD = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b)[A-Za-z_]\w*\b"
+# A keyword is a lowercase word, so only such a word is looked up in them.
+_WORD = rf"(?!(?=[a-z]+\b)(?:{'|'.join(sorted(KEYWORDS))})\b)[A-Za-z_]\w*\b"
 _RUN_NAME = rf'(?:{_WORD}|"[^"\\\n]*")'
 _NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>node|edge|policy)\b|\Z)"
 _SLOT = rf"(?:subject|action|object){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
@@ -305,14 +306,15 @@ _PLAIN_POLICY_RE = re.compile(
 RUN_STATEMENTS = 256
 
 
-# The groups of a run's fields; its last group, ``next``, is read once.
-_NODE_FIELDS = itemgetter(1, 2)
-_EDGE_FIELDS = itemgetter(1, 2, 3)
+# The group numbers of a node's name and label and of an edge's source,
+# type and target; ``next``, the last group, is read at a run's end only.
+_NODE_FIELDS = (1, 2)
+_EDGE_FIELDS = (1, 2, 3)
 
 
-def _columns(run: list[re.Match], fields: Callable) -> list[tuple[str, ...]]:
-    """The ``fields`` of each match of ``run`` as columns, names unquoted."""
-    columns = list(zip(*map(fields, run)))
+def _columns(run: list[re.Match], groups: tuple[int, ...]) -> list[tuple[str, ...]]:
+    """Each of ``groups`` of the matches of ``run`` as a column, names unquoted."""
+    columns = [tuple(map(itemgetter(group), run)) for group in groups]
     text, start, end = run[0].string, run[0].start(), run[-1].end()
     if text.find('"', start, end) >= 0:
         # Only a quoted name holds a quote, and its only ones are its own.
