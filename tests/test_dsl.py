@@ -817,17 +817,27 @@ def _token_parser_only(text):
         return _parse_and_load(text)
 
 
+def _recording_plain_forms(record):
+    """The plain forms, each calling ``record(word, run)`` on every run it
+    reads."""
+
+    def recorded(word, pattern, most, declare):
+        def declare_and_record(run, sink):
+            record(word, run)
+            return declare(run, sink)
+
+        return pattern, most, declare_and_record
+
+    return {word: recorded(word, *form) for word, form in dsl._PLAIN_FORMS.items()}
+
+
 def _counting_plain_forms(taken):
     """The plain forms, each counting in ``taken`` the statements it reads."""
 
-    def counted(pattern, most, declare):
-        def declare_and_count(run, sink):
-            taken[0] += len(run)
-            return declare(run, sink)
+    def count(word, run):
+        taken[0] += len(run)
 
-        return pattern, most, declare_and_count
-
-    return {word: counted(*form) for word, form in dsl._PLAIN_FORMS.items()}
+    return _recording_plain_forms(count)
 
 
 def _bench_layout_text(rng):
@@ -925,15 +935,7 @@ def _runs_text(nodes, edges, node_line="", edge_line="", tail=""):
 def _run_lengths(text):
     """The length of each run ``load_model(text)`` reads, by keyword."""
     lengths = {word: [] for word in dsl._PLAIN_FORMS}
-
-    def recorded(word, pattern, most, declare):
-        def declare_and_record(run, sink):
-            lengths[word].append(len(run))
-            return declare(run, sink)
-
-        return pattern, most, declare_and_record
-
-    forms = {word: recorded(word, *form) for word, form in dsl._PLAIN_FORMS.items()}
+    forms = _recording_plain_forms(lambda word, run: lengths[word].append(len(run)))
     with mock.patch.dict(dsl._PLAIN_FORMS, forms):
         _load_outcome(load_model, text)
     return lengths
@@ -1027,10 +1029,6 @@ def test_odd_statements_in_runs_are_placed():
     assert _load_outcome(load_model, text) == [
         (*_at(text, "edge n1 -[HAS_ATTR]-> late"), "unknown node 'late'", "graph")
     ]
-    # Every edge after the waiting one waits too, and all go in in order.
-    text = _runs_text(*_LONG, "", "edge n1 -[HAS_ATTR]-> late", "node late : L0\n")
-    nodes, children, _, _ = _load_outcome(load_model, text)
-    assert nodes[-1][:2] == (len(nodes) - 1, "late") and len(nodes) - 1 in children[1]
 
 
 # -- plain policies, read as names ----------------------------------------
