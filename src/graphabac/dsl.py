@@ -83,9 +83,9 @@ name's node or None.  ``parse_model``'s sink, ``_DocumentSink``, has no
 in the same pass and makes no record: a node goes into the graph at once,
 an edge when both of its ends are known, and a policy when every name it
 uses is known, node tuples through ``PolicyStore._add``, with no ``Ref``
-and nothing to compile, and a run in one step, unless a name is taken or
-unknown, or an edge waits, loops or is not ``HAS_ATTR``.  Each name is
-looked up once.  Declarations may refer to nodes declared later: a name
+and nothing to compile; a run goes in in one step or, if a name in it is
+taken or unknown or an edge waits, loops or is not ``HAS_ATTR``, one
+statement at a time.  Each name is looked up once.  Declarations may refer to nodes declared later: a name
 not known yet becomes a ``NameRef`` placed at its line and column, and
 such an edge or policy, and every later one of its kind, waits, placed
 the same way, as its argument tuple until the end of input, when the
