@@ -14,10 +14,11 @@ sample of primitives, it times four closures in turns, start by start:
   `adjacency` of the store's snapshot (`PolicyStore.policies()`), which is
   what `PolicySnapshot.closures` walks for that slot.
 
-It records their median and p90 in microseconds, the mean node counts, the
-condition nodes each start reaches, the build time of the snapshot that
-holds the three trimmed copies, with its key index, and, per slot, the
-share of nodes its copy keeps.  A check that each slot's closure agrees
+It records their median and nearest-rank p90, as `bench/run.py` takes
+it, in microseconds, the mean node counts, the condition nodes each start
+reaches, the build time of the snapshot that holds the three trimmed
+copies, with its key index, and, per slot, the share of nodes its copy
+keeps.  A check that each slot's closure agrees
 with the full closure at every condition node of that slot runs outside
 the timed region.  ``calib_ms`` is the mean of `bench/run.py`'s host-speed
 loop timed before and after the sweep, so a later run can be scaled to
@@ -35,24 +36,18 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
-import platform
 import random
 import resource
 import statistics
 import sys
 import time
 
-import graphabac
+import sweep_report  # first: it puts bench/ and tests/ on the import path
 from graphabac import HAS_ATTR, Graph
 from graphabac.graph import Adjacency
 from graphabac.policy import ConditionType, Decision, PolicyStore, Ref
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
-from randmodel import RandomModelConfig, random_model  # noqa: E402
-from run import calib_ms, commit_id, source_digest  # noqa: E402
+from randmodel import RandomModelConfig, random_model
+from run import calib_ms, percentile
 
 N_PRIMITIVES = 1000
 N_ATTRIBUTES = 10000
@@ -127,7 +122,7 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
             slots[slot.value] = {
                 "condition_nodes": len(conditions),
                 "trimmed_us_p50": round(statistics.median(us), 1),
-                "trimmed_us_p90": round(us[int(0.9 * len(us))], 1),
+                "trimmed_us_p90": round(percentile(us, 90), 1),
                 "trimmed_nodes_mean": round(statistics.fmean(map(len, trimmed.values())), 1),
                 "conditions_reached_mean": round(
                     statistics.fmean(len(conditions & c.keys()) for c in full.values()), 1
@@ -146,7 +141,7 @@ def measure(depth: int, shares: list[float], seed: int, n_starts: int) -> list[d
                 "policies": len(store),
                 "starts": len(starts),
                 "full_us_p50": round(statistics.median(full_us), 1),
-                "full_us_p90": round(full_us[int(0.9 * len(full_us))], 1),
+                "full_us_p90": round(percentile(full_us, 90), 1),
                 "full_nodes_mean": round(statistics.fmean(map(len, full.values())), 1),
                 "trim_ms": round(trim_ms, 1),
                 "slots": slots,
@@ -180,11 +175,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             rows.append(row)
     calib.append(calib_ms())
-    src = os.path.dirname(os.path.dirname(os.path.abspath(graphabac.__file__)))
     report = {
-        "script": "scripts/closure_sweep.py",
-        "commit": commit_id(src),
-        "src_sha256": source_digest(src),
+        **sweep_report.header("scripts/closure_sweep.py"),
         "seed": args.seed,
         "graph_shape": {
             "n_primitives": N_PRIMITIVES,
@@ -194,19 +186,11 @@ def main(argv: list[str] | None = None) -> int:
         },
         "conditions": "distinct attribute nodes drawn uniformly, one per slot of simple policies",
         "trimmed": "per slot, over that slot's copy; checked at that slot's condition nodes",
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "nproc": os.cpu_count(),
         "calib_ms": round(statistics.fmean(calib), 2),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
         "points": rows,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    sweep_report.write(report, args.out)
     return 0
 
 

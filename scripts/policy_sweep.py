@@ -5,8 +5,9 @@ graph shape of the desk-scale acceptance test (2000 primitives and 8000
 attributes in 5 layers, edge factor 3.2: 10k nodes, ~30k HAS_ATTR edges,
 attribute depth 5).  The seed fixes the graph, so every size shares it and
 only the policies differ.  Queries are timed through `evaluate`
-(deny-overrides), and the median and p90 per size are written as JSON with
-the seed, the scale and the machine.
+(deny-overrides), and the median and the nearest-rank p90 per size, as
+`bench/run.py` takes it, are written as JSON with the seed, the scale and
+the machine.
 
 Uniform random queries almost never satisfy all three slots of a policy, so
 every second query is built to match one: a stored policy is drawn and each
@@ -36,10 +37,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import multiprocessing
-import os
-import platform
 import random
 import resource
 import statistics
@@ -47,12 +45,9 @@ import sys
 import time
 import tracemalloc
 
-import graphabac
+import sweep_report  # first: it puts bench/ and tests/ on the import path
 from graphabac import CombiningAlgorithm, HAS_ATTR, evaluate
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
-from randmodel import (  # noqa: E402
+from randmodel import (
     RandomModel,
     RandomModelConfig,
     matching_query,
@@ -60,7 +55,7 @@ from randmodel import (  # noqa: E402
     random_model,
     random_query,
 )
-from run import calib_ms, commit_id, source_digest  # noqa: E402
+from run import calib_ms, percentile
 
 GRAPH_SHAPE = dict(n_primitives=2000, n_attributes=8000, n_layers=5, edge_factor=3.2)
 
@@ -114,7 +109,7 @@ def measure(n_policies: int, seed: int, n_queries: int, warmup: int) -> dict:
         "attr_depth": g.attr_depth,
         "queries": len(queries),
         "evaluate_ms_p50": round(statistics.median(ms), 4),
-        "evaluate_ms_p90": round(ms[int(0.9 * len(ms))], 4),
+        "evaluate_ms_p90": round(percentile(ms, 90), 4),
         "matches_per_query": round(matches / len(queries), 3),
         "build_s": round(build_s, 2),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024),
@@ -142,28 +137,17 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
     calib.append(calib_ms())
     first, last = rows[0], rows[-1]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(graphabac.__file__)))
     report = {
-        "script": "scripts/policy_sweep.py",
-        "commit": commit_id(src),
-        "src_sha256": source_digest(src),
+        **sweep_report.header("scripts/policy_sweep.py"),
         "seed": args.seed,
         "graph_shape": GRAPH_SHAPE,
         "algorithm": CombiningAlgorithm.DENY_OVERRIDES.value,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "nproc": os.cpu_count(),
         "calib_ms": round(statistics.fmean(calib), 2),
         "sizes": rows,
         "policy_ratio": last["policies"] / first["policies"],
         "p50_ratio": round(last["evaluate_ms_p50"] / first["evaluate_ms_p50"], 2),
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    sweep_report.write(report, args.out)
     return 0
 
 

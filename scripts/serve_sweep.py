@@ -31,26 +31,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
 
-import graphabac
+import sweep_report  # first: it puts bench/ and tests/ on the import path
+import workloads
 from graphabac.dsl import bundled_model_text
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path[:0] = [os.path.join(ROOT, "bench")]
-import workloads  # noqa: E402
-from run import (  # noqa: E402
-    Serve,
-    calib_ms,
-    commit_id,
-    percentile,
-    pin_to_one_cpu,
-    source_digest,
-)
+from run import Serve, calib_ms, percentile, pin_to_one_cpu
 
 # Requests per alternating block.
 BLOCK = 500
@@ -133,24 +122,18 @@ def main(argv: list[str] | None = None) -> int:
     cpu = pin_to_one_cpu()
     text = bundled_model_text()
     requests = workloads.serve_small(args.seed, text, args.requests).requests
-    src = os.path.dirname(os.path.dirname(os.path.abspath(graphabac.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": sweep_report.SRC}
     with tempfile.TemporaryDirectory() as work:
         model_path = os.path.join(work, "healthcare.abac")
         with open(model_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         report = measure(requests, model_path, env, args.warmup)
     report = {
-        "script": "scripts/serve_sweep.py",
-        "commit": commit_id(src),
-        "src_sha256": source_digest(src),
+        **sweep_report.header("scripts/serve_sweep.py"),
         "seed": args.seed,
         "model": "bundled healthcare model, serve-small request stream",
         "block": BLOCK,
         "warmup": args.warmup,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "nproc": os.cpu_count(),
         "pinned_cpu": cpu,
         **report,
     }
@@ -160,12 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         f"echo p50 {echo['us_p50']} us, {echo['rps']} rps",
         file=sys.stderr,
     )
-    out = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    sweep_report.write(report, args.out)
     return 0
 
 

@@ -54,27 +54,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-import graphabac
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-sys.path[:0] = [os.path.join(ROOT, "bench")]
-import workloads  # noqa: E402
-from reference import Reference  # noqa: E402
-from run import (  # noqa: E402
-    Serve,
-    calib_ms,
-    commit_id,
-    percentile,
-    pin_to_one_cpu,
-    source_digest,
-)
+import sweep_report  # first: it puts bench/ and tests/ on the import path
+import workloads
+from reference import Reference
+from run import Serve, calib_ms, percentile, pin_to_one_cpu
 
 MODES = {"isolated": ["-B", "-I", "-S"], "site": ["-B"]}
 QUERY = ["John", "Write", "MR_1234"]
@@ -206,9 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     cpu = pin_to_one_cpu()
-    package = os.path.dirname(os.path.abspath(graphabac.__file__))
-    src = os.path.dirname(package)
-    model = os.path.join(package, "data", "healthcare.abac")
+    src = sweep_report.SRC
+    model = os.path.join(src, "graphabac", "data", "healthcare.abac")
     calib = [calib_ms()]
     with tempfile.TemporaryDirectory() as work:
         with open(model, encoding="utf-8") as fh:
@@ -216,18 +204,13 @@ def main(argv: list[str] | None = None) -> int:
         modes = measure(src, model, bench, args.runs)
     calib.append(calib_ms())
     report = {
-        "script": "scripts/startup_sweep.py",
-        "commit": commit_id(src),
-        "src_sha256": source_digest(src),
+        **sweep_report.header("scripts/startup_sweep.py"),
         "model": "bundled healthcare model, check and serve on John Write MR_1234",
         "bench_models": {
             name: f"seed {BENCH_SEED}, check and serve on {' '.join(query)}"
             for name, (_, query) in bench.items()
         },
         "runs": args.runs,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "nproc": os.cpu_count(),
         "pinned_cpu": cpu,
         "calib_ms": round(statistics.fmean(calib), 2),
         "modes": modes,
@@ -243,12 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{figures['serve_policy_scan_vmhwm_mb']['p50']} MB",
             file=sys.stderr,
         )
-    out = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    sweep_report.write(report, args.out)
     return 0
 
 

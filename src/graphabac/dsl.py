@@ -122,6 +122,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import partial
 from itertools import islice
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -150,9 +151,12 @@ from .records import FrozenRecord, Record, _set
 
 MODEL_FILE_EXTENSION = ".abac"
 
+# The words that start a statement.
+STATEMENTS = ("node", "edge", "policy")
+
 KEYWORDS = frozenset(
     {
-        "node", "edge", "policy", "permit", "deny", "score",
+        *STATEMENTS, "permit", "deny", "score",
         "subject", "action", "object", "not", "and", "or",
         "true", "false",
     }
@@ -285,7 +289,7 @@ _NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
 # A keyword is a lowercase word, so only such a word is looked up in them.
 _WORD = rf"(?!(?=[a-z]+\b)(?:{'|'.join(sorted(KEYWORDS))})\b)[A-Za-z_]\w*\b"
 _RUN_NAME = rf'(?:{_WORD}|"[^"\\\n]*")'
-_NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>node|edge|policy)\b|\Z)"
+_NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>{'|'.join(STATEMENTS)})\b|\Z)"
 _SLOT = rf"(?:subject|action|object){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
 _NODE_RUN_RE = re.compile(
     rf"node{_WS}(?P<name>{_RUN_NAME}){_WS}:{_WS}(?P<label>{_WORD}){_NEXT}", re.ASCII
@@ -306,29 +310,15 @@ _PLAIN_POLICY_RE = re.compile(
 RUN_STATEMENTS = 256
 
 
-# The group numbers of a node's name and label and of an edge's source,
-# type and target; ``next``, the last group, is read at a run's end only.
-_NODE_FIELDS = (1, 2)
-_EDGE_FIELDS = (1, 2, 3)
-
-
-def _columns(run: list[re.Match], groups: tuple[int, ...]) -> list[tuple[str, ...]]:
-    """Each of ``groups`` of the matches of ``run`` as a column, names unquoted."""
+def _plain_run(method: str, groups: tuple[int, ...], run: list[re.Match], sink) -> bool:
+    """Hand each of ``groups`` of the matches of ``run`` as a column, names
+    unquoted, to the sink's ``method``: ``nodes`` or ``edges``."""
     columns = [tuple(map(itemgetter(group), run)) for group in groups]
     text, start, end = run[0].string, run[0].start(), run[-1].end()
     if text.find('"', start, end) >= 0:
         # Only a quoted name holds a quote, and its only ones are its own.
         columns = [tuple([value.strip('"') for value in column]) for column in columns]
-    return columns
-
-
-def _plain_nodes(run: list[re.Match], sink) -> bool:
-    sink.nodes(run, *_columns(run, _NODE_FIELDS))
-    return True
-
-
-def _plain_edges(run: list[re.Match], sink) -> bool:
-    sink.edges(run, *_columns(run, _EDGE_FIELDS))
+    getattr(sink, method)(run, *columns)
     return True
 
 
@@ -374,16 +364,19 @@ def _plain_policy(run: list[re.Match], sink) -> bool:
 # Statement keyword -> (its pattern, the most statements a run of it holds,
 # a function that hands a run's declarations to the sink and returns True,
 # or returns False, handing nothing, if a name in a policy is a keyword or
-# the sink cannot take it as it is).
+# the sink cannot take it as it is).  A run's columns are the group numbers
+# of a node's name and label and of an edge's source, type and target;
+# ``next``, the last group, is read at a run's end only.
 _PLAIN_FORMS = {
-    "node": (_NODE_RUN_RE, RUN_STATEMENTS, _plain_nodes),
-    "edge": (_EDGE_RUN_RE, RUN_STATEMENTS, _plain_edges),
+    "node": (_NODE_RUN_RE, RUN_STATEMENTS, partial(_plain_run, "nodes", (1, 2))),
+    "edge": (_EDGE_RUN_RE, RUN_STATEMENTS, partial(_plain_run, "edges", (1, 2, 3))),
     "policy": (_PLAIN_POLICY_RE, 1, _plain_policy),
 }
 
 
-def _locator(text: str) -> Callable[[int], tuple[int, int]]:
-    """Map a character offset into ``text`` to its 1-based (line, column).
+def _locator(text: str, lines: int = 0) -> Callable[[int], tuple[int, int]]:
+    """Map a character offset into ``text`` to its 1-based (line, column),
+    the line moved on by ``lines``, the lines before ``text``.
 
     The table of line starts is built at the first call, so a text whose
     positions are never asked for is never scanned for newlines."""
@@ -394,7 +387,7 @@ def _locator(text: str) -> Callable[[int], tuple[int, int]]:
             starts.append(0)
             starts.extend([m.end() for m in re.finditer("\n", text)])
         line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
+        return line + lines, offset - starts[line - 1] + 1
 
     return where
 
@@ -511,7 +504,7 @@ class _Parser:
 
     def resync(self) -> None:
         # Skip forward to the next statement keyword (or EOF).
-        while self.tok[0] != "EOF" and not self.at_keyword("node", "edge", "policy"):
+        while self.tok[0] != "EOF" and not self.at_keyword(*STATEMENTS):
             self.advance()
 
     def parse(self) -> list[ModelError]:
@@ -529,8 +522,8 @@ class _Parser:
             if self.tok[2] >= self.stop:
                 return
             try:
-                if not self.at_keyword("node", "edge", "policy"):
-                    raise self.unexpected("'node', 'edge' or 'policy'")
+                if not self.at_keyword(*STATEMENTS):
+                    raise self.unexpected("{!r}, {!r} or {!r}".format(*STATEMENTS))
                 getattr(self, "parse_" + self.tok[1])()
             except _SyntaxFailure as fail:
                 offset, message = fail.args
@@ -538,7 +531,7 @@ class _Parser:
                 # Keep the token when it can start the next statement; the
                 # statement's own keyword is consumed before any failure, so
                 # this always makes progress.
-                if not self.at_keyword("node", "edge", "policy"):
+                if not self.at_keyword(*STATEMENTS):
                     self.advance()
                 self.resync()
 
@@ -757,8 +750,8 @@ class _ModelBuilder:
     ``where`` maps an offset into it; outside one, every position is
     already a (line, column) and ``where`` is ``_placed``."""
 
-    def __init__(self, where: Callable) -> None:
-        self.where = where
+    def __init__(self) -> None:
+        self.where = _placed
         self.graph = Graph()
         self.store = PolicyStore(self.graph)
         self.node_errors: list[ModelError] = []
@@ -810,7 +803,7 @@ class _ModelBuilder:
     def leaf(self, pos, name: str):
         """A ``Ref`` to the node ``name`` or, for a node not declared yet, a
         ``NameRef`` placed at the leaf."""
-        node = self.graph.find_node(name)
+        node = self.find(name)
         if node is not None:
             return Ref(node)
         ref = NameRef(name, *self.where(pos))
@@ -834,7 +827,7 @@ class _ModelBuilder:
             raise ModelLoadError(list(syntax_errors))
         for pos, src, rel_type, dst in self.waiting_edges:
             if not self._add_edge(pos, src, rel_type, dst):
-                unknown = [name for name in (src, dst) if self.graph.find_node(name) is None]
+                unknown = [name for name in (src, dst) if self.find(name) is None]
                 self.edge_errors += [self.error(pos, f"unknown node {n!r}", "graph") for n in unknown]
         errors = self.node_errors + self.edge_errors
         if not errors:
@@ -848,8 +841,7 @@ class _ModelBuilder:
             if type(slots) is dict:
                 # Each leaf still a NameRef is looked up again.
                 self.unknown.clear()
-                swap = self._leaf_again
-                slots = {t: [_swap_names(e, swap) for e in es] for t, es in slots.items()}
+                slots = self.looked_up(pos, slots)
                 for ref in self.unknown:
                     message = f"policy {name!r} references unknown node {ref.name!r}"
                     self.policy_errors.append(ModelError(ref.line, ref.col, message, "policy"))
@@ -863,8 +855,7 @@ class _ModelBuilder:
     def _add_edge(self, pos, src: str, rel_type: str, dst: str) -> bool:
         """Add the edge, recording a rejection, and return True; or return
         False, adding nothing, if it names an unknown node."""
-        src_ref = self.graph.find_node(src)
-        dst_ref = self.graph.find_node(dst)
+        src_ref, dst_ref = self.find(src), self.find(dst)
         if src_ref is None or dst_ref is None:
             return False
         try:
@@ -874,8 +865,16 @@ class _ModelBuilder:
             self.edge_errors.append(self.error(pos, str(exc), "graph"))
         return True
 
-    def _leaf_again(self, ref: NameRef):
-        return self.leaf((ref.line, ref.col), ref.name)
+    def looked_up(self, pos: tuple[int, int], slots: dict) -> dict:
+        """``slots`` with each ``NameRef`` leaf turned into what ``leaf``
+        makes of it; a leaf with no position of its own is placed at
+        ``pos``, its policy's (line, column)."""
+        line, col = pos
+
+        def again(ref: NameRef):
+            return self.leaf((ref.line or line, ref.col or col), ref.name)
+
+        return {t: [_swap_names(e, again) for e in exprs] for t, exprs in slots.items()}
 
     def _create(self, pos, name: str, decision: Decision, score, slots) -> None:
         """Create the policy from its conditions mapping, or store it from
@@ -893,19 +892,15 @@ def load_document(doc: ModelDocument) -> LoadedModel:
     """Build the frozen graph and policy store, or raise ModelLoadError
     carrying every positioned error.  Never yields a partial model."""
     # A record's (line, col) is its position, already what errors report.
-    builder = _ModelBuilder(_placed)
+    builder = _ModelBuilder()
     if not doc.errors:
         for nd in doc.nodes:
             builder.node((nd.line, nd.col), nd.name, nd.labels, nd.properties)
         for ed in doc.edges:
             builder.edge((ed.line, ed.col), ed.src, ed.rel_type, ed.dst)
         for pd in doc.policies:
-            # A leaf without a position of its own is placed at its policy.
-            def leaf(ref: NameRef):
-                return builder.leaf((ref.line or pd.line, ref.col or pd.col), ref.name)
-
-            slots = {t: [_swap_names(e, leaf) for e in exprs] for t, exprs in pd.slots.items()}
-            builder.policy((pd.line, pd.col), pd.name, pd.decision, pd.score, slots)
+            pos = (pd.line, pd.col)
+            builder.policy(pos, pd.name, pd.decision, pd.score, builder.looked_up(pos, pd.slots))
     return builder.finish(doc.errors)
 
 
@@ -921,7 +916,7 @@ def _placed(pos: tuple[int, int]) -> tuple[int, int]:
 PIECE_CHARS = 1 << 18
 
 # A statement keyword and the character after it, which ends the word.
-_CUT_RE = re.compile(r"(?:node|edge|policy)[^A-Za-z0-9_]")
+_CUT_RE = re.compile(rf"(?:{'|'.join(STATEMENTS)})[^A-Za-z0-9_]")
 
 # After one of these tokens a word is read as a property key ("{" and ",")
 # or a relationship type ("-["), a statement keyword too; after any other,
@@ -988,11 +983,11 @@ def _last_token(text: str, end: int) -> str:
 def _load(pieces: Iterable[tuple[str, int]]) -> LoadedModel:
     """Parse and load the text of ``pieces`` (see ``_pieces``) one piece at
     a time, so no more of it is held than the piece being parsed."""
-    builder = _ModelBuilder(_placed)
+    builder = _ModelBuilder()
     errors: list[ModelError] = []
     lines = 0  # the lines before the piece
     for piece, stop in pieces:
-        builder.where = _at_line(_locator(piece), lines)
+        builder.where = _locator(piece, lines)
         _Parser(piece, builder, errors, stop).parse_to_stop()
         lines += piece.count("\n")
         # Nothing holds a piece while the next one is read.
@@ -1000,18 +995,6 @@ def _load(pieces: Iterable[tuple[str, int]]) -> LoadedModel:
         builder.where = _placed
     _by_position(errors)
     return builder.finish(errors)
-
-
-def _at_line(where: Callable[[int], tuple[int, int]], lines: int) -> Callable:
-    """``where``, its line numbers moved on by ``lines``."""
-    if not lines:
-        return where
-
-    def placed(offset: int) -> tuple[int, int]:
-        line, col = where(offset)
-        return line + lines, col
-
-    return placed
 
 
 def load_model(text: str) -> LoadedModel:

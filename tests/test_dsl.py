@@ -745,6 +745,25 @@ class TestOnePassLoad:
         _, _, _, policies = _assert_one_pass_agrees(text)
         assert [(name, seq) for name, seq, *_ in policies] == [("Early", 0), ("Known", 1)]
 
+    def test_document_leaf_without_a_position_is_placed_at_its_policy(self):
+        # A document built by hand: "ghost" has no position of its own, so
+        # its error is placed at its policy; "gone" keeps its own.
+        slots = {
+            ConditionType.SUB_CON: [Not(NameRef("ghost"))],
+            ConditionType.ACT_CON: [NameRef("gone", 7, 9)],
+            ConditionType.OBJ_CON: [NameRef("a")],
+        }
+        doc = ModelDocument(
+            nodes=[NodeDecl("a", ("Attribute",), {}, 1, 1)],
+            policies=[PolicyDecl("P", Decision.PERMIT, None, slots, 5, 3)],
+        )
+        with pytest.raises(ModelLoadError) as exc:
+            load_document(doc)
+        assert [(e.line, e.col, e.message) for e in exc.value.errors] == [
+            (5, 3, "policy 'P' references unknown node 'ghost'"),
+            (7, 9, "policy 'P' references unknown node 'gone'"),
+        ]
+
     def test_duplicate_policy_name_after_a_waiting_copy(self):
         text = (
             "node a : Attribute\n"
@@ -1212,7 +1231,7 @@ def test_clean_load_makes_no_declaration_records(healthcare_text):
 def test_clean_load_computes_no_position(healthcare_text):
     for text in _clean_load_texts(healthcare_text):
         expected = _load_outcome(load_model, text)
-        with mock.patch.object(dsl, "_locator", lambda text: _raises):
+        with mock.patch.object(dsl, "_locator", lambda text, lines: _raises):
             assert _load_outcome(load_model, text) == expected
 
 

@@ -575,6 +575,14 @@ def test_path_counts_on_a_diamond():
     assert g.path_counts() == [1, 1, 1, 1, 3]
 
 
+def test_trimmed_adjacency_needs_a_frozen_graph():
+    g, (a, b) = chain_graph("a", "b")
+    with pytest.raises(NotFrozenError):
+        g.trimmed_adjacency([{b}])
+    g.freeze()
+    assert g.trimmed_adjacency([{b}]) == (((b,), ()),)
+
+
 @settings(max_examples=60)
 @given(small_dags())
 def test_path_counts_match_path_enumeration(gr):
