@@ -130,8 +130,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from .errors import (
     AbacError,
     AttributeCycleError,
-    DuplicateNameError,
-    EmptyNameError,
+    GraphError,
     SelfLoopError,
 )
 from .graph import HAS_ATTR, Graph, Scalar
@@ -144,7 +143,6 @@ from .policy import (
     Or,
     PolicyStore,
     Ref,
-    _NO_COMPOUND,
     _children,
 )
 from .records import FrozenRecord, Record, _set
@@ -154,18 +152,14 @@ MODEL_FILE_EXTENSION = ".abac"
 # The words that start a statement.
 STATEMENTS = ("node", "edge", "policy")
 
-KEYWORDS = frozenset(
-    {
-        *STATEMENTS, "permit", "deny", "score",
-        "subject", "action", "object", "not", "and", "or",
-        "true", "false",
-    }
-)
-
 # Slot keyword -> type, derived from ConditionType so the parser pays one
 # dict lookup per slot instead of an enum call.
 _SLOT_TYPES = {t.value: t for t in ConditionType}
 _DECISIONS = {"permit": Decision.PERMIT, "deny": Decision.DENY}
+
+KEYWORDS = frozenset(
+    {*STATEMENTS, *_DECISIONS, *_SLOT_TYPES, "score", "not", "and", "or", "true", "false"}
+)
 
 # -- syntax tree ------------------------------------------------------
 
@@ -290,7 +284,7 @@ _NAME = r'(?:[A-Za-z_]\w*\b|"[^"\\\n]*")'
 _WORD = rf"(?!(?=[a-z]+\b)(?:{'|'.join(sorted(KEYWORDS))})\b)[A-Za-z_]\w*\b"
 _RUN_NAME = rf'(?:{_WORD}|"[^"\\\n]*")'
 _NEXT = rf"{_WS}(?:#[^\n]*(?![^\n]){_WS})*(?=(?P<next>{'|'.join(STATEMENTS)})\b|\Z)"
-_SLOT = rf"(?:subject|action|object){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
+_SLOT = rf"(?:{'|'.join(_SLOT_TYPES)}){_WS}:{_WS}{_NAME}(?:{_WS};{_WS}{_NAME})*"
 _NODE_RUN_RE = re.compile(
     rf"node{_WS}(?P<name>{_RUN_NAME}){_WS}:{_WS}(?P<label>{_WORD}){_NEXT}", re.ASCII
 )
@@ -300,7 +294,7 @@ _EDGE_RUN_RE = re.compile(
     re.ASCII,
 )
 _PLAIN_POLICY_RE = re.compile(
-    rf"policy{_WS}(?P<name>{_NAME}){_WS}(?P<decision>permit|deny)\b{_WS}"
+    rf"policy{_WS}(?P<name>{_NAME}){_WS}(?P<decision>{'|'.join(_DECISIONS)})\b{_WS}"
     rf"(?:score\b{_WS}(?P<score>-?[0-9]{{1,640}}){_WS})?"
     rf"\{{(?P<body>(?:{_WS}{_SLOT}(?:{_WS};)?)+){_WS}\}}{_NEXT}",
     re.ASCII,
@@ -772,7 +766,7 @@ class _ModelBuilder:
     def node(self, pos, name: str, labels: tuple[str, ...], props: dict) -> None:
         try:
             self.graph.add_node(name, labels, props)
-        except (DuplicateNameError, EmptyNameError, ValueError) as exc:
+        except GraphError as exc:
             self.node_errors.append(self.error(pos, str(exc), "graph"))
 
     def edge(self, pos, src: str, rel_type: str, dst: str) -> None:
@@ -883,7 +877,7 @@ class _ModelBuilder:
             if type(slots) is dict:
                 self.store.create_policy(name, decision, slots, score)
             else:
-                self.store._add(name, decision, score, slots, _NO_COMPOUND)
+                self.store._add(name, decision, score, slots)
         except AbacError as exc:
             self.policy_errors.append(self.error(pos, str(exc), "policy"))
 

@@ -23,6 +23,10 @@ class UnknownNodeError(GraphError):
     pass
 
 
+class LabelClashError(GraphError, ValueError):
+    """A node labelled both Primitive and Policy."""
+
+
 class SelfLoopError(GraphError):
     """HAS_ATTR edge from a node to itself."""
 

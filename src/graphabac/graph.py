@@ -21,13 +21,11 @@ declared without properties shares one empty mapping.
 While the graph is built a node's children are a plain list, each edge
 appended as it is added, so a repeated edge may appear twice; a list costs
 far less memory than a set.  ``freeze()`` turns each list into
-``tuple(set(children))``: a set built by that sequence of adds iterates in
-the same order as one the edges were added to one by one, and the tuple
-keeps that order with every edge once.  Every reader before ``freeze()``
-sees the children in that order and without repeats, so a closure's keys
-come out in the same breadth-first discovery order before and after
-freezing, and every query shares the immutable tuples.  Other relationship
-types keep their own map; reachability never reads it.
+``tuple(dict.fromkeys(children))``: every child once, in the order its
+first edge was added.  A closure skips a child it has already reached, so
+its keys come out in the same breadth-first discovery order before and
+after freezing, and every query shares the immutable tuples.  Other
+relationship types keep their own map; reachability never reads it.
 
 ``trimmed_adjacency`` derives, from a frozen graph, one copy of the
 children per given set of targets, each keeping only the nodes that can
@@ -54,6 +52,7 @@ from .errors import (
     EmptyNameError,
     FrozenGraphError,
     GraphError,
+    LabelClashError,
     NotFrozenError,
     SelfLoopError,
     UnknownNodeError,
@@ -111,7 +110,7 @@ class Graph:
         self._labels: dict[tuple[str, ...], tuple[str, ...]] = {}
         # HAS_ATTR children by ref: lists, in the order the edges were
         # added and with any repeat, while the graph is built; after
-        # freeze(), a tuple of tuple(set(children)).
+        # freeze(), a tuple of each list's distinct children in that order.
         self._children: Adjacency = []
         # ref -> rel_type -> set of target refs, for every type but HAS_ATTR
         self._out: dict[NodeRef, dict[str, set[NodeRef]]] = {}
@@ -147,7 +146,7 @@ class Graph:
             if not all(isinstance(label, str) for label in ordered):
                 raise GraphError(f"node {name!r} has labels {labels!r}, not a list of str")
             if PRIMITIVE_LABEL in ordered and POLICY_LABEL in ordered:
-                raise ValueError(f"node {name!r} cannot be both Primitive and Policy")
+                raise LabelClashError(f"node {name!r} cannot be both Primitive and Policy")
             shared = self._labels[ordered] = ordered
         props = MappingProxyType(dict(properties)) if properties else _NO_PROPERTIES
         ref = len(self._nodes)
@@ -209,7 +208,7 @@ class Graph:
         # Every tuple is made before any list is freed.  Made one by one in
         # the memory of the lists freed before them, they would lie
         # scattered, and every walk over the frozen graph would run slower.
-        children = tuple([tuple(set(kids)) for kids in self._children])
+        children = tuple([tuple(dict.fromkeys(kids)) for kids in self._children])
         indeg = [0] * len(children)
         for kids in children:
             for dst in kids:
@@ -294,13 +293,7 @@ class Graph:
         self._check_ref(start)
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        if adjacency is not None:
-            adj = adjacency
-        elif self._frozen:
-            adj = self._children
-        else:
-            # Each node's children as freeze() will order them, once each.
-            adj = [set(children) for children in self._children]
+        adj = self._children if adjacency is None else adjacency
         dist = {start: 0}
         frontier = [start]
         for d in range(1, max_depth + 1):

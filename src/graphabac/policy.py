@@ -140,13 +140,6 @@ class ConditionType(enum.Enum):
     ACT_CON = "action"
     OBJ_CON = "object"
 
-    # Members are singletons compared by identity, so identity hashing keeps
-    # dict semantics and avoids Enum's Python-level __hash__.  The load path
-    # needs it: the parser, the builder and ``create_policy`` make about a
-    # dozen slot-keyed dict operations per policy.  A query keys nothing by
-    # slot type.
-    __hash__ = object.__hash__
-
 
 # The slot order of every per-slot value: a policy's ``nodes`` and
 # ``compound``, the snapshot's fields, a query, its closures and a match's
@@ -464,14 +457,19 @@ class PolicyStore:
         return self._add(name, decision, score, nodes, compound if any(compound) else _NO_COMPOUND)
 
     def _add(
-        self, name: str, decision: Decision, score: Optional[int], nodes: Slots, compound: tuple
+        self,
+        name: str,
+        decision: Decision,
+        score: Optional[int],
+        nodes: Slots,
+        compound: tuple = _NO_COMPOUND,
     ) -> Policy:
         """Store a policy with these fields, ``nodes`` and ``compound`` as
-        ``_compile_slot`` makes them and ``compound`` ``_NO_COMPOUND`` when
-        no slot has a compound expression: the one way a policy goes in.
-        ``create_policy`` ends here, and the model loader comes here
-        straight with the node tuples of a policy whose conditions are all
-        names it found in the graph.
+        ``_compile_slot`` makes them and ``compound`` ``_NO_COMPOUND``, the
+        default, when no slot has a compound expression: the one way a
+        policy goes in.  ``create_policy`` ends here, and the model loader
+        comes here straight with the node tuples of a policy whose
+        conditions are all names it found in the graph.
         Raises DuplicatePolicyError for a name already stored,
         MissingConditionTypeError for an empty slot, and
         DanglingConditionRefError for a condition node that is not a node

@@ -12,11 +12,16 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .dsl import KEYWORDS, EdgeDecl, ExprDecl, ModelDocument, NameRef, NodeDecl, PolicyDecl
+from .dsl import (
+    _DECISIONS, KEYWORDS, EdgeDecl, ExprDecl, ModelDocument, NameRef, NodeDecl, PolicyDecl
+)
 from .graph import Scalar
 from .policy import MAX_NESTING, And, ConditionType, Not, Or, _children
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Decision -> the word the parser reads it from.
+_DECISION_WORDS = {decision: word for word, decision in _DECISIONS.items()}
 
 
 def _quote(text: str, what: str) -> str:
@@ -95,7 +100,7 @@ def _nests_too_deep(expr) -> bool:
 
 
 def _format_policy(pd: PolicyDecl) -> str:
-    head = f"policy {format_name(pd.name)} {pd.decision.value.lower()}"
+    head = f"policy {format_name(pd.name)} {_DECISION_WORDS[pd.decision]}"
     if pd.score is not None:
         if type(pd.score) is not int:
             raise ValueError(f"score {pd.score!r} is not an int")

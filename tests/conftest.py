@@ -10,6 +10,21 @@ def healthcare_text() -> str:
 
 
 @pytest.fixture(scope="session")
+def two_match_text() -> str:
+    """A model where the query ``u a o`` matches two policies, Near (Permit)
+    then Far (Deny): no query on the bundled model matches more than one."""
+    return """\
+node u : Subject, Primitive
+node R : Role
+node a : Action, Primitive
+node o : Object, Primitive
+edge u -[HAS_ATTR]-> R
+policy Near permit { subject: u; action: a; object: o; }
+policy Far deny { subject: R; action: a; object: o; }
+"""
+
+
+@pytest.fixture(scope="session")
 def healthcare() -> LoadedModel:
     return load_bundled_model()
 

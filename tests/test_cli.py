@@ -314,6 +314,21 @@ considered by algorithm:
 decision: Deny
 """
 
+    def test_first_applicable_considers_one_of_two_matches(self, two_match_text, tmp_path, capsys):
+        path = tmp_path / "two.abac"
+        path.write_text(two_match_text, encoding="utf-8")
+        assert main(["explain", str(path), "u", "a", "o", "--algorithm", "first-applicable"]) == 0
+        assert capsys.readouterr().out == """\
+query: subject=u action=a object=o
+algorithm: first-applicable (attribute depth 1)
+matching policies:
+  Near [Permit, score 0] subject=1 [u] action=1 [a] object=1 [o] total=3
+  Far [Deny, score 0] subject=2 [R] action=1 [a] object=1 [o] total=4
+considered by algorithm:
+  Near
+decision: Permit
+"""
+
 
 class TestValidate:
     def test_healthcare_summary(self, model_path, capsys):
@@ -352,6 +367,14 @@ class TestValidate:
         code = main(["validate", str(path)])
         assert code == 2
         assert "cycle" in capsys.readouterr().err
+
+    def test_label_clash_placed_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.abac"
+        path.write_text("node a : Attribute\n  node x : Primitive, Policy\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}:2:3: node 'x' cannot be both Primitive and Policy\n"
+        )
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.abac"

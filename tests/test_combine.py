@@ -11,6 +11,7 @@ from graphabac import (
     PolicyMatch,
     combine,
     evaluate,
+    load_model,
 )
 from graphabac.combine import EvaluationResult
 from graphabac.policy import compile_conditions
@@ -177,6 +178,15 @@ class TestEvaluate:
         )
         assert result.decision is P
         assert [m.policy.name for m in result.matches] == ["Policy3"]
+
+    def test_first_applicable_keeps_only_the_first_match(self, two_match_text):
+        model = load_model(two_match_text)
+        g = model.graph
+        q = AccessQuery(g.find_node("u"), g.find_node("a"), g.find_node("o"))
+        result = evaluate(model.policies, q, CombiningAlgorithm.FIRST_APPLICABLE)
+        assert [m.policy.name for m in result.matches] == ["Near", "Far"]
+        assert result.decision is P
+        assert result.deciding_policies == result.matches[:1]
 
     def test_no_match_is_default_deny_everywhere(self, healthcare, query):
         q = query("Sue", "Write", "MR_1234")

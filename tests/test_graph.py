@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphabac import Graph, HAS_ATTR, load_model
 from graphabac.errors import (
+    AbacError,
     AttributeCycleError,
     DuplicateNameError,
     EmptyNameError,
@@ -67,6 +68,12 @@ class TestAddNode:
         g = Graph()
         with pytest.raises(ValueError):
             g.add_node("x", ("Primitive", "Policy"))
+
+    def test_label_clash_is_an_engine_error(self):
+        g = Graph()
+        with pytest.raises(AbacError, match="both Primitive and Policy"):
+            g.add_node("x", ["Policy", "Attribute", "Primitive"])
+        assert g.node_count() == 0
 
 
 class TestNodeRecords:
@@ -202,13 +209,13 @@ class TestAttributeClosure:
     def test_keys_in_discovery_order(self):
         # Random models are drawn from list(attribute_closure(...)), so the
         # key order is part of what fixes seeded test data: breadth-first,
-        # each node's children in the order of its edge set (ascending refs
-        # for small ints), whatever order the edges were added in.
+        # each node's children in the order their first edges were added,
+        # not in ascending refs.
         g = Graph()
         r, a, b, c, d, e = (g.add_node(n) for n in "rabcde")
-        for src, dst in ((r, c), (r, a), (c, e), (a, d), (c, d), (a, b), (d, e)):
+        for src, dst in ((r, c), (r, a), (c, e), (a, d), (c, d), (a, b), (d, e), (r, c)):
             g.add_edge(src, HAS_ATTR, dst)
-        expected = {0: [r], 1: [r, a, c], 2: [r, a, c, b, d, e], 3: [r, a, c, b, d, e]}
+        expected = {0: [r], 1: [r, c, a], 2: [r, c, a, e, d, b], 3: [r, c, a, e, d, b]}
         for depth, order in expected.items():
             assert list(g.attribute_closure(r, depth)) == order
         assert g.attribute_closure(r, 3) == {r: 0, a: 1, c: 1, b: 2, d: 2, e: 2}
@@ -295,7 +302,7 @@ class TestFreeze:
             (a, HAS_ATTR, c), (b, "SUB_CON", a), (c, "RELATES_TO", c),
         ]
         assert counts == [7, 3, 2, 2, 0]
-        assert before[4][r] == [r, a, b, c]
+        assert before[4][r] == [r, b, a, c]
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_edge_lookups_reject_unknown_refs(self, frozen):
@@ -319,8 +326,8 @@ class TestFreeze:
 
 class TestChildrenUntilFreeze:
     """While the graph is built a node's children are a list that may repeat
-    an edge; every reader, and freeze(), must see what a set built by the
-    same adds would hold, in that set's iteration order."""
+    an edge; every reader, and freeze(), must see each child once, in the
+    order its first edge was added."""
 
     @staticmethod
     def reference_closure(children, start, depth):
@@ -369,11 +376,11 @@ class TestChildrenUntilFreeze:
     def test_agrees_with_incremental_sets(self, seed):
         rng = random.Random(seed)
         # Large refs among few children collide in a small set table, so a
-        # set's order is neither insertion nor ascending order.
+        # set's order is neither first-added nor ascending order.
         n = rng.choice((8, 40, 300))
         g = Graph()
         refs = [g.add_node(f"n{i}") for i in range(n)]
-        sets = [set() for _ in refs]
+        adds = [[] for _ in refs]
         added = []
         for _ in range(rng.randrange(4 * n)):
             # Mostly HAS_ATTR edges up the ref order (so no cycle), some of
@@ -390,7 +397,8 @@ class TestChildrenUntilFreeze:
                     src, dst = rng.choice(added)
                 added.append((src, dst))
                 g.add_edge(src, HAS_ATTR, dst)
-                sets[src].add(dst)
+                adds[src].append(dst)
+        sets = [dict.fromkeys(kids) for kids in adds]
         expected = [tuple(kids) for kids in sets]
         depth = rng.randrange(1, 6)
         starts = rng.sample(refs, min(n, 10))
